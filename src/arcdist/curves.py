@@ -2,13 +2,18 @@
 
 Families: a great circle (optionally multiply traversed), the tennis ball
 seam curve, a wavy latitude circle, and a general trigonometric-series
-family that contains the seam shape as a special case. Positions are
-always unit vectors by construction through colatitude/longitude shape
-functions (the great circle is evaluated directly in Cartesian form).
+family. Each is a point of one series in colatitude and longitude,
+
+    theta(t) = theta0 + theta_slope t + sum_j a_j cos jt + b_j sin jt
+    phi(t)   = phi0 + phi_slope t + sum_j c_j sin jt,
+
+so positions are unit vectors by construction, and velocities and speeds
+have closed forms.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -19,13 +24,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d
-from .sphere import UnitVector, angles_to_xyz, xyz_to_angles
+from .sphere import UnitVector, angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
 TENNIS_BALL = "tennis_ball"
 WAVY_CIRCLE = "wavy_circle"
 TRIG_SERIES = "trig_series"
-FAMILIES = (GREAT_CIRCLE, TENNIS_BALL, WAVY_CIRCLE, TRIG_SERIES)
 
 #: Seam amplitude reproduced by arc-length calibration (reference 0.7037).
 TENNIS_BALL_A = 0.7037
@@ -59,14 +63,27 @@ class CurveDomain:
         return self.t_f - self.t_i
 
 
+@dataclass(frozen=True)
+class _TrigSeries:
+    """Coefficients of the series in the module docstring; harmonics holds
+    a row (j, a_j, b_j, c_j) only for each j with a nonzero coefficient."""
+
+    theta0: float = 0.0
+    theta_slope: float = 0.0
+    phi0: float = 0.0
+    phi_slope: float = 0.0
+    harmonics: tuple[tuple[int, float, float, float], ...] = ()
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalCurve:
     """A parameterized curve family instance on the unit sphere.
 
-    Parameters outside the domain are wrapped periodically. An optional
-    rotation (3x3 orthogonal matrix) is applied to all positions, which
-    lets every functional be tested for rotation equivariance without
-    re-deriving the shape functions.
+    The family's params map to trig-series coefficients once, at
+    construction. Parameters outside the domain are wrapped periodically.
+    An optional rotation (3x3 orthogonal matrix) is applied to all
+    positions and velocities, which lets every functional be tested for
+    rotation equivariance without re-deriving the shape functions.
     """
 
     family: str
@@ -74,82 +91,81 @@ class SphericalCurve:
     domain: CurveDomain = field(default_factory=lambda: CurveDomain(0.0, 1.0))
     rotation: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_series", _FAMILIES[self.family][1](**self.params))
+
     def _wrap(self, ts: np.ndarray) -> np.ndarray:
         t_i, t_f = self.domain.t_i, self.domain.t_f
         inside = (ts >= t_i) & (ts <= t_f)
+        if inside.all():
+            return ts
         return np.where(inside, ts, t_i + np.mod(ts - t_i, t_f - t_i))
 
-    def _positions_raw(self, ts: np.ndarray) -> np.ndarray:
-        """Evaluate the family formulas without wrapping (smooth in t)."""
-        p = self.params
-        if self.family == GREAT_CIRCLE:
-            ang = _TWO_PI * ts
-            xyz = np.stack([np.sin(ang), np.zeros_like(ts), np.cos(ang)], axis=-1)
-        elif self.family == TENNIS_BALL:
-            a = p["a"]
-            theta = 0.5 * math.pi - (0.5 * math.pi - a) * np.cos(ts)
-            phi = 0.5 * ts + a * np.sin(2.0 * ts)
-            xyz = angles_to_xyz(theta, phi)
-        elif self.family == WAVY_CIRCLE:
-            theta = 0.75 * math.pi + p["b"] * np.sin(10.0 * ts)
-            xyz = angles_to_xyz(theta, ts)
-        elif self.family == TRIG_SERIES:
-            amp = p["amplitude"]
-            theta = np.full_like(ts, p["theta0"])
-            phi = p["phi0"] + p["phi_slope"] * ts
-            for coeffs, trig, target in (
-                (p["theta_cos"], np.cos, "theta"),
-                (p["theta_sin"], np.sin, "theta"),
-                (p["phi_sin"], np.sin, "phi"),
-            ):
-                if len(coeffs) == 0:
-                    continue
-                js = np.arange(1, len(coeffs) + 1, dtype=float)
-                term = amp * (trig(np.multiply.outer(ts, js)) @ np.asarray(coeffs, dtype=float))
-                if target == "theta":
-                    theta = theta + term
-                else:
-                    phi = phi + term
-            xyz = angles_to_xyz(theta, phi)
-        else:  # pragma: no cover - factories validate the tag
-            raise CurveSpecError(f"unknown curve family {self.family!r}")
-        if self.rotation is not None:
-            xyz = xyz @ np.asarray(self.rotation, dtype=float).T
-        return xyz
+    def _angles(self, ts: np.ndarray, rates: bool = False) -> tuple[np.ndarray, ...]:
+        """(theta, phi) at ts, or (theta, phi, theta', phi') with rates (no wrapping)."""
+        s = self._series
+        theta = s.theta0 + s.theta_slope * ts
+        phi = s.phi0 + s.phi_slope * ts
+        if rates:
+            dtheta = np.full_like(ts, s.theta_slope)
+            dphi = np.full_like(ts, s.phi_slope)
+        for j, a, b, c in s.harmonics:
+            jt = j * ts
+            # Without rates, take only the trig values a nonzero coefficient needs.
+            cos = np.cos(jt) if rates or a else None
+            sin = np.sin(jt) if rates or b or c else None
+            if a:
+                theta = theta + a * cos
+            if b:
+                theta = theta + b * sin
+            if c:
+                phi = phi + c * sin
+            if rates:
+                dtheta = dtheta + j * (b * cos - a * sin)
+                dphi = dphi + (j * c) * cos
+        return (theta, phi, dtheta, dphi) if rates else (theta, phi)
+
+    def _rotate(self, xyz: np.ndarray) -> np.ndarray:
+        return xyz if self.rotation is None else xyz @ np.asarray(self.rotation, dtype=float).T
 
     def positions(self, ts) -> np.ndarray:
         """(n, 3) unit-norm positions at the given parameters (wrapped)."""
-        ts = np.asarray(ts, dtype=float)
-        return self._positions_raw(self._wrap(ts))
+        theta, phi = self._angles(self._wrap(np.asarray(ts, dtype=float)))
+        return self._rotate(angles_to_xyz(theta, phi))
 
     def position(self, t: float) -> UnitVector:
         return UnitVector.from_array(self.positions(np.array([t]))[0])
 
     def velocities(self, ts) -> np.ndarray:
-        """Central-difference dr/dt with step h = period * 1e-6."""
-        ts = self._wrap(np.asarray(ts, dtype=float))
-        h = self.domain.period * 1e-6
-        return (self._positions_raw(ts + h) - self._positions_raw(ts - h)) / (2.0 * h)
+        """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
+        theta, phi, dtheta, dphi = self._angles(self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        w = st * dphi
+        v = np.stack([dtheta * ct * cp - w * sp, dtheta * ct * sp + w * cp, -dtheta * st], axis=-1)
+        return self._rotate(v)
 
     def velocity(self, t: float) -> np.ndarray:
         return self.velocities(np.array([t]))[0]
 
     def speeds(self, ts) -> np.ndarray:
-        return np.linalg.norm(self.velocities(ts), axis=-1)
-
-    def angles(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Colatitude/longitude of the curve points (derived from positions)."""
-        return xyz_to_angles(self.positions(ts))
+        """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
+        theta, _, dtheta, dphi = self._angles(self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        return np.sqrt(dtheta * dtheta + (np.sin(theta) * dphi) ** 2)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
-        return replace(self, rotation=np.asarray(rotation, dtype=float))
+        """This curve with `rotation` applied after any rotation it already carries."""
+        rotation = np.asarray(rotation, dtype=float)
+        if self.rotation is not None:
+            rotation = rotation @ self.rotation
+        return replace(self, rotation=rotation)
 
 
 def great_circle(domain: tuple[float, float] = (0.0, 2.0)) -> SphericalCurve:
     """Unit-speed-in-angle great circle r(t) = (sin 2pi t, 0, cos 2pi t).
 
-    The default domain [0, 2] traverses the circle twice (arc-length 4pi,
-    but not simple); [0, 1] is a single traversal.
+    It is the meridian theta = 2pi t, phi = 0. The default domain [0, 2]
+    traverses the circle twice (arc-length 4pi, but not simple); [0, 1]
+    is a single traversal.
     """
     return SphericalCurve(GREAT_CIRCLE, {}, CurveDomain(*domain))
 
@@ -201,25 +217,31 @@ def trig_series(
     return SphericalCurve(TRIG_SERIES, params, CurveDomain(*domain))
 
 
-_DEFAULT_DOMAINS = {
-    GREAT_CIRCLE: (0.0, 2.0),
-    TENNIS_BALL: (0.0, _FOUR_PI),
-    WAVY_CIRCLE: (0.0, _TWO_PI),
-    TRIG_SERIES: (0.0, _FOUR_PI),
-}
+def _trig_series_coefficients(theta_cos, theta_sin, phi_sin, theta0, phi0, phi_slope, amplitude) -> _TrigSeries:
+    rows = []
+    for j in range(1, max(len(theta_cos), len(theta_sin), len(phi_sin)) + 1):
+        abc = tuple(amplitude * v[j - 1] if j <= len(v) else 0.0 for v in (theta_cos, theta_sin, phi_sin))
+        if any(abc):
+            rows.append((j, *abc))
+    return _TrigSeries(theta0=theta0, phi0=phi0, phi_slope=phi_slope, harmonics=tuple(rows))
 
-_FACTORIES = {
-    GREAT_CIRCLE: great_circle,
-    TENNIS_BALL: tennis_ball_seam,
-    WAVY_CIRCLE: wavy_circle,
-    TRIG_SERIES: trig_series,
-}
 
-_ALLOWED_PARAMS = {
-    GREAT_CIRCLE: set(),
-    TENNIS_BALL: {"a"},
-    WAVY_CIRCLE: {"b"},
-    TRIG_SERIES: {"theta_cos", "theta_sin", "phi_sin", "theta0", "phi0", "phi_slope", "amplitude"},
+#: JSON family tag -> (public constructor, params -> trig-series coefficients).
+#: The constructor's keywords other than `domain` are the tag's params, and
+#: its `domain` default is the tag's default domain.
+_FAMILIES = {
+    GREAT_CIRCLE: (great_circle, lambda: _TrigSeries(theta_slope=_TWO_PI)),
+    TENNIS_BALL: (
+        tennis_ball_seam,
+        lambda a: _TrigSeries(
+            theta0=0.5 * math.pi, phi_slope=0.5, harmonics=((1, -(0.5 * math.pi - a), 0.0, 0.0), (2, 0.0, 0.0, a))
+        ),
+    ),
+    WAVY_CIRCLE: (
+        wavy_circle,
+        lambda b: _TrigSeries(theta0=0.75 * math.pi, phi_slope=1.0, harmonics=((10, 0.0, b, 0.0),)),
+    ),
+    TRIG_SERIES: (trig_series, _trig_series_coefficients),
 }
 
 
@@ -248,21 +270,23 @@ def from_spec(spec: dict | str | Path) -> SphericalCurve:
     if unknown:
         raise CurveSpecError(f"unknown curve spec keys: {sorted(unknown)}")
     family = spec.get("family")
-    if family not in FAMILIES:
-        raise CurveSpecError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family not in _FAMILIES:
+        raise CurveSpecError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
+    make = _FAMILIES[family][0]
+    keywords = inspect.signature(make).parameters
 
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise CurveSpecError("params must be an object")
-    unknown = set(params) - _ALLOWED_PARAMS[family]
+    unknown = set(params) - (set(keywords) - {"domain"})
     if unknown:
         raise CurveSpecError(f"unknown params for {family}: {sorted(unknown)}")
 
-    domain = spec.get("domain", _DEFAULT_DOMAINS[family])
+    domain = spec.get("domain", keywords["domain"].default)
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise CurveSpecError("domain must be a two-element array [t_i, t_f]")
     try:
-        return _FACTORIES[family](**params, domain=(float(domain[0]), float(domain[1])))
+        return make(**params, domain=(float(domain[0]), float(domain[1])))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, CurveSpecError):
             raise
@@ -292,26 +316,33 @@ def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:
     return bool(np.linalg.norm(ends[0] - ends[1]) < eps)
 
 
-def _golden_min_to_points(
-    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float, n_iter: int = 18
+# Golden-section bracket shrink factor, 1 / golden ratio.
+_GOLDEN_SHRINK = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _golden_nearest(
+    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float, n_iter: int
 ) -> np.ndarray:
-    """Per-row golden-section argmin over t of |r(t) - target| near each center."""
+    """Per-row golden-section argmin over t of |r(t) - target| in center +- half_width.
+
+    Maximizes the dot product with the target (same argmin, cheaper) and
+    returns the midpoints of the final brackets, unwrapped.
+    """
     a = centers - half_width
     b = centers + half_width
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
 
     def neg_dot(tq: np.ndarray) -> np.ndarray:
         return -np.einsum("ij,ij->i", targets, curve.positions(tq))
 
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
+    x1 = b - _GOLDEN_SHRINK * (b - a)
+    x2 = a + _GOLDEN_SHRINK * (b - a)
     f1, f2 = neg_dot(x1), neg_dot(x2)
     for _ in range(n_iter):
         shrink_right = f1 < f2
         b = np.where(shrink_right, x2, b)
         a = np.where(shrink_right, a, x1)
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
+        x1 = b - _GOLDEN_SHRINK * (b - a)
+        x2 = a + _GOLDEN_SHRINK * (b - a)
         f1, f2 = neg_dot(x1), neg_dot(x2)
     return 0.5 * (a + b)
 
@@ -385,8 +416,8 @@ def is_simple(
     t2 = ts[keep[:, 1]]
     half_width = 1.5 * period / n_samples
     for _ in range(3):
-        t1 = _golden_min_to_points(curve, curve.positions(t2), t1, half_width)
-        t2 = _golden_min_to_points(curve, curve.positions(t1), t2, half_width)
+        t1 = _golden_nearest(curve, curve.positions(t2), t1, half_width, 18)
+        t2 = _golden_nearest(curve, curve.positions(t1), t2, half_width, 18)
     t1 = curve._wrap(t1)
     t2 = curve._wrap(t2)
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)

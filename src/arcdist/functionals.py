@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SphericalCurve, arc_length, is_closed
+from .curves import _GOLDEN_SHRINK, SphericalCurve, _golden_nearest, arc_length, is_closed
 from .quadrature import (
     FunctionalResult,
     QuadratureRule,
     default_curve_rule,
     default_sphere_rule,
     integrate_1d,
+    rule_nodes,
     sphere_integrate,
-    _leggauss,
 )
 from .sphere import (
     SpherePoint,
@@ -151,22 +151,6 @@ def point_to_curve_mean(
     return FunctionalResult(value, err, num.nodes_used + den.nodes_used, warning)
 
 
-def _curve_nodes_weights(curve: SphericalCurve, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (summing to the period) for the inner curve integral."""
-    dom = curve.domain
-    period = dom.period
-    if rule.kind == "gauss_legendre":
-        u, w = _leggauss(rule.n)
-        ts = 0.5 * (dom.t_i + dom.t_f) + 0.5 * period * u
-        return ts, 0.5 * period * w
-    if rule.kind == "monte_carlo":
-        rng = np.random.default_rng(rule.seed)
-        ts = dom.t_i + period * rng.random(rule.n)
-        return ts, np.full(rule.n, period / rule.n)
-    ts = dom.t_i + period * np.arange(rule.n) / rule.n
-    return ts, np.full(rule.n, period / rule.n)
-
-
 def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: QuadratureRule | None = None) -> np.ndarray:
     """Vectorized parameter-mean distance from each row of `points` to the curve.
 
@@ -174,7 +158,7 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     refinement; used where many field values are needed at once.
     """
     curve_rule = curve_rule or default_curve_rule()
-    ts, w = _curve_nodes_weights(curve, curve_rule)
+    ts, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
     C = curve.positions(ts)
     w_mean = w / curve.domain.period
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -250,26 +234,8 @@ def _min_distance_batch(
         best_idx[sl] = np.argmax(points[sl] @ C.T, axis=1)
 
     dt = period / n_scan
-    a = ts[best_idx] - dt
-    b = ts[best_idx] + dt
-
-    def neg_dot(tq: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij,ij->i", points, curve.positions(tq))
-
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    n_iter = max(1, math.ceil(math.log(param_tol / (2.0 * dt)) / math.log(invphi)))
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = neg_dot(x1), neg_dot(x2)
-    for _ in range(n_iter):
-        shrink_right = f1 < f2
-        b = np.where(shrink_right, x2, b)
-        a = np.where(shrink_right, a, x1)
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = neg_dot(x1), neg_dot(x2)
-
-    t_best = curve._wrap(0.5 * (a + b))
+    n_iter = max(1, math.ceil(math.log(param_tol / (2.0 * dt)) / math.log(_GOLDEN_SHRINK)))
+    t_best = curve._wrap(_golden_nearest(curve, points, ts[best_idx], dt, n_iter))
     d_best = np.arccos(np.clip(np.einsum("ij,ij->i", points, curve.positions(t_best)), -1.0, 1.0))
     return d_best, t_best
 

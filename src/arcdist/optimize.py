@@ -16,12 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import SphericalCurve, arc_length, great_circle, is_closed, is_simple, trig_series, wavy_circle
-from .functionals import mean_min_arc_distance, sphere_to_curve_mean, sup_deviation_from_half_pi
-from .quadrature import QuadratureRule, default_curve_rule, default_sphere_rule
+from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
+from .quadrature import QuadratureRule, default_curve_rule
 
 FOUR_PI = 4.0 * math.pi
 
-OBJECTIVES = ("M_tilde", "sup_dev_from_half_pi", "mean_min")
+OBJECTIVES = ("sup_dev_from_half_pi", "mean_min")
 
 MULTIPLE_SIGN_CHANGES = "multiple_sign_changes"
 MAX_EVALUATIONS_REACHED = "max_evaluations_reached"
@@ -223,10 +223,6 @@ def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
     if config.objective == "sup_dev_from_half_pi":
         sup, _ = sup_deviation_from_half_pi(curve, config.design_size, default_curve_rule(n=256))
         return sup
-    if config.objective == "M_tilde":
-        return sphere_to_curve_mean(
-            curve, default_sphere_rule(n=48, tol=1e-4), default_curve_rule(n=256)
-        ).value
     return mean_min_arc_distance(curve, n_points=1024, seed=config.seed, n_scan=1024).value
 
 

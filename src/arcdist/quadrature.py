@@ -16,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .sphere import angles_to_xyz, sample_sphere_angles
+from .sphere import sample_sphere_angles
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
 
-#: Hard cap on total integrand evaluations per result.
+#: Refinement stops before a level would use more nodes than this.
 NODE_CAP = 2**20
 
 #: FunctionalResult.warning value when the cap was hit before the tolerance.
@@ -92,6 +92,25 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [a, b] and weights summing to b - a of the rule at n nodes (default rule.n).
+
+    periodic_trapezoid: equispaced from a, with b identified with a;
+    gauss_legendre: the Gauss-Legendre nodes; monte_carlo: uniform draws
+    from the rule's seed, equally weighted.
+    """
+    n = n or rule.n
+    span = b - a
+    if rule.kind == "gauss_legendre":
+        u, w = _leggauss(n)
+        return 0.5 * (a + b) + 0.5 * span * u, 0.5 * span * w
+    if rule.kind == "monte_carlo":
+        xs = a + span * np.random.default_rng(rule.seed).random(n)
+    else:
+        xs = a + span * np.arange(n) / n
+    return xs, np.full(n, span / n)
+
+
 def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate an integrand, preferring a vectorized call."""
     try:
@@ -112,7 +131,8 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     (exact for the periodic closed-curve integrands used throughout);
     gauss_legendre suits non-periodic integrands. Both refine by doubling
     until tol or the node cap, in which case the best value is returned
-    flagged with TOLERANCE_NOT_REACHED. monte_carlo draws uniform nodes and
+    flagged with TOLERANCE_NOT_REACHED. nodes_used counts the integrand
+    evaluations of every level. monte_carlo draws uniform nodes and
     reports the sample standard error.
     """
     if not b > a:
@@ -120,20 +140,18 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     span = b - a
 
     if rule.kind == "monte_carlo":
-        rng = np.random.default_rng(rule.seed)
-        xs = a + span * rng.random(rule.n)
-        vals = _eval(f, xs)
+        vals = _eval(f, rule_nodes(rule, a, b)[0])
         value = span * float(np.mean(vals))
         stderr = span * float(np.std(vals, ddof=1)) / math.sqrt(rule.n) if rule.n > 1 else math.inf
         return FunctionalResult(value, stderr, rule.n)
 
     if rule.kind == "periodic_trapezoid":
         n = rule.n
-        total = float(np.sum(_eval(f, a + span * np.arange(n) / n)))
+        total = float(np.sum(_eval(f, rule_nodes(rule, a, b, n)[0])))
         prev = span * total / n
         while True:
-            mids = a + span * (np.arange(n) + 0.5) / n
-            total += float(np.sum(_eval(f, mids)))
+            # levels nest: the new nodes are the odd ones of the doubled level
+            total += float(np.sum(_eval(f, rule_nodes(rule, a, b, 2 * n)[0][1::2])))
             n *= 2
             cur = span * total / n
             est = abs(cur - prev)
@@ -145,22 +163,23 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
 
     # gauss_legendre: nodes do not nest, so each level is evaluated afresh
     n = rule.n
-    prev = _gauss_level(f, a, b, n)
+    prev = _gauss_level(f, rule, a, b, n)
+    used = n
     while True:
         n *= 2
-        cur = _gauss_level(f, a, b, n)
+        cur = _gauss_level(f, rule, a, b, n)
+        used += n
         est = abs(cur - prev)
         if est <= rule.tol:
-            return FunctionalResult(cur, est, n)
+            return FunctionalResult(cur, est, used)
         if 2 * n > NODE_CAP:
-            return FunctionalResult(cur, est, n, warning=TOLERANCE_NOT_REACHED)
+            return FunctionalResult(cur, est, used, warning=TOLERANCE_NOT_REACHED)
         prev = cur
 
 
-def _gauss_level(f: Callable, a: float, b: float, n: int) -> float:
-    u, w = _leggauss(n)
-    xs = 0.5 * (a + b) + 0.5 * (b - a) * u
-    return 0.5 * (b - a) * float(np.dot(w, _eval(f, xs)))
+def _gauss_level(f: Callable, rule: QuadratureRule, a: float, b: float, n: int) -> float:
+    xs, ws = rule_nodes(rule, a, b, n)
+    return float(np.dot(ws, _eval(f, xs)))
 
 
 def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
@@ -169,9 +188,10 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     g receives flat coordinate arrays and must return matching values
     (called once per refinement level; must be pure). Deterministic rules
     use the product Gauss-Legendre in cos(theta) x periodic trapezoid in
-    phi with n_phi = 2 n_theta, doubling both until tol or the node cap.
-    monte_carlo returns 4pi times the sample mean over an area-uniform
-    sample, with 4pi times the sample standard error as the estimate.
+    phi with n_phi = 2 n_theta, doubling both until tol or the node cap;
+    nodes_used counts the nodes of every level. monte_carlo returns 4pi
+    times the sample mean over an area-uniform sample, with 4pi times the
+    sample standard error as the estimate.
     """
     if rule.kind == "monte_carlo":
         theta, phi = sample_sphere_angles(rule.seed, rule.n)
@@ -182,11 +202,12 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
 
     n_theta = rule.n
     prev = _product_level(g, n_theta)
+    nodes = 2 * n_theta * n_theta
     while True:
         n_theta *= 2
         cur = _product_level(g, n_theta)
         est = abs(cur - prev)
-        nodes = 2 * n_theta * n_theta
+        nodes += 2 * n_theta * n_theta
         if est <= rule.tol:
             return FunctionalResult(cur, est, nodes)
         if 8 * n_theta * n_theta > NODE_CAP:
@@ -212,12 +233,3 @@ def _product_level(g: Callable, n_theta: int) -> float:
     vals = _eval_angles(g, th_grid.ravel(), ph_grid.ravel()).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
     return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi)
-
-
-def sphere_function_from_point_values(func: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Adapt a function of (m, 3) Cartesian points to the (theta, phi) signature."""
-
-    def g(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return func(angles_to_xyz(theta, phi))
-
-    return g

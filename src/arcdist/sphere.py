@@ -78,15 +78,8 @@ def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def xyz_to_angles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inverse of angles_to_xyz; phi in [0, 2pi)."""
-    xyz = np.asarray(xyz, dtype=float)
-    theta = np.arccos(np.clip(xyz[..., 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(xyz[..., 1], xyz[..., 0]), TWO_PI)
-    return theta, phi
+    # + 0.0 turns -0.0 into 0.0: on a meridian (phi = 0) y is 0.0 on both halves
+    return np.stack([st * np.cos(phi), st * np.sin(phi) + 0.0, np.cos(theta)], axis=-1)
 
 
 def _as_xyz(v) -> np.ndarray:
@@ -110,11 +103,6 @@ def geodesic_distance(u, v) -> float:
         if abs(np.dot(w, w) - 1.0) > 2.0 * _UNIT_NORM_ATOL:
             raise ValueError(f"geodesic_distance requires unit vectors, got norm {np.linalg.norm(w)!r}")
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
-def geodesic_distance_many(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distances from each row of `points` (n, 3) to the unit vector `q`."""
-    return np.arccos(np.clip(np.asarray(points) @ np.asarray(q, dtype=float), -1.0, 1.0))
 
 
 def sample_sphere_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -535,13 +535,6 @@ CRITERIA: list[tuple[str, Callable[[VerifyContext], list[ClaimRow]]]] = [
 ]
 
 
-def run_criterion(cid: str, ctx: VerifyContext) -> list[ClaimRow]:
-    for key, func in CRITERIA:
-        if key == cid:
-            return func(ctx)
-    raise KeyError(f"unknown criterion {cid!r}")
-
-
 def run_verification(settings: VerifySettings | None = None) -> tuple[list[ClaimRow], bool]:
     """Run all criteria; returns (rows, all_checked_rows_passed)."""
     ctx = VerifyContext(settings or VerifySettings())

@@ -124,6 +124,11 @@ class TestSphereToCurveMean:
             res = sphere_to_curve_mean(curve)
             assert res.value == pytest.approx(TWO_PI_SQ, abs=1e-9)
 
+    def test_nodes_used_counts_every_level(self):
+        # levels n_theta = 128 and 256, each with 2 n_theta^2 product nodes
+        res = sphere_to_curve_mean(tennis_ball_seam(0.7037), QuadratureRule("gauss_legendre", 128, 1e-6))
+        assert res.nodes_used == 32_768 + 131_072
+
     def test_monte_carlo_error_estimate_positive(self):
         res = sphere_to_curve_mean(tennis_ball_seam(0.7037), QuadratureRule("monte_carlo", 2000, 1e-9, seed=5))
         assert res.error_estimate > 0

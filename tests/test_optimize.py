@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, wavy_circle
+from arcdist.functionals import sphere_to_curve_mean
 from arcdist.optimize import (
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
@@ -18,6 +19,7 @@ from arcdist.optimize import (
     trig_series_family,
     wavy_scale_family,
 )
+from arcdist.quadrature import default_curve_rule, default_sphere_rule
 
 FOUR_PI = 4.0 * math.pi
 
@@ -93,12 +95,14 @@ class TestMinimizeFunctional:
         assert report.constraint_residual <= 1e-4
 
     def test_degenerate_family_single_evaluation(self):
-        report = minimize_functional(wavy_scale_family(), "M_tilde", OptimizerConfig(seed=1))
+        report = minimize_functional(wavy_scale_family(), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
         assert report.evaluations == 1
         assert report.converged
         assert report.best_scale == pytest.approx(WAVY_ROOT, abs=1e-5)
-        # the sphere-to-curve mean is the universal constant 2 pi^2
-        assert report.best_value == pytest.approx(2.0 * math.pi**2, abs=1e-6)
+        # the sphere-to-curve mean is the universal constant 2 pi^2, so it cannot rank candidates
+        curve = wavy_circle(WAVY_ROOT)
+        value = sphere_to_curve_mean(curve, default_sphere_rule(n=48, tol=1e-4), default_curve_rule(n=256)).value
+        assert value == pytest.approx(2.0 * math.pi**2, abs=1e-6)
 
     def test_budget_of_one_returns_initial_point_flagged(self):
         report = minimize_functional(

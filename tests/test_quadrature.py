@@ -71,6 +71,17 @@ class TestIntegrate1D:
         # the flagged value is still the best available one
         assert res.error_estimate < 1e-6
 
+    def test_gauss_nodes_used_counts_every_level(self):
+        evaluated = []
+
+        def f(t):
+            evaluated.append(t.size)
+            return np.exp(t)
+
+        res = integrate_1d(f, 0.0, 1.0, QuadratureRule("gauss_legendre", 4, 1e-12))
+        assert len(evaluated) >= 2
+        assert res.nodes_used == sum(evaluated)
+
     def test_linearity(self):
         rule = QuadratureRule("periodic_trapezoid", 128, 1e-12)
         f = lambda t: np.exp(np.sin(t))
