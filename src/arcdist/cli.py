@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,6 +38,19 @@ _OPTIMIZER_KEYS = {"objective", "max_evals", "simplex_scale", "seed", "J"}
 
 class ConfigError(ValueError):
     """A run configuration failed validation."""
+
+
+def _or_default(value, default):
+    """`value` unless it was not given; unlike `value or default`, a given 0 is kept."""
+    return default if value is None else value
+
+
+def _validated(make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError from its checks reported as a config error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -143,12 +157,13 @@ def _row(name: str, value: float, error: float | None = None, **extra) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    settings = VerifySettings(
+    settings = _validated(
+        VerifySettings,
         rule=_rule_kind(cfg),
         n=cfg["n"],
         tol=cfg["tol"],
         seed=int(cfg["seed"]),
-        max_evals=int(cfg["max_evals"] or 500),
+        max_evals=int(_or_default(cfg["max_evals"], 500)),
     )
     rows, all_pass = run_verification(settings)
     print(format_table(rows))
@@ -169,13 +184,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     curve = _curve_from_config(cfg)
     kind = _rule_kind(cfg)
+    n, tol = cfg["n"], cfg["tol"]
     if kind == "monte_carlo":
         # --n selects the MC sample count; curve integrals stay on the default grid
-        crule = default_curve_rule(tol=cfg["tol"] or 1e-9)
-        srule = QuadratureRule("monte_carlo", int(cfg["n"] or 20000), 1e-9, seed=int(cfg["seed"]))
+        crule = _validated(default_curve_rule, tol=_or_default(tol, 1e-9))
+        srule = _validated(QuadratureRule, "monte_carlo", int(_or_default(n, 20000)), 1e-9, seed=int(cfg["seed"]))
     else:
-        crule = default_curve_rule(n=int(cfg["n"] or 512), tol=cfg["tol"] or 1e-9)
-        srule = QuadratureRule("gauss_legendre", 128, cfg["tol"] or 1e-6)
+        crule = _validated(default_curve_rule, n=int(_or_default(n, 512)), tol=_or_default(tol, 1e-9))
+        srule = _validated(QuadratureRule, "gauss_legendre", 128, _or_default(tol, 1e-6))
 
     results = []
     length = curves.arc_length(curve, crule)
@@ -228,47 +244,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-_DEFAULT_BRACKETS = {
-    curves.TENNIS_BALL: (0.1, 1.4),
-    curves.WAVY_CIRCLE: (0.01, 0.6),
-    curves.GREAT_CIRCLE: (0.5, 1.5),
-    curves.TRIG_SERIES: (0.05, 2.5),
-}
-
-
-def _scaled_family(curve: curves.SphericalCurve):
-    """(make_curve, description) pairing a curve family with its scale parameter."""
-    if curve.family == curves.TENNIS_BALL:
-        return lambda a: curves.tennis_ball_seam(a), "seam amplitude a"
-    if curve.family == curves.WAVY_CIRCLE:
-        return lambda b: curves.wavy_circle(b), "wavy amplitude b"
-    if curve.family == curves.GREAT_CIRCLE:
-        return lambda s: curves.great_circle((0.0, 2.0 * s)), "domain scale"
-    params = dict(curve.params)
-
-    def make(amplitude: float) -> curves.SphericalCurve:
-        p = dict(params)
-        p["amplitude"] = amplitude
-        return curves.SphericalCurve(curves.TRIG_SERIES, p, curve.domain)
-
-    return make, "series amplitude"
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     curve = _curve_from_config(cfg)
-    bracket = cfg["bracket"] or _DEFAULT_BRACKETS[curve.family]
-    if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
-        raise ConfigError("bracket must be [lo, hi]")
-    make_curve, label = _scaled_family(curve)
-    report = optimize.calibrate_arc_length(
-        make_curve,
-        (float(bracket[0]), float(bracket[1])),
-        family=curve.family,
-        tol=cfg["tol"] or 1e-6,
-    )
+    family = optimize.scale_family(curve)
+    bracket = _or_default(cfg["bracket"], family.scale_bracket)
+    if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2 and float(bracket[0]) < float(bracket[1])):
+        raise ConfigError("bracket must be [lo, hi] with lo < hi")
+    tol = _or_default(cfg["tol"], 1e-6)
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
+    family = dataclasses.replace(family, scale_bracket=(float(bracket[0]), float(bracket[1])))
+    report = family.calibrate((), tol)
     results = [
-        _row("calibrated_parameter", report.parameter, message=label),
+        _row("calibrated_parameter", report.parameter, message=optimize.SCALES[family.tag].label),
         _row("arc_length", report.arc_length, report.residual),
         _row("residual", report.residual),
         _row("iterations", report.iterations),
@@ -284,13 +273,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     opt = cfg["optimizer"]
-    config = optimize.OptimizerConfig(
+    config = _validated(
+        optimize.OptimizerConfig,
         objective=opt.get("objective", "sup_dev_from_half_pi"),
         max_evals=int(opt.get("max_evals", 2000)),
         simplex_scale=float(opt.get("simplex_scale", 0.1)),
         seed=int(opt.get("seed", cfg["seed"])),
     )
-    family = optimize.seam_seeded_family(int(opt.get("J", 3)))
+    family = _validated(optimize.seam_seeded_family, int(opt.get("J", 3)))
     report = optimize.minimize_functional(family, config=config)
     results = [
         _row("best_value", report.best_value),

@@ -3,7 +3,8 @@
 The 4pi arc-length constraint is handled by nested calibration: every
 candidate shape re-roots its designated scale parameter by bisection, so
 the outer Nelder-Mead search stays unconstrained. Non-simple or
-uncalibratable candidates receive an infinite objective.
+uncalibratable candidates receive an infinite objective. SCALES names each
+curve family's scale parameter and its default bracket.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import curves
 from .curves import SphericalCurve, arc_length, great_circle, is_closed, is_simple, trig_series, wavy_circle
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
 from .quadrature import QuadratureRule, default_curve_rule
@@ -131,6 +133,29 @@ def calibrate_arc_length(
 
 
 @dataclass(frozen=True)
+class ScaleParameter:
+    """A curve family's calibration scale: its label, its default bracket,
+    and rebuild(curve, p), the family's curve at scale p."""
+
+    label: str
+    bracket: tuple[float, float]
+    rebuild: Callable[[SphericalCurve, float], SphericalCurve]
+
+
+#: Curve family tag -> the scale parameter that calibration roots to 4pi.
+SCALES = {
+    curves.TENNIS_BALL: ScaleParameter("seam amplitude a", (0.1, 1.4), lambda curve, a: curves.tennis_ball_seam(a)),
+    curves.WAVY_CIRCLE: ScaleParameter("wavy amplitude b", (0.01, 0.6), lambda curve, b: wavy_circle(b)),
+    curves.GREAT_CIRCLE: ScaleParameter("domain scale", (0.5, 1.5), lambda curve, s: great_circle((0.0, 2.0 * s))),
+    curves.TRIG_SERIES: ScaleParameter(
+        "series amplitude",
+        (0.05, 2.5),
+        lambda curve, amp: dataclasses.replace(curve, params={**curve.params, "amplitude": amp}),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class SearchFamily:
     """A parametric curve family with one designated scale parameter.
 
@@ -144,11 +169,23 @@ class SearchFamily:
     build: Callable[[np.ndarray, float], SphericalCurve]
     scale_bracket: tuple[float, float]
 
+    def calibrate(self, shape: np.ndarray, tol: float, rule: QuadratureRule | None = None) -> CalibrationReport:
+        """Root the scale at this shape to arc length 4pi within scale_bracket."""
+        return calibrate_arc_length(
+            lambda p: self.build(shape, p), self.scale_bracket, family=self.tag, tol=tol, rule=rule
+        )
+
+
+def scale_family(curve: SphericalCurve) -> SearchFamily:
+    """Degenerate family: no free shape; scale is the curve family's SCALES entry."""
+    scale = SCALES[curve.family]
+    return SearchFamily(curve.family, (), lambda shape, p: scale.rebuild(curve, p), scale.bracket)
+
 
 def trig_series_family(
     J: int = 3,
     initial_shape: Sequence[float] | None = None,
-    scale_bracket: tuple[float, float] = (0.05, 2.5),
+    scale_bracket: tuple[float, float] = SCALES[curves.TRIG_SERIES].bracket,
 ) -> SearchFamily:
     """Search family over trig-series shapes with an amplitude scale.
 
@@ -173,7 +210,7 @@ def trig_series_family(
             amplitude=scale,
         )
 
-    return SearchFamily("trig_series", initial_shape, build, scale_bracket)
+    return SearchFamily(curves.TRIG_SERIES, initial_shape, build, scale_bracket)
 
 
 def seam_seeded_family(J: int = 3, a: float = 0.7037) -> SearchFamily:
@@ -187,18 +224,6 @@ def seam_seeded_family(J: int = 3, a: float = 0.7037) -> SearchFamily:
     shape[0] = -(0.5 * math.pi - a)
     shape[2 * J + 1] = a
     return trig_series_family(J, shape)
-
-
-def wavy_scale_family(scale_bracket: tuple[float, float] = (0.01, 0.6)) -> SearchFamily:
-    """Degenerate family: no free shape, scale is the wavy-circle amplitude."""
-    return SearchFamily("wavy_circle", (), lambda shape, scale: wavy_circle(b=scale), scale_bracket)
-
-
-def great_circle_scale_family(scale_bracket: tuple[float, float] = (0.5, 1.5)) -> SearchFamily:
-    """Degenerate family: scale stretches the doubled great circle's domain."""
-    return SearchFamily(
-        "great_circle", (), lambda shape, scale: great_circle(domain=(0.0, 2.0 * scale)), scale_bracket
-    )
 
 
 @dataclass(frozen=True)
@@ -242,13 +267,7 @@ def make_candidate_evaluator(
 
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         try:
-            cal = calibrate_arc_length(
-                lambda p: family.build(shape, p),
-                family.scale_bracket,
-                family=family.tag,
-                tol=config.constraint_tol,
-                rule=rule,
-            )
+            cal = family.calibrate(shape, config.constraint_tol, rule)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         curve = family.build(shape, cal.parameter)
@@ -262,6 +281,10 @@ def make_candidate_evaluator(
     return evaluate
 
 
+class _BudgetSpent(Exception):
+    """Raised in place of an evaluation beyond the search's budget."""
+
+
 def minimize_functional(
     family: SearchFamily,
     objective: str | None = None,
@@ -271,10 +294,12 @@ def minimize_functional(
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5;
     initial simplex offsets simplex_scale per parameter; stops when the
-    simplex diameter drops below diameter_tol or the evaluation budget is
-    exhausted (best-so-far returned, flagged). The best-vertex objective
-    trace is non-increasing, and every feasible iterate satisfies the
-    arc-length constraint to the calibration tolerance.
+    simplex diameter drops below diameter_tol or after exactly max_evals
+    evaluations (best-so-far returned, flagged). Vertices are ordered by a
+    stable sort, so ties (infeasible vertices at +inf) keep their order.
+    The best-vertex objective trace is non-increasing, and every feasible
+    iterate satisfies the arc-length constraint to the calibration
+    tolerance.
     """
     if config is None:
         config = OptimizerConfig()
@@ -286,6 +311,8 @@ def minimize_functional(
     state = {"evals": 0, "best": math.inf, "best_shape": None, "best_scale": math.nan, "max_resid": 0.0}
 
     def run_eval(shape: np.ndarray) -> float:
+        if state["evals"] >= config.max_evals:
+            raise _BudgetSpent
         value, scale, resid = evaluate(shape)
         state["evals"] += 1
         if math.isfinite(value):
@@ -301,12 +328,7 @@ def minimize_functional(
     f0 = run_eval(x0)
     if not math.isfinite(f0):
         try:
-            calibrate_arc_length(
-                lambda p: family.build(x0, p),
-                family.scale_bracket,
-                family=family.tag,
-                tol=config.constraint_tol,
-            )
+            family.calibrate(x0, config.constraint_tol)
         except (NoBracketError, CalibrationFailedError) as exc:
             raise CalibrationFailedError(f"calibration failed at the initial point: {exc}") from exc
         raise ValueError("initial point is infeasible (curve not closed and simple)")
@@ -315,69 +337,46 @@ def minimize_functional(
     if k == 0:
         return _report(family, config, state, trace, f0, converged=True, warning=None)
 
-    simplex = [x0]
-    values = [f0]
-    budget_hit = False
-    for i in range(k):
-        if state["evals"] >= config.max_evals:
-            budget_hit = True
-            break
-        xi = x0.copy()
-        xi[i] += config.simplex_scale
-        simplex.append(xi)
-        values.append(run_eval(xi))
-
     converged = False
-    if not budget_hit and len(simplex) == k + 1:
-        simplex_arr = np.array(simplex)
-        values_arr = np.array(values)
+    try:
+        simplex = np.vstack([x0, x0 + config.simplex_scale * np.eye(k)])
+        values = np.array([f0] + [run_eval(x) for x in simplex[1:]])
         while state["evals"] < config.max_evals:
-            order = np.argsort(values_arr, kind="stable")
-            simplex_arr = simplex_arr[order]
-            values_arr = values_arr[order]
-            diam = max(
-                float(np.linalg.norm(simplex_arr[i] - simplex_arr[j]))
-                for i in range(k + 1)
-                for j in range(i + 1, k + 1)
-            )
+            order = np.argsort(values, kind="stable")
+            simplex, values = simplex[order], values[order]
+            pairs = ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
+            diam = max(float(np.linalg.norm(simplex[i] - simplex[j])) for i, j in pairs)
             if diam < config.diameter_tol:
                 converged = True
                 break
 
-            centroid = simplex_arr[:-1].mean(axis=0)
-            worst = simplex_arr[-1]
+            centroid = simplex[:-1].mean(axis=0)
+            worst = simplex[-1]
             xr = centroid + (centroid - worst)
             fr = run_eval(xr)
-            if fr < values_arr[0]:
-                if state["evals"] >= config.max_evals:
-                    break
+            if fr < values[0]:
                 xe = centroid + 2.0 * (centroid - worst)
                 fe = run_eval(xe)
-                if fe < fr:
-                    simplex_arr[-1], values_arr[-1] = xe, fe
-                else:
-                    simplex_arr[-1], values_arr[-1] = xr, fr
-            elif fr < values_arr[-2]:
-                simplex_arr[-1], values_arr[-1] = xr, fr
+                simplex[-1], values[-1] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = xr, fr
             else:
-                if state["evals"] >= config.max_evals:
-                    break
-                if fr < values_arr[-1]:
+                if fr < values[-1]:  # outside contraction
                     xc = centroid + 0.5 * (xr - centroid)
                     fc = run_eval(xc)
                     accepted = fc <= fr
-                else:
+                else:  # inside contraction
                     xc = centroid + 0.5 * (worst - centroid)
                     fc = run_eval(xc)
-                    accepted = fc < values_arr[-1]
+                    accepted = fc < values[-1]
                 if accepted:
-                    simplex_arr[-1], values_arr[-1] = xc, fc
-                else:
+                    simplex[-1], values[-1] = xc, fc
+                else:  # shrink toward the best vertex
                     for i in range(1, k + 1):
-                        if state["evals"] >= config.max_evals:
-                            break
-                        simplex_arr[i] = simplex_arr[0] + 0.5 * (simplex_arr[i] - simplex_arr[0])
-                        values_arr[i] = run_eval(simplex_arr[i])
+                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                        values[i] = run_eval(simplex[i])
+    except _BudgetSpent:
+        pass
 
     warning = None if converged else MAX_EVALUATIONS_REACHED
     return _report(family, config, state, trace, f0, converged, warning)

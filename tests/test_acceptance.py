@@ -14,9 +14,12 @@ measured evidence (see also README "Known deviations"):
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from arcdist import verify
+from arcdist.quadrature import FunctionalResult
 from arcdist.verify import (
     SEAM_A_REF,
     WAVY_B_REF,
@@ -103,6 +106,20 @@ def test_criterion_8_wavy_excess(ctx):
     # curve-independent constant 2 pi^2 (Fubini), so the strict excess
     # demanded here is mathematically impossible.
     _report(criterion_8_wavy_excess(ctx))
+
+
+@pytest.mark.parametrize(
+    "excess, passed",
+    [(4.0 * math.ulp(2.0 * math.pi**2), False), (1e-9, True)],
+    ids=["4_ulp_stays_red", "real_excess_detected"],
+)
+def test_criterion_8_threshold_clears_rounding(monkeypatch, excess, passed):
+    # with both refinement levels agreeing bitwise (error 0), an excess of a
+    # few ulp is rounding, while a real excess still turns the row green
+    result = FunctionalResult(2.0 * math.pi**2 + excess, 0.0, 1)
+    monkeypatch.setattr(verify.functionals, "sphere_to_curve_mean", lambda *args, **kwargs: result)
+    (row,) = criterion_8_wavy_excess(SimpleNamespace(settings=VerifySettings(), wavy=None))
+    assert row.passed is passed
 
 
 def test_criterion_9_simplicity(ctx):

@@ -99,6 +99,23 @@ class TestCalibrate:
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
         assert rows["calibrated_parameter"]["value"] == pytest.approx(0.2862413, abs=1e-5)
 
+    def test_great_circle_domain_scale(self, tmp_path, capsys):
+        out_path = tmp_path / "cal.json"
+        code, _, _ = run(["calibrate", "--curve", '{"family":"great_circle"}', "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        assert rows["calibrated_parameter"]["value"] == 1.0
+        assert rows["calibrated_parameter"]["message"] == "domain scale"
+
+    def test_trig_series_amplitude(self, tmp_path, capsys):
+        out_path = tmp_path / "cal.json"
+        spec = '{"family":"trig_series","params":{"theta_cos":[-0.8670963267948966],"phi_sin":[0,0.7037]}}'
+        code, _, _ = run(["calibrate", "--curve", spec, "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        assert rows["calibrated_parameter"]["value"] == pytest.approx(1.0000440536006805, abs=1e-9)
+        assert rows["calibrated_parameter"]["message"] == "series amplitude"
+
     def test_no_bracket_is_numerical_failure(self, capsys):
         code, _, err = run(
             ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.3", "0.5"], capsys
@@ -163,6 +180,34 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--curve", '{"family":"great_circle"}', "--rule", "simpson"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--max-evals", "0"],
+        ["optimize", "--J", "1"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--n", "0"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--tol", "0"],
+        ["verify", "--max-evals", "0"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--tol", "0"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "1.4", "0.1"],
+    ],
+    ids=[
+        "optimize_max_evals_0",
+        "optimize_J_1",
+        "eval_n_0",
+        "eval_tol_0",
+        "verify_max_evals_0",
+        "calibrate_tol_0",
+        "calibrate_reversed_bracket",
+    ],
+)
+def test_invalid_setting_is_config_error(args, capsys):
+    # a setting the library rejects exits 2, and a given 0 is not swapped for its default
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert err.startswith("config error:")
 
 
 class TestVerifyGlue:

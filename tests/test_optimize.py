@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,11 @@ from arcdist.optimize import (
     NoBracketError,
     OptimizerConfig,
     calibrate_arc_length,
-    great_circle_scale_family,
     make_candidate_evaluator,
     minimize_functional,
+    scale_family,
     seam_seeded_family,
     trig_series_family,
-    wavy_scale_family,
 )
 from arcdist.quadrature import default_curve_rule, default_sphere_rule
 
@@ -88,14 +88,14 @@ class TestMinimizeFunctional:
             seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=42)
         )
         trace = np.array(report.trace)
-        assert report.evaluations <= 40
+        assert report.evaluations == len(trace) == 40
         assert np.all(np.diff(trace) <= 0.0)
         assert report.best_value <= report.initial_value
         assert report.max_constraint_residual <= 1e-4
         assert report.constraint_residual <= 1e-4
 
     def test_degenerate_family_single_evaluation(self):
-        report = minimize_functional(wavy_scale_family(), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
+        report = minimize_functional(scale_family(wavy_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
         assert report.evaluations == 1
         assert report.converged
         assert report.best_scale == pytest.approx(WAVY_ROOT, abs=1e-5)
@@ -117,15 +117,15 @@ class TestMinimizeFunctional:
         # calibration of the doubled great circle succeeds but the curve is
         # never simple, so the start is rejected
         with pytest.raises(ValueError):
-            minimize_functional(great_circle_scale_family(), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
 
     def test_calibration_failure_at_start_raises(self):
-        fam = wavy_scale_family(scale_bracket=(0.01, 0.05))  # lengths stay below 4pi
+        fam = dataclasses.replace(scale_family(wavy_circle()), scale_bracket=(0.01, 0.05))  # lengths stay below 4pi
         with pytest.raises(CalibrationFailedError):
             minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(seed=2))
 
     def test_doubled_great_circle_scores_infinity(self):
-        evaluator = make_candidate_evaluator(great_circle_scale_family(), OptimizerConfig(seed=3))
+        evaluator = make_candidate_evaluator(scale_family(great_circle()), OptimizerConfig(seed=3))
         value, scale, _ = evaluator(np.array([]))
         assert math.isinf(value)
         assert scale == pytest.approx(1.0, abs=1e-6)
@@ -137,6 +137,26 @@ class TestMinimizeFunctional:
         simple, _ = is_simple(best)
         assert simple
         assert abs(arc_length(best).value - FOUR_PI) <= 1e-4
+
+    def test_default_search_path_value(self):
+        # pins the simplex path: any change to the order of evaluated shapes
+        # moves this value
+        report = minimize_functional(seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=60))
+        assert report.best_value == pytest.approx(0.005938237447997263, rel=1e-9)
+
+    def test_converges_on_a_quadratic(self, monkeypatch):
+        # a cheap stand-in objective reaches the simplex-diameter stop well
+        # inside the budget
+        target = np.array([0.3, -0.2, 0.1, 0.0, 0.25, -0.1])
+        monkeypatch.setattr(
+            "arcdist.optimize.make_candidate_evaluator",
+            lambda family, config: lambda shape: (float(np.sum((shape - target) ** 2)), 1.0, 0.0),
+        )
+        report = minimize_functional(seam_seeded_family(2), config=OptimizerConfig(max_evals=5000))
+        assert report.converged and report.warning is None
+        assert report.evaluations == len(report.trace) < 5000
+        assert np.all(np.diff(report.trace) <= 0.0)
+        assert np.allclose(report.best_shape, target, atol=1e-5)
 
     def test_bit_reproducible_for_fixed_config(self):
         cfg = OptimizerConfig(max_evals=25, seed=11)
