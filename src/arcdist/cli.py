@@ -35,6 +35,9 @@ _CONFIG_KEYS = {"curve", "rule", "optimizer", "points", "out", "seed", "n", "bra
 _RULE_KEYS = {"rule", "n", "tol", "seed"}
 _OPTIMIZER_KEYS = {"objective", "max_evals", "simplex_scale", "seed", "J"}
 
+#: Numeric settings and whether each must be an integer.
+_NUMERIC_KEYS = {"n": True, "seed": True, "max_evals": True, "J": True, "tol": False, "simplex_scale": False}
+
 
 class ConfigError(ValueError):
     """A run configuration failed validation."""
@@ -51,6 +54,19 @@ def _validated(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """True for a JSON number (an integer if asked); booleans do not count."""
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def _check_numbers(settings: dict) -> None:
+    """Raise ConfigError for a numeric setting given a value of the wrong type."""
+    for key, integer in _NUMERIC_KEYS.items():
+        value = settings.get(key)
+        if value is not None and not _is_number(value, integer):
+            raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -111,6 +127,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged["optimizer"][key] = val
+    _check_numbers(merged)
+    _check_numbers(merged["optimizer"])
+    if not (merged["out"] is None or isinstance(merged["out"], str)):
+        raise ConfigError(f"out must be a path string, got {merged['out']!r}")
+    if not isinstance(merged["points"], list):
+        raise ConfigError("points must be a list of [theta0, phi0] pairs")
     if merged["max_evals"] is not None:
         merged["optimizer"].setdefault("max_evals", merged["max_evals"])
     merged["optimizer"].setdefault("seed", merged["seed"])
@@ -119,7 +141,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _rule_kind(cfg: dict) -> str:
     name = cfg["rule"].get("rule", "gauss_legendre")
-    if name not in _RULE_ALIASES:
+    if not (isinstance(name, str) and name in _RULE_ALIASES):
         raise ConfigError(f"unknown rule {name!r}; expected one of {sorted(_RULE_ALIASES)}")
     return _RULE_ALIASES[name]
 
@@ -206,7 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         m = functionals.curve_to_sphere_mean_M(curve, crule)
         results.append(_row("curve_to_sphere_mean_M", m.value, m.error_estimate))
     for pt in cfg["points"]:
-        if not (isinstance(pt, (list, tuple)) and len(pt) == 2):
+        if not (isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))):
             raise ConfigError("each entry of 'points' must be [theta0, phi0]")
         p = SpherePoint(float(pt[0]), float(pt[1]))
         res = functionals.point_to_curve_mean(curve, p, crule)
@@ -249,7 +271,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     curve = _curve_from_config(cfg)
     family = optimize.scale_family(curve)
     bracket = _or_default(cfg["bracket"], family.scale_bracket)
-    if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2 and float(bracket[0]) < float(bracket[1])):
+    if not (
+        isinstance(bracket, (list, tuple))
+        and len(bracket) == 2
+        and all(map(_is_number, bracket))
+        and bracket[0] < bracket[1]
+    ):
         raise ConfigError("bracket must be [lo, hi] with lo < hi")
     tol = _or_default(cfg["tol"], 1e-6)
     if not tol > 0:

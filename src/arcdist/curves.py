@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, rule_nodes
 from .sphere import UnitVector, angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
@@ -75,6 +75,30 @@ class _TrigSeries:
     harmonics: tuple[tuple[int, float, float, float], ...] = ()
 
 
+def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: bool = False) -> tuple[np.ndarray, ...]:
+    """(theta, phi) of the series at ts, or (theta, phi, theta', phi') with rates."""
+    theta = s.theta0 + s.theta_slope * ts
+    phi = s.phi0 + s.phi_slope * ts
+    if rates:
+        dtheta = np.full_like(ts, s.theta_slope)
+        dphi = np.full_like(ts, s.phi_slope)
+    for j, a, b, c in s.harmonics:
+        jt = j * ts
+        # Without rates, take only the trig values a nonzero coefficient needs.
+        cos = np.cos(jt) if rates or a else None
+        sin = np.sin(jt) if rates or b or c else None
+        if a:
+            theta = theta + a * cos
+        if b:
+            theta = theta + b * sin
+        if c:
+            phi = phi + c * sin
+        if rates:
+            dtheta = dtheta + j * (b * cos - a * sin)
+            dphi = dphi + (j * c) * cos
+    return (theta, phi, dtheta, dphi) if rates else (theta, phi)
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalCurve:
     """A parameterized curve family instance on the unit sphere.
@@ -103,27 +127,7 @@ class SphericalCurve:
 
     def _angles(self, ts: np.ndarray, rates: bool = False) -> tuple[np.ndarray, ...]:
         """(theta, phi) at ts, or (theta, phi, theta', phi') with rates (no wrapping)."""
-        s = self._series
-        theta = s.theta0 + s.theta_slope * ts
-        phi = s.phi0 + s.phi_slope * ts
-        if rates:
-            dtheta = np.full_like(ts, s.theta_slope)
-            dphi = np.full_like(ts, s.phi_slope)
-        for j, a, b, c in s.harmonics:
-            jt = j * ts
-            # Without rates, take only the trig values a nonzero coefficient needs.
-            cos = np.cos(jt) if rates or a else None
-            sin = np.sin(jt) if rates or b or c else None
-            if a:
-                theta = theta + a * cos
-            if b:
-                theta = theta + b * sin
-            if c:
-                phi = phi + c * sin
-            if rates:
-                dtheta = dtheta + j * (b * cos - a * sin)
-                dphi = dphi + (j * c) * cos
-        return (theta, phi, dtheta, dphi) if rates else (theta, phi)
+        return _series_angles(self._series, ts, rates)
 
     def _rotate(self, xyz: np.ndarray) -> np.ndarray:
         return xyz if self.rotation is None else xyz @ np.asarray(self.rotation, dtype=float).T
@@ -308,6 +312,31 @@ def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> Fun
     return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
 
 
+def arc_length_rate(curve: SphericalCurve, theta_cos=(), theta_sin=(), phi_sin=()) -> float:
+    """dL/ds for a scale s that moves the curve's series at the given rates.
+
+    The rates are trig_series coefficients of the derivatives in s,
+    d(theta)/ds = sum_j theta_cos[j-1] cos jt + theta_sin[j-1] sin jt and
+    d(phi)/ds = sum_j phi_sin[j-1] sin jt, as for a family whose
+    coefficients are affine in s. The integrand is the closed form
+
+        d|r'|/ds = [theta' d(theta')/ds + sin(theta) cos(theta) d(theta)/ds phi'^2
+                    + sin^2(theta) phi' d(phi')/ds] / |r'|,
+
+    summed over the default curve rule's first level of nodes, without
+    refinement: the value steers a Newton step, whose result is checked
+    against the refined arc length.
+    """
+    ts, weights = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
+    theta, _, dtheta, dphi = curve._angles(ts, rates=True)
+    rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
+    theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=True)
+    st = np.sin(theta)
+    speed = np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
+    rate = (dtheta * dtheta_s + st * np.cos(theta) * theta_s * dphi * dphi + st * st * dphi * dphi_s) / speed
+    return float(weights @ rate)
+
+
 def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:
     """True iff the endpoints coincide within chordal distance eps."""
     if not eps > 0:
@@ -347,6 +376,24 @@ def _golden_nearest(
     return 0.5 * (a + b)
 
 
+def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
+    """Index pairs (i < j) of closed-curve samples within chordal distance
+    `capture` whose index separation min(j - i, n - (j - i)) exceeds 3, in
+    lexicographic order.
+
+    The separation is compared in integers: a float test on parameter
+    differences admits pairs exactly 3 apart whenever rounding lands them
+    above the threshold.
+    """
+    n = len(pts)
+    # An unbalanced tree with plain nodes builds and queries fastest here.
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(r=capture, output_type="ndarray").reshape(-1, 2)
+    gap = pairs[:, 1] - pairs[:, 0]
+    pairs = pairs[np.minimum(gap, n - gap) > 3]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def is_simple(
     curve: SphericalCurve,
     n_samples: int = 4096,
@@ -355,13 +402,21 @@ def is_simple(
 ) -> tuple[bool, tuple[float, float] | None]:
     """Detect self-intersections by dense sampling plus local refinement.
 
-    Flags the curve non-simple iff a parameter pair with circular
-    separation greater than 3 * period / n_samples comes within chordal
-    distance eps. A sampled pair already within eps is decisive (the
-    sampled chord bounds the true minimum from above); the remaining
-    candidate pairs from a KD-tree neighbor search are refined by local
-    minimization of the chordal distance (alternating golden section)
-    before deciding. Returns (simple, witness parameter pair or None).
+    Flags the curve non-simple when it finds two parameters more than 3
+    sample spacings apart around the curve within chordal distance eps.
+    Candidates are the sample pairs within twice the longest sample chord
+    whose integer index separation exceeds 3. A candidate already within
+    eps is decisive (the sampled chord bounds the true minimum from
+    above). Of the others, only discrete local minima of the sampled chord
+    over the neighbours (i+-1, j) and (i, j+-1), taken whether or not a
+    neighbour is itself a candidate, are refined by local minimization of
+    the chordal distance (alternating golden section) before deciding. A
+    crossing, a close approach or a tiny loop is such a minimum. A slow
+    stretch of the curve, where samples a few indices apart fall within
+    the capture radius, is not, since its chord falls toward the diagonal
+    (j -> i): it is not a crossing, and it is flagged only when 4 sample
+    spacings cover less than eps. Returns (simple, witness parameter pair
+    or None).
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
@@ -372,29 +427,43 @@ def is_simple(
     ts = dom.t_i + period * np.arange(n_samples) / n_samples
     pts = curve.positions(ts)
 
-    # Degenerate point-like curve: every pair coincides.
-    extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    if extent < eps:
+    adj = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+    max_adj = float(adj.max())
+    # Degenerate point-like curve: every pair coincides. (Its sample chords
+    # are all below eps, so the extent needs checking only then.)
+    if max_adj < eps and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < eps:
         return False, (dom.t_i, dom.t_i + 0.5 * period)
 
-    sep_min = 3.0 * period / n_samples
-    adj = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
-    capture = max(2.0 * float(adj.max()), 2.0 * eps)
-
-    pairs = cKDTree(pts).query_pairs(r=capture, output_type="ndarray")
-    if pairs.size == 0:
-        return True, None
-    dt = np.abs(ts[pairs[:, 0]] - ts[pairs[:, 1]])
-    circ_sep = np.minimum(dt, period - dt)
-    pairs = pairs[circ_sep > sep_min]
+    pairs = _close_pairs(pts, max(2.0 * max_adj, 2.0 * eps))
     if pairs.size == 0:
         return True, None
 
-    chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    # Samples padded by one at each end: sample k sits at row k + 1, so
+    # rows k and k + 2 are its neighbours around the closed curve.
+    padded = np.concatenate([pts[-1:], pts, pts[:1]])
+    row_i, row_j = pairs[:, 0] + 1, pairs[:, 1] + 1
+    at_i, at_j = padded[row_i], padded[row_j]
+    chord = np.linalg.norm(at_i - at_j, axis=1)
+    closest = int(np.argmin(chord))
+    if chord[closest] < eps:
+        return False, (float(ts[pairs[closest, 0]]), float(ts[pairs[closest, 1]]))
+
+    # On the unit sphere the chord falls as the dot product rises, so a
+    # chord minimum over the four neighbours is a dot-product maximum.
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", a, b)
+
+    cos = dot(at_i, at_j)
+    local_min = (
+        (cos >= dot(padded[row_i - 1], at_j))
+        & (cos >= dot(padded[row_i + 1], at_j))
+        & (cos >= dot(at_i, padded[row_j - 1]))
+        & (cos >= dot(at_i, padded[row_j + 1]))
+    )
+    pairs, chord = pairs[local_min], chord[local_min]
+    if pairs.size == 0:
+        return True, None
     order = np.argsort(chord, kind="stable")
-    if chord[order[0]] < eps:
-        i, j = pairs[order[0]]
-        return False, (float(ts[i]), float(ts[j]))
 
     # One representative per close-approach region: greedy suppression of
     # pairs whose sample indices sit next to an already-kept pair.
@@ -422,7 +491,7 @@ def is_simple(
     t2 = curve._wrap(t2)
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)
     dt = np.abs(t1 - t2)
-    admissible = np.minimum(dt, period - dt) > sep_min
+    admissible = np.minimum(dt, period - dt) > 3.0 * period / n_samples
     hits = np.nonzero(admissible & (dist < eps))[0]
     if hits.size:
         best = hits[int(np.argmin(dist[hits]))]

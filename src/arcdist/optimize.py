@@ -1,10 +1,13 @@
 """Arc-length calibration and derivative-free search over curve families.
 
 The 4pi arc-length constraint is handled by nested calibration: every
-candidate shape re-roots its designated scale parameter by bisection, so
-the outer Nelder-Mead search stays unconstrained. Non-simple or
-uncalibratable candidates receive an infinite objective. SCALES names each
-curve family's scale parameter and its default bracket.
+candidate shape re-roots its designated scale parameter, so the outer
+Nelder-Mead search stays unconstrained. The search's candidate evaluator
+warm-starts each root from the previous candidate's scale with Newton
+steps on a closed-form dL/ds, and falls back to a bracket pre-scan and
+bisection when Newton does not contract. Non-simple or uncalibratable
+candidates receive an infinite objective. SCALES names each curve
+family's scale parameter, its default bracket and its dL/ds.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ class OptimizationReport:
     warning: str | None = None
 
 
+#: Arc-length evaluations a warm-started Newton root may spend before bisection takes over.
+NEWTON_MAX_EVALUATIONS = 8
+
+
 def calibrate_arc_length(
     make_curve: Callable[[float], SphericalCurve],
     bracket: tuple[float, float],
@@ -75,14 +82,25 @@ def calibrate_arc_length(
     target: float = FOUR_PI,
     tol: float = 1e-6,
     rule: QuadratureRule | None = None,
+    start: float | None = None,
+    length_rate: Callable[[SphericalCurve, float, float], float] | None = None,
 ) -> CalibrationReport:
-    """Bisect the scale parameter until |arc_length - target| <= tol.
+    """Root the scale parameter p until |arc_length - target| <= tol.
 
-    The bracket is pre-scanned at 32 points to locate a sign change of
-    arc_length(p) - target; NoBracketError if there is none. With multiple
-    sign changes the subinterval whose midpoint is closest to the bracket
-    midpoint is used and the report is flagged (non-monotone length).
-    Deterministic for fixed inputs.
+    With a start inside the bracket and length_rate(curve, p, length),
+    the closed-form dL/dp, Newton steps run from the start. Each step must
+    stay inside the bracket and at least halve |L - target|, for at most
+    NEWTON_MAX_EVALUATIONS arc lengths; the report then carries the
+    bracket as given and counts those arc lengths as its iterations. A
+    warm start finds the root that Newton reaches from it and skips the
+    sign-change survey below.
+
+    Otherwise, or when Newton fails, the bracket is pre-scanned at 32
+    points to locate a sign change of arc_length(p) - target;
+    NoBracketError if there is none. With multiple sign changes the
+    subinterval whose midpoint is closest to the bracket midpoint is used
+    and the report is flagged (non-monotone length). Bisection then
+    halves that subinterval. Deterministic for fixed inputs.
     """
     rule = rule or default_curve_rule()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -91,6 +109,24 @@ def calibrate_arc_length(
 
     def g(p: float) -> float:
         return arc_length(make_curve(p), rule).value - target
+
+    if start is not None and length_rate is not None and lo <= start <= hi:
+        p = float(start)
+        curve = make_curve(p)
+        length = arc_length(curve, rule).value
+        evaluations = 1
+        while abs(length - target) > tol and evaluations < NEWTON_MAX_EVALUATIONS:
+            resid = length - target
+            p = p - resid / length_rate(curve, p, length)
+            if not lo <= p <= hi:  # also catches a NaN step
+                break
+            curve = make_curve(p)
+            length = arc_length(curve, rule).value
+            evaluations += 1
+            if not abs(length - target) <= 0.5 * abs(resid):
+                break
+        if abs(length - target) <= tol:
+            return CalibrationReport(family, p, length, abs(length - target), evaluations, (lo, hi))
 
     scan = np.linspace(lo, hi, 32)
     gvals = np.array([g(p) for p in scan])
@@ -135,22 +171,51 @@ def calibrate_arc_length(
 @dataclass(frozen=True)
 class ScaleParameter:
     """A curve family's calibration scale: its label, its default bracket,
-    and rebuild(curve, p), the family's curve at scale p."""
+    rebuild(curve, p), the family's curve at scale p on the given curve's
+    domain, and length_rate(curve, p, length), the closed-form dL/dp at
+    scale p."""
 
     label: str
     bracket: tuple[float, float]
     rebuild: Callable[[SphericalCurve, float], SphericalCurve]
+    length_rate: Callable[[SphericalCurve, float, float], float]
+
+
+def _domain(curve: SphericalCurve) -> tuple[float, float]:
+    return curve.domain.t_i, curve.domain.t_f
 
 
 #: Curve family tag -> the scale parameter that calibration roots to 4pi.
 SCALES = {
-    curves.TENNIS_BALL: ScaleParameter("seam amplitude a", (0.1, 1.4), lambda curve, a: curves.tennis_ball_seam(a)),
-    curves.WAVY_CIRCLE: ScaleParameter("wavy amplitude b", (0.01, 0.6), lambda curve, b: wavy_circle(b)),
-    curves.GREAT_CIRCLE: ScaleParameter("domain scale", (0.5, 1.5), lambda curve, s: great_circle((0.0, 2.0 * s))),
+    # theta = pi/2 - (pi/2 - a) cos t, phi = t/2 + a sin 2t
+    curves.TENNIS_BALL: ScaleParameter(
+        "seam amplitude a",
+        (0.1, 1.4),
+        lambda curve, a: curves.tennis_ball_seam(a, _domain(curve)),
+        lambda curve, a, length: curves.arc_length_rate(curve, theta_cos=[1.0], phi_sin=[0.0, 1.0]),
+    ),
+    # theta = 3pi/4 + b sin 10t
+    curves.WAVY_CIRCLE: ScaleParameter(
+        "wavy amplitude b",
+        (0.01, 0.6),
+        lambda curve, b: wavy_circle(b, _domain(curve)),
+        lambda curve, b, length: curves.arc_length_rate(curve, theta_sin=[0.0] * 9 + [1.0]),
+    ),
+    # the domain [t_i, t_f] becomes [t_i, t_i + s (t_f - t_i)], so L(s) = s L(1)
+    curves.GREAT_CIRCLE: ScaleParameter(
+        "domain scale",
+        (0.5, 1.5),
+        lambda curve, s: great_circle((curve.domain.t_i, curve.domain.t_i + s * curve.domain.period)),
+        lambda curve, s, length: length / s,
+    ),
+    # the amplitude multiplies every harmonic
     curves.TRIG_SERIES: ScaleParameter(
         "series amplitude",
         (0.05, 2.5),
         lambda curve, amp: dataclasses.replace(curve, params={**curve.params, "amplitude": amp}),
+        lambda curve, amp, length: curves.arc_length_rate(
+            curve, curve.params["theta_cos"], curve.params["theta_sin"], curve.params["phi_sin"]
+        ),
     ),
 }
 
@@ -169,10 +234,19 @@ class SearchFamily:
     build: Callable[[np.ndarray, float], SphericalCurve]
     scale_bracket: tuple[float, float]
 
-    def calibrate(self, shape: np.ndarray, tol: float, rule: QuadratureRule | None = None) -> CalibrationReport:
-        """Root the scale at this shape to arc length 4pi within scale_bracket."""
+    def calibrate(
+        self, shape: np.ndarray, tol: float, rule: QuadratureRule | None = None, start: float | None = None
+    ) -> CalibrationReport:
+        """Root the scale at this shape to arc length 4pi within scale_bracket,
+        by Newton from start when one is given (see calibrate_arc_length)."""
         return calibrate_arc_length(
-            lambda p: self.build(shape, p), self.scale_bracket, family=self.tag, tol=tol, rule=rule
+            lambda p: self.build(shape, p),
+            self.scale_bracket,
+            family=self.tag,
+            tol=tol,
+            rule=rule,
+            start=start,
+            length_rate=SCALES[self.tag].length_rate,
         )
 
 
@@ -232,7 +306,7 @@ class OptimizerConfig:
     max_evals: int = 2000
     simplex_scale: float = 0.1
     diameter_tol: float = 1e-6
-    constraint_tol: float = 1e-6
+    constraint_tol: float = 1e-10
     seed: int = 42
     design_size: int = 122
 
@@ -241,6 +315,8 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        if not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
+            raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
 
 
 def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
@@ -259,17 +335,27 @@ def make_candidate_evaluator(
     Infeasible candidates (no calibration bracket, open, or non-simple)
     come back as (inf, nan, inf). Exposed so feasibility filtering can be
     exercised directly, e.g. on an injected doubled great circle.
+
+    The evaluator keeps the last calibrated scale and warm-starts the next
+    calibration from it, so a candidate's scale depends, within
+    constraint_tol, on the candidates before it. The first call, and any
+    whose Newton steps fail, roots by pre-scan and bisection. A fresh
+    evaluator given the same shapes in the same order returns the same
+    values.
     """
     # Trial shapes can put near-kinks into |r'(t)| (simultaneous zeros of
     # both speed terms); a looser quadrature tolerance keeps the nested
     # calibration cheap while staying far below the 1e-4 constraint check.
     rule = rule or default_curve_rule(n=256, tol=5e-7)
+    last_scale = None
 
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
+        nonlocal last_scale
         try:
-            cal = family.calibrate(shape, config.constraint_tol, rule)
+            cal = family.calibrate(shape, config.constraint_tol, rule, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
+        last_scale = cal.parameter
         curve = family.build(shape, cal.parameter)
         if not is_closed(curve, 1e-8):
             return math.inf, cal.parameter, cal.residual

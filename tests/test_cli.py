@@ -116,6 +116,19 @@ class TestCalibrate:
         assert rows["calibrated_parameter"]["value"] == pytest.approx(1.0000440536006805, abs=1e-9)
         assert rows["calibrated_parameter"]["message"] == "series amplitude"
 
+    def test_great_circle_keeps_its_domain(self, tmp_path, capsys):
+        # the single traversal on [0, 1] has length 2pi s at scale s, so the
+        # default bracket [0.5, 1.5] holds no root and [1.5, 2.5] holds s = 2
+        spec = '{"family":"great_circle","domain":[0,1]}'
+        code, _, err = run(["calibrate", "--curve", spec], capsys)
+        assert code == 3
+        assert "no sign change" in err
+        out_path = tmp_path / "cal.json"
+        code, _, _ = run(["calibrate", "--curve", spec, "--bracket", "1.5", "2.5", "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        assert rows["calibrated_parameter"]["value"] == pytest.approx(2.0, abs=1e-12)
+
     def test_no_bracket_is_numerical_failure(self, capsys):
         code, _, err = run(
             ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.3", "0.5"], capsys
@@ -175,6 +188,27 @@ class TestConfigHandling:
         code, _, _ = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("eval", {"n": "abc", "curve": {"family": "great_circle"}}),
+            ("eval", {"rule": {"tol": "small"}, "curve": {"family": "great_circle"}}),
+            ("eval", {"rule": {"rule": ["gauss"]}, "curve": {"family": "great_circle"}}),
+            ("eval", {"points": [["north", 1]], "curve": {"family": "great_circle"}}),
+            ("optimize", {"optimizer": {"max_evals": "30"}}),
+            ("optimize", {"optimizer": {"simplex_scale": [0.1]}}),
+            ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
+        ],
+        ids=["n_string", "tol_string", "rule_list", "point_string", "max_evals_string", "simplex_scale_list",
+             "bracket_strings"],
+    )
+    def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("config error:")
+
     def test_unknown_rule_rejected(self):
         # argparse choices reject unknown rules at the flag level
         with pytest.raises(SystemExit) as exc:
@@ -192,6 +226,8 @@ class TestConfigHandling:
         ["verify", "--max-evals", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--tol", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "1.4", "0.1"],
+        ["optimize", "--simplex-scale", "0", "--max-evals", "30"],
+        ["optimize", "--simplex-scale", "nan", "--max-evals", "30"],
     ],
     ids=[
         "optimize_max_evals_0",
@@ -201,6 +237,8 @@ class TestConfigHandling:
         "verify_max_evals_0",
         "calibrate_tol_0",
         "calibrate_reversed_bracket",
+        "optimize_simplex_scale_0",
+        "optimize_simplex_scale_nan",
     ],
 )
 def test_invalid_setting_is_config_error(args, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from arcdist.curves import (
@@ -13,12 +14,14 @@ from arcdist.curves import (
     from_spec,
     great_circle,
     is_closed,
+    _close_pairs,
     is_simple,
     tennis_ball_seam,
     to_spec,
     trig_series,
     wavy_circle,
 )
+from arcdist.optimize import seam_seeded_family
 from arcdist.quadrature import QuadratureRule
 from arcdist.sphere import random_rotation_matrix
 
@@ -232,6 +235,55 @@ class TestSimplicity:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             is_simple(great_circle(), n_samples=32)
+
+    @staticmethod
+    def _trochoid(c, d):
+        """theta = pi/2 + d cos t, phi = t + c sin t on [0, 2pi]: for c > 1, phi
+        runs backwards around t = pi, and the curve crosses itself exactly at
+        t = pi -+ u with u = c sin u (theta and phi agree there by symmetry)."""
+        curve = trig_series(theta_cos=[d], phi_sin=[c], phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
+        u = brentq(lambda u: u - c * math.sin(u), 1e-3, math.pi - 1e-3)
+        return curve, (math.pi - u, math.pi + u)
+
+    @pytest.mark.parametrize(
+        "c, d",
+        [(1.0005, 0.5), (3.0, 0.1)],
+        ids=["hairpin_tiny_loop", "shallow_3_degree_crossing"],
+    )
+    def test_known_crossing_flagged(self, c, d):
+        # the hairpin's loop spans about 71 samples and is a tiny, slow loop;
+        # the shallow crossing meets at about 3 degrees, 2971 samples apart
+        curve, crossing = self._trochoid(c, d)
+        simple, witness = is_simple(curve)
+        assert not simple
+        spacing = 2.0 * math.pi / 4096
+        assert sorted(witness) == pytest.approx(crossing, abs=2 * spacing)
+        ends = curve.positions(np.array(witness))
+        assert np.linalg.norm(ends[0] - ends[1]) < 1e-4
+
+    # A seam-family shape with a slow stretch (minimum speed about 0.0096).
+    # The float separation test once admitted a sampled pair exactly 3
+    # samples apart (3.000000000000026 after rounding) and flagged it. On a
+    # 400k-point scan its only pairs within 1e-4 are neighbours along that
+    # stretch, at most 3.39 samples apart: no crossing or close approach.
+    SLOW_STRETCH_SHAPE = [-1.0723, 0.2582, -0.1421, 0.2804, 0.4582, 0.0098, -0.3389, 0.3132, -0.0079]
+
+    def test_slow_stretch_is_simple(self):
+        curve = seam_seeded_family(3).build(np.array(self.SLOW_STRETCH_SHAPE), 1.0)
+        assert is_simple(curve) == (True, None)
+
+    def test_admitted_pairs_are_integer_separated(self):
+        curve = seam_seeded_family(3).build(np.array(self.SLOW_STRETCH_SHAPE), 1.0)
+        n = 4096
+        period = curve.domain.period
+        ts = curve.domain.t_i + period * np.arange(n) / n
+        pts = curve.positions(ts)
+        pairs = _close_pairs(pts, 0.05)
+        gap = pairs[:, 1] - pairs[:, 0]
+        assert pairs.size and np.all(np.minimum(gap, n - gap) > 3)
+        # on this sample grid, some pairs exactly 3 apart pass the float test by rounding
+        i = np.arange(n - 3)
+        assert np.any(ts[i + 3] - ts[i] > 3.0 * period / n)
 
 
 class TestSpecParsing:

@@ -6,9 +6,11 @@ import pytest
 
 from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, wavy_circle
 from arcdist.functionals import sphere_to_curve_mean
+from arcdist import curves
 from arcdist.optimize import (
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
+    SCALES,
     CalibrationFailedError,
     NoBracketError,
     OptimizerConfig,
@@ -67,6 +69,81 @@ class TestCalibration:
         assert a == b
 
 
+def _count_arc_lengths(monkeypatch):
+    calls = []
+    real = arc_length
+    monkeypatch.setattr("arcdist.optimize.arc_length", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _seam_rate(curve, a, length):
+    return SCALES[curves.TENNIS_BALL].length_rate(curve, a, length)
+
+
+class TestNewtonCalibration:
+    def test_warm_start_reaches_the_root_in_a_few_arc_lengths(self, monkeypatch):
+        calls = _count_arc_lengths(monkeypatch)
+        rep = calibrate_arc_length(
+            tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69, length_rate=_seam_rate
+        )
+        assert rep.parameter == pytest.approx(SEAM_ROOT, abs=1e-9)
+        assert rep.residual <= 1e-12
+        assert rep.iterations == len(calls) <= 5
+        assert rep.bracket == (0.1, 1.4) and rep.warning is None
+
+    def test_start_at_the_root_costs_one_arc_length(self, monkeypatch):
+        root = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10).parameter
+        calls = _count_arc_lengths(monkeypatch)
+        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, start=root, length_rate=_seam_rate)
+        assert (rep.parameter, rep.iterations, len(calls)) == (root, 1, 1)
+
+    @pytest.mark.parametrize(
+        "start, rate",
+        [
+            (1.45, _seam_rate),  # start outside the bracket
+            (0.69, lambda curve, a, length: 1e-3),  # the step leaves the bracket
+            (0.69, lambda curve, a, length: -9.12),  # the step moves away from the root
+            (0.69, None),  # no dL/ds
+        ],
+        ids=["start_outside", "leaves_bracket", "wrong_sign", "no_rate"],
+    )
+    def test_failed_newton_falls_back_to_bisection_bit_for_bit(self, start, rate):
+        plain = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
+        warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start, length_rate=rate)
+        assert warm == plain
+
+    @pytest.mark.parametrize(
+        "curve, scale",
+        [
+            (tennis_ball_seam(0.7), 0.7),
+            (wavy_circle(0.28), 0.28),
+            (great_circle((0.5, 1.5)), 1.3),
+            (seam_seeded_family(3).build(np.array([-0.8, 0.1, 0.05, 0.02, -0.1, 0.03, 0.01, 0.7, -0.05]), 0.9), 0.9),
+        ],
+        ids=["seam", "wavy", "great_circle", "trig_series"],
+    )
+    def test_length_rate_matches_central_difference(self, curve, scale):
+        entry = SCALES[curve.family]
+        rule = default_curve_rule(n=2048, tol=1e-13)
+        here = entry.rebuild(curve, scale)
+        h = 1e-5
+        slope = (
+            arc_length(entry.rebuild(curve, scale + h), rule).value
+            - arc_length(entry.rebuild(curve, scale - h), rule).value
+        ) / (2 * h)
+        assert entry.length_rate(here, scale, arc_length(here, rule).value) == pytest.approx(slope, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [tennis_ball_seam(domain=(0.0, 8.0 * math.pi)), wavy_circle(domain=(1.0, 1.0 + 4.0 * math.pi)),
+         great_circle((0.25, 1.25))],
+        ids=["seam", "wavy", "great_circle"],
+    )
+    def test_rebuild_keeps_the_domain(self, curve):
+        rebuilt = SCALES[curve.family].rebuild(curve, 1.0 if curve.family == "great_circle" else 0.2)
+        assert rebuilt.domain == curve.domain
+
+
 class TestSearchFamilies:
     def test_seam_embedding_calibrates_to_unit_amplitude(self):
         fam = seam_seeded_family(3)
@@ -93,6 +170,8 @@ class TestMinimizeFunctional:
         assert report.best_value <= report.initial_value
         assert report.max_constraint_residual <= 1e-4
         assert report.constraint_residual <= 1e-4
+        # warm-started Newton holds every feasible iterate to the default 1e-10
+        assert report.max_constraint_residual <= OptimizerConfig().constraint_tol == 1e-10
 
     def test_degenerate_family_single_evaluation(self):
         report = minimize_functional(scale_family(wavy_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
@@ -140,9 +219,27 @@ class TestMinimizeFunctional:
 
     def test_default_search_path_value(self):
         # pins the simplex path: any change to the order of evaluated shapes
-        # moves this value
+        # moves this value. The reference is bisection calibration to
+        # |L - 4pi| <= 1e-12 on the same path, so it does not depend on
+        # how the scale is rooted.
         report = minimize_functional(seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=60))
-        assert report.best_value == pytest.approx(0.005938237447997263, rel=1e-9)
+        assert report.best_value == pytest.approx(0.00593823985324482, rel=1e-9)
+
+    def test_evaluator_warm_starts_from_the_last_scale(self, monkeypatch):
+        family = seam_seeded_family(3)
+        evaluate = make_candidate_evaluator(family, OptimizerConfig())
+        calls = _count_arc_lengths(monkeypatch)
+        first = evaluate(np.array(family.initial_shape))
+        cold = len(calls)
+        again = evaluate(np.array(family.initial_shape))
+        # the cold call pre-scans 32 points and bisects; the warm one starts at the root
+        assert cold > 32 and len(calls) - cold == 1
+        assert again == first
+
+    @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf])
+    def test_simplex_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError):
+            OptimizerConfig(simplex_scale=scale)
 
     def test_converges_on_a_quadratic(self, monkeypatch):
         # a cheap stand-in objective reaches the simplex-diameter stop well
