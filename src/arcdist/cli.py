@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
-from .quadrature import NonFiniteIntegrandError, QuadratureRule, default_curve_rule
+from .quadrature import NonFiniteIntegrandError, QuadratureRule, default_curve_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
 
@@ -214,6 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         crule = _validated(default_curve_rule, n=int(_or_default(n, 512)), tol=_or_default(tol, 1e-9))
         srule = _validated(QuadratureRule, "gauss_legendre", 128, _or_default(tol, 1e-6))
+    _validated(refinement_levels, crule)
 
     results = []
     length = curves.arc_length(curve, crule)

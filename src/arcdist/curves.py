@@ -125,16 +125,12 @@ class SphericalCurve:
             return ts
         return np.where(inside, ts, t_i + np.mod(ts - t_i, t_f - t_i))
 
-    def _angles(self, ts: np.ndarray, rates: bool = False) -> tuple[np.ndarray, ...]:
-        """(theta, phi) at ts, or (theta, phi, theta', phi') with rates (no wrapping)."""
-        return _series_angles(self._series, ts, rates)
-
     def _rotate(self, xyz: np.ndarray) -> np.ndarray:
         return xyz if self.rotation is None else xyz @ np.asarray(self.rotation, dtype=float).T
 
     def positions(self, ts) -> np.ndarray:
         """(n, 3) unit-norm positions at the given parameters (wrapped)."""
-        theta, phi = self._angles(self._wrap(np.asarray(ts, dtype=float)))
+        theta, phi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)))
         return self._rotate(angles_to_xyz(theta, phi))
 
     def position(self, t: float) -> UnitVector:
@@ -142,7 +138,7 @@ class SphericalCurve:
 
     def velocities(self, ts) -> np.ndarray:
         """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
-        theta, phi, dtheta, dphi = self._angles(self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        theta, phi, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=True)
         st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
         w = st * dphi
         v = np.stack([dtheta * ct * cp - w * sp, dtheta * ct * sp + w * cp, -dtheta * st], axis=-1)
@@ -153,7 +149,7 @@ class SphericalCurve:
 
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
-        theta, _, dtheta, dphi = self._angles(self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=True)
         return np.sqrt(dtheta * dtheta + (np.sin(theta) * dphi) ** 2)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
@@ -328,7 +324,7 @@ def arc_length_rate(curve: SphericalCurve, theta_cos=(), theta_sin=(), phi_sin=(
     against the refined arc length.
     """
     ts, weights = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
-    theta, _, dtheta, dphi = curve._angles(ts, rates=True)
+    theta, _, dtheta, dphi = _series_angles(curve._series, ts, rates=True)
     rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
     theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=True)
     st = np.sin(theta)
@@ -394,11 +390,15 @@ def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+# is_simple scans at most this many local chord minima, closest first, for
+# the (at most 64) close-approach regions it refines.
+_MAX_REFINEMENT_CANDIDATES = 2048
+
+
 def is_simple(
     curve: SphericalCurve,
     n_samples: int = 4096,
     eps: float = 1e-4,
-    max_refinements: int = 2048,
 ) -> tuple[bool, tuple[float, float] | None]:
     """Detect self-intersections by dense sampling plus local refinement.
 
@@ -469,7 +469,7 @@ def is_simple(
     # pairs whose sample indices sit next to an already-kept pair.
     kept: list[tuple[int, int]] = []
     radius = 4
-    for idx in order[:max_refinements]:
+    for idx in order[:_MAX_REFINEMENT_CANDIDATES]:
         i, j = int(pairs[idx, 0]), int(pairs[idx, 1])
         near = any(
             (min(abs(i - a), n_samples - abs(i - a)) <= radius and min(abs(j - b), n_samples - abs(j - b)) <= radius)

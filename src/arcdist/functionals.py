@@ -21,15 +21,10 @@ from .quadrature import (
     default_sphere_rule,
     integrate_1d,
     rule_nodes,
+    sample_mean,
     sphere_integrate,
 )
-from .sphere import (
-    SpherePoint,
-    UnitVector,
-    angles_to_xyz,
-    fibonacci_sphere_points,
-    uniform_unit_vectors,
-)
+from .sphere import SpherePoint, angles_to_xyz, as_unit_xyz, fibonacci_sphere_points, uniform_unit_vectors
 
 FOUR_PI = 4.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -55,24 +50,13 @@ class ELResidual:
             raise ValueError("residuals must be finite")
 
 
-def _as_unit_xyz(q) -> np.ndarray:
-    if isinstance(q, UnitVector):
-        return q.as_array()
-    if isinstance(q, SpherePoint):
-        return angles_to_xyz(q.theta, q.phi)
-    q = np.asarray(q, dtype=float)
-    if abs(float(q @ q) - 1.0) > 2e-6:
-        raise ValueError("expected a unit vector")
-    return q
-
-
 def mean_point_to_sphere(q, rule: QuadratureRule | None = None) -> FunctionalResult:
     """Mean geodesic distance from a fixed unit vector to the whole sphere.
 
     (1/4pi) * integral over S of arccos(q . x) dS; equals pi/2 for every q
     (reduce to the 1D form: integral of gamma sin(gamma)/2 over [0, pi]).
     """
-    qv = _as_unit_xyz(q)
+    qv = as_unit_xyz(q)
     rule = rule or default_sphere_rule()
 
     def g(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -92,7 +76,7 @@ def arcsin_identity_residual(q, rule: QuadratureRule | None = None) -> Functiona
     arcsin in powers of D and E, the phi-integral of D^k is strictly
     positive for even k, so the individual terms do not vanish.
     """
-    qv = _as_unit_xyz(q)
+    qv = as_unit_xyz(q)
     rule = rule or default_sphere_rule()
 
     def g(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -128,7 +112,7 @@ def point_to_curve_mean(
     normalized by arc length instead (reparameterization-invariant variant;
     off by default because the defining functional is the dt-mean).
     """
-    qv = _as_unit_xyz(p)
+    qv = as_unit_xyz(p)
     rule = rule or default_curve_rule()
     dom = curve.domain
 
@@ -161,12 +145,17 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     ts, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
     C = curve.positions(ts)
     w_mean = w / curve.domain.period
+    return _by_rows(points, ts.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean, float)
+
+
+def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:
+    """reduce(P) over row chunks P of `points` whose P x n_nodes products hold at most
+    _CHUNK_ENTRIES entries; reduce forms the product inside one expression, so no name holds it."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(points.shape[0])
-    step = max(1, _CHUNK_ENTRIES // C.shape[0])
+    out = np.empty(points.shape[0], dtype)
+    step = max(1, _CHUNK_ENTRIES // n_nodes)
     for s in range(0, points.shape[0], step):
-        sl = slice(s, min(s + step, points.shape[0]))
-        out[sl] = np.arccos(np.clip(points[sl] @ C.T, -1.0, 1.0)) @ w_mean
+        out[s : s + step] = reduce(points[s : s + step])
     return out
 
 
@@ -225,14 +214,7 @@ def _min_distance_batch(
     ts = dom.t_i + period * np.arange(n_scan) / n_scan
     C = curve.positions(ts)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-
-    best_idx = np.empty(m, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // n_scan)
-    for s in range(0, m, step):
-        sl = slice(s, min(s + step, m))
-        best_idx[sl] = np.argmax(points[sl] @ C.T, axis=1)
-
+    best_idx = _by_rows(points, n_scan, lambda P: np.argmax(P @ C.T, axis=1), np.int64)
     dt = period / n_scan
     n_iter = max(1, math.ceil(math.log(param_tol / (2.0 * dt)) / math.log(_GOLDEN_SHRINK)))
     t_best = curve._wrap(_golden_nearest(curve, points, ts[best_idx], dt, n_iter))
@@ -249,7 +231,7 @@ def point_to_curve_min(curve: SphericalCurve, p, n_scan: int = 4096) -> tuple[fl
     """
     if n_scan < 64:
         raise ValueError("n_scan must be >= 64")
-    d, t = _min_distance_batch(curve, _as_unit_xyz(p)[None, :], n_scan)
+    d, t = _min_distance_batch(curve, as_unit_xyz(p)[None, :], n_scan)
     return float(d[0]), float(t[0])
 
 
@@ -268,10 +250,7 @@ def mean_min_arc_distance(
     if n_points < 100:
         raise ValueError("n_points must be >= 100")
     points = uniform_unit_vectors(seed, n_points)
-    mins, _ = _min_distance_batch(curve, points, n_scan)
-    mean = float(np.mean(mins))
-    stderr = float(np.std(mins, ddof=1)) / math.sqrt(n_points)
-    return FunctionalResult(mean, stderr, n_points)
+    return sample_mean(_min_distance_batch(curve, points, n_scan)[0])
 
 
 def el_residuals(theta: float, phi: float, p: SpherePoint) -> ELResidual:

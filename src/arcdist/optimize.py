@@ -31,6 +31,9 @@ OBJECTIVES = ("sup_dev_from_half_pi", "mean_min")
 MULTIPLE_SIGN_CHANGES = "multiple_sign_changes"
 MAX_EVALUATIONS_REACHED = "max_evaluations_reached"
 
+#: The Nelder-Mead search stops once its simplex is narrower than this.
+DIAMETER_TOL = 1e-6
+
 
 class NoBracketError(ValueError):
     """The pre-scan found no sign change of arc_length - target in the bracket."""
@@ -305,7 +308,6 @@ class OptimizerConfig:
     objective: str = "sup_dev_from_half_pi"
     max_evals: int = 2000
     simplex_scale: float = 0.1
-    diameter_tol: float = 1e-6
     constraint_tol: float = 1e-10
     seed: int = 42
     design_size: int = 122
@@ -380,7 +382,7 @@ def minimize_functional(
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5;
     initial simplex offsets simplex_scale per parameter; stops when the
-    simplex diameter drops below diameter_tol or after exactly max_evals
+    simplex diameter drops below DIAMETER_TOL or after exactly max_evals
     evaluations (best-so-far returned, flagged). Vertices are ordered by a
     stable sort, so ties (infeasible vertices at +inf) keep their order.
     The best-vertex objective trace is non-increasing, and every feasible
@@ -432,7 +434,7 @@ def minimize_functional(
             simplex, values = simplex[order], values[order]
             pairs = ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
             diam = max(float(np.linalg.norm(simplex[i] - simplex[j])) for i, j in pairs)
-            if diam < config.diameter_tol:
+            if diam < DIAMETER_TOL:
                 converged = True
                 break
 

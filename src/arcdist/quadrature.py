@@ -1,10 +1,15 @@
 """Integration engines with doubling-based error estimates.
 
-All deterministic rules report value I(2n) with error estimate |I(2n) - I(n)|
-and refine by doubling until the requested tolerance or the node cap. The
-arc-distance integrands handled here are only C0 where their argument reaches
-+-1, so the doubling estimate is mandatory rather than assuming spectral
-accuracy.
+Deterministic rules refine by doubling from n = rule.n and report I(2n)
+with error estimate |I(2n) - I(n)| once that is within tol. No level may
+hold more than NODE_CAP nodes (n on a line, 2n^2 on the sphere grid):
+refinement stops at the last level within the cap, flagged
+TOLERANCE_NOT_REACHED, and a rule whose second level would pass the cap
+raises ValueError before the integrand is called. nodes_used counts the
+evaluation points of every level. Monte Carlo rules report the sample
+mean with the sample standard error. The arc-distance integrands here are
+only C0 where their argument reaches +-1, so the doubling estimate is
+mandatory rather than assuming spectral accuracy.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .sphere import sample_sphere_angles
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
 
-#: Refinement stops before a level would use more nodes than this.
+#: Most nodes one refinement level may hold (see the module docstring).
 NODE_CAP = 2**20
 
 #: FunctionalResult.warning value when the cap was hit before the tolerance.
@@ -86,7 +92,9 @@ def default_sphere_rule(n: int = 128, tol: float = 1e-7) -> QuadratureRule:
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    # scipy's banded eigensolver needs O(n) memory; numpy's leggauss builds
+    # a dense n x n companion matrix
+    nodes, weights = roots_legendre(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -111,6 +119,40 @@ def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -
     return xs, np.full(n, span / n)
 
 
+def refinement_levels(rule: QuadratureRule, surface: bool = False) -> list[int]:
+    """Node counts n = rule.n, 2n, 4n, ... of the levels a deterministic rule may build.
+
+    A level holds n nodes on a line and 2n^2 on the product sphere grid
+    (surface=True); the list ends at the last level within NODE_CAP.
+    Raises ValueError when fewer than two levels fit, since the doubling
+    estimate needs two.
+    """
+    size = (lambda n: 2 * n * n) if surface else (lambda n: n)
+    levels = [rule.n << k for k in range(NODE_CAP.bit_length()) if size(rule.n << k) <= NODE_CAP]
+    if len(levels) < 2:
+        raise ValueError(f"{rule.kind} n = {rule.n} needs {size(2 * rule.n)} nodes a level, above the cap {NODE_CAP}")
+    return levels
+
+
+def _refine(level: Callable[[int], tuple[float, int]], levels: list[int], tol: float) -> FunctionalResult:
+    """Doubling refinement: level(n) -> (I(n), evaluations) over `levels` until tol."""
+    prev, used = level(levels[0])
+    for n in levels[1:]:
+        cur, evals = level(n)
+        used += evals
+        est = abs(cur - prev)
+        if est <= tol:
+            return FunctionalResult(cur, est, used)
+        prev = cur
+    return FunctionalResult(cur, est, used, warning=TOLERANCE_NOT_REACHED)
+
+
+def sample_mean(values: np.ndarray, scale: float = 1.0) -> FunctionalResult:
+    """scale times the sample mean, with scale times the sample standard error."""
+    n = values.size
+    return FunctionalResult(scale * float(np.mean(values)), scale * float(np.std(values, ddof=1)) / math.sqrt(n), n)
+
+
 def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate an integrand, preferring a vectorized call."""
     try:
@@ -128,58 +170,41 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     """Integrate f over [a, b] under the given rule.
 
     periodic_trapezoid uses equispaced nodes with both endpoints identified
-    (exact for the periodic closed-curve integrands used throughout);
-    gauss_legendre suits non-periodic integrands. Both refine by doubling
-    until tol or the node cap, in which case the best value is returned
-    flagged with TOLERANCE_NOT_REACHED. nodes_used counts the integrand
-    evaluations of every level. monte_carlo draws uniform nodes and
-    reports the sample standard error.
+    (exact for the periodic closed-curve integrands used throughout); its
+    levels nest, so each doubling evaluates only the new nodes.
+    gauss_legendre suits non-periodic integrands; its levels do not nest,
+    and the Gauss nodes of a level of n cost O(n) memory but O(n^2) time
+    (0.5 s at n = 4096 on a 2-core x86 machine), so a tolerance that
+    drives it deep is slow. Both refine by doubling under the module's cap
+    rule; nodes_used counts the integrand evaluations of every level.
+    monte_carlo draws rule.n uniform nodes and reports the sample standard
+    error.
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
     span = b - a
 
     if rule.kind == "monte_carlo":
-        vals = _eval(f, rule_nodes(rule, a, b)[0])
-        value = span * float(np.mean(vals))
-        stderr = span * float(np.std(vals, ddof=1)) / math.sqrt(rule.n) if rule.n > 1 else math.inf
-        return FunctionalResult(value, stderr, rule.n)
+        return sample_mean(_eval(f, rule_nodes(rule, a, b)[0]), span)
 
-    if rule.kind == "periodic_trapezoid":
-        n = rule.n
-        total = float(np.sum(_eval(f, rule_nodes(rule, a, b, n)[0])))
-        prev = span * total / n
-        while True:
-            # levels nest: the new nodes are the odd ones of the doubled level
-            total += float(np.sum(_eval(f, rule_nodes(rule, a, b, 2 * n)[0][1::2])))
-            n *= 2
-            cur = span * total / n
-            est = abs(cur - prev)
-            if est <= rule.tol:
-                return FunctionalResult(cur, est, n)
-            if 2 * n > NODE_CAP:
-                return FunctionalResult(cur, est, n, warning=TOLERANCE_NOT_REACHED)
-            prev = cur
+    if rule.kind == "gauss_legendre":
 
-    # gauss_legendre: nodes do not nest, so each level is evaluated afresh
-    n = rule.n
-    prev = _gauss_level(f, rule, a, b, n)
-    used = n
-    while True:
-        n *= 2
-        cur = _gauss_level(f, rule, a, b, n)
-        used += n
-        est = abs(cur - prev)
-        if est <= rule.tol:
-            return FunctionalResult(cur, est, used)
-        if 2 * n > NODE_CAP:
-            return FunctionalResult(cur, est, used, warning=TOLERANCE_NOT_REACHED)
-        prev = cur
+        def level(n: int) -> tuple[float, int]:
+            xs, ws = rule_nodes(rule, a, b, n)
+            return float(np.dot(ws, _eval(f, xs))), n
 
+    else:
+        total = 0.0
 
-def _gauss_level(f: Callable, rule: QuadratureRule, a: float, b: float, n: int) -> float:
-    xs, ws = rule_nodes(rule, a, b, n)
-    return float(np.dot(ws, _eval(f, xs)))
+        def level(n: int) -> tuple[float, int]:
+            nonlocal total
+            xs = rule_nodes(rule, a, b, n)[0]
+            # levels nest: past the first, the new nodes are the odd ones
+            new = xs if n == rule.n else xs[1::2]
+            total += float(np.sum(_eval(f, new)))
+            return span * total / n, new.size
+
+    return _refine(level, refinement_levels(rule), rule.tol)
 
 
 def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
@@ -188,31 +213,15 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     g receives flat coordinate arrays and must return matching values
     (called once per refinement level; must be pure). Deterministic rules
     use the product Gauss-Legendre in cos(theta) x periodic trapezoid in
-    phi with n_phi = 2 n_theta, doubling both until tol or the node cap;
-    nodes_used counts the nodes of every level. monte_carlo returns 4pi
-    times the sample mean over an area-uniform sample, with 4pi times the
-    sample standard error as the estimate.
+    phi with n_phi = 2 n_theta, 2 n_theta^2 nodes a level, doubling n_theta
+    under the module's cap rule; nodes_used counts the nodes of every
+    level. monte_carlo returns 4pi times the sample mean over an
+    area-uniform sample, with 4pi times the sample standard error as the
+    estimate.
     """
     if rule.kind == "monte_carlo":
-        theta, phi = sample_sphere_angles(rule.seed, rule.n)
-        vals = _eval_angles(g, theta, phi)
-        value = FOUR_PI * float(np.mean(vals))
-        stderr = FOUR_PI * float(np.std(vals, ddof=1)) / math.sqrt(rule.n) if rule.n > 1 else math.inf
-        return FunctionalResult(value, stderr, rule.n)
-
-    n_theta = rule.n
-    prev = _product_level(g, n_theta)
-    nodes = 2 * n_theta * n_theta
-    while True:
-        n_theta *= 2
-        cur = _product_level(g, n_theta)
-        est = abs(cur - prev)
-        nodes += 2 * n_theta * n_theta
-        if est <= rule.tol:
-            return FunctionalResult(cur, est, nodes)
-        if 8 * n_theta * n_theta > NODE_CAP:
-            return FunctionalResult(cur, est, nodes, warning=TOLERANCE_NOT_REACHED)
-        prev = cur
+        return sample_mean(_eval_angles(g, *sample_sphere_angles(rule.seed, rule.n)), FOUR_PI)
+    return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
 
 
 def _eval_angles(g: Callable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -224,12 +233,12 @@ def _eval_angles(g: Callable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _product_level(g: Callable, n_theta: int) -> float:
-    u, w = _leggauss(n_theta)
+def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
+    u, w = rule_nodes(QuadratureRule("gauss_legendre"), -1.0, 1.0, n_theta)
     theta = np.arccos(u)
     n_phi = 2 * n_theta
     phi = TWO_PI * np.arange(n_phi) / n_phi
     th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
     vals = _eval_angles(g, th_grid.ravel(), ph_grid.ravel()).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
-    return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi)
+    return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size

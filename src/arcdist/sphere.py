@@ -82,12 +82,16 @@ def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi) + 0.0, np.cos(theta)], axis=-1)
 
 
-def _as_xyz(v) -> np.ndarray:
+def as_unit_xyz(v) -> np.ndarray:
+    """A UnitVector, SpherePoint or unit 3-vector (norm within 1e-6, else ValueError) as an array."""
     if isinstance(v, UnitVector):
         return v.as_array()
     if isinstance(v, SpherePoint):
         return angles_to_xyz(v.theta, v.phi)
-    return np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if abs(float(v @ v) - 1.0) > 2.0 * _UNIT_NORM_ATOL:
+        raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(v)!r}")
+    return v
 
 
 def geodesic_distance(u, v) -> float:
@@ -97,12 +101,7 @@ def geodesic_distance(u, v) -> float:
     vectors (norm within 1e-6). The dot product is clamped to [-1, 1]
     before arccos so coincident/antipodal round-off cannot produce NaN.
     """
-    a = _as_xyz(u)
-    b = _as_xyz(v)
-    for w in (a, b):
-        if abs(np.dot(w, w) - 1.0) > 2.0 * _UNIT_NORM_ATOL:
-            raise ValueError(f"geodesic_distance requires unit vectors, got norm {np.linalg.norm(w)!r}")
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    return float(np.arccos(np.clip(np.dot(as_unit_xyz(u), as_unit_xyz(v)), -1.0, 1.0)))
 
 
 def sample_sphere_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import curves, functionals, optimize
-from .quadrature import QuadratureRule, default_curve_rule
+from .quadrature import QuadratureRule, default_curve_rule, refinement_levels
 from .sphere import (
     SpherePoint,
     geodesic_distance,
@@ -60,7 +60,9 @@ class VerifySettings:
     def __post_init__(self) -> None:
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        self.sphere_rule()  # the rule's own checks reject a bad n or tol up front
+        rule = self.sphere_rule()  # a bad n or tol, or a rule over the node cap, fails up front
+        if not self.monte_carlo:
+            refinement_levels(rule, surface=True)
 
     @property
     def monte_carlo(self) -> bool:

@@ -248,6 +248,26 @@ def test_invalid_setting_is_config_error(args, capsys):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "args, stub",
+    [
+        (["verify", "--n", "1024"], "arcdist.cli.run_verification"),
+        (["eval", "--n", "1048576", "--curve", '{"family":"great_circle"}'], "arcdist.curves.arc_length"),
+    ],
+    ids=["verify_sphere_n_1024", "eval_trapezoid_n_2^20"],
+)
+def test_rule_over_the_node_cap_is_config_error(args, stub, capsys, monkeypatch):
+    # rejected before any integral runs: the first computation is stubbed to fail loudly
+    def must_not_run(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(stub, must_not_run)
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "above the cap" in err
+
+
 class TestVerifyGlue:
     """Exit-code and report plumbing, with the expensive table stubbed out."""
 

@@ -10,8 +10,11 @@ from arcdist.quadrature import (
     FunctionalResult,
     NonFiniteIntegrandError,
     QuadratureRule,
+    _leggauss,
     default_sphere_rule,
     integrate_1d,
+    refinement_levels,
+    sample_mean,
     sphere_integrate,
 )
 from arcdist.sphere import angles_to_xyz, random_rotation_matrix
@@ -147,3 +150,72 @@ class TestSphereIntegrate:
         r1 = sphere_integrate(g_rot, rule)
         allowed = 3.0 * (r0.error_estimate + r1.error_estimate) + 1e-12
         assert abs(r0.value - r1.value) <= allowed
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("n", [4, 64, 512])
+    def test_match_numpy_leggauss(self, n):
+        nodes, weights = _leggauss(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-13
+
+
+class TestNodeCap:
+    """Every level fits under NODE_CAP; a rule whose second level cannot fit is
+    rejected before its integrand is called (counted, never run at that size)."""
+
+    def test_levels_end_at_the_cap(self):
+        assert refinement_levels(QuadratureRule("periodic_trapezoid", 2**19, 1e-9)) == [2**19, 2**20]
+        assert refinement_levels(QuadratureRule("gauss_legendre", 4, 1e-9))[-1] == NODE_CAP
+        assert refinement_levels(default_sphere_rule(), surface=True) == [128, 256, 512]
+        # 2 n^2 nodes a level: 724 is the largest n_theta with 2 n^2 <= 2^20
+        assert refinement_levels(QuadratureRule("gauss_legendre", 362, 1e-9), surface=True) == [362, 724]
+
+    @pytest.mark.parametrize(
+        "rule, surface",
+        [
+            (QuadratureRule("gauss_legendre", 363, 1e-9), True),
+            (QuadratureRule("gauss_legendre", 1024, 1e-9), True),
+            (QuadratureRule("periodic_trapezoid", 2**20, 1e-9), False),
+            (QuadratureRule("gauss_legendre", 2**19 + 1, 1e-9), False),
+        ],
+        ids=["sphere_363", "sphere_1024", "trapezoid_2^20", "gauss_2^19+1"],
+    )
+    def test_rule_over_the_cap_raises_before_any_call(self, rule, surface):
+        calls = []
+
+        def record(*args):
+            calls.append(np.size(args[0]))
+            return np.ones_like(args[0])
+
+        with pytest.raises(ValueError, match="above the cap"):
+            refinement_levels(rule, surface)
+        with pytest.raises(ValueError, match="above the cap"):
+            if surface:
+                sphere_integrate(record, rule)
+            else:
+                integrate_1d(record, 0.0, 1.0, rule)
+        assert calls == []
+
+    def test_sphere_stops_at_the_last_level_within_the_cap(self):
+        calls = []
+
+        def theta(th, ph):
+            calls.append(th.size)
+            return th
+
+        res = sphere_integrate(theta, QuadratureRule("gauss_legendre", 362, 1e-300))
+        assert calls == [2 * 362**2, 2 * 724**2]
+        assert res.nodes_used == sum(calls)
+        assert res.warning == TOLERANCE_NOT_REACHED
+
+
+class TestSampleMean:
+    def test_scaled_mean_and_standard_error(self):
+        values = np.array([1.0, 2.0, 4.0, 7.0])
+        res = sample_mean(values, 3.0)
+        assert res.value == pytest.approx(3.0 * 3.5)
+        assert res.error_estimate == pytest.approx(3.0 * np.std(values, ddof=1) / 2.0)
+        assert res.nodes_used == 4
+        assert res.warning is None

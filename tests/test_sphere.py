@@ -88,6 +88,20 @@ class TestGeodesicDistance:
         with pytest.raises(ValueError):
             geodesic_distance(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
 
+    def test_unit_check_is_shared_with_the_functionals(self):
+        # one coercion serves both modules: |v|^2 may miss 1 by 2e-6, not more
+        from arcdist.curves import great_circle
+        from arcdist.functionals import point_to_curve_min
+
+        near = np.array([math.sqrt(1.0 + 1.9e-6), 0.0, 0.0])
+        far = np.array([math.sqrt(1.0 + 2.1e-6), 0.0, 0.0])
+        assert geodesic_distance(near, np.array([0.0, 1.0, 0.0])) == pytest.approx(math.pi / 2)
+        assert point_to_curve_min(great_circle(), near)[0] == pytest.approx(0.0, abs=1e-6)
+        with pytest.raises(ValueError, match="expected a unit vector"):
+            geodesic_distance(far, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="expected a unit vector"):
+            point_to_curve_min(great_circle(), far)
+
     def test_symmetry_exact_and_triangle_inequality(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
