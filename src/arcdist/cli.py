@@ -325,11 +325,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, n_help: str = "node/sample count (rule nodes, MC samples, or CSV rows)"
+) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
     p.add_argument("--rule", choices=sorted(_RULE_ALIASES), help="quadrature rule for surface integrals")
-    p.add_argument("--n", type=int, help="node/sample count (rule nodes, MC samples, or CSV rows)")
+    p.add_argument("--n", type=int, help=n_help)
     p.add_argument("--tol", type=float, help="quadrature absolute tolerance")
     p.add_argument("--seed", type=int, help="RNG seed (default 42)")
     p.add_argument("--out", help="output path (JSON report or CSV samples); default stdout")
@@ -350,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
-    _add_common(p)
+    _add_common(
+        p,
+        "curve rule nodes N (default 512), also the inner rule of the surface integral, whose field "
+        "is (2*128^2 + 2*256^2)*N entries at its first two levels; with --rule monte_carlo, the sample count",
+    )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')
     p.set_defaults(func=cmd_eval)
 

@@ -10,6 +10,11 @@ evaluation points of every level. Monte Carlo rules report the sample
 mean with the sample standard error. The arc-distance integrands here are
 only C0 where their argument reaches +-1, so the doubling estimate is
 mandatory rather than assuming spectral accuracy.
+
+Surface integrands are functions of an (N, 3) array of unit vectors. A
+product level builds its points as outer products of the trig values of
+its two axes (sin theta times cos phi and sin phi, and cos theta), not
+by evaluating trig functions at each of its nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_legendre
 
-from .sphere import sample_sphere_angles
+from .sphere import uniform_unit_vectors
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
@@ -208,26 +213,29 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
 
 
 def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
-    """Surface integral of g(theta, phi) over the unit sphere.
+    """Surface integral of g over the unit sphere.
 
-    g receives flat coordinate arrays and must return matching values
-    (called once per refinement level; must be pure). Deterministic rules
-    use the product Gauss-Legendre in cos(theta) x periodic trapezoid in
-    phi with n_phi = 2 n_theta, 2 n_theta^2 nodes a level, doubling n_theta
-    under the module's cap rule; nodes_used counts the nodes of every
-    level. monte_carlo returns 4pi times the sample mean over an
-    area-uniform sample, with 4pi times the sample standard error as the
-    estimate.
+    g receives an (N, 3) array of unit vectors, one point per row, and
+    must return N values (called once per refinement level; must be
+    pure). Deterministic rules use the product Gauss-Legendre in
+    cos(theta) x periodic trapezoid in phi with n_phi = 2 n_theta,
+    2 n_theta^2 nodes a level, doubling n_theta under the module's cap
+    rule; nodes_used counts the nodes of every level. A level's points
+    are products of the trig values of its two axes (n_theta + n_phi of
+    them) and equal angles_to_xyz of the flattened grid bit for bit.
+    monte_carlo returns 4pi times the sample mean over the area-uniform
+    points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
+    the sample standard error as the estimate.
     """
     if rule.kind == "monte_carlo":
-        return sample_mean(_eval_angles(g, *sample_sphere_angles(rule.seed, rule.n)), FOUR_PI)
+        return sample_mean(_eval_points(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
     return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
 
 
-def _eval_angles(g: Callable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    vals = np.asarray(g(theta, phi), dtype=float)
-    if vals.shape != theta.shape:
-        raise ValueError("sphere integrand must return one value per (theta, phi) pair")
+def _eval_points(g: Callable, points: np.ndarray) -> np.ndarray:
+    vals = np.asarray(g(points), dtype=float)
+    if vals.shape != points.shape[:1]:
+        raise ValueError("sphere integrand must return one value per point")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrandError("sphere integrand returned a non-finite value")
     return vals
@@ -238,7 +246,15 @@ def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
     theta = np.arccos(u)
     n_phi = 2 * n_theta
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
-    vals = _eval_angles(g, th_grid.ravel(), ph_grid.ravel()).reshape(n_theta, n_phi)
+    # Row i * n_phi + j is (theta_i, phi_j). Each coordinate is the same product
+    # of the same doubles as angles_to_xyz of the flattened grid, so the points
+    # agree bit for bit, but only the axes' n_theta + n_phi trig values are taken.
+    st = np.sin(theta)
+    points = np.empty((n_theta, n_phi, 3))
+    np.multiply.outer(st, np.cos(phi), out=points[..., 0])
+    np.multiply.outer(st, np.sin(phi), out=points[..., 1])
+    points[..., 1] += 0.0  # y is +0.0, never -0.0, on the meridian phi = 0
+    points[..., 2] = np.cos(theta)[:, None]
+    vals = _eval_points(g, points.reshape(-1, 3)).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
     return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size

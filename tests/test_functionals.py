@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from arcdist import functionals
 from arcdist.curves import great_circle, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import (
+    _by_rows,
+    _min_distance_batch,
     arcsin_identity_residual,
     curve_to_sphere_mean_M,
     el_residuals,
@@ -259,3 +262,56 @@ def test_mean_distance_field_matches_direct_node_mean():
     # and agrees with the refined pointwise functional to quadrature accuracy
     for v, q in zip(ref, pts):
         assert v == pytest.approx(point_to_curve_mean(seam, q).value, abs=1e-6)
+
+
+class TestRowBlocks:
+    """The points x nodes kernel runs in row blocks of at most _CHUNK_ENTRIES entries
+    (one row when a row alone holds more)."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 256, 512, 700, 4096, 1 << 17])
+    def test_no_block_passes_the_cap(self, n_nodes):
+        rows = []
+
+        def reduce(P):
+            rows.append(len(P))
+            return np.zeros(len(P))
+
+        _by_rows(np.zeros((20_000, 3)), n_nodes, reduce, float)
+        assert sum(rows) == 20_000
+        assert max(rows) <= max(1, functionals._CHUNK_ENTRIES // n_nodes)
+
+    def test_nearest_point_arrays_are_the_same_with_one_row_blocks(self, monkeypatch):
+        pts = uniform_unit_vectors(3, 600)
+        for curve in (tennis_ball_seam(0.7037), wavy_circle(0.286241)):
+            d0, t0 = _min_distance_batch(curve, pts, 4096)
+            with monkeypatch.context() as m:
+                m.setattr(functionals, "_CHUNK_ENTRIES", 1)
+                d1, t1 = _min_distance_batch(curve, pts, 4096)
+            assert d0.tobytes() == d1.tobytes() and t0.tobytes() == t1.tobytes()
+
+    @pytest.mark.parametrize(
+        "rule", [default_curve_rule(), QuadratureRule("gauss_legendre", 128)], ids=["trapezoid_512", "gauss_128"]
+    )
+    def test_field_is_the_same_under_the_earlier_block_size(self, monkeypatch, rule):
+        # 2^21 entries a block spill L2 and start BLAS threads, but give the same
+        # bytes: both sizes cut these power-of-two rules' rows at multiples of 128,
+        # which BLAS row tiles divide, so each row is summed the same way; a
+        # 700-node rule cuts at 93 and 2995 rows and can differ by a few ulp.
+        pts = uniform_unit_vectors(5, 20_000)
+        seam = tennis_ball_seam(0.7037)
+        f0 = mean_distance_field(seam, pts, rule)
+        with monkeypatch.context() as m:
+            m.setattr(functionals, "_CHUNK_ENTRIES", 1 << 21)
+            f1 = mean_distance_field(seam, pts, rule)
+        assert f0.tobytes() == f1.tobytes()
+
+    def test_field_with_one_row_blocks_moves_only_by_rounding(self, monkeypatch):
+        # A one-row product runs through other BLAS kernels, whose rounding
+        # differs; the n-term weighted sum moves by at most ~2 n eps max|value|.
+        pts = uniform_unit_vectors(5, 2_000)
+        seam = tennis_ball_seam(0.7037)
+        f0 = mean_distance_field(seam, pts)
+        with monkeypatch.context() as m:
+            m.setattr(functionals, "_CHUNK_ENTRIES", 1)
+            f1 = mean_distance_field(seam, pts)
+        assert np.max(np.abs(f0 - f1)) <= 2 * 512 * np.finfo(float).eps * math.pi

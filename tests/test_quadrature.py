@@ -116,22 +116,20 @@ class TestIntegrate1D:
 
 class TestSphereIntegrate:
     def test_area(self):
-        res = sphere_integrate(lambda th, ph: np.ones_like(th), default_sphere_rule(tol=1e-10))
+        res = sphere_integrate(lambda x: np.ones(len(x)), default_sphere_rule(tol=1e-10))
         assert res.value == pytest.approx(4.0 * math.pi, abs=1e-10)
 
     def test_z_squared(self):
-        res = sphere_integrate(lambda th, ph: np.cos(th) ** 2, default_sphere_rule(tol=1e-10))
+        res = sphere_integrate(lambda x: x[:, 2] ** 2, default_sphere_rule(tol=1e-10))
         assert res.value == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
 
     def test_arccos_z(self):
-        res = sphere_integrate(lambda th, ph: th, default_sphere_rule(tol=1e-8))
+        res = sphere_integrate(lambda x: np.arccos(x[:, 2]), default_sphere_rule(tol=1e-8))
         assert res.value == pytest.approx(2.0 * math.pi**2, abs=1e-8)
 
     def test_monte_carlo_constant_is_exact(self):
         for seed in (0, 1, 99):
-            res = sphere_integrate(
-                lambda th, ph: np.ones_like(th), QuadratureRule("monte_carlo", 1000, 1e-9, seed=seed)
-            )
+            res = sphere_integrate(lambda x: np.ones(len(x)), QuadratureRule("monte_carlo", 1000, 1e-9, seed=seed))
             assert res.value == 4.0 * math.pi
             assert res.error_estimate == 0.0
 
@@ -139,17 +137,46 @@ class TestSphereIntegrate:
         R = random_rotation_matrix(17)
         w = np.array([0.6, -0.64, 0.48])
 
-        def g(th, ph):
-            return np.exp(angles_to_xyz(th, ph) @ w)
+        def g(x):
+            return np.exp(x @ w)
 
-        def g_rot(th, ph):
-            return np.exp((angles_to_xyz(th, ph) @ R.T) @ w)
+        def g_rot(x):
+            return np.exp((x @ R.T) @ w)
 
         rule = default_sphere_rule(n=64, tol=1e-9)
         r0 = sphere_integrate(g, rule)
         r1 = sphere_integrate(g_rot, rule)
         allowed = 3.0 * (r0.error_estimate + r1.error_estimate) + 1e-12
         assert abs(r0.value - r1.value) <= allowed
+
+    def test_product_points_match_angles_to_xyz_of_the_grid(self):
+        # Levels 4 and 8, then 128 and 256: each level's points are, byte for
+        # byte, angles_to_xyz of its flattened (theta, phi) meshgrid.
+        seen = []
+
+        def record(x):
+            seen.append(x.copy())
+            return np.ones(len(x))
+
+        for n in (4, 128):
+            sphere_integrate(record, QuadratureRule("gauss_legendre", n, 1.0))
+        assert [len(x) for x in seen] == [2 * n * n for n in (4, 8, 128, 256)]
+        for points in seen:
+            n_theta = math.isqrt(len(points) // 2)
+            theta = np.arccos(_leggauss(n_theta)[0])
+            phi = TWO_PI * np.arange(2 * n_theta) / (2 * n_theta)
+            th, ph = np.meshgrid(theta, phi, indexing="ij")
+            assert points.tobytes() == angles_to_xyz(th.ravel(), ph.ravel()).tobytes()
+            y_on_meridian = points[:: 2 * n_theta, 1]
+            assert np.all(y_on_meridian == 0.0) and not np.any(np.signbit(y_on_meridian))
+
+    @pytest.mark.parametrize(
+        "rule", [default_sphere_rule(n=8), QuadratureRule("monte_carlo", 100, 1e-9)], ids=["product", "monte_carlo"]
+    )
+    def test_integrand_of_the_wrong_shape_raises(self, rule):
+        for wrong in (lambda x: np.ones((len(x), 1)), lambda x: np.ones(3 * len(x)), lambda x: 1.0):
+            with pytest.raises(ValueError, match="one value per point"):
+                sphere_integrate(wrong, rule)
 
 
 class TestGaussNodes:
@@ -201,9 +228,9 @@ class TestNodeCap:
     def test_sphere_stops_at_the_last_level_within_the_cap(self):
         calls = []
 
-        def theta(th, ph):
-            calls.append(th.size)
-            return th
+        def theta(x):
+            calls.append(len(x))
+            return np.arccos(x[:, 2])
 
         res = sphere_integrate(theta, QuadratureRule("gauss_legendre", 362, 1e-300))
         assert calls == [2 * 362**2, 2 * 724**2]
