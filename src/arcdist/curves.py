@@ -75,13 +75,17 @@ class _TrigSeries:
     harmonics: tuple[tuple[int, float, float, float], ...] = ()
 
 
-def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: bool = False) -> tuple[np.ndarray, ...]:
-    """(theta, phi) of the series at ts, or (theta, phi, theta', phi') with rates."""
+def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: int = 0) -> tuple[np.ndarray, ...]:
+    """(theta, phi) of the series at ts, then (theta', phi') with rates >= 1
+    and (theta'', phi'') with rates == 2."""
     theta = s.theta0 + s.theta_slope * ts
     phi = s.phi0 + s.phi_slope * ts
     if rates:
         dtheta = np.full_like(ts, s.theta_slope)
         dphi = np.full_like(ts, s.phi_slope)
+    if rates > 1:
+        d2theta = np.zeros_like(ts)
+        d2phi = np.zeros_like(ts)
     for j, a, b, c in s.harmonics:
         jt = j * ts
         # Without rates, take only the trig values a nonzero coefficient needs.
@@ -96,6 +100,11 @@ def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: bool = False) -> tuple
         if rates:
             dtheta = dtheta + j * (b * cos - a * sin)
             dphi = dphi + (j * c) * cos
+        if rates > 1:
+            d2theta = d2theta - (j * j) * (a * cos + b * sin)
+            d2phi = d2phi - (j * j * c) * sin
+    if rates > 1:
+        return theta, phi, dtheta, dphi, d2theta, d2phi
     return (theta, phi, dtheta, dphi) if rates else (theta, phi)
 
 
@@ -138,7 +147,7 @@ class SphericalCurve:
 
     def velocities(self, ts) -> np.ndarray:
         """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
-        theta, phi, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        theta, phi, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
         st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
         w = st * dphi
         v = np.stack([dtheta * ct * cp - w * sp, dtheta * ct * sp + w * cp, -dtheta * st], axis=-1)
@@ -149,7 +158,7 @@ class SphericalCurve:
 
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
-        theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=True)
+        theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
         return np.sqrt(dtheta * dtheta + (np.sin(theta) * dphi) ** 2)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
@@ -324,9 +333,9 @@ def arc_length_rate(curve: SphericalCurve, theta_cos=(), theta_sin=(), phi_sin=(
     against the refined arc length.
     """
     ts, weights = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
-    theta, _, dtheta, dphi = _series_angles(curve._series, ts, rates=True)
+    theta, _, dtheta, dphi = _series_angles(curve._series, ts, rates=1)
     rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
-    theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=True)
+    theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1)
     st = np.sin(theta)
     speed = np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
     rate = (dtheta * dtheta_s + st * np.cos(theta) * theta_s * dphi * dphi + st * st * dphi * dphi_s) / speed
@@ -341,35 +350,66 @@ def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:
     return bool(np.linalg.norm(ends[0] - ends[1]) < eps)
 
 
-# Golden-section bracket shrink factor, 1 / golden ratio.
-_GOLDEN_SHRINK = 0.5 * (math.sqrt(5.0) - 1.0)
+#: The nearest-parameter refinement stops a row once its step is at most this.
+_NEAREST_STEP = 1e-10
+#: Most passes of one refinement. Bisection alone takes a bracket of a few
+#: sample spacings down to _NEAREST_STEP in under 40; Newton needs 3-4.
+_NEAREST_MAX_PASSES = 64
 
 
-def _golden_nearest(
-    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float, n_iter: int
+def _nearest_parameters(
+    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float
 ) -> np.ndarray:
-    """Per-row golden-section argmin over t of |r(t) - target| in center +- half_width.
+    """Per row, the t in [center - half_width, center + half_width] nearest its target.
 
-    Maximizes the dot product with the target (same argmin, cheaper) and
-    returns the midpoints of the final brackets, unwrapped.
+    Maximizes f(t) = q . r(t) (the same argmin as |r(t) - q|, cheaper) by
+    safeguarded Newton steps on f' = 0 (rtsafe; Press et al., Numerical
+    Recipes, 9.4). In the curve's own frame, with u = q_x cos phi + q_y sin phi
+    and v = q_y cos phi - q_x sin phi,
+
+        f   = sin(theta) u + q_z cos(theta)
+        f'  = theta' g + sin(theta) phi' v,     g = cos(theta) u - q_z sin(theta)
+        f'' = theta'' g - theta'^2 f + 2 cos(theta) theta' phi' v
+              + sin(theta) phi'' v - sin(theta) phi'^2 u.
+
+    Each pass moves a row's bracket end to t on the side f' points away
+    from, then takes the Newton step if f'' < 0 and the step lands in the
+    closed bracket, and bisects otherwise. A row stops once its step is at
+    most _NEAREST_STEP or f' = 0 (where it keeps t); a target whose maximum
+    lies outside the bracket ends at the bracket's edge. A row's result
+    does not depend on the other rows in its call. Returns the parameters
+    unwrapped.
     """
-    a = centers - half_width
-    b = centers + half_width
-
-    def neg_dot(tq: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij,ij->i", targets, curve.positions(tq))
-
-    x1 = b - _GOLDEN_SHRINK * (b - a)
-    x2 = a + _GOLDEN_SHRINK * (b - a)
-    f1, f2 = neg_dot(x1), neg_dot(x2)
-    for _ in range(n_iter):
-        shrink_right = f1 < f2
-        b = np.where(shrink_right, x2, b)
-        a = np.where(shrink_right, a, x1)
-        x1 = b - _GOLDEN_SHRINK * (b - a)
-        x2 = a + _GOLDEN_SHRINK * (b - a)
-        f1, f2 = neg_dot(x1), neg_dot(x2)
-    return 0.5 * (a + b)
+    q = targets if curve.rotation is None else targets @ np.asarray(curve.rotation, dtype=float)
+    t = np.array(centers, dtype=float)
+    lo = t - half_width
+    hi = t + half_width
+    rows = np.arange(t.size)
+    for _ in range(_NEAREST_MAX_PASSES):
+        tr, a, b = t[rows], lo[rows], hi[rows]
+        qx, qy, qz = q[rows].T
+        theta, phi, d1theta, d1phi, d2theta, d2phi = _series_angles(curve._series, curve._wrap(tr), rates=2)
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        u = qx * cp + qy * sp
+        v = qy * cp - qx * sp
+        g = ct * u - qz * st
+        w = st * v
+        f = st * u + qz * ct
+        fp = d1theta * g + d1phi * w
+        fpp = d2theta * g - d1theta * d1theta * f + 2.0 * ct * d1theta * d1phi * v + d2phi * w - st * d1phi * d1phi * u
+        rising = fp > 0
+        a = np.where(rising, tr, a)
+        b = np.where(rising, b, tr)
+        concave = fpp < 0
+        newton = tr - fp / np.where(concave, fpp, -1.0)
+        t_next = np.where(concave & (a <= newton) & (newton <= b), newton, 0.5 * (a + b))
+        flat = fp == 0
+        t[rows] = np.where(flat, tr, t_next)
+        lo[rows], hi[rows] = a, b
+        rows = rows[~(flat | (np.abs(t_next - tr) <= _NEAREST_STEP))]
+        if rows.size == 0:
+            break
+    return t
 
 
 def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
@@ -409,14 +449,15 @@ def is_simple(
     eps is decisive (the sampled chord bounds the true minimum from
     above). Of the others, only discrete local minima of the sampled chord
     over the neighbours (i+-1, j) and (i, j+-1), taken whether or not a
-    neighbour is itself a candidate, are refined by local minimization of
-    the chordal distance (alternating golden section) before deciding. A
-    crossing, a close approach or a tiny loop is such a minimum. A slow
-    stretch of the curve, where samples a few indices apart fall within
-    the capture radius, is not, since its chord falls toward the diagonal
-    (j -> i): it is not a crossing, and it is flagged only when 4 sample
-    spacings cover less than eps. Returns (simple, witness parameter pair
-    or None).
+    neighbour is itself a candidate, are refined before deciding: three
+    rounds move each parameter in turn to the point nearest the other's,
+    within 1.5 sample spacings of where it stands (_nearest_parameters,
+    Newton-bisection). A crossing, a close approach or a tiny loop is such
+    a minimum. A slow stretch of the curve, where samples a few indices
+    apart fall within the capture radius, is not, since its chord falls
+    toward the diagonal (j -> i): it is not a crossing, and it is flagged
+    only when 4 sample spacings cover less than eps. Returns (simple,
+    witness parameter pair or None).
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
@@ -485,8 +526,8 @@ def is_simple(
     t2 = ts[keep[:, 1]]
     half_width = 1.5 * period / n_samples
     for _ in range(3):
-        t1 = _golden_nearest(curve, curve.positions(t2), t1, half_width, 18)
-        t2 = _golden_nearest(curve, curve.positions(t1), t2, half_width, 18)
+        t1 = _nearest_parameters(curve, curve.positions(t2), t1, half_width)
+        t2 = _nearest_parameters(curve, curve.positions(t1), t2, half_width)
     t1 = curve._wrap(t1)
     t2 = curve._wrap(t2)
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)

@@ -15,6 +15,7 @@ from arcdist.curves import (
     great_circle,
     is_closed,
     _close_pairs,
+    _nearest_parameters,
     is_simple,
     tennis_ball_seam,
     to_spec,
@@ -284,6 +285,23 @@ class TestSimplicity:
         # on this sample grid, some pairs exactly 3 apart pass the float test by rounding
         i = np.arange(n - 3)
         assert np.any(ts[i + 3] - ts[i] > 3.0 * period / n)
+
+
+class TestNearestParameters:
+    def test_maximum_outside_the_bracket_ends_at_its_edge(self):
+        # The nearest point to r(0.3) on the single great circle lies right of
+        # [0.05, 0.15] and left of [0.45, 0.55], as when is_simple's alternating
+        # refinement meets a loop smaller than its bracket.
+        curve = great_circle((0.0, 1.0))
+        targets = curve.positions(np.array([0.3, 0.3]))
+        t = _nearest_parameters(curve, targets, np.array([0.1, 0.5]), 0.05)
+        assert t == pytest.approx([0.15, 0.45], abs=1e-10)
+
+    def test_interior_maximum_is_the_nearest_point(self):
+        seam = tennis_ball_seam(0.7037)
+        ts = np.array([0.4, 2.0, 5.5, 9.1])
+        t = _nearest_parameters(seam, seam.positions(ts), ts + 0.002, 0.003)
+        assert t == pytest.approx(ts, abs=1e-9)
 
 
 class TestSpecParsing:

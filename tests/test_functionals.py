@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arcdist import functionals
+from arcdist import curves, functionals
 from arcdist.curves import great_circle, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import (
     _by_rows,
@@ -20,7 +20,7 @@ from arcdist.functionals import (
     sup_deviation_from_half_pi,
 )
 from arcdist.quadrature import QuadratureRule, default_curve_rule, integrate_1d
-from arcdist.sphere import SpherePoint, UnitVector, uniform_unit_vectors
+from arcdist.sphere import SpherePoint, UnitVector, random_rotation_matrix, uniform_unit_vectors
 
 HALF_PI = 0.5 * math.pi
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -202,6 +202,70 @@ class TestPointToCurveMin:
             assert dmin <= point_to_curve_mean(c, q).value + 1e-9
 
 
+class TestNearestRefinement:
+    """The Newton-bisection refinement behind _min_distance_batch."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Record, per refinement call, its number of passes (second-rate series evaluations)."""
+        passes = []
+        series, refine = curves._series_angles, functionals._nearest_parameters
+
+        def counting_series(s, ts, rates=0):
+            if rates == 2:
+                passes[-1] += 1
+            return series(s, ts, rates)
+
+        def counting_refine(*args):
+            passes.append(0)
+            return refine(*args)
+
+        monkeypatch.setattr(curves, "_series_angles", counting_series)
+        monkeypatch.setattr(functionals, "_nearest_parameters", counting_refine)
+        return passes
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            great_circle(),
+            tennis_ball_seam(0.7037),
+            wavy_circle(0.286241),
+            trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1]),
+            tennis_ball_seam(0.7037).rotated(random_rotation_matrix(11)),
+        ],
+        ids=["great_circle", "seam", "wavy", "trig_series", "rotated_seam"],
+    )
+    def test_never_above_a_fine_scan(self, curve):
+        pts = uniform_unit_vectors(17, 2_000)
+        d, _ = _min_distance_batch(curve, pts, 4096)
+        dom = curve.domain
+        C = curve.positions(dom.t_i + dom.period * np.arange(1 << 16) / (1 << 16))
+        best_dot = _by_rows(pts, 1 << 16, lambda P: np.max(P @ C.T, axis=1), float)
+        assert np.max(d - np.arccos(np.clip(best_dot, -1.0, 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["point_curve", "great_circle_poles"])
+    def test_flat_targets_stop_in_one_pass(self, monkeypatch, case):
+        # f' is 0 for every t: the point curve does not move, and the doubled
+        # great circle keeps the same distance pi/2 from its poles +-y.
+        if case == "point_curve":
+            curve = trig_series(theta0=0.0, phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
+            pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.6, 0.8, 0.0]])
+        else:
+            curve = great_circle()
+            pts = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        passes = self._count_passes(monkeypatch)
+        d, _ = _min_distance_batch(curve, pts, 256)
+        assert passes == [1]
+        assert np.all(d == HALF_PI)
+
+    def test_seam_needs_few_passes_per_block(self, monkeypatch):
+        # Newton converges in 3-4 passes from the best scan sample; bisection
+        # alone would take about 25 to shrink a 2-sample bracket to 1e-10.
+        passes = self._count_passes(monkeypatch)
+        _min_distance_batch(tennis_ball_seam(0.7037), uniform_unit_vectors(29, 10_000), 4096)
+        assert len(passes) == 5 and max(passes) <= 5
+
+
 class TestMeanMinArcDistance:
     def test_great_circle_closed_form(self):
         res = mean_min_arc_distance(great_circle((0.0, 2.0)), 100_000, seed=0)
@@ -284,9 +348,18 @@ class TestRowBlocks:
         pts = uniform_unit_vectors(3, 600)
         for curve in (tennis_ball_seam(0.7037), wavy_circle(0.286241)):
             d0, t0 = _min_distance_batch(curve, pts, 4096)
+            refine, block_rows = functionals._nearest_parameters, []
+
+            def recording_refine(curve, targets, centers, half_width):
+                block_rows.append(len(targets))
+                return refine(curve, targets, centers, half_width)
+
             with monkeypatch.context() as m:
                 m.setattr(functionals, "_CHUNK_ENTRIES", 1)
+                m.setattr(functionals, "_nearest_parameters", recording_refine)
                 d1, t1 = _min_distance_batch(curve, pts, 4096)
+            # the scan and the refinement both ran one row at a time
+            assert block_rows == [1] * len(pts)
             assert d0.tobytes() == d1.tobytes() and t0.tobytes() == t1.tobytes()
 
     @pytest.mark.parametrize(
