@@ -24,8 +24,6 @@ from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
 
 _RULE_ALIASES = {
-    "trapezoid": "periodic_trapezoid",
-    "periodic_trapezoid": "periodic_trapezoid",
     "gauss": "gauss_legendre",
     "gauss_legendre": "gauss_legendre",
     "monte_carlo": "monte_carlo",
@@ -238,7 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         dmin, tmin = functionals.point_to_curve_min(curve, p)
         results.append(_row(f"point_to_curve_min[{pt[0]:.6g},{pt[1]:.6g}]", dmin, argmin_t=tmin))
-    mt = functionals.sphere_to_curve_mean(curve, srule, crule)
+    mt = functionals.sphere_to_curve_mean(curve, srule)
     results.append(_row("sphere_to_curve_mean", mt.value, mt.error_estimate))
     results.append(_row("sphere_to_curve_mean_over_4pi", mt.value / (4 * math.pi), mt.error_estimate / (4 * math.pi)))
     mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=int(cfg["seed"]))
@@ -325,15 +323,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(
-    p: argparse.ArgumentParser, n_help: str = "node/sample count (rule nodes, MC samples, or CSV rows)"
-) -> None:
+def _add_common(p: argparse.ArgumentParser, *flags: str, n_help: str | None = None) -> None:
+    """--config, those of --curve, --rule, --n, --tol and --seed named in flags, and --out."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
-    p.add_argument("--rule", choices=sorted(_RULE_ALIASES), help="quadrature rule for surface integrals")
-    p.add_argument("--n", type=int, help=n_help)
-    p.add_argument("--tol", type=float, help="quadrature absolute tolerance")
-    p.add_argument("--seed", type=int, help="RNG seed (default 42)")
+    if "curve" in flags:
+        p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
+    if "rule" in flags:
+        p.add_argument("--rule", choices=sorted(_RULE_ALIASES), help="quadrature rule for surface integrals")
+    if "n" in flags:
+        p.add_argument("--n", type=int, help=n_help)
+    if "tol" in flags:
+        p.add_argument("--tol", type=float, help="absolute tolerance")
+    if "seed" in flags:
+        p.add_argument("--seed", type=int, help="RNG seed (default 42)")
     p.add_argument("--out", help="output path (JSON report or CSV samples); default stdout")
 
 
@@ -347,30 +349,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full claim verification table")
-    _add_common(p)
+    _add_common(
+        p, "rule", "n", "tol", "seed",
+        n_help="sphere rule n_theta (default 128); with --rule monte_carlo, the sample count (default 20000)",
+    )
     p.add_argument("--max-evals", dest="max_evals", type=int, help="optimizer budget (default 500)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
-        p,
-        "curve rule nodes N (default 512), also the inner rule of the surface integral, whose field "
-        "is (2*128^2 + 2*256^2)*N entries at its first two levels; with --rule monte_carlo, the sample count",
+        p, "curve", "rule", "n", "tol", "seed",
+        n_help="curve rule nodes (default 512); with --rule monte_carlo, the sphere sample count (default 20000)",
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="emit CSV rows t,x,y,z along the curve")
-    _add_common(p)
+    _add_common(p, "curve", "n", n_help="number of rows (>= 2)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("calibrate", help="root the family scale parameter to arc length 4pi")
-    _add_common(p)
+    _add_common(p, "curve", "tol")
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("optimize", help="minimize a functional over the trig-series family")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--objective", choices=optimize.OBJECTIVES)
     p.add_argument("--max-evals", dest="max_evals", type=int)
     p.add_argument("--simplex-scale", dest="simplex_scale", type=float)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, rule_nodes
-from .sphere import UnitVector, angles_to_xyz
+from .sphere import angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
 TENNIS_BALL = "tennis_ball"
@@ -142,9 +142,6 @@ class SphericalCurve:
         theta, phi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)))
         return self._rotate(angles_to_xyz(theta, phi))
 
-    def position(self, t: float) -> UnitVector:
-        return UnitVector.from_array(self.positions(np.array([t]))[0])
-
     def velocities(self, ts) -> np.ndarray:
         """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
         theta, phi, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
@@ -152,9 +149,6 @@ class SphericalCurve:
         w = st * dphi
         v = np.stack([dtheta * ct * cp - w * sp, dtheta * ct * sp + w * cp, -dtheta * st], axis=-1)
         return self._rotate(v)
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.velocities(np.array([t]))[0]
 
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
@@ -412,6 +406,45 @@ def _nearest_parameters(
     return t
 
 
+def _closest_parameters(
+    curve: SphericalCurve, t1: np.ndarray, t2: np.ndarray, half_width: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, a local minimum (s1, s2) of the chord |r(s1) - r(s2)| within
+    half_width of (t1, t2), and whether it lies strictly inside that box
+    (on its edge the chord still falls beyond it).
+
+    Levenberg-Marquardt steps on e = r(s1) - r(s2) with the closed-form
+    tangents u = r'(s1), v = r'(s2) and the damping |e|^2 (Yamashita and
+    Fukushima, Computing Suppl. 15, 2001): each pass solves
+    [[u.u + |e|^2, -u.v], [-u.v, v.v + |e|^2]] (d1, d2) = (-u.e, v.e) and
+    clips the step to the box. At a crossing, where e vanishes, the steps
+    converge quadratically at any angle; alternating nearest-point moves
+    shrink the chord only by cos^2 of the angle a round. The damping keeps
+    the step finite where u and v are parallel. A row stops once its step
+    is at most _NEAREST_STEP, and does not depend on the other rows.
+    """
+    s1, s2 = np.array(t1, dtype=float), np.array(t2, dtype=float)
+    lo1, hi1, lo2, hi2 = s1 - half_width, s1 + half_width, s2 - half_width, s2 + half_width
+    rows = np.arange(s1.size)
+    for _ in range(_NEAREST_MAX_PASSES):
+        a, b = s1[rows], s2[rows]
+        e = curve.positions(a) - curve.positions(b)
+        u, v = curve.velocities(a), curve.velocities(b)
+        ee, uv, ue, ve = (np.einsum("ij,ij->i", x, y) for x, y in ((e, e), (u, v), (u, e), (v, e)))
+        uu = np.einsum("ij,ij->i", u, u) + ee
+        vv = np.einsum("ij,ij->i", v, v) + ee
+        # det > 0 unless e = 0 and u, v are parallel; such a row stays put
+        det = uu * vv - uv * uv
+        d1 = np.divide(uv * ve - vv * ue, det, out=np.zeros_like(det), where=det > 0)
+        d2 = np.divide(uu * ve - uv * ue, det, out=np.zeros_like(det), where=det > 0)
+        s1[rows] = np.clip(a + d1, lo1[rows], hi1[rows])
+        s2[rows] = np.clip(b + d2, lo2[rows], hi2[rows])
+        rows = rows[np.maximum(np.abs(s1[rows] - a), np.abs(s2[rows] - b)) > _NEAREST_STEP]
+        if rows.size == 0:
+            break
+    return s1, s2, (lo1 < s1) & (s1 < hi1) & (lo2 < s2) & (s2 < hi2)
+
+
 def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
     """Index pairs (i < j) of closed-curve samples within chordal distance
     `capture` whose index separation min(j - i, n - (j - i)) exceeds 3, in
@@ -430,11 +463,6 @@ def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-# is_simple scans at most this many local chord minima, closest first, for
-# the (at most 64) close-approach regions it refines.
-_MAX_REFINEMENT_CANDIDATES = 2048
-
-
 def is_simple(
     curve: SphericalCurve,
     n_samples: int = 4096,
@@ -445,18 +473,19 @@ def is_simple(
     Flags the curve non-simple when it finds two parameters more than 3
     sample spacings apart around the curve within chordal distance eps.
     Candidates are the sample pairs within twice the longest sample chord
-    whose integer index separation exceeds 3. A candidate already within
-    eps is decisive (the sampled chord bounds the true minimum from
-    above). Of the others, only discrete local minima of the sampled chord
-    over the neighbours (i+-1, j) and (i, j+-1), taken whether or not a
-    neighbour is itself a candidate, are refined before deciding: three
-    rounds move each parameter in turn to the point nearest the other's,
-    within 1.5 sample spacings of where it stands (_nearest_parameters,
-    Newton-bisection). A crossing, a close approach or a tiny loop is such
-    a minimum. A slow stretch of the curve, where samples a few indices
-    apart fall within the capture radius, is not, since its chord falls
-    toward the diagonal (j -> i): it is not a crossing, and it is flagged
-    only when 4 sample spacings cover less than eps. Returns (simple,
+    whose integer index separation exceeds 3 and whose sampled chord is a
+    discrete local minimum over the neighbours (i+-1, j) and (i, j+-1),
+    taken whether or not a neighbour is itself such a pair. A crossing, a
+    close approach or a tiny loop is such a minimum. A slow stretch of the
+    curve, where samples a few indices apart fall within the capture
+    radius, is not, since its chord falls toward the diagonal (j -> i). A
+    candidate already within eps is decisive (the sampled chord bounds the
+    true minimum from above), and the closest such pair is the witness.
+    Otherwise every candidate is refined, all in one batch, to a local
+    minimum of the chord within 1.5 sample spacings of each of its
+    parameters (_closest_parameters). A refined pair counts only if it
+    lies strictly inside that box, since on its edge the chord still
+    falls, toward the diagonal or another candidate. Returns (simple,
     witness parameter pair or None).
     """
     if n_samples < 64:
@@ -484,10 +513,6 @@ def is_simple(
     padded = np.concatenate([pts[-1:], pts, pts[:1]])
     row_i, row_j = pairs[:, 0] + 1, pairs[:, 1] + 1
     at_i, at_j = padded[row_i], padded[row_j]
-    chord = np.linalg.norm(at_i - at_j, axis=1)
-    closest = int(np.argmin(chord))
-    if chord[closest] < eps:
-        return False, (float(ts[pairs[closest, 0]]), float(ts[pairs[closest, 1]]))
 
     # On the unit sphere the chord falls as the dot product rises, so a
     # chord minimum over the four neighbours is a dot-product maximum.
@@ -501,38 +526,20 @@ def is_simple(
         & (cos >= dot(at_i, padded[row_j - 1]))
         & (cos >= dot(at_i, padded[row_j + 1]))
     )
-    pairs, chord = pairs[local_min], chord[local_min]
+    pairs = pairs[local_min]
     if pairs.size == 0:
         return True, None
-    order = np.argsort(chord, kind="stable")
+    chord = np.linalg.norm(at_i[local_min] - at_j[local_min], axis=1)
+    closest = int(np.argmin(chord))
+    if chord[closest] < eps:
+        return False, (float(ts[pairs[closest, 0]]), float(ts[pairs[closest, 1]]))
 
-    # One representative per close-approach region: greedy suppression of
-    # pairs whose sample indices sit next to an already-kept pair.
-    kept: list[tuple[int, int]] = []
-    radius = 4
-    for idx in order[:_MAX_REFINEMENT_CANDIDATES]:
-        i, j = int(pairs[idx, 0]), int(pairs[idx, 1])
-        near = any(
-            (min(abs(i - a), n_samples - abs(i - a)) <= radius and min(abs(j - b), n_samples - abs(j - b)) <= radius)
-            or (min(abs(i - b), n_samples - abs(i - b)) <= radius and min(abs(j - a), n_samples - abs(j - a)) <= radius)
-            for a, b in kept
-        )
-        if not near:
-            kept.append((i, j))
-            if len(kept) >= 64:
-                break
-    keep = np.array(kept, dtype=np.int64)
-    t1 = ts[keep[:, 0]]
-    t2 = ts[keep[:, 1]]
-    half_width = 1.5 * period / n_samples
-    for _ in range(3):
-        t1 = _nearest_parameters(curve, curve.positions(t2), t1, half_width)
-        t2 = _nearest_parameters(curve, curve.positions(t1), t2, half_width)
+    t1, t2, inside = _closest_parameters(curve, ts[pairs[:, 0]], ts[pairs[:, 1]], 1.5 * period / n_samples)
     t1 = curve._wrap(t1)
     t2 = curve._wrap(t2)
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)
     dt = np.abs(t1 - t2)
-    admissible = np.minimum(dt, period - dt) > 3.0 * period / n_samples
+    admissible = inside & (np.minimum(dt, period - dt) > 3.0 * period / n_samples)
     hits = np.nonzero(admissible & (dist < eps))[0]
     if hits.size:
         best = hits[int(np.argmin(dist[hits]))]

@@ -225,8 +225,11 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     them) and equal angles_to_xyz of the flattened grid bit for bit.
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
-    the sample standard error as the estimate.
+    the sample standard error as the estimate. A periodic_trapezoid rule
+    raises ValueError.
     """
+    if rule.kind == "periodic_trapezoid":
+        raise ValueError("sphere_integrate takes a gauss_legendre or monte_carlo rule, not periodic_trapezoid")
     if rule.kind == "monte_carlo":
         return sample_mean(_eval_points(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
     return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)

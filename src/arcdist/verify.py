@@ -58,6 +58,8 @@ class VerifySettings:
     max_evals: int = 500
 
     def __post_init__(self) -> None:
+        if self.rule not in ("gauss_legendre", "monte_carlo"):
+            raise ValueError(f"rule must be gauss_legendre or monte_carlo, got {self.rule!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         rule = self.sphere_rule()  # a bad n or tol, or a rule over the node cap, fails up front

@@ -146,6 +146,12 @@ def test_monte_carlo_mode_with_looser_tolerances_passes():
     _report(criterion_2_arcsin_identity(mc))
 
 
+def test_settings_refuse_a_trapezoid_sphere_rule():
+    # the sphere rule is the Gauss product or Monte Carlo; no other kind is run as Gauss
+    with pytest.raises(ValueError, match="gauss_legendre or monte_carlo"):
+        VerifySettings(rule="periodic_trapezoid")
+
+
 def test_two_pi_squared_reference_constant():
     # guard against accidental edits of the shared target constant
     from arcdist.verify import TWO_PI_SQ

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from arcdist.cli import main
@@ -81,6 +82,19 @@ class TestEval:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_n_leaves_the_surface_integral_inner_rule_at_its_default(self, monkeypatch, capsys):
+        # --n sets the curve rule; the field inside sphere_to_curve_mean keeps its default 512 nodes
+        inner = []
+
+        def field(curve, points, curve_rule=None):
+            inner.append(curve_rule.n)
+            return np.full(len(points), 0.5 * math.pi)
+
+        monkeypatch.setattr("arcdist.functionals.mean_distance_field", field)
+        code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--n", "1024"], capsys)
+        assert code == 0
+        assert inner and set(inner) == {512}
 
 
 class TestCalibrate:
@@ -214,6 +228,51 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--curve", '{"family":"great_circle"}', "--rule", "simpson"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--curve", '{"family":"great_circle"}'],
+        ["sample", "--curve", '{"family":"great_circle"}', "--n", "4", "--rule", "gauss"],
+        ["sample", "--curve", '{"family":"great_circle"}', "--n", "4", "--tol", "1e-6"],
+        ["sample", "--curve", '{"family":"great_circle"}', "--n", "4", "--seed", "1"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--rule", "gauss"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--n", "64"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--seed", "1"],
+        ["optimize", "--curve", '{"family":"tennis_ball"}'],
+        ["optimize", "--rule", "gauss"],
+        ["optimize", "--n", "64"],
+        ["optimize", "--tol", "1e-6"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--rule", "trapezoid"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--rule", "periodic_trapezoid"],
+        ["verify", "--rule", "trapezoid"],
+        ["verify", "--rule", "periodic_trapezoid"],
+    ],
+    ids=[
+        "verify_curve",
+        "sample_rule",
+        "sample_tol",
+        "sample_seed",
+        "calibrate_rule",
+        "calibrate_n",
+        "calibrate_seed",
+        "optimize_curve",
+        "optimize_rule",
+        "optimize_n",
+        "optimize_tol",
+        "eval_rule_trapezoid",
+        "eval_rule_periodic_trapezoid",
+        "verify_rule_trapezoid",
+        "verify_rule_periodic_trapezoid",
+    ],
+)
+def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
+    # argparse rejects it before any computation starts
+    monkeypatch.setattr("arcdist.cli.run_verification", None)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -54,13 +54,13 @@ class TestConstruction:
 class TestPositions:
     def test_great_circle_anchor_points(self):
         gc = great_circle((0.0, 2.0))
-        assert gc.position(0.0).as_array() == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
-        assert gc.position(0.25).as_array() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+        assert gc.positions([0.0])[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        assert gc.positions([0.25])[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
     def test_seam_start_point(self):
         seam = tennis_ball_seam(0.7037)
         expected = [math.sin(0.7037), 0.0, math.cos(0.7037)]
-        assert seam.position(0.0).as_array() == pytest.approx(expected, abs=1e-12)
+        assert seam.positions([0.0])[0] == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(min_value=-50.0, max_value=50.0))
     @settings(max_examples=60)
@@ -120,16 +120,16 @@ class TestVelocity:
     def test_great_circle_constant_speed(self):
         gc = great_circle((0.0, 2.0))
         for t in (0.0, 0.3, 0.77, 1.9):
-            assert np.linalg.norm(gc.velocity(t)) == pytest.approx(2.0 * math.pi, abs=1e-6)
+            assert np.linalg.norm(gc.velocities([t])[0]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
     def test_latitude_circle_speed_hand_value(self):
         # theta fixed at 1.1, phi = t: speed = |dphi/dt| * sin(theta)
         lat = trig_series(theta0=1.1, phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
-        assert np.linalg.norm(lat.velocity(0.7)) == pytest.approx(math.sin(1.1), abs=1e-6)
+        assert np.linalg.norm(lat.velocities([0.7])[0]) == pytest.approx(math.sin(1.1), abs=1e-6)
 
     def test_equator_half_speed(self):
         flat = trig_series()  # theta = pi/2, phi = t/2
-        assert np.linalg.norm(flat.velocity(2.0)) == pytest.approx(0.5, abs=1e-8)
+        assert np.linalg.norm(flat.velocities([2.0])[0]) == pytest.approx(0.5, abs=1e-8)
 
     def test_seam_speed_hand_value(self):
         # |r'| = sqrt(theta'^2 + sin^2(theta) phi'^2) from the seam's shape functions
@@ -150,7 +150,7 @@ class TestVelocity:
 
         for t0 in (0.0, 1.3, 5.5, 11.0):
             stencil = (-pos(t0 + 2 * h) + 8 * pos(t0 + h) - 8 * pos(t0 - h) + pos(t0 - 2 * h)) / (12 * h)
-            assert np.linalg.norm(seam.velocity(t0)) == pytest.approx(np.linalg.norm(stencil), abs=1e-5)
+            assert np.linalg.norm(seam.velocities([t0])[0]) == pytest.approx(np.linalg.norm(stencil), abs=1e-5)
 
 
 class TestArcLength:
@@ -286,12 +286,49 @@ class TestSimplicity:
         i = np.arange(n - 3)
         assert np.any(ts[i + 3] - ts[i] > 3.0 * period / n)
 
+    def test_slower_than_eps_stretch_is_simple(self):
+        # phi' = 1 + 0.99 cos t > 0, so the curve is injective in longitude;
+        # near t = pi its speed is about 0.0096, and 4 sample spacings there
+        # cover less than eps. Such a pair is no local chord minimum.
+        curve = trig_series(theta_cos=[0.3], phi_sin=[0.99], phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
+        assert is_simple(curve) == (True, None)
+
+    @pytest.mark.parametrize(
+        "shape, scale, crossing",
+        [
+            ([-1.297, -0.1751, 0.1661, 0.4383, 0.1548, 0.0694, -0.1246, 0.5249, -0.5705], 0.6345, (8.43200, 8.92772)),
+            ([-0.8992, -0.0486, 0.168, 0.1971, 0.0155, -0.1258, 0.02, 0.7079, -0.0878], 1.0, (8.20037, 8.85802)),
+        ],
+        ids=["among_94_local_minima", "at_24_degrees"],
+    )
+    def test_crossing_flagged(self, shape, scale, crossing):
+        # Each crossing is the one a 2^18-sample scan finds (chords 7.8e-6 and
+        # 9.6e-6). The first curve has 94 local chord minima. At 24 degrees,
+        # alternating nearest-point moves shrink the chord by only cos^2 of
+        # the angle a round. This family has r(t + 2pi) = r(t) turned by pi
+        # about the z axis, so each crossing has a twin 2pi earlier in t.
+        curve = seam_seeded_family(3).build(np.array(shape), scale)
+        simple, witness = is_simple(curve)
+        assert not simple
+        spacing = FOUR_PI / 4096
+        pair = np.sort(witness) % (2.0 * math.pi)
+        assert pair == pytest.approx(np.array(crossing) - 2.0 * math.pi, abs=2 * spacing)
+        ends = curve.positions(np.array(witness))
+        assert np.linalg.norm(ends[0] - ends[1]) < 1e-4
+
+    def test_refinement_ending_on_its_box_edge_is_no_crossing(self):
+        # Near a cusp (speed about 0.007, the direction turning by 136 degrees)
+        # the chord falls toward the diagonal s1 = s2, and a candidate's
+        # refinement slides to the edges of its box, 3 sample spacings apart
+        # up to rounding and within eps. A 2^18-sample scan finds no crossing.
+        shape = np.array([-0.4317, -0.0606, -0.4787, 0.1756, -0.9337, 0.0409, 0.1858, 1.0343, 0.1199])
+        assert is_simple(seam_seeded_family(3).build(shape, 0.4571)) == (True, None)
+
 
 class TestNearestParameters:
     def test_maximum_outside_the_bracket_ends_at_its_edge(self):
         # The nearest point to r(0.3) on the single great circle lies right of
-        # [0.05, 0.15] and left of [0.45, 0.55], as when is_simple's alternating
-        # refinement meets a loop smaller than its bracket.
+        # [0.05, 0.15] and left of [0.45, 0.55].
         curve = great_circle((0.0, 1.0))
         targets = curve.positions(np.array([0.3, 0.3]))
         t = _nearest_parameters(curve, targets, np.array([0.1, 0.5]), 0.05)

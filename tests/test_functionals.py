@@ -165,7 +165,7 @@ class TestPointToCurveMin:
     def test_point_on_curve(self):
         seam = tennis_ball_seam(0.7037)
         t_star = 3.7
-        p = seam.position(t_star)
+        p = UnitVector.from_array(seam.positions([t_star])[0])
         d, t = point_to_curve_min(seam, p)
         assert d <= 1e-8
         assert min(abs(t - t_star), seam.domain.period - abs(t - t_star)) <= 1e-3

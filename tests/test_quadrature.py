@@ -179,6 +179,13 @@ class TestSphereIntegrate:
                 sphere_integrate(wrong, rule)
 
 
+    def test_trapezoid_rule_raises(self):
+        calls = []
+        with pytest.raises(ValueError, match="periodic_trapezoid"):
+            sphere_integrate(lambda x: calls.append(x) or np.ones(len(x)), QuadratureRule("periodic_trapezoid", 8, 1e-9))
+        assert calls == []
+
+
 class TestGaussNodes:
     @pytest.mark.parametrize("n", [4, 64, 512])
     def test_match_numpy_leggauss(self, n):
