@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, rule_nodes
 from .sphere import angles_to_xyz
@@ -445,22 +444,148 @@ def _closest_parameters(
     return s1, s2, (lo1 < s1) & (s1 < hi1) & (lo2 < s2) & (s2 < hi2)
 
 
-def _close_pairs(pts: np.ndarray, capture: float) -> np.ndarray:
-    """Index pairs (i < j) of closed-curve samples within chordal distance
-    `capture` whose index separation min(j - i, n - (j - i)) exceeds 3, in
-    lexicographic order.
+#: Samples in one arc at the top level of the candidate search
+#: (_chord_candidates) up to 4096 samples; beyond that an arc holds about
+#: sqrt(n) of them, so the top level tests O(n) arc pairs.
+_ARC_SAMPLES = 64
+#: Each level cuts an arc into this many sub-arcs ...
+_SPLIT = 8
+#: ... until an arc holds at most this many samples, whose pairs are
+#: then tested one by one.
+_LEAF_SAMPLES = 16
+#: Sample pairs tested in one batch of leaf arc pairs.
+_LEAF_ENTRIES = 1 << 16
+#: Rounding slack of the arc-ball bound. It only decides which arcs get a
+#: closer look, so it is far above the bound's few-ulp error and far below
+#: any capture radius (>= 2 eps).
+_BOUND_SLACK = 1e-9
+#: A stretch is certified only if its summed turning angle is below pi/2 by
+#: this margin, which covers the arccos error (about 2e-8 a vertex) ...
+_TURN_MARGIN = 1e-3
+#: ... and every segment in it is at least this long. Then the chord to a
+#: nearer sample is shorter by at least |segment|^2 / 2 = 5e-13 in squared
+#: chord, a margin far above the few-ulp error of the dot products that the
+#: four-neighbour test compares, so that test sees the strict inequality.
+_TIE_FREE_SEGMENT = 1e-6
 
-    The separation is compared in integers: a float test on parameter
-    differences admits pairs exactly 3 apart whenever rounding lands them
-    above the threshold.
+
+def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
+    """Index pairs (i < j) of closed-curve samples, in lexicographic order,
+    within chordal distance `capture` and more than 3 indices apart around
+    the curve, among them every such pair that is a discrete local minimum
+    of the chord (see _local_chord_minima).
+
+    The search runs over pairs of arcs of consecutive samples, from a top
+    level of about _ARC_SAMPLES samples an arc down to _LEAF_SAMPLES. A pair
+    of arcs is dropped by one of two rules:
+
+    - Far pair (the arcs neither overlap nor touch). Each arc lies in the
+      ball around its middle sample whose radius is the longer polyline
+      length from there to one of its ends. If the distance of the two
+      centres, less both radii, exceeds `capture`, no sample pair of the
+      arcs is within `capture`.
+    - Near pair (together the arcs make one stretch of consecutive samples).
+      If every two segment directions in the stretch have a positive dot
+      product, which a summed turning angle below pi/2 certifies, then for
+      samples i before j in it the chord to j - 1 is shorter than the chord
+      to j, so no pair in the stretch is a local chord minimum.
+
+    A pair not dropped is cut into pairs of sub-arcs, and at the leaf level
+    its sample pairs are tested one by one. The index separation is
+    compared in integers: a float test on parameter differences admits
+    pairs exactly 3 apart whenever rounding lands them above the threshold.
     """
     n = len(pts)
-    # An unbalanced tree with plain nodes builds and queries fastest here.
-    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-    pairs = tree.query_pairs(r=capture, output_type="ndarray").reshape(-1, 2)
-    gap = pairs[:, 1] - pairs[:, 0]
-    pairs = pairs[np.minimum(gap, n - gap) > 3]
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    seg = np.diff(pts, axis=0, append=pts[:1])
+    length = np.sqrt(np.einsum("ij,ij->i", seg, seg))
+    # Turning angle at each sample k + 1, between segments k and k + 1; a
+    # short segment counts as a half turn, which no stretch can certify.
+    short = length < _TIE_FREE_SEGMENT
+    cos = np.einsum("ij,ij->i", seg, np.roll(seg, -1, axis=0))
+    cos /= np.maximum(length * np.roll(length, -1), _TIE_FREE_SEGMENT**2)
+    turn = np.where(short | np.roll(short, -1), math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
+    # Polyline length and turning summed from sample 0 over two turns of
+    # the curve, so that an arc starting at sample s < n needs no wrap.
+    walked = np.cumsum(np.concatenate([[0.0], length, length]))
+    turned = np.cumsum(np.concatenate([[0.0], turn, turn]))
+
+    def ball(s: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Centres and radii of balls that hold the arcs of `width` samples from s."""
+        mid = s + width // 2
+        radius = np.maximum(walked[mid] - walked[s], walked[s + width - 1] - walked[mid])
+        return np.take(pts, mid % n, axis=0), radius
+
+    # Each level cuts both arcs of every pair left into `split` arcs of one
+    # width (neighbours may overlap) and keeps the pairs of those that no
+    # rule drops. The first level cuts the whole curve, paired with itself.
+    x = y = np.zeros(1, dtype=int)
+    width, split = n, max(4, n // max(_ARC_SAMPLES, math.isqrt(n)))
+    while width > _LEAF_SAMPLES:
+        offsets = np.arange(split) * width // split
+        width = -(-width // split)
+        # An arc paired with itself needs only the pairs of its arcs k <= l.
+        wanted = (x != y)[:, None, None] | (offsets[:, None] <= offsets)
+        x, y = (x[:, None] + offsets) % n, (y[:, None] + offsets) % n
+        (cx, rx), (cy, ry) = ball(x, width), ball(y, width)
+        x, y = x[:, :, None], y[:, None, :]
+        ahead = (y - x) % n
+        steps = np.minimum(ahead, n - ahead)
+        # A near pair's stretch runs from `first` over `span` samples, whose
+        # segments meet at the turns first .. first + span - 3.
+        first = np.where(ahead <= width, x, y)
+        span = np.minimum(steps, width) + width
+        certified = turned[first + span - 2] - turned[first] < 0.5 * math.pi - _TURN_MARGIN
+        # Squared centre distances from the Gram matrix: their rounding is
+        # far below what the slack adds to the squared bound.
+        square_gap = (
+            np.einsum("...k,...k", cx, cx)[:, :, None]
+            + np.einsum("...k,...k", cy, cy)[:, None, :]
+            - 2.0 * np.matmul(cx, cy.transpose(0, 2, 1))
+        )
+        apart = square_gap > (capture + _BOUND_SLACK + rx[:, :, None] + ry[:, None, :]) ** 2
+        k, u, v = np.nonzero(wanted & np.where(steps <= width, ~certified, ~apart))
+        x, y = x[k, u, 0], y[k, 0, v]
+        split = _SPLIT
+
+    grid = np.arange(width)
+    rows_i, rows_j = (x[:, None] + grid) % n, (y[:, None] + grid) % n
+    i, j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    step = max(1, _LEAF_ENTRIES // (width * width))
+    for s in range(0, x.size, step):
+        a, b = rows_i[s : s + step], rows_j[s : s + step]
+        diff = pts[a][:, :, None] - pts[b][:, None, :]
+        k, r, c = np.nonzero((diff * diff).sum(axis=-1) <= capture * capture)
+        i.append(a[k, r])
+        j.append(b[k, c])
+    i, j = np.concatenate(i), np.concatenate(j)
+    steps = np.abs(i - j)
+    keep = np.minimum(steps, n - steps) > 3
+    code = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    return np.stack([code // n, code % n], axis=1)
+
+
+def _local_chord_minima(pts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The pairs (i, j) whose sampled chord is a discrete local minimum over
+    the neighbours (i+-1, j) and (i, j+-1) around the closed curve."""
+    # Samples padded by one at each end: sample k sits at row k + 1, so
+    # rows k and k + 2 are its neighbours around the closed curve.
+    padded = np.concatenate([pts[-1:], pts, pts[:1]])
+    row_i, row_j = pairs[:, 0] + 1, pairs[:, 1] + 1
+    at_i, at_j = padded[row_i], padded[row_j]
+
+    # On the unit sphere the chord falls as the dot product rises, so a
+    # chord minimum over the four neighbours is a dot-product maximum.
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", a, b)
+
+    cos = dot(at_i, at_j)
+    local_min = (
+        (cos >= dot(padded[row_i - 1], at_j))
+        & (cos >= dot(padded[row_i + 1], at_j))
+        & (cos >= dot(at_i, padded[row_j - 1]))
+        & (cos >= dot(at_i, padded[row_j + 1]))
+    )
+    return pairs[local_min]
 
 
 def is_simple(
@@ -472,15 +597,21 @@ def is_simple(
 
     Flags the curve non-simple when it finds two parameters more than 3
     sample spacings apart around the curve within chordal distance eps.
-    Candidates are the sample pairs within twice the longest sample chord
-    whose integer index separation exceeds 3 and whose sampled chord is a
-    discrete local minimum over the neighbours (i+-1, j) and (i, j+-1),
-    taken whether or not a neighbour is itself such a pair. A crossing, a
-    close approach or a tiny loop is such a minimum. A slow stretch of the
-    curve, where samples a few indices apart fall within the capture
-    radius, is not, since its chord falls toward the diagonal (j -> i). A
-    candidate already within eps is decisive (the sampled chord bounds the
-    true minimum from above), and the closest such pair is the witness.
+    Candidates are the sample pairs within the capture radius (twice the
+    longest sample chord, at least 2 eps) whose integer index separation
+    exceeds 3 and whose sampled chord is a discrete local minimum over the
+    neighbours (i+-1, j) and (i, j+-1), taken whether or not a neighbour is
+    itself such a pair. A crossing, a close approach or a tiny loop is such
+    a minimum. A slow stretch of the curve, where samples a few indices
+    apart fall within the capture radius, is not, since its chord falls
+    toward the diagonal (j -> i). The search for them (_chord_candidates)
+    runs over pairs of arcs of consecutive samples, with two rules: a pair
+    of far arcs whose ball bound on the distance exceeds the capture radius
+    holds no candidate, and a stretch whose segment directions have
+    pairwise positive dot products (its summed turning angle is below
+    pi/2) holds no local minimum. A candidate already within eps is
+    decisive (the sampled chord bounds the true minimum from above), and
+    the closest such pair is the witness.
     Otherwise every candidate is refined, all in one batch, to a local
     minimum of the chord within 1.5 sample spacings of each of its
     parameters (_closest_parameters). A refined pair counts only if it
@@ -504,32 +635,10 @@ def is_simple(
     if max_adj < eps and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < eps:
         return False, (dom.t_i, dom.t_i + 0.5 * period)
 
-    pairs = _close_pairs(pts, max(2.0 * max_adj, 2.0 * eps))
+    pairs = _local_chord_minima(pts, _chord_candidates(pts, max(2.0 * max_adj, 2.0 * eps)))
     if pairs.size == 0:
         return True, None
-
-    # Samples padded by one at each end: sample k sits at row k + 1, so
-    # rows k and k + 2 are its neighbours around the closed curve.
-    padded = np.concatenate([pts[-1:], pts, pts[:1]])
-    row_i, row_j = pairs[:, 0] + 1, pairs[:, 1] + 1
-    at_i, at_j = padded[row_i], padded[row_j]
-
-    # On the unit sphere the chord falls as the dot product rises, so a
-    # chord minimum over the four neighbours is a dot-product maximum.
-    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", a, b)
-
-    cos = dot(at_i, at_j)
-    local_min = (
-        (cos >= dot(padded[row_i - 1], at_j))
-        & (cos >= dot(padded[row_i + 1], at_j))
-        & (cos >= dot(at_i, padded[row_j - 1]))
-        & (cos >= dot(at_i, padded[row_j + 1]))
-    )
-    pairs = pairs[local_min]
-    if pairs.size == 0:
-        return True, None
-    chord = np.linalg.norm(at_i[local_min] - at_j[local_min], axis=1)
+    chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     closest = int(np.argmin(chord))
     if chord[closest] < eps:
         return False, (float(ts[pairs[closest, 0]]), float(ts[pairs[closest, 1]]))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from arcdist.curves import (
     from_spec,
     great_circle,
     is_closed,
-    _close_pairs,
+    _chord_candidates,
+    _local_chord_minima,
     _nearest_parameters,
     is_simple,
     tennis_ball_seam,
@@ -279,12 +284,16 @@ class TestSimplicity:
         period = curve.domain.period
         ts = curve.domain.t_i + period * np.arange(n) / n
         pts = curve.positions(ts)
-        pairs = _close_pairs(pts, 0.05)
+        pairs = _chord_candidates(pts, 0.05)
         gap = pairs[:, 1] - pairs[:, 0]
         assert pairs.size and np.all(np.minimum(gap, n - gap) > 3)
         # on this sample grid, some pairs exactly 3 apart pass the float test by rounding
         i = np.arange(n - 3)
-        assert np.any(ts[i + 3] - ts[i] > 3.0 * period / n)
+        rounded = i[ts[i + 3] - ts[i] > 3.0 * period / n]
+        assert rounded.size
+        # and the search reaches some of them: it admits their pairs 4 apart
+        admitted = set((pairs[:, 0] * n + pairs[:, 1]).tolist())
+        assert any(k * n + k + 4 in admitted for k in rounded.tolist())
 
     def test_slower_than_eps_stretch_is_simple(self):
         # phi' = 1 + 0.99 cos t > 0, so the curve is injective in longitude;
@@ -323,6 +332,99 @@ class TestSimplicity:
         # up to rounding and within eps. A 2^18-sample scan finds no crossing.
         shape = np.array([-0.4317, -0.0606, -0.4787, 0.1756, -0.9337, 0.0409, 0.1858, 1.0343, 0.1199])
         assert is_simple(seam_seeded_family(3).build(shape, 0.4571)) == (True, None)
+
+
+def _sweep_shape(seed: int) -> np.ndarray:
+    """The shape of the is_simple verdict sweep (scripts/simple_sweep.py) at a seed from 1000."""
+    x0 = np.array(seam_seeded_family(3).initial_shape)
+    return x0 + 0.1 * (1 + (seed - 1000) % 6) * np.random.default_rng(seed).standard_normal(x0.size)
+
+
+EQUIVALENCE_CURVES = {
+    "doubled_great_circle": lambda: great_circle((0.0, 2.0)),
+    "seam": lambda: tennis_ball_seam(0.7037),
+    "wavy_circle": lambda: wavy_circle(),
+    "slow_stretch": lambda: seam_seeded_family(3).build(np.array(TestSimplicity.SLOW_STRETCH_SHAPE), 1.0),
+    "trochoid_0.99": lambda: trig_series(theta_cos=[0.3], phi_sin=[0.99], phi_slope=1.0, domain=(0.0, 2.0 * math.pi)),
+    "hairpin_tiny_loop": lambda: TestSimplicity._trochoid(1.0005, 0.5)[0],
+    "shallow_3_degree_crossing": lambda: TestSimplicity._trochoid(3.0, 0.1)[0],
+    "among_94_local_minima": lambda: seam_seeded_family(3).build(
+        np.array([-1.297, -0.1751, 0.1661, 0.4383, 0.1548, 0.0694, -0.1246, 0.5249, -0.5705]), 0.6345
+    ),
+    "at_24_degrees": lambda: seam_seeded_family(3).build(
+        np.array([-0.8992, -0.0486, 0.168, 0.1971, 0.0155, -0.1258, 0.02, 0.7079, -0.0878]), 1.0
+    ),
+    "near_cusp": lambda: seam_seeded_family(3).build(
+        np.array([-0.4317, -0.0606, -0.4787, 0.1756, -0.9337, 0.0409, 0.1858, 1.0343, 0.1199]), 0.4571
+    ),
+}
+
+
+class TestChordCandidates:
+    """The arc-bound candidate search keeps every discrete local chord minimum
+    that a plain search over all pairs within the capture radius finds."""
+
+    @staticmethod
+    def _samples(curve, n):
+        pts = curve.positions(curve.domain.t_i + curve.domain.period * np.arange(n) / n)
+        adj = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+        return pts, max(2.0 * float(adj.max()), 2.0e-4)
+
+    @staticmethod
+    def _reference(pts, capture):
+        """All pairs within capture more than 3 apart: every pair at small n, a KD-tree beyond."""
+        n = len(pts)
+        if n <= 128:
+            pairs = np.stack(np.triu_indices(n, 1), axis=1)
+            diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+            pairs = pairs[(diff * diff).sum(axis=1) <= capture * capture]
+        else:
+            from scipy.spatial import cKDTree
+
+            pairs = cKDTree(pts).query_pairs(r=capture, output_type="ndarray").reshape(-1, 2)
+        gap = pairs[:, 1] - pairs[:, 0]
+        pairs = pairs[np.minimum(gap, n - gap) > 3]
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+    def _check(self, curve, n):
+        pts, capture = self._samples(curve, n)
+        reference = self._reference(pts, capture)
+        found = _chord_candidates(pts, capture)
+        # the candidates are pairs of the reference set, in lexicographic order ...
+        codes = found[:, 0] * n + found[:, 1]
+        assert np.all(np.diff(codes) > 0)
+        assert np.all(np.isin(codes, reference[:, 0] * n + reference[:, 1]))
+        # ... and hold all of its local chord minima
+        np.testing.assert_array_equal(_local_chord_minima(pts, found), _local_chord_minima(pts, reference))
+        return found, reference
+
+    @pytest.mark.parametrize("n", [64, 100, 4096, 4097])
+    @pytest.mark.parametrize("name", list(EQUIVALENCE_CURVES))
+    def test_same_local_minima_as_every_pair_within_capture(self, name, n):
+        self._check(EQUIVALENCE_CURVES[name](), n)
+
+    @pytest.mark.parametrize("n", [64, 100, 4096, 4097])
+    def test_same_local_minima_on_sweep_shapes(self, n):
+        family = seam_seeded_family(3)
+        for seed in range(1000, 1040):
+            self._check(family.build(_sweep_shape(seed), 1.0), n)
+
+    def test_seam_stretches_turning_less_than_a_right_angle_hold_no_candidate(self):
+        # Within 0.05 of each other, seam samples lie at most a few dozen
+        # apart along the curve, on stretches that turn by less than pi/2.
+        n = 4096
+        pts, _ = self._samples(tennis_ball_seam(0.7037), n)
+        assert self._reference(pts, 0.05).size > 0
+        assert _chord_candidates(pts, 0.05).size == 0
+
+
+def test_import_leaves_scipy_spatial_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import arcdist, sys; assert 'scipy.spatial' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestNearestParameters:
