@@ -1,15 +1,25 @@
 """Command-line front end: verify, eval, sample, calibrate, optimize.
 
 All angles are radians. Reports are JSON ({config, version, results}),
-curve samples are CSV; identical config and seed give byte-identical
-output files. Exit codes: 0 success, 1 verification row failed, 2 config
+curve samples are CSV; identical settings give byte-identical output
+files. Exit codes: 0 success, 1 verification row failed, 2 config
 error, 3 numerical failure.
+
+A run's settings are one flat dict keyed by the flags' dests: the
+--config file's values overlaid by the flags given, so a flag always
+wins. A key no command takes, or a value of the wrong type, exits 2
+before any computation; a key only another command takes is dropped. A
+command passes the settings it was given, and no others, to the library
+object that owns their defaults (VerifySettings, OptimizerConfig,
+seam_seeded_family, default_curve_rule, default_sphere_rule,
+SearchFamily.calibrate), and a report's config echoes the settings given.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -19,31 +29,21 @@ import numpy as np
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
-from .quadrature import NonFiniteIntegrandError, QuadratureRule, default_curve_rule, refinement_levels
+from .quadrature import NonFiniteIntegrandError, QuadratureRule, default_curve_rule, default_sphere_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
 
-_RULE_ALIASES = {
-    "gauss": "gauss_legendre",
-    "gauss_legendre": "gauss_legendre",
-    "monte_carlo": "monte_carlo",
-}
+RULES = ("gauss_legendre", "monte_carlo")
 
-_CONFIG_KEYS = {"curve", "rule", "optimizer", "points", "out", "seed", "n", "bracket", "tol", "max_evals"}
-_RULE_KEYS = {"rule", "n", "tol", "seed"}
-_OPTIMIZER_KEYS = {"objective", "max_evals", "simplex_scale", "seed", "J"}
+#: eval's seed for its Monte Carlo sphere rule and the mean minimum distance.
+EVAL_SEED = 42
 
-#: Numeric settings and whether each must be an integer.
-_NUMERIC_KEYS = {"n": True, "seed": True, "max_evals": True, "J": True, "tol": False, "simplex_scale": False}
+#: eval's sphere sample count under --rule monte_carlo.
+EVAL_MC_SAMPLES = 20000
 
 
 class ConfigError(ValueError):
     """A run configuration failed validation."""
-
-
-def _or_default(value, default):
-    """`value` unless it was not given; unlike `value or default`, a given 0 is kept."""
-    return default if value is None else value
 
 
 def _validated(make, *args, **kwargs):
@@ -59,12 +59,28 @@ def _is_number(value, integer: bool = False) -> bool:
     return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
 
 
-def _check_numbers(settings: dict) -> None:
-    """Raise ConfigError for a numeric setting given a value of the wrong type."""
-    for key, integer in _NUMERIC_KEYS.items():
-        value = settings.get(key)
-        if value is not None and not _is_number(value, integer):
-            raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+def _is_pair(value) -> bool:
+    """True for a list of two numbers."""
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+_INTEGER = (lambda v: _is_number(v, integer=True), "an integer")
+
+#: Every setting, keyed by its flag's dest, with the test its value must pass and what that asks for.
+_SETTINGS = {
+    "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
+    "rule": (lambda v: v in RULES, f"one of {RULES}"),
+    "n": _INTEGER,
+    "tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "seed": _INTEGER,
+    "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
+    "out": (lambda v: isinstance(v, str), "a path string"),
+    "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
+    "max_evals": _INTEGER,
+    "objective": (lambda v: v in optimize.OBJECTIVES, f"one of {optimize.OBJECTIVES}"),
+    "simplex_scale": (_is_number, "a number"),
+    "J": _INTEGER,
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -78,74 +94,30 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in (("rule", _RULE_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            bad = set(cfg[section]) - allowed
-            if bad:
-                raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
     return cfg
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """File config overlaid by CLI flags; flags win."""
-    cfg = _load_config_file(getattr(args, "config", None))
-    rule_cfg = dict(cfg.get("rule", {}))
-    for key, flag in (("rule", "rule"), ("n", "n"), ("tol", "tol"), ("seed", "seed")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            rule_cfg[key] = val
-    merged = {
-        "curve": cfg.get("curve"),
-        "rule": rule_cfg,
-        "optimizer": dict(cfg.get("optimizer", {})),
-        "points": cfg.get("points", []),
-        "out": cfg.get("out"),
-        "seed": rule_cfg.get("seed", cfg.get("seed", 42)),
-        "n": rule_cfg.get("n", cfg.get("n")),
-        "bracket": cfg.get("bracket"),
-        "tol": rule_cfg.get("tol", cfg.get("tol")),
-        "max_evals": cfg.get("max_evals"),
-    }
-    if getattr(args, "curve", None) is not None:
-        merged["curve"] = args.curve
-    if getattr(args, "out", None) is not None:
-        merged["out"] = args.out
-    if getattr(args, "points", None) is not None:
-        merged["points"] = args.points
-    if getattr(args, "bracket", None) is not None:
-        merged["bracket"] = args.bracket
-    if getattr(args, "max_evals", None) is not None:
-        merged["max_evals"] = args.max_evals
-    for key in ("objective", "simplex_scale", "J"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged["optimizer"][key] = val
-    _check_numbers(merged)
-    _check_numbers(merged["optimizer"])
-    if not (merged["out"] is None or isinstance(merged["out"], str)):
-        raise ConfigError(f"out must be a path string, got {merged['out']!r}")
-    if not isinstance(merged["points"], list):
-        raise ConfigError("points must be a list of [theta0, phi0] pairs")
-    if merged["max_evals"] is not None:
-        merged["optimizer"].setdefault("max_evals", merged["max_evals"])
-    merged["optimizer"].setdefault("seed", merged["seed"])
-    return merged
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file's settings overlaid by the flags given, each checked, less those the command does not take."""
+    settings = _load_config_file(args.config)
+    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    for key, value in settings.items():
+        check, expected = _SETTINGS[key]
+        if not check(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return {k: v for k, v in settings.items() if k in vars(args)}
 
 
-def _rule_kind(cfg: dict) -> str:
-    name = cfg["rule"].get("rule", "gauss_legendre")
-    if not (isinstance(name, str) and name in _RULE_ALIASES):
-        raise ConfigError(f"unknown rule {name!r}; expected one of {sorted(_RULE_ALIASES)}")
-    return _RULE_ALIASES[name]
+def _given(cfg: dict, *keys: str) -> dict:
+    """The settings among keys that were given, as keyword arguments."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _curve_from_config(cfg: dict) -> curves.SphericalCurve:
-    if cfg.get("curve") is None:
+    if "curve" not in cfg:
         raise ConfigError("a curve spec is required (--curve or config 'curve')")
     curve = from_spec(cfg["curve"])
     cfg["curve"] = curves.to_spec(curve)  # echo the normalized spec in reports
@@ -155,7 +127,7 @@ def _curve_from_config(cfg: dict) -> curves.SphericalCurve:
 def _report_envelope(cfg: dict, results: list[dict]) -> dict:
     # the output path is not semantic config; dropping it keeps reports
     # byte-identical for identical runs regardless of destination
-    config = {k: v for k, v in cfg.items() if v not in (None, [], {}) and k != "out"}
+    config = {k: v for k, v in cfg.items() if k != "out"}
     return {"config": config, "version": __version__, "results": results}
 
 
@@ -176,21 +148,14 @@ def _row(name: str, value: float, error: float | None = None, **extra) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    settings = _validated(
-        VerifySettings,
-        rule=_rule_kind(cfg),
-        n=cfg["n"],
-        tol=cfg["tol"],
-        seed=int(cfg["seed"]),
-        max_evals=int(_or_default(cfg["max_evals"], 500)),
-    )
+    cfg = _settings(args)
+    settings = _validated(VerifySettings, **_given(cfg, "rule", "n", "tol", "seed", "max_evals"))
     rows, all_pass = run_verification(settings)
     print(format_table(rows))
-    if cfg["out"]:
+    if "out" in cfg:
         results = []
         for r in rows:
-            item = _row(r.name, r.value, r.error_estimate, paper_value=r.paper_value)
+            item = _row(r.name, r.value, r.error_estimate, paper_value=r.paper_value, tolerance=r.tolerance)
             if r.passed is not None:
                 item["pass"] = bool(r.passed)
             if r.message:
@@ -201,17 +166,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg = _settings(args)
     curve = _curve_from_config(cfg)
-    kind = _rule_kind(cfg)
-    n, tol = cfg["n"], cfg["tol"]
-    if kind == "monte_carlo":
+    seed = cfg.get("seed", EVAL_SEED)
+    if cfg.get("rule") == "monte_carlo":
         # --n selects the MC sample count; curve integrals stay on the default grid
-        crule = _validated(default_curve_rule, tol=_or_default(tol, 1e-9))
-        srule = _validated(QuadratureRule, "monte_carlo", int(_or_default(n, 20000)), 1e-9, seed=int(cfg["seed"]))
+        crule = _validated(default_curve_rule, **_given(cfg, "tol"))
+        srule = _validated(QuadratureRule, "monte_carlo", cfg.get("n", EVAL_MC_SAMPLES), seed=seed)
     else:
-        crule = _validated(default_curve_rule, n=int(_or_default(n, 512)), tol=_or_default(tol, 1e-9))
-        srule = _validated(QuadratureRule, "gauss_legendre", 128, _or_default(tol, 1e-6))
+        crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
+        srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
     _validated(refinement_levels, crule)
 
     results = []
@@ -226,39 +190,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if closed:
         m = functionals.curve_to_sphere_mean_M(curve, crule)
         results.append(_row("curve_to_sphere_mean_M", m.value, m.error_estimate))
-    for pt in cfg["points"]:
-        if not (isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))):
-            raise ConfigError("each entry of 'points' must be [theta0, phi0]")
-        p = SpherePoint(float(pt[0]), float(pt[1]))
+    for theta0, phi0 in cfg.get("points", []):
+        p = SpherePoint(float(theta0), float(phi0))
         res = functionals.point_to_curve_mean(curve, p, crule)
-        results.append(
-            _row(f"point_to_curve_mean[{pt[0]:.6g},{pt[1]:.6g}]", res.value, res.error_estimate)
-        )
+        results.append(_row(f"point_to_curve_mean[{theta0:.6g},{phi0:.6g}]", res.value, res.error_estimate))
         dmin, tmin = functionals.point_to_curve_min(curve, p)
-        results.append(_row(f"point_to_curve_min[{pt[0]:.6g},{pt[1]:.6g}]", dmin, argmin_t=tmin))
+        results.append(_row(f"point_to_curve_min[{theta0:.6g},{phi0:.6g}]", dmin, argmin_t=tmin))
     mt = functionals.sphere_to_curve_mean(curve, srule)
     results.append(_row("sphere_to_curve_mean", mt.value, mt.error_estimate))
     results.append(_row("sphere_to_curve_mean_over_4pi", mt.value / (4 * math.pi), mt.error_estimate / (4 * math.pi)))
-    mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=int(cfg["seed"]))
+    mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=seed)
     results.append(_row("mean_min_arc_distance", mm.value, mm.error_estimate))
-    _write_json(_report_envelope(cfg, results), cfg["out"])
+    _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg = _settings(args)
     curve = _curve_from_config(cfg)
-    n = cfg["n"]
-    if n is None or int(n) < 2:
+    n = cfg.get("n")
+    if n is None or n < 2:
         raise ConfigError("sample requires --n >= 2")
-    n = int(n)
     ts = np.linspace(curve.domain.t_i, curve.domain.t_f, n)
     pts = curve.positions(ts)
     lines = ["t,x,y,z"]
     for t, (x, y, z) in zip(ts, pts):
         lines.append(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}")
     text = "\n".join(lines) + "\n"
-    if cfg["out"]:
+    if "out" in cfg:
         Path(cfg["out"]).write_text(text)
     else:
         sys.stdout.write(text)
@@ -266,22 +225,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    curve = _curve_from_config(cfg)
-    family = optimize.scale_family(curve)
-    bracket = _or_default(cfg["bracket"], family.scale_bracket)
-    if not (
-        isinstance(bracket, (list, tuple))
-        and len(bracket) == 2
-        and all(map(_is_number, bracket))
-        and bracket[0] < bracket[1]
-    ):
-        raise ConfigError("bracket must be [lo, hi] with lo < hi")
-    tol = _or_default(cfg["tol"], 1e-6)
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
-    family = dataclasses.replace(family, scale_bracket=(float(bracket[0]), float(bracket[1])))
-    report = family.calibrate((), tol)
+    cfg = _settings(args)
+    family = optimize.scale_family(_curve_from_config(cfg))
+    if "bracket" in cfg:
+        family = dataclasses.replace(family, scale_bracket=tuple(map(float, cfg["bracket"])))
+    report = family.calibrate((), **_given(cfg, "tol"))
     results = [
         _row("calibrated_parameter", report.parameter, message=optimize.SCALES[family.tag].label),
         _row("arc_length", report.arc_length, report.residual),
@@ -292,21 +240,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     ]
     if report.warning:
         results.append(_row("warning_multiple_sign_changes", 1.0, message=report.warning))
-    _write_json(_report_envelope(cfg, results), cfg["out"])
+    _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    opt = cfg["optimizer"]
-    config = _validated(
-        optimize.OptimizerConfig,
-        objective=opt.get("objective", "sup_dev_from_half_pi"),
-        max_evals=int(opt.get("max_evals", 2000)),
-        simplex_scale=float(opt.get("simplex_scale", 0.1)),
-        seed=int(opt.get("seed", cfg["seed"])),
-    )
-    family = _validated(optimize.seam_seeded_family, int(opt.get("J", 3)))
+    cfg = _settings(args)
+    config = _validated(optimize.OptimizerConfig, **_given(cfg, "objective", "max_evals", "simplex_scale", "seed"))
+    family = _validated(optimize.seam_seeded_family, **_given(cfg, "J"))
     report = optimize.minimize_functional(family, config=config)
     results = [
         _row("best_value", report.best_value),
@@ -319,23 +260,28 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ]
     for i, v in enumerate(report.best_shape):
         results.append(_row(f"best_shape_{i}", v))
-    _write_json(_report_envelope(cfg, results), cfg["out"])
+    _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str, n_help: str | None = None) -> None:
+def _default(func, name: str):
+    """The default of a library function's parameter, for help strings."""
+    return inspect.signature(func).parameters[name].default
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str, n_help: str | None = None, seed: int | None = None) -> None:
     """--config, those of --curve, --rule, --n, --tol and --seed named in flags, and --out."""
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
     if "curve" in flags:
         p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
     if "rule" in flags:
-        p.add_argument("--rule", choices=sorted(_RULE_ALIASES), help="quadrature rule for surface integrals")
+        p.add_argument("--rule", choices=RULES, help="quadrature rule for surface integrals")
     if "n" in flags:
         p.add_argument("--n", type=int, help=n_help)
     if "tol" in flags:
         p.add_argument("--tol", type=float, help="absolute tolerance")
     if "seed" in flags:
-        p.add_argument("--seed", type=int, help="RNG seed (default 42)")
+        p.add_argument("--seed", type=int, help=f"RNG seed (default {seed})")
     p.add_argument("--out", help="output path (JSON report or CSV samples); default stdout")
 
 
@@ -351,15 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full claim verification table")
     _add_common(
         p, "rule", "n", "tol", "seed",
-        n_help="sphere rule n_theta (default 128); with --rule monte_carlo, the sample count (default 20000)",
+        n_help=f"sphere rule n_theta (default {VerifySettings().sphere_rule().n}); with --rule monte_carlo, "
+        f"the sample count (default {VerifySettings(rule='monte_carlo').sphere_rule().n})",
+        seed=VerifySettings.seed,
     )
-    p.add_argument("--max-evals", dest="max_evals", type=int, help="optimizer budget (default 500)")
+    budget = f"optimizer budget (default {VerifySettings.max_evals})"
+    p.add_argument("--max-evals", dest="max_evals", type=int, help=budget)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
         p, "curve", "rule", "n", "tol", "seed",
-        n_help="curve rule nodes (default 512); with --rule monte_carlo, the sphere sample count (default 20000)",
+        n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')}); with --rule monte_carlo, "
+        f"the sphere sample count (default {EVAL_MC_SAMPLES})",
+        seed=EVAL_SEED,
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')
     p.set_defaults(func=cmd_eval)
@@ -374,11 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("optimize", help="minimize a functional over the trig-series family")
-    _add_common(p, "seed")
-    p.add_argument("--objective", choices=optimize.OBJECTIVES)
-    p.add_argument("--max-evals", dest="max_evals", type=int)
-    p.add_argument("--simplex-scale", dest="simplex_scale", type=float)
-    p.add_argument("--J", type=int, help="number of harmonics in the search family")
+    opt = optimize.OptimizerConfig
+    _add_common(p, "seed", seed=opt.seed)
+    p.add_argument("--objective", choices=optimize.OBJECTIVES, help=f"default {opt.objective}")
+    p.add_argument("--max-evals", dest="max_evals", type=int, help=f"evaluation budget (default {opt.max_evals})")
+    p.add_argument(
+        "--simplex-scale", dest="simplex_scale", type=float, help=f"initial simplex size (default {opt.simplex_scale})"
+    )
+    p.add_argument("--J", type=int, help=f"search harmonics (default {_default(optimize.seam_seeded_family, 'J')})")
     p.set_defaults(func=cmd_optimize)
     return parser
 

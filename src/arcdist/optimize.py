@@ -77,13 +77,16 @@ class OptimizationReport:
 #: Arc-length evaluations a warm-started Newton root may spend before bisection takes over.
 NEWTON_MAX_EVALUATIONS = 8
 
+#: Default bound on |arc_length - target| at which a calibration stops.
+CALIBRATION_TOL = 1e-6
+
 
 def calibrate_arc_length(
     make_curve: Callable[[float], SphericalCurve],
     bracket: tuple[float, float],
     family: str = "",
     target: float = FOUR_PI,
-    tol: float = 1e-6,
+    tol: float = CALIBRATION_TOL,
     rule: QuadratureRule | None = None,
     start: float | None = None,
     length_rate: Callable[[SphericalCurve, float, float], float] | None = None,
@@ -238,7 +241,11 @@ class SearchFamily:
     scale_bracket: tuple[float, float]
 
     def calibrate(
-        self, shape: np.ndarray, tol: float, rule: QuadratureRule | None = None, start: float | None = None
+        self,
+        shape: np.ndarray,
+        tol: float = CALIBRATION_TOL,
+        rule: QuadratureRule | None = None,
+        start: float | None = None,
     ) -> CalibrationReport:
         """Root the scale at this shape to arc length 4pi within scale_bracket,
         by Newton from start when one is given (see calibrate_arc_length)."""

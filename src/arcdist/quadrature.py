@@ -159,13 +159,10 @@ def sample_mean(values: np.ndarray, scale: float = 1.0) -> FunctionalResult:
 
 
 def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate an integrand, preferring a vectorized call."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.fromiter((float(f(x)) for x in xs), dtype=float, count=xs.size)
+    """f(xs) as floats, one per node (per row of xs on the sphere), all finite."""
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape[:1]:
+        raise ValueError("integrand must return one value per point")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrandError("integrand returned a non-finite value")
     return vals
@@ -174,6 +171,7 @@ def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
 def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> FunctionalResult:
     """Integrate f over [a, b] under the given rule.
 
+    f receives a 1-D array of nodes and must return one value per node.
     periodic_trapezoid uses equispaced nodes with both endpoints identified
     (exact for the periodic closed-curve integrands used throughout); its
     levels nest, so each doubling evaluates only the new nodes.
@@ -231,17 +229,8 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     if rule.kind == "periodic_trapezoid":
         raise ValueError("sphere_integrate takes a gauss_legendre or monte_carlo rule, not periodic_trapezoid")
     if rule.kind == "monte_carlo":
-        return sample_mean(_eval_points(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
+        return sample_mean(_eval(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
     return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
-
-
-def _eval_points(g: Callable, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(g(points), dtype=float)
-    if vals.shape != points.shape[:1]:
-        raise ValueError("sphere integrand must return one value per point")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrandError("sphere integrand returned a non-finite value")
-    return vals
 
 
 def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
@@ -258,6 +247,6 @@ def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
     np.multiply.outer(st, np.sin(phi), out=points[..., 1])
     points[..., 1] += 0.0  # y is +0.0, never -0.0, on the meridian phi = 0
     points[..., 2] = np.cos(theta)[:, None]
-    vals = _eval_points(g, points.reshape(-1, 3)).reshape(n_theta, n_phi)
+    vals = _eval(g, points.reshape(-1, 3)).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
     return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size

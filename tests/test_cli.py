@@ -1,11 +1,12 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from arcdist.cli import main
-from arcdist.verify import ClaimRow
+from arcdist.cli import _SETTINGS, build_parser, main
+from arcdist.verify import ClaimRow, VerifySettings
 
 
 def run(args, capsys):
@@ -183,12 +184,16 @@ class TestConfigHandling:
         assert code == 2
 
     def test_rule_config_section(self, tmp_path, capsys):
+        # flat rule settings are accepted; sample takes curve and n and drops the settings of other commands
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
                 {
                     "curve": {"family": "great_circle", "domain": [0, 1]},
-                    "rule": {"rule": "trapezoid", "n": 5, "tol": 1e-8, "seed": 42},
+                    "rule": "monte_carlo",
+                    "n": 5,
+                    "tol": 1e-8,
+                    "seed": 42,
                 }
             )
         )
@@ -198,19 +203,55 @@ class TestConfigHandling:
 
     def test_unknown_rule_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rule": {"order": 7}}))
-        code, _, _ = run(["verify", "--config", str(cfg)], capsys)
+        cfg.write_text(json.dumps({"rule": "gauss_legendre", "order": 7}))
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
+        assert "unknown config keys: ['order']" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("verify", {"rule": {"rule": "gauss_legendre", "n": 64}}),
+            ("optimize", {"optimizer": {"max_evals": 3, "seed": 1}}),
+        ],
+        ids=["rule_section", "optimizer_section"],
+    )
+    def test_nested_sections_rejected(self, command, cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("arcdist.cli.run_verification", None)
+        monkeypatch.setattr("arcdist.optimize.minimize_functional", None)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    def test_flags_win_over_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_evals": 3, "seed": 1}))
+        out_path = tmp_path / "opt.json"
+        code, _, _ = run(
+            ["optimize", "--config", str(cfg), "--max-evals", "12", "--seed", "7", "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert report["config"] == {"max_evals": 12, "seed": 7}
+        rows = {r["name"]: r for r in report["results"]}
+        assert rows["evaluations"]["value"] == 12.0
+
+    def test_config_keys_are_the_flag_dests(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subparsers.choices.values() for a in p._actions} - {"help", "config"}
+        assert dests == set(_SETTINGS)
 
     @pytest.mark.parametrize(
         "command, cfg",
         [
             ("eval", {"n": "abc", "curve": {"family": "great_circle"}}),
-            ("eval", {"rule": {"tol": "small"}, "curve": {"family": "great_circle"}}),
-            ("eval", {"rule": {"rule": ["gauss"]}, "curve": {"family": "great_circle"}}),
+            ("eval", {"tol": "small", "curve": {"family": "great_circle"}}),
+            ("eval", {"rule": ["gauss_legendre"], "curve": {"family": "great_circle"}}),
             ("eval", {"points": [["north", 1]], "curve": {"family": "great_circle"}}),
-            ("optimize", {"optimizer": {"max_evals": "30"}}),
-            ("optimize", {"optimizer": {"simplex_scale": [0.1]}}),
+            ("optimize", {"max_evals": "30"}),
+            ("optimize", {"simplex_scale": [0.1]}),
             ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
         ],
         ids=["n_string", "tol_string", "rule_list", "point_string", "max_evals_string", "simplex_scale_list",
@@ -223,10 +264,11 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("config error:")
 
-    def test_unknown_rule_rejected(self):
-        # argparse choices reject unknown rules at the flag level
+    @pytest.mark.parametrize("rule", ["simpson", "gauss"])
+    def test_unknown_rule_rejected(self, rule):
+        # argparse choices reject unknown rules, and the old alias gauss, at the flag level
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--curve", '{"family":"great_circle"}', "--rule", "simpson"])
+            main(["eval", "--curve", '{"family":"great_circle"}', "--rule", rule])
         assert exc.value.code == 2
 
 
@@ -327,6 +369,19 @@ def test_rule_over_the_node_cap_is_config_error(args, stub, capsys, monkeypatch)
     assert "above the cap" in err
 
 
+@pytest.mark.parametrize(
+    "points", ['[["north", 1]]', "[[0, 1, 2]]", '{"theta": 0}', "[[0, true]]"], ids=["string", "triple", "object", "bool"]
+)
+def test_bad_point_is_config_error_before_computation(points, capsys, monkeypatch):
+    def must_not_run(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr("arcdist.curves.arc_length", must_not_run)
+    code, _, err = run(["eval", "--curve", '{"family":"great_circle"}', "--points", points], capsys)
+    assert code == 2
+    assert err.startswith("config error: points must be")
+
+
 class TestVerifyGlue:
     """Exit-code and report plumbing, with the expensive table stubbed out."""
 
@@ -339,6 +394,7 @@ class TestVerifyGlue:
         ]
 
         def fake(settings):
+            assert settings == VerifySettings(seed=3)  # the seed given; the library's defaults for the rest
             return rows, all(r.passed for r in rows if r.passed is not None)
 
         monkeypatch.setattr("arcdist.cli.run_verification", fake)
@@ -346,12 +402,16 @@ class TestVerifyGlue:
 
     def test_exit_1_iff_any_row_fails(self, fake_rows, tmp_path, capsys):
         out_path = tmp_path / "verify.json"
-        code, out, _ = run(["verify", "--out", str(out_path)], capsys)
+        code, out, _ = run(["verify", "--seed", "3", "--out", str(out_path)], capsys)
         assert code == 1
         assert "FAIL" in out and "PASS" in out and "why it failed" in out
         report = json.loads(out_path.read_text())
         by_name = {r["name"]: r for r in report["results"]}
         assert by_name["a"]["pass"] is True
+        assert by_name["a"]["tolerance"] == 0.1
+        assert by_name["b"]["tolerance"] == 0.1
+        assert "tolerance" not in by_name["c"]
+        assert report["config"] == {"seed": 3}
         assert by_name["b"]["pass"] is False
         assert by_name["b"]["message"] == "why it failed"
         assert "pass" not in by_name["c"]  # informational row

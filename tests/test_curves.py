@@ -419,10 +419,14 @@ class TestChordCandidates:
 
 
 def test_import_leaves_scipy_spatial_out():
+    # the CLI, which imports verify, loads neither scipy.spatial nor scipy.stats (which would load it)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = "import arcdist, sys; assert 'scipy.spatial' not in sys.modules"
+    code = (
+        "import arcdist, sys; assert 'scipy.spatial' not in sys.modules; "
+        "import arcdist.cli; assert not {'scipy.spatial', 'scipy.stats'} & set(sys.modules), sorted(sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -102,9 +102,13 @@ class TestIntegrate1D:
         assert errs[1] < errs[0] / 4.0
         assert errs[2] < errs[1] / 4.0 or errs[2] < 1e-13
 
-    def test_scalar_integrand_fallback(self):
-        res = integrate_1d(lambda t: math.sin(t) ** 2, 0.0, TWO_PI, QuadratureRule("periodic_trapezoid", 64, 1e-10))
-        assert res.value == pytest.approx(math.pi, abs=1e-12)
+    @pytest.mark.parametrize("kind", ["periodic_trapezoid", "gauss_legendre", "monte_carlo"])
+    def test_integrand_of_the_wrong_shape_raises(self, kind):
+        # integrands are called on the array of nodes; a scalar-only one is not evaluated node by node
+        rule = QuadratureRule(kind, 8, 1e-9)
+        for wrong in (lambda t: np.ones((len(t), 1)), lambda t: np.ones(2 * len(t)), lambda t: math.sin(t[0])):
+            with pytest.raises(ValueError, match="one value per point"):
+                integrate_1d(wrong, 0.0, TWO_PI, rule)
 
     def test_monte_carlo_stream_matches_seed(self):
         rule = QuadratureRule("monte_carlo", 5000, 1e-9, seed=3)
