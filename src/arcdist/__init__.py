@@ -49,13 +49,6 @@ from .quadrature import (
     integrate_1d,
     sphere_integrate,
 )
-from .sphere import (
-    SpherePoint,
-    UnitVector,
-    cartesian_to_spherical,
-    geodesic_distance,
-    spherical_to_cartesian,
-    uniform_sphere_sample,
-)
+from .sphere import SpherePoint, geodesic_distance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -155,7 +155,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "out" in cfg:
         results = []
         for r in rows:
-            item = _row(r.name, r.value, r.error_estimate, paper_value=r.paper_value, tolerance=r.tolerance)
+            item = _row(
+                r.name, r.value, r.error_estimate, paper_value=r.paper_value, tolerance=r.tolerance, warning=r.warning
+            )
             if r.passed is not None:
                 item["pass"] = bool(r.passed)
             if r.message:
@@ -269,7 +271,13 @@ def _default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str, n_help: str | None = None, seed: int | None = None) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    *flags: str,
+    n_help: str | None = None,
+    tol_help: str = "absolute tolerance",
+    seed: int | None = None,
+) -> None:
     """--config, those of --curve, --rule, --n, --tol and --seed named in flags, and --out."""
     p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
     if "curve" in flags:
@@ -279,7 +287,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, n_help: str | None = No
     if "n" in flags:
         p.add_argument("--n", type=int, help=n_help)
     if "tol" in flags:
-        p.add_argument("--tol", type=float, help="absolute tolerance")
+        p.add_argument("--tol", type=float, help=tol_help)
     if "seed" in flags:
         p.add_argument("--seed", type=int, help=f"RNG seed (default {seed})")
     p.add_argument("--out", help="output path (JSON report or CSV samples); default stdout")
@@ -299,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         p, "rule", "n", "tol", "seed",
         n_help=f"sphere rule n_theta (default {VerifySettings().sphere_rule().n}); with --rule monte_carlo, "
         f"the sample count (default {VerifySettings(rule='monte_carlo').sphere_rule().n})",
+        tol_help=f"absolute tolerance of every Gauss surface integral in the table (default "
+        f"{VerifySettings().sphere_rule().tol:g}; {functionals.SPHERE_TO_CURVE_TOL:g} for the sphere-to-curve means "
+        "of rows 7 and 8)",
         seed=VerifySettings.seed,
     )
     budget = f"optimizer budget (default {VerifySettings.max_evals})"

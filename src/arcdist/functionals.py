@@ -29,6 +29,9 @@ from .sphere import SpherePoint, as_unit_xyz, fibonacci_sphere_points, uniform_u
 FOUR_PI = 4.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
+#: Tolerance of sphere_to_curve_mean's default sphere rule.
+SPHERE_TO_CURVE_TOL = 1e-6
+
 # Most entries in one block of points x curve nodes (_by_rows). At 2^16 a
 # block matrix is 512 KiB, so the two or three a reduce makes stay in a 2 MiB
 # L2 cache, and OpenBLAS runs the 3-wide product on one thread. A sweep on a
@@ -182,7 +185,7 @@ def sphere_to_curve_mean(
     error estimate reflects refinement of the outer surface integral at
     fixed inner resolution.
     """
-    sphere_rule = sphere_rule or default_sphere_rule(tol=1e-6)
+    sphere_rule = sphere_rule or default_sphere_rule(tol=SPHERE_TO_CURVE_TOL)
     curve_rule = curve_rule or default_curve_rule()
 
     return sphere_integrate(lambda x: mean_distance_field(curve, x, curve_rule), sphere_rule)

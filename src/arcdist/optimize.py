@@ -36,7 +36,7 @@ DIAMETER_TOL = 1e-6
 
 
 class NoBracketError(ValueError):
-    """The pre-scan found no sign change of arc_length - target in the bracket."""
+    """The pre-scan found no sign change of arc_length - 4pi in the bracket."""
 
 
 class CalibrationFailedError(RuntimeError):
@@ -45,7 +45,7 @@ class CalibrationFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Outcome of rooting a family's scale parameter to a target arc length."""
+    """Outcome of rooting a family's scale parameter to arc length 4pi."""
 
     family: str
     parameter: float
@@ -77,32 +77,34 @@ class OptimizationReport:
 #: Arc-length evaluations a warm-started Newton root may spend before bisection takes over.
 NEWTON_MAX_EVALUATIONS = 8
 
-#: Default bound on |arc_length - target| at which a calibration stops.
+#: Default bound on |arc_length - 4pi| at which a calibration stops.
 CALIBRATION_TOL = 1e-6
+
+#: Bound on |arc_length - 4pi| to which the search calibrates each candidate.
+CONSTRAINT_TOL = 1e-10
 
 
 def calibrate_arc_length(
     make_curve: Callable[[float], SphericalCurve],
     bracket: tuple[float, float],
     family: str = "",
-    target: float = FOUR_PI,
     tol: float = CALIBRATION_TOL,
     rule: QuadratureRule | None = None,
     start: float | None = None,
     length_rate: Callable[[SphericalCurve, float, float], float] | None = None,
 ) -> CalibrationReport:
-    """Root the scale parameter p until |arc_length - target| <= tol.
+    """Root the scale parameter p until |arc_length - 4pi| <= tol.
 
     With a start inside the bracket and length_rate(curve, p, length),
     the closed-form dL/dp, Newton steps run from the start. Each step must
-    stay inside the bracket and at least halve |L - target|, for at most
+    stay inside the bracket and at least halve |L - 4pi|, for at most
     NEWTON_MAX_EVALUATIONS arc lengths; the report then carries the
     bracket as given and counts those arc lengths as its iterations. A
     warm start finds the root that Newton reaches from it and skips the
     sign-change survey below.
 
     Otherwise, or when Newton fails, the bracket is pre-scanned at 32
-    points to locate a sign change of arc_length(p) - target;
+    points to locate a sign change of arc_length(p) - 4pi;
     NoBracketError if there is none. With multiple sign changes the
     subinterval whose midpoint is closest to the bracket midpoint is used
     and the report is flagged (non-monotone length). Bisection then
@@ -114,37 +116,37 @@ def calibrate_arc_length(
         raise ValueError("bracket must satisfy lo < hi")
 
     def g(p: float) -> float:
-        return arc_length(make_curve(p), rule).value - target
+        return arc_length(make_curve(p), rule).value - FOUR_PI
 
     if start is not None and length_rate is not None and lo <= start <= hi:
         p = float(start)
         curve = make_curve(p)
         length = arc_length(curve, rule).value
         evaluations = 1
-        while abs(length - target) > tol and evaluations < NEWTON_MAX_EVALUATIONS:
-            resid = length - target
+        while abs(length - FOUR_PI) > tol and evaluations < NEWTON_MAX_EVALUATIONS:
+            resid = length - FOUR_PI
             p = p - resid / length_rate(curve, p, length)
             if not lo <= p <= hi:  # also catches a NaN step
                 break
             curve = make_curve(p)
             length = arc_length(curve, rule).value
             evaluations += 1
-            if not abs(length - target) <= 0.5 * abs(resid):
+            if not abs(length - FOUR_PI) <= 0.5 * abs(resid):
                 break
-        if abs(length - target) <= tol:
-            return CalibrationReport(family, p, length, abs(length - target), evaluations, (lo, hi))
+        if abs(length - FOUR_PI) <= tol:
+            return CalibrationReport(family, p, length, abs(length - FOUR_PI), evaluations, (lo, hi))
 
     scan = np.linspace(lo, hi, 32)
     gvals = np.array([g(p) for p in scan])
     exact = np.nonzero(gvals == 0.0)[0]
     if exact.size:
         p = float(scan[exact[0]])
-        return CalibrationReport(family, p, target, 0.0, 0, (lo, hi))
+        return CalibrationReport(family, p, FOUR_PI, 0.0, 0, (lo, hi))
 
     changes = np.nonzero(np.sign(gvals[:-1]) != np.sign(gvals[1:]))[0]
     if changes.size == 0:
         raise NoBracketError(
-            f"arc_length - {target:.6g} has no sign change on [{lo}, {hi}] "
+            f"arc_length - {FOUR_PI:.6g} has no sign change on [{lo}, {hi}] "
             f"(range [{gvals.min():.4g}, {gvals.max():.4g}])"
         )
     warning = None
@@ -164,13 +166,13 @@ def calibrate_arc_length(
         fm = g(mid)
         iterations += 1
         if abs(fm) <= tol:
-            return CalibrationReport(family, mid, fm + target, abs(fm), iterations, sub_bracket, warning)
+            return CalibrationReport(family, mid, fm + FOUR_PI, abs(fm), iterations, sub_bracket, warning)
         if math.copysign(1.0, fm) == math.copysign(1.0, fa):
             a, fa = mid, fm
         else:
             b = mid
     raise CalibrationFailedError(
-        f"bisection exhausted 200 iterations without reaching |L - target| <= {tol}"
+        f"bisection exhausted 200 iterations without reaching |L - 4pi| <= {tol}"
     )
 
 
@@ -266,11 +268,7 @@ def scale_family(curve: SphericalCurve) -> SearchFamily:
     return SearchFamily(curve.family, (), lambda shape, p: scale.rebuild(curve, p), scale.bracket)
 
 
-def trig_series_family(
-    J: int = 3,
-    initial_shape: Sequence[float] | None = None,
-    scale_bracket: tuple[float, float] = SCALES[curves.TRIG_SERIES].bracket,
-) -> SearchFamily:
+def trig_series_family(J: int = 3, initial_shape: Sequence[float] | None = None) -> SearchFamily:
     """Search family over trig-series shapes with an amplitude scale.
 
     Shape layout: [a_1..a_J, b_1..b_J, c_1..c_J] for
@@ -294,10 +292,10 @@ def trig_series_family(
             amplitude=scale,
         )
 
-    return SearchFamily(curves.TRIG_SERIES, initial_shape, build, scale_bracket)
+    return SearchFamily(curves.TRIG_SERIES, initial_shape, build, SCALES[curves.TRIG_SERIES].bracket)
 
 
-def seam_seeded_family(J: int = 3, a: float = 0.7037) -> SearchFamily:
+def seam_seeded_family(J: int = 3, a: float = curves.TENNIS_BALL_A) -> SearchFamily:
     """Trig-series family seeded at the tennis ball seam shape.
 
     The seam embeds as a_1 = -(pi/2 - a), c_2 = a with unit amplitude.
@@ -315,7 +313,6 @@ class OptimizerConfig:
     objective: str = "sup_dev_from_half_pi"
     max_evals: int = 2000
     simplex_scale: float = 0.1
-    constraint_tol: float = 1e-10
     seed: int = 42
     design_size: int = 122
 
@@ -347,7 +344,7 @@ def make_candidate_evaluator(
 
     The evaluator keeps the last calibrated scale and warm-starts the next
     calibration from it, so a candidate's scale depends, within
-    constraint_tol, on the candidates before it. The first call, and any
+    CONSTRAINT_TOL, on the candidates before it. The first call, and any
     whose Newton steps fail, roots by pre-scan and bisection. A fresh
     evaluator given the same shapes in the same order returns the same
     values.
@@ -361,7 +358,7 @@ def make_candidate_evaluator(
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale
         try:
-            cal = family.calibrate(shape, config.constraint_tol, rule, start=last_scale)
+            cal = family.calibrate(shape, CONSTRAINT_TOL, rule, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         last_scale = cal.parameter
@@ -423,7 +420,7 @@ def minimize_functional(
     f0 = run_eval(x0)
     if not math.isfinite(f0):
         try:
-            family.calibrate(x0, config.constraint_tol)
+            family.calibrate(x0, CONSTRAINT_TOL)
         except (NoBracketError, CalibrationFailedError) as exc:
             raise CalibrationFailedError(f"calibration failed at the initial point: {exc}") from exc
         raise ValueError("initial point is infeasible (curve not closed and simple)")

@@ -34,45 +34,6 @@ class SpherePoint:
         object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class UnitVector:
-    """Cartesian point on the unit sphere; normalized at construction."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if not math.isfinite(norm) or norm == 0.0:
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        object.__setattr__(self, "x", x / norm)
-        object.__setattr__(self, "y", y / norm)
-        object.__setattr__(self, "z", z / norm)
-
-    @classmethod
-    def from_array(cls, v: np.ndarray) -> "UnitVector":
-        v = np.asarray(v, dtype=float)
-        return cls(v[0], v[1], v[2])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def spherical_to_cartesian(p: SpherePoint) -> UnitVector:
-    """Convert colatitude/longitude to a Cartesian unit vector."""
-    st = math.sin(p.theta)
-    return UnitVector(st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta))
-
-
-def cartesian_to_spherical(u: UnitVector) -> SpherePoint:
-    """Inverse of spherical_to_cartesian; phi is degenerate at the poles."""
-    theta = math.acos(min(1.0, max(-1.0, u.z)))
-    phi = math.atan2(u.y, u.x)
-    return SpherePoint(theta, phi)
-
-
 def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Vectorized (theta, phi) -> (..., 3) Cartesian points."""
     theta = np.asarray(theta, dtype=float)
@@ -83,9 +44,7 @@ def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def as_unit_xyz(v) -> np.ndarray:
-    """A UnitVector, SpherePoint or unit 3-vector (norm within 1e-6, else ValueError) as an array."""
-    if isinstance(v, UnitVector):
-        return v.as_array()
+    """A SpherePoint or unit 3-vector (norm within 1e-6, else ValueError) as an array."""
     if isinstance(v, SpherePoint):
         return angles_to_xyz(v.theta, v.phi)
     v = np.asarray(v, dtype=float)
@@ -97,7 +56,7 @@ def as_unit_xyz(v) -> np.ndarray:
 def geodesic_distance(u, v) -> float:
     """Great-circle distance in radians, in [0, pi].
 
-    Accepts UnitVector or any length-3 array-like; inputs must be unit
+    Accepts SpherePoints or length-3 array-likes; arrays must be unit
     vectors (norm within 1e-6). The dot product is clamped to [-1, 1]
     before arccos so coincident/antipodal round-off cannot produce NaN.
     """
@@ -114,14 +73,8 @@ def sample_sphere_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(z), phi
 
 
-def uniform_sphere_sample(seed: int, n: int) -> list[SpherePoint]:
-    """Deterministic area-uniform sample of n points for a fixed seed."""
-    theta, phi = sample_sphere_angles(seed, n)
-    return [SpherePoint(t, p) for t, p in zip(theta, phi)]
-
-
 def uniform_unit_vectors(seed: int, n: int) -> np.ndarray:
-    """Same sample stream as uniform_sphere_sample, as an (n, 3) array."""
+    """The area-uniform points of sample_sphere_angles(seed, n) as an (n, 3) array."""
     theta, phi = sample_sphere_angles(seed, n)
     return angles_to_xyz(theta, phi)
 

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from arcdist import verify
-from arcdist.quadrature import FunctionalResult
+from arcdist.quadrature import FunctionalResult, default_sphere_rule
 from arcdist.verify import (
     SEAM_A_REF,
     WAVY_B_REF,
@@ -45,6 +45,12 @@ def ctx() -> VerifyContext:
     return VerifyContext(VerifySettings())
 
 
+@pytest.fixture(scope="session")
+def table(ctx) -> dict:
+    """Each criterion's rows, from one pass over verify.CRITERIA."""
+    return {criterion: criterion(ctx) for criterion in verify.CRITERIA}
+
+
 def _report(rows: list[ClaimRow]) -> None:
     for r in rows:
         status = "INFO" if r.passed is None else ("PASS" if r.passed else "FAIL")
@@ -55,24 +61,24 @@ def _report(rows: list[ClaimRow]) -> None:
     assert not failed, "; ".join(f"{r.name}: value={r.value!r} ({r.message})" for r in failed)
 
 
-def test_criterion_1_point_to_sphere_constant(ctx):
-    _report(criterion_1_point_to_sphere(ctx))
+def test_criterion_1_point_to_sphere_constant(table):
+    _report(table[criterion_1_point_to_sphere])
 
 
-def test_criterion_2_arcsin_identity(ctx):
-    _report(criterion_2_arcsin_identity(ctx))
+def test_criterion_2_arcsin_identity(table):
+    _report(table[criterion_2_arcsin_identity])
 
 
-def test_criterion_3_seam_curve_to_sphere_mean(ctx):
-    _report(criterion_3_seam_M(ctx))
+def test_criterion_3_seam_curve_to_sphere_mean(table):
+    _report(table[criterion_3_seam_M])
 
 
-def test_criterion_4_great_circle_mean_field(ctx):
-    _report(criterion_4_great_circle_field(ctx))
+def test_criterion_4_great_circle_mean_field(table):
+    _report(table[criterion_4_great_circle_field])
 
 
-def test_criterion_5_wavy_counterexample_value(ctx):
-    _report(criterion_5_wavy_pole_value(ctx))
+def test_criterion_5_wavy_counterexample_value(table):
+    _report(table[criterion_5_wavy_pole_value])
 
 
 def test_criterion_6_seam_amplitude(ctx):
@@ -97,15 +103,15 @@ def test_criterion_6_wavy_amplitude(ctx):
     )
 
 
-def test_criterion_7_seam_sphere_to_curve_mean(ctx):
-    _report(criterion_7_seam_sphere_mean(ctx))
+def test_criterion_7_seam_sphere_to_curve_mean(table):
+    _report(table[criterion_7_seam_sphere_mean])
 
 
-def test_criterion_8_wavy_excess(ctx):
+def test_criterion_8_wavy_excess(table):
     # Kept faithful and therefore red: the sphere-to-curve mean is the
     # curve-independent constant 2 pi^2 (Fubini), so the strict excess
     # demanded here is mathematically impossible.
-    _report(criterion_8_wavy_excess(ctx))
+    _report(table[criterion_8_wavy_excess])
 
 
 @pytest.mark.parametrize(
@@ -122,20 +128,76 @@ def test_criterion_8_threshold_clears_rounding(monkeypatch, excess, passed):
     assert row.passed is passed
 
 
-def test_criterion_9_simplicity(ctx):
-    _report(criterion_9_simplicity(ctx))
+def test_criterion_9_simplicity(table):
+    _report(table[criterion_9_simplicity])
 
 
-def test_criterion_10_stationarity_grid(ctx):
-    _report(criterion_10_el_grid(ctx))
+def test_criterion_10_stationarity_grid(table):
+    _report(table[criterion_10_el_grid])
 
 
-def test_criterion_11_property_suite(ctx):
-    _report(criterion_11_properties(ctx))
+def test_criterion_11_property_suite(table):
+    _report(table[criterion_11_properties])
 
 
-def test_criterion_12_optimizer_sanity(ctx):
-    _report(criterion_12_optimizer(ctx))
+def test_criterion_12_optimizer_sanity(table):
+    _report(table[criterion_12_optimizer])
+
+
+def test_table_rows_in_order(table):
+    assert [r.name for rows in table.values() for r in rows] == [
+        "1. point-to-sphere mean (worst of 100)",
+        "2. arcsin identity residual (worst of 20)",
+        "3. seam curve-to-sphere mean M",
+        "4. great-circle mean distance (worst of 50)",
+        "5. wavy-circle mean distance at pole point",
+        "6a. seam amplitude root of L - 4pi",
+        "6b. wavy amplitude root of L - 4pi",
+        "7. seam sphere-to-curve mean",
+        "7i. seam sup |mean distance - pi/2| (122-design)",
+        "8. wavy sphere-to-curve mean excess over 2pi^2",
+        "9a. doubled great circle flagged non-simple",
+        "9b. seam flagged simple",
+        "9c. single-traversal great circle flagged simple",
+        "10. stationarity residuals on the discrete grid",
+        "11a. rotation invariance (max violation ratio)",
+        "11b. max(min - mean) over 200 pairs",
+        "11c. MC error shrink factor for 4x samples",
+        "11d. great-circle mean minimum distance",
+        "11i. seam mean minimum distance",
+        "12a. optimizer best-so-far trace non-increasing",
+        "12b. max |arc length - 4pi| over feasible iterates",
+        "12c. doubled great circle rejected as infeasible",
+    ]
+
+
+@pytest.mark.parametrize(
+    "criterion, functional, default_tol",
+    [
+        (criterion_1_point_to_sphere, "mean_point_to_sphere", 1e-7),
+        (criterion_2_arcsin_identity, "arcsin_identity_residual", 1e-7),
+        (criterion_7_seam_sphere_mean, "sphere_to_curve_mean", 1e-6),
+        (criterion_8_wavy_excess, "sphere_to_curve_mean", 1e-6),
+    ],
+    ids=["1", "2", "7", "8"],
+)
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["default_tol", "tol_given"])
+def test_tol_reaches_the_criterion_sphere_rules(monkeypatch, criterion, functional, default_tol, tol):
+    # a given tol replaces every criterion's default; unset, each keeps its library default
+    rules = []
+
+    def record(_, rule):
+        rules.append(rule)
+        return FunctionalResult(0.0, 0.0, 1)
+
+    monkeypatch.setattr(verify.functionals, functional, record)
+    monkeypatch.setattr(verify.functionals, "sup_deviation_from_half_pi", lambda curve: (0.0, None))
+    criterion(SimpleNamespace(settings=VerifySettings(tol=tol), seam=None, wavy=None))
+    assert rules and {r.tol for r in rules} == {default_tol if tol is None else tol}
+
+
+def test_default_sphere_rule_is_the_library_default():
+    assert VerifySettings().sphere_rule() == default_sphere_rule()
 
 
 def test_monte_carlo_mode_with_looser_tolerances_passes():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from arcdist import verify
 from arcdist.cli import _SETTINGS, build_parser, main
+from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult
 from arcdist.verify import ClaimRow, VerifySettings
 
 
@@ -415,9 +417,23 @@ class TestVerifyGlue:
         assert by_name["b"]["pass"] is False
         assert by_name["b"]["message"] == "why it failed"
         assert "pass" not in by_name["c"]  # informational row
+        assert not any("warning" in row for row in report["results"])
 
     def test_exit_0_when_all_pass(self, monkeypatch, capsys):
         rows = [ClaimRow("a", 1.0, tolerance=0.1, passed=True)]
         monkeypatch.setattr("arcdist.cli.run_verification", lambda settings: (rows, True))
         code, _, _ = run(["verify"], capsys)
         assert code == 0
+
+
+def test_verify_row_carries_its_integral_warning(monkeypatch, tmp_path, capsys):
+    # row 1 alone, over integrals that stopped at the node cap: its JSON row and its table line say so
+    capped = FunctionalResult(0.5 * math.pi, 0.0, 1, warning=TOLERANCE_NOT_REACHED)
+    monkeypatch.setattr(verify.functionals, "mean_point_to_sphere", lambda q, rule: capped)
+    monkeypatch.setattr(verify, "CRITERIA", (verify.criterion_1_point_to_sphere,))
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run(["verify", "--out", str(out_path)], capsys)
+    (row,) = json.loads(out_path.read_text())["results"]
+    assert row["name"].startswith("1. ") and row["warning"] == TOLERANCE_NOT_REACHED
+    assert f"note: {TOLERANCE_NOT_REACHED}" in out
+    assert code == 0

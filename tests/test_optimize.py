@@ -8,6 +8,7 @@ from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam
 from arcdist.functionals import sphere_to_curve_mean
 from arcdist import curves
 from arcdist.optimize import (
+    CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
     SCALES,
@@ -171,7 +172,7 @@ class TestMinimizeFunctional:
         assert report.max_constraint_residual <= 1e-4
         assert report.constraint_residual <= 1e-4
         # warm-started Newton holds every feasible iterate to the default 1e-10
-        assert report.max_constraint_residual <= OptimizerConfig().constraint_tol == 1e-10
+        assert report.max_constraint_residual <= CONSTRAINT_TOL == 1e-10
 
     def test_degenerate_family_single_evaluation(self):
         report = minimize_functional(scale_family(wavy_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
