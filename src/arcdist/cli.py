@@ -29,7 +29,14 @@ import numpy as np
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
-from .quadrature import NonFiniteIntegrandError, QuadratureRule, default_curve_rule, default_sphere_rule, refinement_levels
+from .quadrature import (
+    MC_SAMPLES,
+    NonFiniteIntegrandError,
+    QuadratureRule,
+    default_curve_rule,
+    default_sphere_rule,
+    refinement_levels,
+)
 from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
 
@@ -37,9 +44,6 @@ RULES = ("gauss_legendre", "monte_carlo")
 
 #: eval's seed for its Monte Carlo sphere rule and the mean minimum distance.
 EVAL_SEED = 42
-
-#: eval's sphere sample count under --rule monte_carlo.
-EVAL_MC_SAMPLES = 20000
 
 
 class ConfigError(ValueError):
@@ -174,7 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if cfg.get("rule") == "monte_carlo":
         # --n selects the MC sample count; curve integrals stay on the default grid
         crule = _validated(default_curve_rule, **_given(cfg, "tol"))
-        srule = _validated(QuadratureRule, "monte_carlo", cfg.get("n", EVAL_MC_SAMPLES), seed=seed)
+        srule = _validated(QuadratureRule, "monte_carlo", cfg.get("n", MC_SAMPLES), seed=seed)
     else:
         crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
         srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p, "curve", "rule", "n", "tol", "seed",
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')}); with --rule monte_carlo, "
-        f"the sphere sample count (default {EVAL_MC_SAMPLES})",
+        f"the sphere sample count (default {MC_SAMPLES})",
         seed=EVAL_SEED,
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')

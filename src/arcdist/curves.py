@@ -469,6 +469,29 @@ _TURN_MARGIN = 1e-3
 _TIE_FREE_SEGMENT = 1e-6
 
 
+def _arc_balls(pts: np.ndarray, length: np.ndarray):
+    """ball(s, width): centres and radii of balls that hold the arcs of
+    `width` consecutive samples from sample s (arrays or scalars, s < n;
+    an arc may wrap past the last sample) of the closed polyline through
+    pts, whose segment k, from sample k to k + 1, is length[k] long.
+
+    The centre is the arc's middle sample and the radius the longer
+    polyline length from there to one of the arc's ends, which bounds the
+    chord from the centre to every sample of the arc.
+    """
+    n = len(pts)
+    # Polyline length summed from sample 0 over two turns of the curve, so
+    # that an arc starting at sample s < n needs no wrap.
+    walked = np.cumsum(np.concatenate([[0.0], length, length]))
+
+    def ball(s, width) -> tuple[np.ndarray, np.ndarray]:
+        mid = s + width // 2
+        radius = np.maximum(walked[mid] - walked[s], walked[s + width - 1] - walked[mid])
+        return np.take(pts, mid % n, axis=0), radius
+
+    return ball
+
+
 def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
     """Index pairs (i < j) of closed-curve samples, in lexicographic order,
     within chordal distance `capture` and more than 3 indices apart around
@@ -479,11 +502,10 @@ def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
     level of about _ARC_SAMPLES samples an arc down to _LEAF_SAMPLES. A pair
     of arcs is dropped by one of two rules:
 
-    - Far pair (the arcs neither overlap nor touch). Each arc lies in the
-      ball around its middle sample whose radius is the longer polyline
-      length from there to one of its ends. If the distance of the two
-      centres, less both radii, exceeds `capture`, no sample pair of the
-      arcs is within `capture`.
+    - Far pair (the arcs neither overlap nor touch). Each arc lies in its
+      ball (_arc_balls). If the distance of the two centres, less both
+      radii, exceeds `capture`, no sample pair of the arcs is within
+      `capture`.
     - Near pair (together the arcs make one stretch of consecutive samples).
       If every two segment directions in the stretch have a positive dot
       product, which a summed turning angle below pi/2 certifies, then for
@@ -504,16 +526,10 @@ def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
     cos = np.einsum("ij,ij->i", seg, np.roll(seg, -1, axis=0))
     cos /= np.maximum(length * np.roll(length, -1), _TIE_FREE_SEGMENT**2)
     turn = np.where(short | np.roll(short, -1), math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
-    # Polyline length and turning summed from sample 0 over two turns of
-    # the curve, so that an arc starting at sample s < n needs no wrap.
-    walked = np.cumsum(np.concatenate([[0.0], length, length]))
+    # Turning summed from sample 0 over two turns of the curve, so that a
+    # stretch starting at sample s < n needs no wrap.
     turned = np.cumsum(np.concatenate([[0.0], turn, turn]))
-
-    def ball(s: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Centres and radii of balls that hold the arcs of `width` samples from s."""
-        mid = s + width // 2
-        radius = np.maximum(walked[mid] - walked[s], walked[s + width - 1] - walked[mid])
-        return np.take(pts, mid % n, axis=0), radius
+    ball = _arc_balls(pts, length)
 
     # Each level cuts both arcs of every pair left into `split` arcs of one
     # width (neighbours may overlap) and keeps the pairs of those that no

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SphericalCurve, _nearest_parameters, arc_length, is_closed
+from .curves import SphericalCurve, _arc_balls, _nearest_parameters, arc_length, is_closed
 from .quadrature import (
     FunctionalResult,
     QuadratureRule,
@@ -45,6 +45,23 @@ _CHUNK_ENTRIES = 1 << 16
 # 2048 rows. Refining all 10,000 rows of a call at once raised its traced
 # peak from 1.3 to 4.0 MB (seam, 4096-sample scan).
 _REFINE_ENTRIES_PER_ROW = 32
+# The best-sample scan (_best_samples) cuts n samples into isqrt(n) // 2
+# arcs of about 2 sqrt(n) samples (128 at 4096). An interleaved sweep on a
+# 2-core Xeon over the seam, the wavy circle, the doubled great circle and a
+# trig series put that width first at 10,000 points x 4096 samples (10-19 ms,
+# against 19-28 ms at sqrt(n) samples an arc, 10-23 ms at 3 sqrt(n), 12-37 ms
+# at 4 sqrt(n) and 37-49 ms for the full scan) and at 1024 x 1024 (1.09-1.48
+# ms, against 1.36-1.76, 1.12-1.72 and 1.17-1.77 ms; the full scan took
+# 1.23-1.32 ms): narrower arcs cost more Python per sample kept, wider ones
+# keep more samples.
+_SCAN_ARC_ROOTS = 2
+# Distance slack of the scan's arc-ball bound. A chord taken from a dot
+# product is off by up to the square root of the product's few-ulp error,
+# about 5e-8 near 0, so at 1e-6 every sample of a dropped arc is farther from
+# the point than the nearest centre by far more than rounding. An arc's
+# radius is about 0.2 (4096 samples of a 4pi curve), so the slack keeps next
+# to nothing that the bound would drop.
+_SCAN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -163,8 +180,8 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
 
 
 def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:
-    """reduce(P) over row chunks P of `points` whose P x n_nodes products hold at most
-    _CHUNK_ENTRIES entries; reduce forms the product inside one expression, so no name holds it."""
+    """reduce(P) over row chunks P of `points` whose P x n_nodes matrices hold at most
+    _CHUNK_ENTRIES entries (a chunk has one row at least)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(points.shape[0], dtype)
     step = max(1, _CHUNK_ENTRIES // n_nodes)
@@ -210,19 +227,19 @@ def sup_deviation_from_half_pi(
 def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
     """Global minimum distance from each point to the curve, and its parameter.
 
-    A dense scan at n_scan equispaced parameters picks each point's best
-    sample (largest dot product, the same argmin as arccos and cheaper;
-    ties break toward the smallest parameter). Newton-bisection refinement
-    (curves._nearest_parameters) then finds the nearest parameter within one
-    sample spacing of it, in row blocks. The distance is
+    Each point's best of n_scan equispaced samples (largest dot product,
+    the same argmin as arccos and cheaper; ties break toward the smallest
+    parameter) comes from a scan that forms the dot products with only the
+    arcs of samples that can hold it (_best_samples). Newton-bisection
+    refinement (curves._nearest_parameters) then finds the nearest parameter
+    within one sample spacing of it, in row blocks. The distance is
     arccos(point . r(t)) at the refined, wrapped parameter.
     """
     dom = curve.domain
     period = dom.period
     ts = dom.t_i + period * np.arange(n_scan) / n_scan
-    C = curve.positions(ts)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    best_idx = _by_rows(points, n_scan, lambda P: np.argmax(P @ C.T, axis=1), np.int64)
+    best_idx = _best_samples(points, curve.positions(ts))
     dt = period / n_scan
     # A refinement block reads its points with their best samples as a fourth column.
     t_best = curve._wrap(
@@ -237,12 +254,61 @@ def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) 
     return d_best, t_best
 
 
+def _best_samples(points: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """np.argmax(points @ C.T, axis=1) for the closed curve's samples C, with
+    the dot products formed only where a point's best sample can lie.
+
+    C is cut into arcs of consecutive samples, each in its ball
+    (curves._arc_balls), so no sample of arc k is nearer to a point p than
+    |p - centre_k| - radius_k. Arc k is dropped for p when that exceeds
+    |p - c*| + _SCAN_SLACK, c* the nearest centre, which is itself a sample:
+    every sample of the arc then has a smaller dot product with p than c*.
+    The chords come from dot products, as in the far-pair rule of
+    curves._chord_candidates. The arcs left are scanned in ascending order,
+    one product each, and a point's best changes only for a strictly larger
+    dot product, so ties still go to the smallest index. Row blocks are
+    sized by the points x arcs bound matrix.
+    """
+    n = len(C)
+    n_arcs = max(1, math.isqrt(n) // _SCAN_ARC_ROOTS)
+    starts = np.arange(n_arcs + 1) * n // n_arcs
+    seg = np.diff(C, axis=0, append=C[:1])
+    centres, radii = _arc_balls(C, np.sqrt(np.einsum("ij,ij->i", seg, seg)))(starts[:-1], np.diff(starts))
+    reach = radii[:, None] + _SCAN_SLACK
+
+    def scan(P: np.ndarray) -> np.ndarray:
+        # Squared chords from the centres (rows) to the points (columns), the
+        # centres' norms taken as 1: that rounding is far below the slack.
+        square_gap = centres @ P.T
+        square_gap *= -2.0
+        square_gap += np.einsum("ij,ij->i", P, P) + 1.0
+        bound = np.sqrt(np.maximum(square_gap.min(axis=0), 0.0)) + reach
+        live = square_gap <= np.square(bound, out=bound)
+        best = np.full(len(P), -np.inf)
+        best_idx = np.zeros(len(P), np.int64)
+        cols = np.arange(len(P))
+        for k in np.flatnonzero(live.any(axis=1)):
+            rows = live[k].nonzero()[0]
+            dots = P.take(rows, axis=0) @ C[starts[k] : starts[k + 1]].T
+            j = dots.argmax(axis=1)
+            v = dots[cols[: rows.size], j]
+            up = v > best[rows]
+            rows = rows[up]
+            best[rows] = v[up]
+            best_idx[rows] = j[up] + starts[k]
+        return best_idx
+
+    return _by_rows(points, n_arcs, scan, np.int64)
+
+
 def point_to_curve_min(curve: SphericalCurve, p, n_scan: int = 4096) -> tuple[float, float]:
     """Minimum geodesic distance from a point to the curve and its parameter.
 
-    The best of n_scan equispaced samples is refined by Newton-bisection
-    steps on the closed-form derivative of the dot product, within one
-    sample spacing either side, to a step of 1e-10 in t. n_scan must be
+    The best of n_scan equispaced samples, found from the dot products
+    with only the arcs of samples that can hold it (see
+    _min_distance_batch), is refined by Newton-bisection steps on the
+    closed-form derivative of the dot product, within one sample spacing
+    either side, to a step of 1e-10 in t. n_scan must be
     >= 64 and dense enough to bracket the global basin (the default
     resolves 10-oscillation colatitude profiles with >400 samples per
     oscillation).

@@ -483,7 +483,7 @@ def _report(family, config, state, trace, initial_value, converged, warning) -> 
         best_scale=float(state["best_scale"]),
         best_value=float(state["best"]),
         initial_value=float(initial_value),
-        constraint_residual=float("nan") if best_shape is None else _best_residual(family, state, config),
+        constraint_residual=float("nan") if best_shape is None else _best_residual(family, state),
         max_constraint_residual=float(state["max_resid"]),
         evaluations=int(state["evals"]),
         converged=bool(converged),
@@ -492,6 +492,6 @@ def _report(family, config, state, trace, initial_value, converged, warning) -> 
     )
 
 
-def _best_residual(family: SearchFamily, state: dict, config: OptimizerConfig) -> float:
+def _best_residual(family: SearchFamily, state: dict) -> float:
     curve = family.build(np.asarray(state["best_shape"]), state["best_scale"])
     return abs(arc_length(curve, default_curve_rule()).value - FOUR_PI)

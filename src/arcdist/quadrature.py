@@ -40,6 +40,10 @@ TOLERANCE_NOT_REACHED = "tolerance_not_reached"
 
 RULE_KINDS = ("periodic_trapezoid", "gauss_legendre", "monte_carlo")
 
+#: Sample count of a Monte Carlo sphere rule whose settings give no n: the
+#: default of eval and of verify under --rule monte_carlo.
+MC_SAMPLES = 20000
+
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or Inf inside the integration domain."""

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import curves, functionals, optimize
-from .quadrature import QuadratureRule, default_curve_rule, default_sphere_rule, refinement_levels
+from .quadrature import MC_SAMPLES, QuadratureRule, default_curve_rule, default_sphere_rule, refinement_levels
 from .sphere import (
     SpherePoint,
     geodesic_distance,
@@ -31,9 +31,6 @@ HALF_PI = 0.5 * math.pi
 TWO_PI_SQ = 2.0 * math.pi**2
 SEAM_A_REF = curves.TENNIS_BALL_A
 WAVY_B_REF = curves.WAVY_CIRCLE_B
-
-#: Sample count of a Monte Carlo sphere rule when the settings give no n.
-MC_SAMPLES = 20000
 
 
 @dataclass

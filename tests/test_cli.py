@@ -7,7 +7,7 @@ import pytest
 
 from arcdist import verify
 from arcdist.cli import _SETTINGS, build_parser, main
-from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult
+from arcdist.quadrature import MC_SAMPLES, TOLERANCE_NOT_REACHED, FunctionalResult
 from arcdist.verify import ClaimRow, VerifySettings
 
 
@@ -98,6 +98,22 @@ class TestEval:
         code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--n", "1024"], capsys)
         assert code == 0
         assert inner and set(inner) == {512}
+
+    def test_monte_carlo_default_is_the_library_constant(self, monkeypatch, capsys):
+        # eval and verify take their Monte Carlo sample count from one library constant
+        rules = []
+
+        def surface_mean(curve, sphere_rule=None, curve_rule=None):
+            rules.append(sphere_rule)
+            return FunctionalResult(2 * math.pi**2, 0.0, 1)
+
+        monkeypatch.setattr("arcdist.functionals.sphere_to_curve_mean", surface_mean)
+        code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--rule", "monte_carlo"], capsys)
+        assert code == 0
+        assert rules[0].n == MC_SAMPLES == VerifySettings(rule="monte_carlo").sphere_rule().n == 20000
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert "the sphere sample count (default 20000)" in " ".join(capsys.readouterr().out.split())
 
 
 class TestCalibrate:

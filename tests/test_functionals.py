@@ -6,6 +6,7 @@ import pytest
 from arcdist import curves, functionals
 from arcdist.curves import great_circle, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import (
+    _best_samples,
     _by_rows,
     _min_distance_batch,
     arcsin_identity_residual,
@@ -266,6 +267,81 @@ class TestNearestRefinement:
         passes = self._count_passes(monkeypatch)
         _min_distance_batch(tennis_ball_seam(0.7037), uniform_unit_vectors(29, 10_000), 4096)
         assert len(passes) == 5 and max(passes) <= 5
+
+
+class _CountedSamples(np.ndarray):
+    """Curve samples that append the entry count of each matrix product formed with them to `formed`."""
+
+    def __array_finalize__(self, obj):
+        self.formed = getattr(obj, "formed", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul:
+            self.formed.append(out.size)
+        return out
+
+
+class TestBestSamples:
+    """The pruned scan behind _min_distance_batch finds np.argmax(P @ C.T, axis=1)."""
+
+    @staticmethod
+    def _samples(curve, n_scan):
+        dom = curve.domain
+        return curve.positions(dom.t_i + dom.period * np.arange(n_scan) / n_scan)
+
+    @pytest.mark.parametrize(
+        "curve, n_scan, n_points",
+        [
+            (great_circle((0.0, 2.0)), 4096, 1000),
+            (trig_series(theta0=0.0, phi_slope=1.0, domain=(0.0, 2.0 * math.pi)), 256, 1000),
+            (tennis_ball_seam(0.7037).rotated(random_rotation_matrix(11)), 4096, 10_000),
+            (tennis_ball_seam(0.7037), 64, 1000),
+            (great_circle((0.0, 2.0)), 100, 1000),
+            (wavy_circle(0.286241), 100, 1000),
+            (trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1]), 4097, 1000),
+            (tennis_ball_seam(0.7037), 4096, 1),
+        ],
+        ids=[
+            "doubled_great_circle",
+            "point_curve",
+            "rotated_seam",
+            "seam_64",
+            "doubled_great_circle_100",
+            "wavy_100",
+            "trig_series_4097",
+            "one_point",
+        ],
+    )
+    def test_same_bytes_as_the_full_argmax(self, curve, n_scan, n_points):
+        C = self._samples(curve, n_scan)
+        pts = uniform_unit_vectors(23, n_points)
+        if n_points > 1:
+            # Points within about 0.01 of the curve, whose nearest sample often
+            # lies in an arc other than the nearest centre's, and the doubled
+            # great circle's poles +-y, where every sample ties at dot product 0.
+            near = self._samples(curve, 2000) + 0.01 * np.random.default_rng(3).standard_normal((2000, 3))
+            near /= np.linalg.norm(near, axis=1)[:, None]
+            pts = np.vstack([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], pts, near])
+        full = _by_rows(pts, n_scan, lambda P: np.argmax(P @ C.T, axis=1), np.int64)
+        best = _best_samples(pts, C)
+        assert best.tobytes() == full.tobytes()
+
+    def test_ties_go_to_the_first_sample(self):
+        poles = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        assert _best_samples(poles, self._samples(great_circle((0.0, 2.0)), 4096)).tolist() == [0, 0]
+        point_curve = trig_series(theta0=0.0, phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
+        assert not _best_samples(uniform_unit_vectors(23, 1000), self._samples(point_curve, 256)).any()
+
+    def test_forms_under_a_quarter_of_the_entries(self):
+        # 10,000 points x 4096 samples: a full scan forms 40.96M dot products.
+        C = self._samples(tennis_ball_seam(0.7037), 4096).view(_CountedSamples)
+        C.formed = []
+        pts = uniform_unit_vectors(29, 10_000)
+        best = _best_samples(pts, C)
+        assert sum(C.formed) < 10_000 * 4096 / 4
+        full = _by_rows(pts, 4096, lambda P: np.argmax(P @ np.asarray(C).T, axis=1), np.int64)
+        assert best.tobytes() == full.tobytes()
 
 
 class TestMeanMinArcDistance:
