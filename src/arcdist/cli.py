@@ -241,11 +241,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         _row("arc_length", report.arc_length, report.residual),
         _row("residual", report.residual),
         _row("iterations", report.iterations),
+        _row("nodes_used", report.nodes_used),
         _row("bracket_lo", report.bracket[0]),
         _row("bracket_hi", report.bracket[1]),
     ]
     if report.warning:
-        results.append(_row("warning_multiple_sign_changes", 1.0, message=report.warning))
+        results.append(_row(f"warning_{report.warning}", 1.0, message=report.warning))
     _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -310,29 +310,58 @@ def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> Fun
     return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
 
 
-def arc_length_rate(curve: SphericalCurve, theta_cos=(), theta_sin=(), phi_sin=()) -> float:
-    """dL/ds for a scale s that moves the curve's series at the given rates.
+#: model(s) -> (L_n(s), dL_n/ds), the arc length of a curve family at one
+#: rule level as a function of its scale s (built by length_model).
+LengthModel = Callable[[float], tuple[float, float]]
 
-    The rates are trig_series coefficients of the derivatives in s,
+
+def length_model(
+    curve: SphericalCurve,
+    scale: float,
+    rule: QuadratureRule,
+    n: int,
+    theta_cos=(),
+    theta_sin=(),
+    phi_sin=(),
+    stretch: bool = False,
+) -> LengthModel:
+    """The LengthModel of the family through `curve`, its member at `scale`,
+    on the n-node level of `rule` (rule_nodes on the curve's domain).
+
+    The rates are trig_series coefficients of the series' derivatives in s,
     d(theta)/ds = sum_j theta_cos[j-1] cos jt + theta_sin[j-1] sin jt and
     d(phi)/ds = sum_j phi_sin[j-1] sin jt, as for a family whose
-    coefficients are affine in s. The integrand is the closed form
+    coefficients are affine in s. At each node, theta, theta' and phi' are
+    then their values at `scale` plus (s - scale) times their rates, so
+    L_n(s) = sum w sqrt(theta'^2 + sin^2(theta) phi'^2) is exact in s and
+    takes no curve evaluation; at s = scale it sums curve.speeds. The
+    derivative is the closed form
 
         d|r'|/ds = [theta' d(theta')/ds + sin(theta) cos(theta) d(theta)/ds phi'^2
-                    + sin^2(theta) phi' d(phi')/ds] / |r'|,
+                    + sin^2(theta) phi' d(phi')/ds] / |r'|.
 
-    summed over the default curve rule's first level of nodes, without
-    refinement: the value steers a Newton step, whose result is checked
-    against the refined arc length.
+    With stretch, s instead stretches the domain of a constant-speed curve
+    to [t_i, t_i + (s / scale)(t_f - t_i)], so L_n(s) = (s / scale) L_n(scale).
     """
-    ts, weights = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
-    theta, _, dtheta, dphi = _series_angles(curve._series, ts, rates=1)
-    rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
-    theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1)
-    st = np.sin(theta)
-    speed = np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
-    rate = (dtheta * dtheta_s + st * np.cos(theta) * theta_s * dphi * dphi + st * st * dphi * dphi_s) / speed
-    return float(weights @ rate)
+    ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
+    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1)
+    if stretch:
+        theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
+    else:
+        rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
+        theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1)
+
+    def model(s: float) -> tuple[float, float]:
+        shift = s - scale
+        theta = theta0 + shift * theta_s
+        dtheta = dtheta0 + shift * dtheta_s
+        dphi = dphi0 + shift * dphi_s
+        st = np.sin(theta)
+        speed = np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
+        rate = (dtheta * dtheta_s + st * np.cos(theta) * theta_s * dphi * dphi + st * st * dphi * dphi_s) / speed
+        return float(weights @ speed), float(weights @ rate)
+
+    return model
 
 
 def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:

@@ -2,12 +2,18 @@
 
 The 4pi arc-length constraint is handled by nested calibration: every
 candidate shape re-roots its designated scale parameter, so the outer
-Nelder-Mead search stays unconstrained. The search's candidate evaluator
+Nelder-Mead search stays unconstrained. Each family's series is affine
+in its scale (the great circle's scale instead stretches its domain at
+constant speed), so its arc length at one rule level is a closed form
+in the scale (curves.length_model). The search's candidate evaluator
 warm-starts each root from the previous candidate's scale with Newton
-steps on a closed-form dL/ds, and falls back to a bracket pre-scan and
-bisection when Newton does not contract. Non-simple or uncalibratable
-candidates receive an infinite objective. SCALES names each curve
-family's scale parameter, its default bracket and its dL/ds.
+steps on that closed form, on the rule's own nodes, and confirms the
+root with one arc length. It falls back to a bracket pre-scan and
+bisection when Newton does not contract. A report's arc length,
+residual, node count and warning are always those of an arc length
+computed at its parameter. Non-simple or uncalibratable candidates
+receive an infinite objective. SCALES names each curve family's scale
+parameter, its default bracket and its length model.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, great_circle, is_closed, is_simple, trig_series, wavy_circle
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import QuadratureRule, default_curve_rule
+from .quadrature import QuadratureRule, default_curve_rule, settled_level
 
 FOUR_PI = 4.0 * math.pi
 
@@ -45,12 +51,19 @@ class CalibrationFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Outcome of rooting a family's scale parameter to arc length 4pi."""
+    """Outcome of rooting a family's scale parameter to arc length 4pi.
+
+    arc_length, residual = |arc_length - 4pi| and nodes_used are those of
+    the arc length computed at the parameter. warning is that arc
+    length's warning (TOLERANCE_NOT_REACHED) if it has one, else
+    MULTIPLE_SIGN_CHANGES when the pre-scan found several roots.
+    """
 
     family: str
     parameter: float
     arc_length: float
     residual: float
+    nodes_used: int
     iterations: int
     bracket: tuple[float, float]
     warning: str | None = None
@@ -74,7 +87,7 @@ class OptimizationReport:
     warning: str | None = None
 
 
-#: Arc-length evaluations a warm-started Newton root may spend before bisection takes over.
+#: Arc lengths a warm-started Newton root may spend confirming roots before bisection takes over.
 NEWTON_MAX_EVALUATIONS = 8
 
 #: Default bound on |arc_length - 4pi| at which a calibration stops.
@@ -91,17 +104,22 @@ def calibrate_arc_length(
     tol: float = CALIBRATION_TOL,
     rule: QuadratureRule | None = None,
     start: float | None = None,
-    length_rate: Callable[[SphericalCurve, float, float], float] | None = None,
+    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel] | None = None,
 ) -> CalibrationReport:
     """Root the scale parameter p until |arc_length - 4pi| <= tol.
 
-    With a start inside the bracket and length_rate(curve, p, length),
-    the closed-form dL/dp, Newton steps run from the start. Each step must
-    stay inside the bracket and at least halve |L - 4pi|, for at most
-    NEWTON_MAX_EVALUATIONS arc lengths; the report then carries the
-    bracket as given and counts those arc lengths as its iterations. A
-    warm start finds the root that Newton reaches from it and skips the
-    sign-change survey below.
+    With a start inside the bracket and length_model(curve, p, rule, n),
+    the family's LengthModel L_n at the n-node level of the rule, Newton
+    steps run on L_n from the start, first at n = 2 rule.n, the level at
+    which a refinement can first stop. Each step must stay inside the
+    bracket and at least halve |L_n - 4pi|. Once |L_n - 4pi| <= tol, one
+    arc_length at that p confirms the root, and the report takes its
+    value and residual from it. A confirmation that misses tol rebuilds
+    L_n at the level it settled at and runs Newton again, for at most
+    NEWTON_MAX_EVALUATIONS arc lengths; the report then carries the bracket
+    as given and counts those arc lengths as its iterations. A warm start
+    finds the root that Newton reaches from it and skips the sign-change
+    survey below.
 
     Otherwise, or when Newton fails, the bracket is pre-scanned at 32
     points to locate a sign change of arc_length(p) - 4pi;
@@ -115,33 +133,27 @@ def calibrate_arc_length(
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
 
-    def g(p: float) -> float:
-        return arc_length(make_curve(p), rule).value - FOUR_PI
-
-    if start is not None and length_rate is not None and lo <= start <= hi:
+    if start is not None and length_model is not None and lo <= start <= hi:
         p = float(start)
         curve = make_curve(p)
-        length = arc_length(curve, rule).value
-        evaluations = 1
-        while abs(length - FOUR_PI) > tol and evaluations < NEWTON_MAX_EVALUATIONS:
-            resid = length - FOUR_PI
-            p = p - resid / length_rate(curve, p, length)
-            if not lo <= p <= hi:  # also catches a NaN step
+        n = 2 * rule.n
+        for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
+            p = _model_root(length_model(curve, p, rule, n), p, lo, hi, tol)
+            if p is None:
                 break
             curve = make_curve(p)
-            length = arc_length(curve, rule).value
-            evaluations += 1
-            if not abs(length - FOUR_PI) <= 0.5 * abs(resid):
-                break
-        if abs(length - FOUR_PI) <= tol:
-            return CalibrationReport(family, p, length, abs(length - FOUR_PI), evaluations, (lo, hi))
+            length = arc_length(curve, rule)
+            if abs(length.value - FOUR_PI) <= tol:
+                return _report_length(family, p, length, evaluations, (lo, hi))
+            n = settled_level(rule, length.nodes_used)
 
     scan = np.linspace(lo, hi, 32)
-    gvals = np.array([g(p) for p in scan])
+    lengths = [arc_length(make_curve(p), rule) for p in scan]
+    gvals = np.array([length.value - FOUR_PI for length in lengths])
     exact = np.nonzero(gvals == 0.0)[0]
     if exact.size:
-        p = float(scan[exact[0]])
-        return CalibrationReport(family, p, FOUR_PI, 0.0, 0, (lo, hi))
+        i = int(exact[0])
+        return _report_length(family, float(scan[i]), lengths[i], 0, (lo, hi))
 
     changes = np.nonzero(np.sign(gvals[:-1]) != np.sign(gvals[1:]))[0]
     if changes.size == 0:
@@ -163,10 +175,11 @@ def calibrate_arc_length(
     iterations = 0
     while iterations < 200:
         mid = 0.5 * (a + b)
-        fm = g(mid)
+        length = arc_length(make_curve(mid), rule)
+        fm = length.value - FOUR_PI
         iterations += 1
         if abs(fm) <= tol:
-            return CalibrationReport(family, mid, fm + FOUR_PI, abs(fm), iterations, sub_bracket, warning)
+            return _report_length(family, mid, length, iterations, sub_bracket, warning)
         if math.copysign(1.0, fm) == math.copysign(1.0, fa):
             a, fa = mid, fm
         else:
@@ -176,17 +189,41 @@ def calibrate_arc_length(
     )
 
 
+def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: float) -> float | None:
+    """Newton on the model from p until |L_n - 4pi| <= tol; None once a step
+    leaves [lo, hi] or fails to halve |L_n - 4pi|."""
+    length, slope = model(p)
+    while abs(length - FOUR_PI) > tol:
+        resid = length - FOUR_PI
+        p = p - resid / slope
+        if not lo <= p <= hi:  # also catches a NaN step
+            return None
+        length, slope = model(p)
+        if not abs(length - FOUR_PI) <= 0.5 * abs(resid):
+            return None
+    return p
+
+
+def _report_length(family, p, length, iterations, bracket, warning=None) -> CalibrationReport:
+    """The report of the root p, from the arc length computed there."""
+    value = length.value
+    return CalibrationReport(
+        family, p, value, abs(value - FOUR_PI), length.nodes_used, iterations, bracket, length.warning or warning
+    )
+
+
 @dataclass(frozen=True)
 class ScaleParameter:
     """A curve family's calibration scale: its label, its default bracket,
     rebuild(curve, p), the family's curve at scale p on the given curve's
-    domain, and length_rate(curve, p, length), the closed-form dL/dp at
-    scale p."""
+    domain, and length_model(curve, p, rule, n), the family's
+    curves.LengthModel at the n-node level of rule, anchored at its curve
+    of scale p."""
 
     label: str
     bracket: tuple[float, float]
     rebuild: Callable[[SphericalCurve, float], SphericalCurve]
-    length_rate: Callable[[SphericalCurve, float, float], float]
+    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel]
 
 
 def _domain(curve: SphericalCurve) -> tuple[float, float]:
@@ -200,29 +237,29 @@ SCALES = {
         "seam amplitude a",
         (0.1, 1.4),
         lambda curve, a: curves.tennis_ball_seam(a, _domain(curve)),
-        lambda curve, a, length: curves.arc_length_rate(curve, theta_cos=[1.0], phi_sin=[0.0, 1.0]),
+        lambda curve, a, rule, n: curves.length_model(curve, a, rule, n, theta_cos=[1.0], phi_sin=[0.0, 1.0]),
     ),
     # theta = 3pi/4 + b sin 10t
     curves.WAVY_CIRCLE: ScaleParameter(
         "wavy amplitude b",
         (0.01, 0.6),
         lambda curve, b: wavy_circle(b, _domain(curve)),
-        lambda curve, b, length: curves.arc_length_rate(curve, theta_sin=[0.0] * 9 + [1.0]),
+        lambda curve, b, rule, n: curves.length_model(curve, b, rule, n, theta_sin=[0.0] * 9 + [1.0]),
     ),
     # the domain [t_i, t_f] becomes [t_i, t_i + s (t_f - t_i)], so L(s) = s L(1)
     curves.GREAT_CIRCLE: ScaleParameter(
         "domain scale",
         (0.5, 1.5),
         lambda curve, s: great_circle((curve.domain.t_i, curve.domain.t_i + s * curve.domain.period)),
-        lambda curve, s, length: length / s,
+        lambda curve, s, rule, n: curves.length_model(curve, s, rule, n, stretch=True),
     ),
     # the amplitude multiplies every harmonic
     curves.TRIG_SERIES: ScaleParameter(
         "series amplitude",
         (0.05, 2.5),
         lambda curve, amp: dataclasses.replace(curve, params={**curve.params, "amplitude": amp}),
-        lambda curve, amp, length: curves.arc_length_rate(
-            curve, curve.params["theta_cos"], curve.params["theta_sin"], curve.params["phi_sin"]
+        lambda curve, amp, rule, n: curves.length_model(
+            curve, amp, rule, n, curve.params["theta_cos"], curve.params["theta_sin"], curve.params["phi_sin"]
         ),
     ),
 }
@@ -258,7 +295,7 @@ class SearchFamily:
             tol=tol,
             rule=rule,
             start=start,
-            length_rate=SCALES[self.tag].length_rate,
+            length_model=SCALES[self.tag].length_model,
         )
 
 

@@ -143,6 +143,15 @@ def refinement_levels(rule: QuadratureRule, surface: bool = False) -> list[int]:
     return levels
 
 
+def settled_level(rule: QuadratureRule, nodes_used: int) -> int:
+    """Node count of the level whose value integrate_1d returned under rule
+    after nodes_used integrand evaluations."""
+    if rule.kind == "gauss_legendre":
+        return (nodes_used + rule.n) // 2  # the levels n, 2n, ..., m hold 2m - n nodes in all
+    # trapezoid levels nest, so the last one holds every node; monte_carlo draws rule.n
+    return nodes_used
+
+
 def _refine(level: Callable[[int], tuple[float, int]], levels: list[int], tol: float) -> FunctionalResult:
     """Doubling refinement: level(n) -> (I(n), evaluations) over `levels` until tol."""
     prev, used = level(levels[0])

@@ -162,6 +162,39 @@ class TestCalibrate:
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
         assert rows["calibrated_parameter"]["value"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_reports_the_nodes_of_its_arc_length(self, tmp_path, capsys):
+        out_path = tmp_path / "cal.json"
+        code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        # the default curve rule (n = 512) settles at its second level
+        assert rows["nodes_used"]["value"] == 1024
+        assert not any(name.startswith("warning_") for name in rows)
+
+    def test_warning_row_is_named_after_its_warning(self, tmp_path, capsys):
+        out_path = tmp_path / "cal.json"
+        spec = '{"family":"tennis_ball"}'
+        code, _, _ = run(["calibrate", "--curve", spec, "--bracket", "0.01", "1.4", "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        assert rows["warning_multiple_sign_changes"]["message"] == "multiple_sign_changes"
+
+    def test_a_capped_arc_length_carries_its_warning(self, tmp_path, capsys, monkeypatch):
+        from arcdist import curves
+
+        def capped(curve, rule=None):
+            res = curves.arc_length(curve, rule)
+            return FunctionalResult(res.value, 1e-3, 4096, TOLERANCE_NOT_REACHED)
+
+        monkeypatch.setattr("arcdist.optimize.arc_length", capped)
+        out_path = tmp_path / "cal.json"
+        code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+        assert rows["nodes_used"]["value"] == 4096
+        assert rows["warning_tolerance_not_reached"]["message"] == TOLERANCE_NOT_REACHED
+        assert "warning_multiple_sign_changes" not in rows
+
     def test_no_bracket_is_numerical_failure(self, capsys):
         code, _, err = run(
             ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.3", "0.5"], capsys

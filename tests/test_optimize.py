@@ -77,53 +77,79 @@ def _count_arc_lengths(monkeypatch):
     return calls
 
 
-def _seam_rate(curve, a, length):
-    return SCALES[curves.TENNIS_BALL].length_rate(curve, a, length)
+def _seam_model(curve, a, rule, n):
+    return SCALES[curves.TENNIS_BALL].length_model(curve, a, rule, n)
+
+
+def _with_slope(slope):
+    """The seam's length model with its derivative replaced by a constant."""
+
+    def model(curve, a, rule, n):
+        real = _seam_model(curve, a, rule, n)
+        return lambda s: (real(s)[0], slope)
+
+    return model
+
+
+_FAMILY_CURVES = [
+    (tennis_ball_seam(0.7), 0.7),
+    (wavy_circle(0.28), 0.28),
+    (great_circle((0.5, 1.5)), 1.3),
+    (seam_seeded_family(3).build(np.array([-0.8, 0.1, 0.05, 0.02, -0.1, 0.03, 0.01, 0.7, -0.05]), 0.9), 0.9),
+]
+_FAMILY_IDS = ["seam", "wavy", "great_circle", "trig_series"]
+
+# A seam_seeded_family(3) shape whose arc length under the search's rule
+# (n = 256, tol = 5e-7) refines to 1024 nodes at its root.
+_DEEP_SHAPE = np.array([-0.81, -0.16, -0.12, -0.73, 0.54, 0.34, -0.1, 0.94, 0.08])
 
 
 class TestNewtonCalibration:
     def test_warm_start_reaches_the_root_in_a_few_arc_lengths(self, monkeypatch):
         calls = _count_arc_lengths(monkeypatch)
         rep = calibrate_arc_length(
-            tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69, length_rate=_seam_rate
+            tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69, length_model=_seam_model
         )
         assert rep.parameter == pytest.approx(SEAM_ROOT, abs=1e-9)
         assert rep.residual <= 1e-12
-        assert rep.iterations == len(calls) <= 5
+        assert rep.iterations == len(calls) <= 2
         assert rep.bracket == (0.1, 1.4) and rep.warning is None
 
     def test_start_at_the_root_costs_one_arc_length(self, monkeypatch):
         root = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10).parameter
         calls = _count_arc_lengths(monkeypatch)
-        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, start=root, length_rate=_seam_rate)
+        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, start=root, length_model=_seam_model)
         assert (rep.parameter, rep.iterations, len(calls)) == (root, 1, 1)
 
     @pytest.mark.parametrize(
-        "start, rate",
+        "start, model",
         [
-            (1.45, _seam_rate),  # start outside the bracket
-            (0.69, lambda curve, a, length: 1e-3),  # the step leaves the bracket
-            (0.69, lambda curve, a, length: -9.12),  # the step moves away from the root
-            (0.69, None),  # no dL/ds
+            (1.45, _seam_model),  # start outside the bracket
+            (0.69, _with_slope(1e-3)),  # the step leaves the bracket
+            (0.69, _with_slope(-9.12)),  # the step moves away from the root
+            (0.69, None),  # no length model
         ],
-        ids=["start_outside", "leaves_bracket", "wrong_sign", "no_rate"],
+        ids=["start_outside", "leaves_bracket", "wrong_sign", "no_model"],
     )
-    def test_failed_newton_falls_back_to_bisection_bit_for_bit(self, start, rate):
+    def test_failed_newton_falls_back_to_bisection_bit_for_bit(self, start, model):
         plain = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
-        warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start, length_rate=rate)
+        warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start, length_model=model)
         assert warm == plain
 
-    @pytest.mark.parametrize(
-        "curve, scale",
-        [
-            (tennis_ball_seam(0.7), 0.7),
-            (wavy_circle(0.28), 0.28),
-            (great_circle((0.5, 1.5)), 1.3),
-            (seam_seeded_family(3).build(np.array([-0.8, 0.1, 0.05, 0.02, -0.1, 0.03, 0.01, 0.7, -0.05]), 0.9), 0.9),
-        ],
-        ids=["seam", "wavy", "great_circle", "trig_series"],
-    )
-    def test_length_rate_matches_central_difference(self, curve, scale):
+    @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_model_is_the_arc_length_at_its_level(self, curve, scale, n):
+        entry = SCALES[curve.family]
+        # a loose tolerance stops the doubling at its second level, n
+        rule = default_curve_rule(n=n // 2, tol=1.0)
+        model = entry.length_model(entry.rebuild(curve, scale), scale, rule, n)
+        for s in (scale, 0.9 * scale, 1.07 * scale):
+            length = arc_length(entry.rebuild(curve, s), rule)
+            assert length.nodes_used == n
+            assert model(s)[0] == pytest.approx(length.value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
+    def test_model_slope_matches_central_difference(self, curve, scale):
         entry = SCALES[curve.family]
         rule = default_curve_rule(n=2048, tol=1e-13)
         here = entry.rebuild(curve, scale)
@@ -132,7 +158,21 @@ class TestNewtonCalibration:
             arc_length(entry.rebuild(curve, scale + h), rule).value
             - arc_length(entry.rebuild(curve, scale - h), rule).value
         ) / (2 * h)
-        assert entry.length_rate(here, scale, arc_length(here, rule).value) == pytest.approx(slope, rel=1e-8)
+        assert entry.length_model(here, scale, rule, 4096)(scale)[1] == pytest.approx(slope, rel=1e-8)
+
+    def test_a_deeper_level_rebuilds_the_model(self, monkeypatch):
+        family = seam_seeded_family(3)
+        rule = default_curve_rule(n=256, tol=5e-7)
+        cold = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, rule)
+        assert cold.nodes_used == 1024
+        calls = _count_arc_lengths(monkeypatch)
+        warm = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, rule, start=1.0)
+        # the model at 512 nodes misses the 1024-node arc length by more
+        # than the tolerance; the model rebuilt at 1024 meets it
+        assert (warm.iterations, len(calls), warm.nodes_used) == (2, 2, 1024)
+        assert warm.residual <= CONSTRAINT_TOL
+        assert warm.residual == abs(arc_length(family.build(_DEEP_SHAPE, warm.parameter), rule).value - FOUR_PI)
+        assert warm.parameter == pytest.approx(cold.parameter, abs=1e-9)
 
     @pytest.mark.parametrize(
         "curve",
@@ -236,6 +276,35 @@ class TestMinimizeFunctional:
         # the cold call pre-scans 32 points and bisects; the warm one starts at the root
         assert cold > 32 and len(calls) - cold == 1
         assert again == first
+
+    def test_each_warm_candidate_takes_one_confirmed_arc_length(self, monkeypatch):
+        family = seam_seeded_family(3)
+        calls = _count_arc_lengths(monkeypatch)
+        candidates = []  # (shape, (value, scale, residual), arc lengths taken)
+        make_evaluator = make_candidate_evaluator
+
+        def recording_factory(*args):
+            evaluate = make_evaluator(*args)
+
+            def recorded(shape):
+                before = len(calls)
+                result = evaluate(shape)
+                candidates.append((np.array(shape), result, len(calls) - before))
+                return result
+
+            return recorded
+
+        monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", recording_factory)
+        minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40))
+        assert len(candidates) == 40
+        # the first candidate roots cold, by pre-scan and bisection
+        assert candidates[0][2] > 32
+        assert [taken for _, _, taken in candidates[1:]] == [1] * 39
+        rule = default_curve_rule(n=256, tol=5e-7)  # the evaluator's rule
+        feasible = [(shape, scale, resid) for shape, (value, scale, resid), _ in candidates if math.isfinite(value)]
+        assert len(feasible) > 30
+        for shape, scale, resid in feasible:
+            assert resid == abs(arc_length(family.build(shape, scale), rule).value - FOUR_PI) <= CONSTRAINT_TOL
 
     @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf])
     def test_simplex_scale_must_be_positive_and_finite(self, scale):

@@ -14,7 +14,9 @@ from arcdist.quadrature import (
     default_sphere_rule,
     integrate_1d,
     refinement_levels,
+    rule_nodes,
     sample_mean,
+    settled_level,
     sphere_integrate,
 )
 from arcdist.sphere import angles_to_xyz, random_rotation_matrix
@@ -116,6 +118,17 @@ class TestIntegrate1D:
         b = integrate_1d(lambda t: np.sin(t) ** 2, 0.0, TWO_PI, rule)
         assert a == b
         assert abs(a.value - math.pi) <= 4.0 * a.error_estimate
+
+
+    @pytest.mark.parametrize("kind", ["periodic_trapezoid", "gauss_legendre", "monte_carlo"])
+    @pytest.mark.parametrize("tol", [1.0, 1e-6, 1e-12])
+    def test_settled_level_names_the_level_returned(self, kind, tol):
+        # a bump integrand takes the refinements one, two and several levels deep
+        rule = QuadratureRule(kind, 8, tol, seed=5)
+        f = lambda t: np.exp(3.0 * np.cos(t))
+        res = integrate_1d(f, 0.0, TWO_PI, rule)
+        xs, ws = rule_nodes(rule, 0.0, TWO_PI, settled_level(rule, res.nodes_used))
+        assert float(ws @ f(xs)) == pytest.approx(res.value, rel=1e-14)
 
 
 class TestSphereIntegrate:
