@@ -17,12 +17,13 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, rule_nodes
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
 from .sphere import angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
@@ -74,9 +75,32 @@ class _TrigSeries:
     harmonics: tuple[tuple[int, float, float, float], ...] = ()
 
 
-def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: int = 0) -> tuple[np.ndarray, ...]:
+#: Entries, one a grid and harmonic, that the harmonic trig table keeps ...
+_GRID_TRIG_ENTRIES = 32
+#: ... each on a grid of at most this many samples, so the table holds at
+#: most 32 x 2 x 4096 doubles (2 MiB). A finer grid takes its trig values
+#: at each call.
+_GRID_TRIG_MAX_N = 4096
+
+
+@lru_cache(maxsize=_GRID_TRIG_ENTRIES)
+def _grid_trig(t_i: float, t_f: float, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos jt and sin jt on the grid t = periodic_nodes(t_i, t_f, n)."""
+    jt = j * periodic_nodes(t_i, t_f, n)
+    cos, sin = np.cos(jt), np.sin(jt)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+def _series_angles(
+    s: _TrigSeries, ts: np.ndarray, rates: int = 0, grid: CurveDomain | None = None
+) -> tuple[np.ndarray, ...]:
     """(theta, phi) of the series at ts, then (theta', phi') with rates >= 1
-    and (theta'', phi'') with rates == 2."""
+    and (theta'', phi'') with rates == 2. A grid says that ts is
+    periodic_nodes(grid.t_i, grid.t_f, len(ts)); the trig values of each
+    harmonic then come from its table (_grid_trig), the same bit for bit."""
+    table = grid is not None and ts.size <= _GRID_TRIG_MAX_N
     theta = s.theta0 + s.theta_slope * ts
     phi = s.phi0 + s.phi_slope * ts
     if rates:
@@ -86,10 +110,13 @@ def _series_angles(s: _TrigSeries, ts: np.ndarray, rates: int = 0) -> tuple[np.n
         d2theta = np.zeros_like(ts)
         d2phi = np.zeros_like(ts)
     for j, a, b, c in s.harmonics:
-        jt = j * ts
-        # Without rates, take only the trig values a nonzero coefficient needs.
-        cos = np.cos(jt) if rates or a else None
-        sin = np.sin(jt) if rates or b or c else None
+        if table:
+            cos, sin = _grid_trig(grid.t_i, grid.t_f, ts.size, j)
+        else:
+            jt = j * ts
+            # Without rates, take only the trig values a nonzero coefficient needs.
+            cos = np.cos(jt) if rates or a else None
+            sin = np.sin(jt) if rates or b or c else None
         if a:
             theta = theta + a * cos
         if b:
@@ -140,6 +167,14 @@ class SphericalCurve:
         """(n, 3) unit-norm positions at the given parameters (wrapped)."""
         theta, phi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)))
         return self._rotate(angles_to_xyz(theta, phi))
+
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n equispaced parameters ts = periodic_nodes(t_i, t_f, n) and
+        positions(ts), the same bit for bit, with the trig values of every
+        harmonic read from the grid's table."""
+        ts = periodic_nodes(self.domain.t_i, self.domain.t_f, n)
+        theta, phi = _series_angles(self._series, ts, grid=self.domain)
+        return ts, self._rotate(angles_to_xyz(theta, phi))
 
     def velocities(self, ts) -> np.ndarray:
         """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
@@ -342,14 +377,17 @@ def length_model(
 
     With stretch, s instead stretches the domain of a constant-speed curve
     to [t_i, t_i + (s / scale)(t_f - t_i)], so L_n(s) = (s / scale) L_n(scale).
+    On a periodic_trapezoid rule both series read their trig values from
+    the grid's table.
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
-    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1)
+    grid = curve.domain if rule.kind == "periodic_trapezoid" else None
+    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=grid)
     if stretch:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
         rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
-        theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1)
+        theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1, grid=grid)
 
     def model(s: float) -> tuple[float, float]:
         shift = s - scale
@@ -498,6 +536,13 @@ _TURN_MARGIN = 1e-3
 _TIE_FREE_SEGMENT = 1e-6
 
 
+def _segments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segments of the closed polyline through pts, segment k from
+    sample k to k + 1, and their lengths."""
+    seg = np.diff(pts, axis=0, append=pts[:1])
+    return seg, np.sqrt(np.einsum("ij,ij->i", seg, seg))
+
+
 def _arc_balls(pts: np.ndarray, length: np.ndarray):
     """ball(s, width): centres and radii of balls that hold the arcs of
     `width` consecutive samples from sample s (arrays or scalars, s < n;
@@ -521,8 +566,9 @@ def _arc_balls(pts: np.ndarray, length: np.ndarray):
     return ball
 
 
-def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
-    """Index pairs (i < j) of closed-curve samples, in lexicographic order,
+def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capture: float) -> np.ndarray:
+    """Index pairs (i < j) of closed-curve samples pts, whose segments and
+    their lengths are seg and length (_segments), in lexicographic order,
     within chordal distance `capture` and more than 3 indices apart around
     the curve, among them every such pair that is a discrete local minimum
     of the chord (see _local_chord_minima).
@@ -547,8 +593,6 @@ def _chord_candidates(pts: np.ndarray, capture: float) -> np.ndarray:
     pairs exactly 3 apart whenever rounding lands them above the threshold.
     """
     n = len(pts)
-    seg = np.diff(pts, axis=0, append=pts[:1])
-    length = np.sqrt(np.einsum("ij,ij->i", seg, seg))
     # Turning angle at each sample k + 1, between segments k and k + 1; a
     # short segment counts as a half turn, which no stretch can certify.
     short = length < _TIE_FREE_SEGMENT
@@ -670,17 +714,15 @@ def is_simple(
         raise ValueError("eps must be positive")
     dom = curve.domain
     period = dom.period
-    ts = dom.t_i + period * np.arange(n_samples) / n_samples
-    pts = curve.positions(ts)
-
-    adj = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
-    max_adj = float(adj.max())
+    ts, pts = curve.sample(n_samples)
+    seg, length = _segments(pts)
+    max_adj = float(length.max())
     # Degenerate point-like curve: every pair coincides. (Its sample chords
     # are all below eps, so the extent needs checking only then.)
     if max_adj < eps and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < eps:
         return False, (dom.t_i, dom.t_i + 0.5 * period)
 
-    pairs = _local_chord_minima(pts, _chord_candidates(pts, max(2.0 * max_adj, 2.0 * eps)))
+    pairs = _local_chord_minima(pts, _chord_candidates(pts, seg, length, max(2.0 * max_adj, 2.0 * eps)))
     if pairs.size == 0:
         return True, None
     chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SphericalCurve, _arc_balls, _nearest_parameters, arc_length, is_closed
+from .curves import SphericalCurve, _arc_balls, _nearest_parameters, _segments, arc_length, is_closed
 from .quadrature import (
     FunctionalResult,
     QuadratureRule,
@@ -170,11 +170,12 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     """Vectorized parameter-mean distance from each row of `points` to the curve.
 
     Evaluates the inner integral at the rule's stated node count without
-    refinement; used where many field values are needed at once.
+    refinement; used where many field values are needed at once. A
+    periodic_trapezoid rule's nodes are a sample grid (SphericalCurve.sample).
     """
     curve_rule = curve_rule or default_curve_rule()
     ts, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
-    C = curve.positions(ts)
+    C = curve.sample(ts.size)[1] if curve_rule.kind == "periodic_trapezoid" else curve.positions(ts)
     w_mean = w / curve.domain.period
     return _by_rows(points, ts.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean, float)
 
@@ -227,20 +228,19 @@ def sup_deviation_from_half_pi(
 def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
     """Global minimum distance from each point to the curve, and its parameter.
 
-    Each point's best of n_scan equispaced samples (largest dot product,
-    the same argmin as arccos and cheaper; ties break toward the smallest
-    parameter) comes from a scan that forms the dot products with only the
-    arcs of samples that can hold it (_best_samples). Newton-bisection
-    refinement (curves._nearest_parameters) then finds the nearest parameter
-    within one sample spacing of it, in row blocks. The distance is
+    Each point's best of the n_scan equispaced samples of
+    SphericalCurve.sample (largest dot product, the same argmin as arccos
+    and cheaper; ties break toward the smallest parameter) comes from a scan
+    that forms the dot products with only the arcs of samples that can hold
+    it (_best_samples). Newton-bisection refinement
+    (curves._nearest_parameters) then finds the nearest parameter within
+    one sample spacing of it, in row blocks. The distance is
     arccos(point . r(t)) at the refined, wrapped parameter.
     """
-    dom = curve.domain
-    period = dom.period
-    ts = dom.t_i + period * np.arange(n_scan) / n_scan
+    ts, C = curve.sample(n_scan)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    best_idx = _best_samples(points, curve.positions(ts))
-    dt = period / n_scan
+    best_idx = _best_samples(points, C)
+    dt = curve.domain.period / n_scan
     # A refinement block reads its points with their best samples as a fourth column.
     t_best = curve._wrap(
         _by_rows(
@@ -272,8 +272,7 @@ def _best_samples(points: np.ndarray, C: np.ndarray) -> np.ndarray:
     n = len(C)
     n_arcs = max(1, math.isqrt(n) // _SCAN_ARC_ROOTS)
     starts = np.arange(n_arcs + 1) * n // n_arcs
-    seg = np.diff(C, axis=0, append=C[:1])
-    centres, radii = _arc_balls(C, np.sqrt(np.einsum("ij,ij->i", seg, seg)))(starts[:-1], np.diff(starts))
+    centres, radii = _arc_balls(C, _segments(C)[1])(starts[:-1], np.diff(starts))
     reach = radii[:, None] + _SCAN_SLACK
 
     def scan(P: np.ndarray) -> np.ndarray:

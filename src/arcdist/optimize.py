@@ -5,15 +5,18 @@ candidate shape re-roots its designated scale parameter, so the outer
 Nelder-Mead search stays unconstrained. Each family's series is affine
 in its scale (the great circle's scale instead stretches its domain at
 constant speed), so its arc length at one rule level is a closed form
-in the scale (curves.length_model). The search's candidate evaluator
-warm-starts each root from the previous candidate's scale with Newton
-steps on that closed form, on the rule's own nodes, and confirms the
-root with one arc length. It falls back to a bracket pre-scan and
-bisection when Newton does not contract. A report's arc length,
-residual, node count and warning are always those of an arc length
-computed at its parameter. Non-simple or uncalibratable candidates
-receive an infinite objective. SCALES names each curve family's scale
-parameter, its default bracket and its length model.
+in the scale (curves.length_model). Every root is found by Newton steps
+on that closed form, on the rule's own nodes, confirmed by one arc
+length. The search's candidate evaluator warm-starts each from the
+previous candidate's scale. A cold root (the first candidate, `arcdist
+calibrate`, a warm start that fails) first pre-scans the bracket for a
+sign change and starts Newton inside it; bisection of that sign change
+is the fallback when there is no closed form or Newton does not
+contract. A report's arc length, residual, node count and warning are
+always those of an arc length computed at its parameter. Non-simple or
+uncalibratable candidates receive an infinite objective. SCALES names
+each curve family's scale parameter, its default bracket and its length
+model.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, great_circle, is_closed, is_simple, trig_series, wavy_circle
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import QuadratureRule, default_curve_rule, settled_level
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, settled_level
 
 FOUR_PI = 4.0 * math.pi
 
@@ -87,7 +90,7 @@ class OptimizationReport:
     warning: str | None = None
 
 
-#: Arc lengths a warm-started Newton root may spend confirming roots before bisection takes over.
+#: Arc lengths a Newton root may spend confirming roots before it fails.
 NEWTON_MAX_EVALUATIONS = 8
 
 #: Default bound on |arc_length - 4pi| at which a calibration stops.
@@ -108,16 +111,18 @@ def calibrate_arc_length(
 ) -> CalibrationReport:
     """Root the scale parameter p until |arc_length - 4pi| <= tol.
 
-    With a start inside the bracket and length_model(curve, p, rule, n),
-    the family's LengthModel L_n at the n-node level of the rule, Newton
-    steps run on L_n from the start, first at n = 2 rule.n, the level at
-    which a refinement can first stop. Each step must stay inside the
-    bracket and at least halve |L_n - 4pi|. Once |L_n - 4pi| <= tol, one
-    arc_length at that p confirms the root, and the report takes its
-    value and residual from it. A confirmation that misses tol rebuilds
-    L_n at the level it settled at and runs Newton again, for at most
-    NEWTON_MAX_EVALUATIONS arc lengths; the report then carries the bracket
-    as given and counts those arc lengths as its iterations. A warm start
+    The root is found by Newton (_newton_root) on length_model(curve, p,
+    rule, n), the family's LengthModel L_n at the n-node level of the
+    rule: steps on L_n, first at n = 2 rule.n, the level at which a
+    refinement can first stop, each clipped to an interval and at least
+    halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at that p
+    confirms the root, and the report takes its value and residual from
+    it. A confirmation that misses tol rebuilds L_n at the level it
+    settled at and runs Newton again, for at most NEWTON_MAX_EVALUATIONS
+    arc lengths, which the report counts as its iterations.
+
+    With a start inside the bracket, Newton runs from the start inside the
+    bracket, and the report carries the bracket as given. A warm start
     finds the root that Newton reaches from it and skips the sign-change
     survey below.
 
@@ -125,8 +130,11 @@ def calibrate_arc_length(
     points to locate a sign change of arc_length(p) - 4pi;
     NoBracketError if there is none. With multiple sign changes the
     subinterval whose midpoint is closest to the bracket midpoint is used
-    and the report is flagged (non-monotone length). Bisection then
-    halves that subinterval. Deterministic for fixed inputs.
+    and the report is flagged (non-monotone length). Newton then runs from
+    that subinterval's midpoint inside it, and the report carries it as
+    its bracket. Without a length_model, or when Newton fails, bisection
+    halves the subinterval instead, and the report counts its steps as
+    iterations. Deterministic for fixed inputs.
     """
     rule = rule or default_curve_rule()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -134,18 +142,9 @@ def calibrate_arc_length(
         raise ValueError("bracket must satisfy lo < hi")
 
     if start is not None and length_model is not None and lo <= start <= hi:
-        p = float(start)
-        curve = make_curve(p)
-        n = 2 * rule.n
-        for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
-            p = _model_root(length_model(curve, p, rule, n), p, lo, hi, tol)
-            if p is None:
-                break
-            curve = make_curve(p)
-            length = arc_length(curve, rule)
-            if abs(length.value - FOUR_PI) <= tol:
-                return _report_length(family, p, length, evaluations, (lo, hi))
-            n = settled_level(rule, length.nodes_used)
+        root = _newton_root(make_curve, float(start), lo, hi, tol, rule, length_model)
+        if root is not None:
+            return _report_length(family, *root, (lo, hi))
 
     scan = np.linspace(lo, hi, 32)
     lengths = [arc_length(make_curve(p), rule) for p in scan]
@@ -172,6 +171,11 @@ def calibrate_arc_length(
     a, fa = float(scan[i]), float(gvals[i])
     b = float(scan[i + 1])
     sub_bracket = (a, b)
+    if length_model is not None:
+        root = _newton_root(make_curve, 0.5 * (a + b), a, b, tol, rule, length_model)
+        if root is not None:
+            return _report_length(family, *root, sub_bracket, warning)
+
     iterations = 0
     while iterations < 200:
         mid = 0.5 * (a + b)
@@ -189,17 +193,41 @@ def calibrate_arc_length(
     )
 
 
+def _newton_root(
+    make_curve: Callable[[float], SphericalCurve],
+    p: float,
+    lo: float,
+    hi: float,
+    tol: float,
+    rule: QuadratureRule,
+    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel],
+) -> tuple[float, FunctionalResult, int] | None:
+    """Newton on the length model from p inside [lo, hi], each root
+    confirmed by an arc length (see calibrate_arc_length): the root, its
+    arc length and the arc lengths taken, or None when Newton fails."""
+    curve = make_curve(p)
+    n = 2 * rule.n
+    for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
+        p = _model_root(length_model(curve, p, rule, n), p, lo, hi, tol)
+        if p is None:
+            return None
+        curve = make_curve(p)
+        length = arc_length(curve, rule)
+        if abs(length.value - FOUR_PI) <= tol:
+            return p, length, evaluations
+        n = settled_level(rule, length.nodes_used)
+    return None
+
+
 def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: float) -> float | None:
-    """Newton on the model from p until |L_n - 4pi| <= tol; None once a step
-    leaves [lo, hi] or fails to halve |L_n - 4pi|."""
+    """Newton on the model from p, each step clipped to [lo, hi], until
+    |L_n - 4pi| <= tol; None once a step fails to halve |L_n - 4pi|."""
     length, slope = model(p)
     while abs(length - FOUR_PI) > tol:
         resid = length - FOUR_PI
-        p = p - resid / slope
-        if not lo <= p <= hi:  # also catches a NaN step
-            return None
+        p = min(max(p - resid / slope, lo), hi)
         length, slope = model(p)
-        if not abs(length - FOUR_PI) <= 0.5 * abs(resid):
+        if not abs(length - FOUR_PI) <= 0.5 * abs(resid):  # also catches a NaN step
             return None
     return p
 
@@ -382,7 +410,8 @@ def make_candidate_evaluator(
     The evaluator keeps the last calibrated scale and warm-starts the next
     calibration from it, so a candidate's scale depends, within
     CONSTRAINT_TOL, on the candidates before it. The first call, and any
-    whose Newton steps fail, roots by pre-scan and bisection. A fresh
+    whose warm Newton steps fail, roots cold, from the bracket's pre-scan
+    (see calibrate_arc_length). A fresh
     evaluator given the same shapes in the same order returns the same
     values.
     """

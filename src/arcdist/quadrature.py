@@ -109,6 +109,11 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def periodic_nodes(a: float, b: float, n: int) -> np.ndarray:
+    """The n equispaced nodes a + (b - a) k / n, k < n, of the periodic trapezoid rule on [a, b]."""
+    return a + (b - a) * np.arange(n) / n
+
+
 def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes on [a, b] and weights summing to b - a of the rule at n nodes (default rule.n).
 
@@ -124,7 +129,7 @@ def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -
     if rule.kind == "monte_carlo":
         xs = a + span * np.random.default_rng(rule.seed).random(n)
     else:
-        xs = a + span * np.arange(n) / n
+        xs = periodic_nodes(a, b, n)
     return xs, np.full(n, span / n)
 
 

@@ -146,7 +146,9 @@ class TestCalibrate:
         code, _, _ = run(["calibrate", "--curve", spec, "--out", str(out_path)], capsys)
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
-        assert rows["calibrated_parameter"]["value"] == pytest.approx(1.0000440536006805, abs=1e-9)
+        # the root of L - 4pi under the default curve rule, by bisection to
+        # |L - 4pi| <= 1e-10 (arcdist calibrate stops at its default 1e-6)
+        assert rows["calibrated_parameter"]["value"] == pytest.approx(1.0000439074956964, abs=1e-9)
         assert rows["calibrated_parameter"]["message"] == "series amplitude"
 
     def test_great_circle_keeps_its_domain(self, tmp_path, capsys):

@@ -21,13 +21,15 @@ from arcdist.curves import (
     _chord_candidates,
     _local_chord_minima,
     _nearest_parameters,
+    _segments,
     is_simple,
     tennis_ball_seam,
     to_spec,
     trig_series,
     wavy_circle,
 )
-from arcdist.optimize import seam_seeded_family
+from arcdist import curves
+from arcdist.optimize import SCALES, seam_seeded_family
 from arcdist.quadrature import QuadratureRule
 from arcdist.sphere import random_rotation_matrix
 
@@ -119,6 +121,65 @@ class TestPositions:
         theta = theta + amp * (np.sin(np.multiply.outer(ts, js)) @ coeffs[1])
         phi = phi0 + slope * ts + amp * (np.sin(np.multiply.outer(ts, js)) @ coeffs[2])
         assert np.max(np.abs(series.positions(ts) - sphere_xyz(theta, phi))) <= 1e-14
+
+
+GRID_CURVES = {
+    "great_circle": lambda: great_circle((0.5, 2.5)),
+    "seam": lambda: tennis_ball_seam(0.7037),
+    "wavy_circle": lambda: wavy_circle(0.2862, domain=(1.0, 1.0 + 2.0 * math.pi)),
+    "trig_series": lambda: trig_series(
+        theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1], domain=(-0.7, FOUR_PI - 0.7)
+    ),
+    "rotated_seam": lambda: tennis_ball_seam(0.7037, domain=(2.0, 2.0 + FOUR_PI)).rotated(random_rotation_matrix(5)),
+}
+
+
+class TestGridTable:
+    """SphericalCurve.sample reads each harmonic's trig values from the grid's table."""
+
+    @pytest.mark.parametrize("n", [64, 100, 4096, 4097])
+    @pytest.mark.parametrize("name", list(GRID_CURVES))
+    def test_sample_is_positions_bit_for_bit(self, name, n):
+        curve = GRID_CURVES[name]()
+        dom = curve.domain
+        ts, pts = curve.sample(n)
+        assert ts.tobytes() == (dom.t_i + dom.period * np.arange(n) / n).tobytes()
+        assert pts.tobytes() == curve.positions(ts).tobytes()
+        # a second sample reads the stored values
+        assert curve.sample(n)[1].tobytes() == pts.tobytes()
+
+    def test_stored_values_are_read_only(self):
+        cos, sin = curves._grid_trig(0.0, FOUR_PI, 64, 3)
+        with pytest.raises(ValueError):
+            cos[0] = 0.0
+        with pytest.raises(ValueError):
+            sin[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["great_circle", "seam", "wavy_circle", "trig_series"])
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_length_model_unchanged_bit_for_bit(self, monkeypatch, name, n):
+        curve = GRID_CURVES[name]()
+        entry = SCALES[curve.family]
+        scale = {"great_circle": 1.0, "seam": 0.7037, "wavy_circle": 0.2862, "trig_series": 1.0}[name]
+        rule = QuadratureRule("periodic_trapezoid", 256, 1e-9)
+        scales = (scale, 0.97 * scale, 1.02 * scale)
+        tabled = entry.length_model(curve, scale, rule, n)
+        values = [tabled(s) for s in scales]
+        monkeypatch.setattr(curves, "_GRID_TRIG_MAX_N", 0)  # every trig value taken at the call
+        plain = entry.length_model(curve, scale, rule, n)
+        assert values == [plain(s) for s in scales]
+
+    def test_stays_within_its_bound(self):
+        entries = curves._GRID_TRIG_ENTRIES
+        seam = tennis_ball_seam(0.7037)
+        # two harmonics a grid: twice as many entries as the table keeps
+        for n in range(64, 64 + entries):
+            seam.sample(n)
+        info = curves._grid_trig.cache_info()
+        assert info.maxsize == entries and info.currsize <= entries
+        # a grid finer than _GRID_TRIG_MAX_N is never stored
+        seam.sample(curves._GRID_TRIG_MAX_N + 1)
+        assert curves._grid_trig.cache_info().misses == info.misses
 
 
 class TestVelocity:
@@ -284,7 +345,7 @@ class TestSimplicity:
         period = curve.domain.period
         ts = curve.domain.t_i + period * np.arange(n) / n
         pts = curve.positions(ts)
-        pairs = _chord_candidates(pts, 0.05)
+        pairs = _chord_candidates(pts, *_segments(pts), 0.05)
         gap = pairs[:, 1] - pairs[:, 0]
         assert pairs.size and np.all(np.minimum(gap, n - gap) > 3)
         # on this sample grid, some pairs exactly 3 apart pass the float test by rounding
@@ -389,7 +450,7 @@ class TestChordCandidates:
     def _check(self, curve, n):
         pts, capture = self._samples(curve, n)
         reference = self._reference(pts, capture)
-        found = _chord_candidates(pts, capture)
+        found = _chord_candidates(pts, *_segments(pts), capture)
         # the candidates are pairs of the reference set, in lexicographic order ...
         codes = found[:, 0] * n + found[:, 1]
         assert np.all(np.diff(codes) > 0)
@@ -415,7 +476,7 @@ class TestChordCandidates:
         n = 4096
         pts, _ = self._samples(tennis_ball_seam(0.7037), n)
         assert self._reference(pts, 0.05).size > 0
-        assert _chord_candidates(pts, 0.05).size == 0
+        assert _chord_candidates(pts, *_segments(pts), 0.05).size == 0
 
 
 def test_import_leaves_scipy_spatial_out():

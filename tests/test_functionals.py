@@ -214,10 +214,10 @@ class TestNearestRefinement:
         passes = []
         series, refine = curves._series_angles, functionals._nearest_parameters
 
-        def counting_series(s, ts, rates=0):
+        def counting_series(s, ts, rates=0, grid=None):
             if rates == 2:
                 passes[-1] += 1
-            return series(s, ts, rates)
+            return series(s, ts, rates, grid)
 
         def counting_refine(*args):
             passes.append(0)

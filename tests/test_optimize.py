@@ -132,9 +132,37 @@ class TestNewtonCalibration:
         ids=["start_outside", "leaves_bracket", "wrong_sign", "no_model"],
     )
     def test_failed_newton_falls_back_to_bisection_bit_for_bit(self, start, model):
-        plain = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
+        # a failed warm start gives the cold path's report with the same
+        # model, which for every failing model is the plain bisection's
+        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, length_model=model)
         warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start, length_model=model)
-        assert warm == plain
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "model", [_with_slope(1e-3), _with_slope(-9.12)], ids=["leaves_bracket", "wrong_sign"]
+    )
+    def test_failed_cold_newton_gives_bisection_bit_for_bit(self, monkeypatch, model):
+        plain = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
+        calls = _count_arc_lengths(monkeypatch)
+        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, length_model=model)
+        assert cold == plain
+        # the failed Newton took no arc length: 32 pre-scan points, then bisection
+        assert len(calls) == 32 + plain.iterations
+
+    def test_cold_root_takes_the_prescan_and_one_or_two_arc_lengths(self, monkeypatch):
+        family = seam_seeded_family(3)
+        shape = np.array(family.initial_shape)
+        rule = default_curve_rule(n=256, tol=5e-7)  # the search's rule
+        bisected = calibrate_arc_length(lambda s: family.build(shape, s), family.scale_bracket, tol=1e-12, rule=rule)
+        calls = _count_arc_lengths(monkeypatch)
+        cold = family.calibrate(shape, CONSTRAINT_TOL, rule)
+        assert len(calls) <= 34 and cold.iterations == len(calls) - 32
+        assert cold.residual <= CONSTRAINT_TOL
+        assert cold.residual == abs(arc_length(family.build(shape, cold.parameter), rule).value - FOUR_PI)
+        # Newton stays inside the pre-scan's sub-bracket and lands on the root
+        assert cold.bracket == bisected.bracket
+        assert cold.bracket[0] <= cold.parameter <= cold.bracket[1]
+        assert cold.parameter == pytest.approx(bisected.parameter, abs=1e-12)
 
     @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
     @pytest.mark.parametrize("n", [512, 2048])
@@ -273,8 +301,9 @@ class TestMinimizeFunctional:
         first = evaluate(np.array(family.initial_shape))
         cold = len(calls)
         again = evaluate(np.array(family.initial_shape))
-        # the cold call pre-scans 32 points and bisects; the warm one starts at the root
-        assert cold > 32 and len(calls) - cold == 1
+        # the cold call pre-scans 32 points and confirms a Newton root; the
+        # warm one starts at the root
+        assert 32 < cold <= 34 and len(calls) - cold == 1
         assert again == first
 
     def test_each_warm_candidate_takes_one_confirmed_arc_length(self, monkeypatch):
@@ -297,8 +326,8 @@ class TestMinimizeFunctional:
         monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", recording_factory)
         minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40))
         assert len(candidates) == 40
-        # the first candidate roots cold, by pre-scan and bisection
-        assert candidates[0][2] > 32
+        # the first candidate roots cold, by pre-scan and Newton in the sign change
+        assert 32 < candidates[0][2] <= 34
         assert [taken for _, _, taken in candidates[1:]] == [1] * 39
         rule = default_curve_rule(n=256, tol=5e-7)  # the evaluator's rule
         feasible = [(shape, scale, resid) for shape, (value, scale, resid), _ in candidates if math.isfinite(value)]
