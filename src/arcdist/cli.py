@@ -1,6 +1,6 @@
 """Command-line front end: verify, eval, sample, calibrate, optimize.
 
-All angles are radians. Reports are JSON ({config, version, results}),
+All angles are radians. Reports are JSON ({config, version, environment, results}),
 curve samples are CSV; identical settings give byte-identical output
 files. Exit codes: 0 success, 1 verification row failed, 2 config
 error, 3 numerical failure.
@@ -18,14 +18,17 @@ SearchFamily.calibrate), and a report's config echoes the settings given.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
@@ -128,11 +131,39 @@ def _curve_from_config(cfg: dict) -> curves.SphericalCurve:
     return curve
 
 
+def _blas_threads() -> int | None:
+    """Thread count the loaded OpenBLAS reports, or None where it cannot be asked."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _environment() -> dict:
+    """The library versions and BLAS threads a report's numbers depend on:
+    its bytes repeat only under the same BLAS and thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_threads": _blas_threads(),
+    }
+
+
 def _report_envelope(cfg: dict, results: list[dict]) -> dict:
     # the output path is not semantic config; dropping it keeps reports
     # byte-identical for identical runs regardless of destination
     config = {k: v for k, v in cfg.items() if k != "out"}
-    return {"config": config, "version": __version__, "results": results}
+    return {"config": config, "version": __version__, "environment": _environment(), "results": results}
 
 
 def _write_json(report: dict, out: str | None) -> None:

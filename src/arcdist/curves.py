@@ -413,14 +413,17 @@ def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:
 #: The nearest-parameter refinement stops a row once its step is at most this.
 _NEAREST_STEP = 1e-10
 #: Most passes of one refinement. Bisection alone takes a bracket of a few
-#: sample spacings down to _NEAREST_STEP in under 40; Newton needs 3-4.
+#: sample spacings down to _NEAREST_STEP in under 40; Newton needs 3-4 from
+#: a sample and 1-2 from the vertex of the parabola through three samples.
 _NEAREST_MAX_PASSES = 64
 
 
 def _nearest_parameters(
-    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float
-) -> np.ndarray:
-    """Per row, the t in [center - half_width, center + half_width] nearest its target.
+    curve: SphericalCurve, targets: np.ndarray, centers: np.ndarray, half_width: float, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the t in [center - half_width, center + half_width] nearest its
+    target, searched from `starts` (inside the bracket), and f = q . r at the
+    last parameter evaluated, which is within _NEAREST_STEP of t.
 
     Maximizes f(t) = q . r(t) (the same argmin as |r(t) - q|, cheaper) by
     safeguarded Newton steps on f' = 0 (rtsafe; Press et al., Numerical
@@ -438,12 +441,13 @@ def _nearest_parameters(
     most _NEAREST_STEP or f' = 0 (where it keeps t); a target whose maximum
     lies outside the bracket ends at the bracket's edge. A row's result
     does not depend on the other rows in its call. Returns the parameters
-    unwrapped.
+    unwrapped, and f in the curve's frame (rotation included).
     """
     q = targets if curve.rotation is None else targets @ np.asarray(curve.rotation, dtype=float)
-    t = np.array(centers, dtype=float)
-    lo = t - half_width
-    hi = t + half_width
+    t = np.array(starts, dtype=float)
+    lo = centers - half_width
+    hi = centers + half_width
+    f_last = np.empty(t.size)
     rows = np.arange(t.size)
     for _ in range(_NEAREST_MAX_PASSES):
         tr, a, b = t[rows], lo[rows], hi[rows]
@@ -455,6 +459,7 @@ def _nearest_parameters(
         g = ct * u - qz * st
         w = st * v
         f = st * u + qz * ct
+        f_last[rows] = f
         fp = d1theta * g + d1phi * w
         fpp = d2theta * g - d1theta * d1theta * f + 2.0 * ct * d1theta * d1phi * v + d2phi * w - st * d1phi * d1phi * u
         rising = fp > 0
@@ -469,7 +474,7 @@ def _nearest_parameters(
         rows = rows[~(flat | (np.abs(t_next - tr) <= _NEAREST_STEP))]
         if rows.size == 0:
             break
-    return t
+    return t, f_last
 
 
 def _closest_parameters(

@@ -182,7 +182,8 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
 
 def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:
     """reduce(P) over row chunks P of `points` whose P x n_nodes matrices hold at most
-    _CHUNK_ENTRIES entries (a chunk has one row at least)."""
+    _CHUNK_ENTRIES entries (a chunk has one row at least). A subarray dtype,
+    such as (float, 2), takes one row of values per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(points.shape[0], dtype)
     step = max(1, _CHUNK_ENTRIES // n_nodes)
@@ -228,30 +229,39 @@ def sup_deviation_from_half_pi(
 def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
     """Global minimum distance from each point to the curve, and its parameter.
 
-    Each point's best of the n_scan equispaced samples of
+    Each point's best of the n_scan >= 64 equispaced samples of
     SphericalCurve.sample (largest dot product, the same argmin as arccos
     and cheaper; ties break toward the smallest parameter) comes from a scan
     that forms the dot products with only the arcs of samples that can hold
     it (_best_samples). Newton-bisection refinement
     (curves._nearest_parameters) then finds the nearest parameter within
-    one sample spacing of it, in row blocks. The distance is
-    arccos(point . r(t)) at the refined, wrapped parameter.
+    one sample spacing of it, in row blocks. It starts at the vertex of the
+    parabola through the dot products with the best sample and its two
+    neighbours around the closed curve (Brent, Algorithms for Minimization
+    without Derivatives, 1973), or at the best sample where that parabola
+    is not concave. The distance is the arccos of the dot product at the
+    refinement's last evaluated parameter, which is within _NEAREST_STEP of
+    the returned, wrapped one.
     """
+    if n_scan < 64:
+        raise ValueError("n_scan must be >= 64")
     ts, C = curve.sample(n_scan)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    best_idx = _best_samples(points, C)
     dt = curve.domain.period / n_scan
-    # A refinement block reads its points with their best samples as a fourth column.
-    t_best = curve._wrap(
-        _by_rows(
-            np.column_stack([points, ts[best_idx]]),
-            _REFINE_ENTRIES_PER_ROW,
-            lambda B: _nearest_parameters(curve, B[:, :3], B[:, 3], dt),
-            float,
-        )
-    )
-    d_best = np.arccos(np.clip(np.einsum("ij,ij->i", points, curve.positions(t_best)), -1.0, 1.0))
-    return d_best, t_best
+
+    def refine(B: np.ndarray) -> np.ndarray:
+        # A block reads its points with their best samples' indices as a fourth column.
+        P, i = B[:, :3], B[:, 3].astype(np.int64)
+        f_prev, f_best, f_next = (np.einsum("ij,ij->i", P, C.take(i + k, axis=0, mode="wrap")) for k in (-1, 0, 1))
+        bend = f_prev - 2.0 * f_best + f_next
+        shift = np.divide(0.5 * dt * (f_prev - f_next), bend, out=np.zeros_like(bend), where=bend < 0)
+        t, f = _nearest_parameters(curve, P, ts[i], dt, ts[i] + np.clip(shift, -dt, dt))
+        return np.column_stack([t, f])
+
+    t, f = _by_rows(
+        np.column_stack([points, _best_samples(points, C)]), _REFINE_ENTRIES_PER_ROW, refine, (float, 2)
+    ).T
+    return np.arccos(np.clip(f, -1.0, 1.0)), curve._wrap(t)
 
 
 def _best_samples(points: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -304,16 +314,15 @@ def point_to_curve_min(curve: SphericalCurve, p, n_scan: int = 4096) -> tuple[fl
     """Minimum geodesic distance from a point to the curve and its parameter.
 
     The best of n_scan equispaced samples, found from the dot products
-    with only the arcs of samples that can hold it (see
-    _min_distance_batch), is refined by Newton-bisection steps on the
-    closed-form derivative of the dot product, within one sample spacing
-    either side, to a step of 1e-10 in t. n_scan must be
-    >= 64 and dense enough to bracket the global basin (the default
-    resolves 10-oscillation colatitude profiles with >400 samples per
-    oscillation).
+    with only the arcs of samples that can hold it, is refined by
+    Newton-bisection steps on the closed-form derivative of the dot product,
+    from the vertex of the parabola through it and its two neighbours,
+    within one sample spacing either side, to a step of 1e-10 in t; the
+    distance is taken at the last evaluated parameter (see
+    _min_distance_batch). n_scan must be >= 64 and dense enough to bracket
+    the global basin (the default resolves 10-oscillation colatitude
+    profiles with >400 samples per oscillation).
     """
-    if n_scan < 64:
-        raise ValueError("n_scan must be >= 64")
     d, t = _min_distance_batch(curve, as_unit_xyz(p)[None, :], n_scan)
     return float(d[0]), float(t[0])
 
@@ -328,7 +337,8 @@ def mean_min_arc_distance(
 
     Arithmetic mean over an area-uniform sample of sphere points of the
     distance to the nearest curve point, with the sample standard error as
-    the error estimate.
+    the error estimate. Each distance comes from the best of n_scan >= 64
+    samples, refined (see _min_distance_batch).
     """
     if n_points < 100:
         raise ValueError("n_points must be >= 100")

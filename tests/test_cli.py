@@ -1,11 +1,13 @@
 import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy
 
-from arcdist import verify
+from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
 from arcdist.quadrature import MC_SAMPLES, TOLERANCE_NOT_REACHED, FunctionalResult
 from arcdist.verify import ClaimRow, VerifySettings
@@ -469,6 +471,29 @@ class TestVerifyGlue:
         assert by_name["b"]["message"] == "why it failed"
         assert "pass" not in by_name["c"]  # informational row
         assert not any("warning" in row for row in report["results"])
+
+    def test_report_names_its_environment(self, fake_rows, tmp_path, capsys):
+        out_path = tmp_path / "verify.json"
+        run(["verify", "--seed", "3", "--out", str(out_path)], capsys)
+        env = json.loads(out_path.read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
+        if "openblas" in blas["name"] and os.path.exists("/proc/self/maps"):
+            assert isinstance(env["blas_threads"], int) and env["blas_threads"] >= 1
+        else:
+            assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+    def test_blas_threads_is_null_where_it_cannot_be_asked(self, monkeypatch):
+        class Unreadable:
+            def __init__(self, path):
+                pass
+
+            def read_text(self):
+                raise OSError("no maps")
+
+        monkeypatch.setattr(cli, "Path", Unreadable)
+        assert cli._blas_threads() is None
 
     def test_exit_0_when_all_pass(self, monkeypatch, capsys):
         rows = [ClaimRow("a", 1.0, tolerance=0.1, passed=True)]

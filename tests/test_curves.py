@@ -498,13 +498,14 @@ class TestNearestParameters:
         # [0.05, 0.15] and left of [0.45, 0.55].
         curve = great_circle((0.0, 1.0))
         targets = curve.positions(np.array([0.3, 0.3]))
-        t = _nearest_parameters(curve, targets, np.array([0.1, 0.5]), 0.05)
+        centers = np.array([0.1, 0.5])
+        t, _ = _nearest_parameters(curve, targets, centers, 0.05, centers)
         assert t == pytest.approx([0.15, 0.45], abs=1e-10)
 
     def test_interior_maximum_is_the_nearest_point(self):
         seam = tennis_ball_seam(0.7037)
         ts = np.array([0.4, 2.0, 5.5, 9.1])
-        t = _nearest_parameters(seam, seam.positions(ts), ts + 0.002, 0.003)
+        t, _ = _nearest_parameters(seam, seam.positions(ts), ts + 0.002, 0.003, ts + 0.002)
         assert t == pytest.approx(ts, abs=1e-9)
 
 

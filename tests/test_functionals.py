@@ -205,39 +205,45 @@ class TestPointToCurveMin:
             assert dmin <= point_to_curve_mean(c, q).value + 1e-9
 
 
+_REFINED_CURVES = pytest.mark.parametrize(
+    "curve",
+    [
+        great_circle(),
+        tennis_ball_seam(0.7037),
+        wavy_circle(0.286241),
+        trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1]),
+        tennis_ball_seam(0.7037).rotated(random_rotation_matrix(11)),
+    ],
+    ids=["great_circle", "seam", "wavy", "trig_series", "rotated_seam"],
+)
+
+
 class TestNearestRefinement:
     """The Newton-bisection refinement behind _min_distance_batch."""
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """Record, per refinement call, its number of passes (second-rate series evaluations)."""
-        passes = []
+        """Record, per refinement call, its number of passes (second-rate series
+        evaluations) and the rows those passes evaluated."""
+        passes, rows = [], []
         series, refine = curves._series_angles, functionals._nearest_parameters
 
         def counting_series(s, ts, rates=0, grid=None):
             if rates == 2:
                 passes[-1] += 1
+                rows[-1] += len(ts)
             return series(s, ts, rates, grid)
 
         def counting_refine(*args):
             passes.append(0)
+            rows.append(0)
             return refine(*args)
 
         monkeypatch.setattr(curves, "_series_angles", counting_series)
         monkeypatch.setattr(functionals, "_nearest_parameters", counting_refine)
-        return passes
+        return passes, rows
 
-    @pytest.mark.parametrize(
-        "curve",
-        [
-            great_circle(),
-            tennis_ball_seam(0.7037),
-            wavy_circle(0.286241),
-            trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1]),
-            tennis_ball_seam(0.7037).rotated(random_rotation_matrix(11)),
-        ],
-        ids=["great_circle", "seam", "wavy", "trig_series", "rotated_seam"],
-    )
+    @_REFINED_CURVES
     def test_never_above_a_fine_scan(self, curve):
         pts = uniform_unit_vectors(17, 2_000)
         d, _ = _min_distance_batch(curve, pts, 4096)
@@ -256,17 +262,54 @@ class TestNearestRefinement:
         else:
             curve = great_circle()
             pts = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-        passes = self._count_passes(monkeypatch)
+        passes, _ = self._count_passes(monkeypatch)
         d, _ = _min_distance_batch(curve, pts, 256)
         assert passes == [1]
         assert np.all(d == HALF_PI)
 
     def test_seam_needs_few_passes_per_block(self, monkeypatch):
-        # Newton converges in 3-4 passes from the best scan sample; bisection
-        # alone would take about 25 to shrink a 2-sample bracket to 1e-10.
-        passes = self._count_passes(monkeypatch)
+        # From the vertex of the parabola through the best scan sample and its
+        # neighbours, about 1e-5 from the maximum, Newton stops most rows after
+        # their second pass (the best sample alone, up to half a spacing off,
+        # took 3); bisection alone would take about 25 to shrink a 2-sample
+        # bracket to 1e-10.
+        passes, rows = self._count_passes(monkeypatch)
         _min_distance_batch(tennis_ball_seam(0.7037), uniform_unit_vectors(29, 10_000), 4096)
-        assert len(passes) == 5 and max(passes) <= 5
+        assert len(passes) == 5 and max(passes) <= 3
+        assert sum(rows) <= 2.2 * 10_000
+
+    def test_doubled_great_circle_takes_one_pass_per_block(self, monkeypatch):
+        # A point's dot product with the great circle is A cos(2 pi t - c), so
+        # the parabola's vertex misses its maximum by under 1e-10 in t, and the
+        # first Newton step is already below the stopping step.
+        passes, rows = self._count_passes(monkeypatch)
+        _min_distance_batch(great_circle(), uniform_unit_vectors(29, 10_000), 4096)
+        assert passes == [1] * 5 and sum(rows) == 10_000
+
+    @_REFINED_CURVES
+    def test_distance_is_taken_at_the_returned_parameter(self, curve):
+        # The distance comes from the refinement's last evaluated parameter,
+        # within 1e-10 of the returned one, where the dot product is flat to
+        # second order; compared as dot products, which arccos does not amplify.
+        pts = uniform_unit_vectors(17, 2_000)
+        d, t = _min_distance_batch(curve, pts, 4096)
+        dots = np.einsum("ij,ij->i", pts, curve.positions(t))
+        assert np.max(np.abs(np.cos(d) - dots)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "curve, recorded",
+        [
+            (great_circle(), 0.563891213160686),
+            (tennis_ball_seam(0.7037), 0.26416509923155107),
+            (wavy_circle(0.286241), 0.6384099171173666),
+            (trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1]), 0.4687951918115723),
+        ],
+        ids=["great_circle", "seam", "wavy", "trig_series"],
+    )
+    def test_mean_matches_the_recorded_values(self, curve, recorded):
+        # Recorded with the refinement started at the best sample and the
+        # distance taken from one more positions() call at the refined parameter.
+        assert mean_min_arc_distance(curve, 10_000, seed=3, n_scan=4096).value == pytest.approx(recorded, abs=1e-13)
 
 
 class _CountedSamples(np.ndarray):
@@ -363,6 +406,10 @@ class TestMeanMinArcDistance:
         with pytest.raises(ValueError):
             mean_min_arc_distance(great_circle(), n_points=10)
 
+    def test_scan_count_validated(self):
+        with pytest.raises(ValueError):
+            mean_min_arc_distance(great_circle(), n_points=1000, n_scan=32)
+
 
 class TestELResiduals:
     def test_zero_colatitude_solution(self):
@@ -428,9 +475,9 @@ class TestRowBlocks:
             d0, t0 = _min_distance_batch(curve, pts, 4096)
             refine, block_rows = functionals._nearest_parameters, []
 
-            def recording_refine(curve, targets, centers, half_width):
+            def recording_refine(curve, targets, centers, half_width, starts):
                 block_rows.append(len(targets))
-                return refine(curve, targets, centers, half_width)
+                return refine(curve, targets, centers, half_width, starts)
 
             with monkeypatch.context() as m:
                 m.setattr(functionals, "_CHUNK_ENTRIES", 1)
