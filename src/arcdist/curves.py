@@ -710,8 +710,11 @@ def is_simple(
     minimum of the chord within 1.5 sample spacings of each of its
     parameters (_closest_parameters). A refined pair counts only if it
     lies strictly inside that box, since on its edge the chord still
-    falls, toward the diagonal or another candidate. Returns (simple,
-    witness parameter pair or None).
+    falls, toward the diagonal or another candidate, and the first such
+    pair in the candidates' (i, j) order is the witness: the refined chords
+    of exact crossings all sit at rounding level, so their argmin would
+    change with the last bits of the curve. Returns (simple, witness
+    parameter pair or None).
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
@@ -743,6 +746,5 @@ def is_simple(
     admissible = inside & (np.minimum(dt, period - dt) > 3.0 * period / n_samples)
     hits = np.nonzero(admissible & (dist < eps))[0]
     if hits.size:
-        best = hits[int(np.argmin(dist[hits]))]
-        return False, (float(t1[best]), float(t2[best]))
+        return False, (float(t1[hits[0]]), float(t2[hits[0]]))
     return True, None

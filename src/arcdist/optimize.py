@@ -5,18 +5,18 @@ candidate shape re-roots its designated scale parameter, so the outer
 Nelder-Mead search stays unconstrained. Each family's series is affine
 in its scale (the great circle's scale instead stretches its domain at
 constant speed), so its arc length at one rule level is a closed form
-in the scale (curves.length_model). Every root is found by Newton steps
-on that closed form, on the rule's own nodes, confirmed by one arc
-length. The search's candidate evaluator warm-starts each from the
-previous candidate's scale. A cold root (the first candidate, `arcdist
-calibrate`, a warm start that fails) first pre-scans the bracket for a
-sign change and starts Newton inside it; bisection of that sign change
-is the fallback when there is no closed form or Newton does not
-contract. A report's arc length, residual, node count and warning are
-always those of an arc length computed at its parameter. Non-simple or
-uncalibratable candidates receive an infinite objective. SCALES names
-each curve family's scale parameter, its default bracket and its length
-model.
+in the scale (curves.length_model). Every root is found on that closed
+form, on the rule's own nodes, and real arc lengths only confirm it: one
+confirming arc length per root, a second when the first refines deeper.
+The search's candidate evaluator warm-starts Newton from the previous
+candidate's scale. A cold root (the first candidate, `arcdist
+calibrate`, a warm start that fails) first pre-scans the closed form
+over the bracket for a sign change, then runs Newton inside it,
+safeguarded by bisecting the sign change. A report's arc length,
+residual, node count and warning are always those of an arc length
+computed at its parameter. Non-simple or uncalibratable candidates
+receive an infinite objective. SCALES names each curve family's scale
+parameter, its default bracket and its length model.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ DIAMETER_TOL = 1e-6
 
 
 class NoBracketError(ValueError):
-    """The pre-scan found no sign change of arc_length - 4pi in the bracket."""
+    """The pre-scan found no sign change of the length model's L - 4pi in the bracket."""
 
 
 class CalibrationFailedError(RuntimeError):
@@ -57,9 +57,11 @@ class CalibrationReport:
     """Outcome of rooting a family's scale parameter to arc length 4pi.
 
     arc_length, residual = |arc_length - 4pi| and nodes_used are those of
-    the arc length computed at the parameter. warning is that arc
-    length's warning (TOLERANCE_NOT_REACHED) if it has one, else
-    MULTIPLE_SIGN_CHANGES when the pre-scan found several roots.
+    the arc length computed at the parameter. iterations counts the
+    confirming arc lengths the root took (the pre-scan and Newton take
+    none). warning is that arc length's warning (TOLERANCE_NOT_REACHED)
+    if it has one, else MULTIPLE_SIGN_CHANGES when the pre-scan found
+    several roots.
     """
 
     family: str
@@ -107,54 +109,103 @@ def calibrate_arc_length(
     tol: float = CALIBRATION_TOL,
     rule: QuadratureRule | None = None,
     start: float | None = None,
-    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel] | None = None,
 ) -> CalibrationReport:
     """Root the scale parameter p until |arc_length - 4pi| <= tol.
 
-    The root is found by Newton (_newton_root) on length_model(curve, p,
-    rule, n), the family's LengthModel L_n at the n-node level of the
-    rule: steps on L_n, first at n = 2 rule.n, the level at which a
-    refinement can first stop, each clipped to an interval and at least
-    halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at that p
-    confirms the root, and the report takes its value and residual from
-    it. A confirmation that misses tol rebuilds L_n at the level it
+    make_curve(p) must be its family's curve at scale p, as SCALES defines
+    the scale: the root is found on that family's length model, L_n =
+    SCALES[curve.family].length_model(curve, p, rule, n) for curve =
+    make_curve(p), which is the rule's n-node sum of the arc length at
+    every scale. Arc lengths only confirm a root, so a root of a make_curve
+    that breaks the contract fails its confirmation and is never reported.
+
+    Newton (_newton_root) steps on L_n, first at n = 2 rule.n, the level at
+    which a refinement can first stop, each clipped to an interval and at
+    least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at
+    that p confirms the root, and the report takes its value and residual
+    from it. A confirmation that misses tol rebuilds L_n at the level it
     settled at and runs Newton again, for at most NEWTON_MAX_EVALUATIONS
-    arc lengths, which the report counts as its iterations.
+    arc lengths, which the report counts as its iterations;
+    CalibrationFailedError after that.
 
     With a start inside the bracket, Newton runs from the start inside the
     bracket, and the report carries the bracket as given. A warm start
     finds the root that Newton reaches from it and skips the sign-change
     survey below.
 
-    Otherwise, or when Newton fails, the bracket is pre-scanned at 32
-    points to locate a sign change of arc_length(p) - 4pi;
-    NoBracketError if there is none. With multiple sign changes the
+    Otherwise, or when the warm Newton fails, the root is cold: L_n - 4pi
+    at n = 2 rule.n is pre-scanned at 32 points of the bracket to locate a
+    sign change (a zero counts as positive); NoBracketError if there is
+    none. With multiple sign changes the
     subinterval whose midpoint is closest to the bracket midpoint is used
     and the report is flagged (non-monotone length). Newton then runs from
     that subinterval's midpoint inside it, and the report carries it as
-    its bracket. Without a length_model, or when Newton fails, bisection
-    halves the subinterval instead, and the report counts its steps as
-    iterations. Deterministic for fixed inputs.
+    its bracket. Where a step fails to halve |L_n - 4pi|, Newton bisects
+    the sign change instead (_model_root), so a cold root cannot fail on
+    the model; a rebuilt L_n with no sign change in the subinterval
+    rescans the bracket. Both bracket ends are built, so an end outside
+    the family's range raises. Deterministic for fixed inputs.
     """
     rule = rule or default_curve_rule()
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
 
-    if start is not None and length_model is not None and lo <= start <= hi:
-        root = _newton_root(make_curve, float(start), lo, hi, tol, rule, length_model)
-        if root is not None:
-            return _report_length(family, *root, (lo, hi))
+    root = None
+    if start is not None and lo <= start <= hi:
+        root = _newton_root(make_curve, float(start), (lo, hi), tol, rule)
+    if root is None:
+        make_curve(hi)  # the scan builds only lo, and an end past the family's range must raise
+        root = _newton_root(make_curve, lo, (lo, hi), tol, rule, cold=True)
+    if root is None:
+        raise CalibrationFailedError(f"no root confirmed to |L - 4pi| <= {tol} in {NEWTON_MAX_EVALUATIONS} arc lengths")
+    return _report_length(family, *root)
 
+
+def _newton_root(
+    make_curve: Callable[[float], SphericalCurve],
+    p: float,
+    bracket: tuple[float, float],
+    tol: float,
+    rule: QuadratureRule,
+    cold: bool = False,
+) -> tuple[float, FunctionalResult, int, tuple[float, float], str | None] | None:
+    """Newton on the length model from p inside the bracket, each root
+    confirmed by an arc length (see calibrate_arc_length): the root, its
+    arc length, the arc lengths taken, the interval Newton kept to and the
+    pre-scan's warning, or None when no root is confirmed. A cold root
+    pre-scans the model for a sign change, first and whenever a rebuilt
+    model has none in it, and bisects it where Newton fails."""
+    sub, warning = (None if cold else bracket), None
+    curve = make_curve(p)
+    n = 2 * rule.n
+    for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
+        model = SCALES[curve.family].length_model(curve, p, rule, n)
+        root = None if sub is None else _model_root(model, p, *sub, tol, cold)
+        if root is None and cold:
+            sub, warning = _sign_change(model, *bracket)
+            p = 0.5 * (sub[0] + sub[1])
+            curve = make_curve(p)
+            root = _model_root(SCALES[curve.family].length_model(curve, p, rule, n), p, *sub, tol, cold)
+        if root is None:
+            return None
+        p = root
+        curve = make_curve(p)
+        length = arc_length(curve, rule)
+        if abs(length.value - FOUR_PI) <= tol:
+            return p, length, evaluations, sub, warning
+        n = settled_level(rule, length.nodes_used)
+    return None
+
+
+def _sign_change(model: curves.LengthModel, lo: float, hi: float) -> tuple[tuple[float, float], str | None]:
+    """The pre-scan: the subinterval of 32 points on [lo, hi] where
+    L_n - 4pi changes sign, and MULTIPLE_SIGN_CHANGES when it does more
+    than once (see calibrate_arc_length)."""
     scan = np.linspace(lo, hi, 32)
-    lengths = [arc_length(make_curve(p), rule) for p in scan]
-    gvals = np.array([length.value - FOUR_PI for length in lengths])
-    exact = np.nonzero(gvals == 0.0)[0]
-    if exact.size:
-        i = int(exact[0])
-        return _report_length(family, float(scan[i]), lengths[i], 0, (lo, hi))
-
-    changes = np.nonzero(np.sign(gvals[:-1]) != np.sign(gvals[1:]))[0]
+    gvals = np.array([model(p)[0] for p in scan]) - FOUR_PI
+    below = gvals < 0.0
+    changes = np.nonzero(below[:-1] != below[1:])[0]
     if changes.size == 0:
         raise NoBracketError(
             f"arc_length - {FOUR_PI:.6g} has no sign change on [{lo}, {hi}] "
@@ -163,76 +214,40 @@ def calibrate_arc_length(
     warning = None
     if changes.size > 1:
         warning = MULTIPLE_SIGN_CHANGES
-        mid = 0.5 * (lo + hi)
         centers = 0.5 * (scan[changes] + scan[changes + 1])
-        changes = changes[[int(np.argmin(np.abs(centers - mid)))]]
-
+        changes = changes[[int(np.argmin(np.abs(centers - 0.5 * (lo + hi))))]]
     i = int(changes[0])
-    a, fa = float(scan[i]), float(gvals[i])
-    b = float(scan[i + 1])
-    sub_bracket = (a, b)
-    if length_model is not None:
-        root = _newton_root(make_curve, 0.5 * (a + b), a, b, tol, rule, length_model)
-        if root is not None:
-            return _report_length(family, *root, sub_bracket, warning)
-
-    iterations = 0
-    while iterations < 200:
-        mid = 0.5 * (a + b)
-        length = arc_length(make_curve(mid), rule)
-        fm = length.value - FOUR_PI
-        iterations += 1
-        if abs(fm) <= tol:
-            return _report_length(family, mid, length, iterations, sub_bracket, warning)
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    raise CalibrationFailedError(
-        f"bisection exhausted 200 iterations without reaching |L - 4pi| <= {tol}"
-    )
+    return (float(scan[i]), float(scan[i + 1])), warning
 
 
-def _newton_root(
-    make_curve: Callable[[float], SphericalCurve],
-    p: float,
-    lo: float,
-    hi: float,
-    tol: float,
-    rule: QuadratureRule,
-    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel],
-) -> tuple[float, FunctionalResult, int] | None:
-    """Newton on the length model from p inside [lo, hi], each root
-    confirmed by an arc length (see calibrate_arc_length): the root, its
-    arc length and the arc lengths taken, or None when Newton fails."""
-    curve = make_curve(p)
-    n = 2 * rule.n
-    for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
-        p = _model_root(length_model(curve, p, rule, n), p, lo, hi, tol)
-        if p is None:
-            return None
-        curve = make_curve(p)
-        length = arc_length(curve, rule)
-        if abs(length.value - FOUR_PI) <= tol:
-            return p, length, evaluations
-        n = settled_level(rule, length.nodes_used)
-    return None
-
-
-def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: float) -> float | None:
+def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: float, bracketed: bool) -> float | None:
     """Newton on the model from p, each step clipped to [lo, hi], until
-    |L_n - 4pi| <= tol; None once a step fails to halve |L_n - 4pi|."""
+    |L_n - 4pi| <= tol. A step that fails to halve |L_n - 4pi| ends an
+    unbracketed root with None. A bracketed one, where L_n - 4pi changes
+    sign on [lo, hi], narrows [lo, hi] to the sign change at every point
+    it steps from, and bisects it instead (safeguarded Newton, rtsafe in
+    Numerical Recipes 9.4); it is None only where the model has no sign
+    change on [lo, hi] or the sign change cannot be halved."""
+    if bracketed:
+        lo_below = model(lo)[0] < FOUR_PI
+        if lo_below == (model(hi)[0] < FOUR_PI):
+            return None
     length, slope = model(p)
     while abs(length - FOUR_PI) > tol:
         resid = length - FOUR_PI
+        if bracketed:
+            lo, hi = (p, hi) if (resid < 0.0) == lo_below else (lo, p)
         p = min(max(p - resid / slope, lo), hi)
         length, slope = model(p)
         if not abs(length - FOUR_PI) <= 0.5 * abs(resid):  # also catches a NaN step
-            return None
+            p = 0.5 * (lo + hi)
+            if not (bracketed and lo < p < hi):
+                return None
+            length, slope = model(p)
     return p
 
 
-def _report_length(family, p, length, iterations, bracket, warning=None) -> CalibrationReport:
+def _report_length(family, p, length, iterations, bracket, warning) -> CalibrationReport:
     """The report of the root p, from the arc length computed there."""
     value = length.value
     return CalibrationReport(
@@ -323,7 +338,6 @@ class SearchFamily:
             tol=tol,
             rule=rule,
             start=start,
-            length_model=SCALES[self.tag].length_model,
         )
 
 

@@ -199,6 +199,12 @@ class TestCalibrate:
         assert rows["warning_tolerance_not_reached"]["message"] == TOLERANCE_NOT_REACHED
         assert "warning_multiple_sign_changes" not in rows
 
+    def test_bracket_end_past_the_family_range_is_config_error(self, capsys):
+        # the pre-scan runs on the length model, but both ends are still built
+        code, _, err = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.1", "1.6"], capsys)
+        assert code == 2
+        assert "seam amplitude must lie in (0, pi/2)" in err
+
     def test_no_bracket_is_numerical_failure(self, capsys):
         code, _, err = run(
             ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.3", "0.5"], capsys

@@ -394,6 +394,16 @@ class TestSimplicity:
         shape = np.array([-0.4317, -0.0606, -0.4787, 0.1756, -0.9337, 0.0409, 0.1858, 1.0343, 0.1199])
         assert is_simple(seam_seeded_family(3).build(shape, 0.4571)) == (True, None)
 
+    def test_witness_does_not_move_with_the_last_bits_of_the_scale(self):
+        # Sweep seed 1001 at its calibrated scale (arc length 4pi to 1e-10)
+        # crosses itself at several pairs whose refined chords all sit at
+        # rounding level; a 1e-11 change of scale must not switch between them.
+        shape = _sweep_shape(1001)
+        scale = 0.979619966977667
+        witnesses = [is_simple(seam_seeded_family(3).build(shape, scale * (1.0 + e))) for e in (0.0, -1e-11, 1e-11)]
+        assert [simple for simple, _ in witnesses] == [False] * 3
+        assert np.array([w for _, w in witnesses]) == pytest.approx(np.array([witnesses[0][1]] * 3), abs=1e-6)
+
 
 def _sweep_shape(seed: int) -> np.ndarray:
     """The shape of the is_simple verdict sweep (scripts/simple_sweep.py) at a seed from 1000."""

@@ -21,6 +21,7 @@ from arcdist.optimize import (
     scale_family,
     seam_seeded_family,
     trig_series_family,
+    _model_root,
 )
 from arcdist.quadrature import default_curve_rule, default_sphere_rule
 
@@ -77,18 +78,40 @@ def _count_arc_lengths(monkeypatch):
     return calls
 
 
-def _seam_model(curve, a, rule, n):
-    return SCALES[curves.TENNIS_BALL].length_model(curve, a, rule, n)
+def _bisection_oracle(make_curve, bracket, tol, rule=None):
+    """Reference root by real arc lengths alone: the pre-scan's 32 points
+    and sign-change choice, then bisection of arc_length - 4pi in the
+    chosen subinterval. Returns (root, subinterval, warning)."""
+    rule = rule or default_curve_rule()
+    lo, hi = bracket
+    scan = np.linspace(lo, hi, 32)
+    below = np.array([arc_length(make_curve(p), rule).value < FOUR_PI for p in scan])
+    changes = np.nonzero(below[:-1] != below[1:])[0]
+    warning = MULTIPLE_SIGN_CHANGES if changes.size > 1 else None
+    centers = 0.5 * (scan[changes] + scan[changes + 1])
+    i = int(changes[int(np.argmin(np.abs(centers - 0.5 * (lo + hi))))])
+    a, b = float(scan[i]), float(scan[i + 1])
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        length = arc_length(make_curve(mid), rule)
+        if abs(length.value - FOUR_PI) <= tol:
+            return mid, (float(scan[i]), float(scan[i + 1])), length.warning or warning
+        if (length.value < FOUR_PI) == below[i]:
+            a = mid
+        else:
+            b = mid
+    raise AssertionError("bisection did not reach tol")
 
 
-def _with_slope(slope):
-    """The seam's length model with its derivative replaced by a constant."""
-
-    def model(curve, a, rule, n):
-        real = _seam_model(curve, a, rule, n)
-        return lambda s: (real(s)[0], slope)
-
-    return model
+_SEAM_START = seam_seeded_family(3)
+_ORACLE_BRACKETS = [
+    (tennis_ball_seam, (0.1, 1.4)),
+    (tennis_ball_seam, (0.01, 1.4)),  # two roots
+    (wavy_circle, (0.01, 0.6)),
+    (lambda s: great_circle((0.0, 2.0 * s)), (0.5, 1.5)),
+    (lambda s: _SEAM_START.build(np.array(_SEAM_START.initial_shape), s), (0.05, 2.5)),
+]
+_ORACLE_IDS = ["seam", "seam_two_roots", "wavy", "great_circle", "seam_seeded_start"]
 
 
 _FAMILY_CURVES = [
@@ -107,9 +130,7 @@ _DEEP_SHAPE = np.array([-0.81, -0.16, -0.12, -0.73, 0.54, 0.34, -0.1, 0.94, 0.08
 class TestNewtonCalibration:
     def test_warm_start_reaches_the_root_in_a_few_arc_lengths(self, monkeypatch):
         calls = _count_arc_lengths(monkeypatch)
-        rep = calibrate_arc_length(
-            tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69, length_model=_seam_model
-        )
+        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69)
         assert rep.parameter == pytest.approx(SEAM_ROOT, abs=1e-9)
         assert rep.residual <= 1e-12
         assert rep.iterations == len(calls) <= 2
@@ -118,51 +139,56 @@ class TestNewtonCalibration:
     def test_start_at_the_root_costs_one_arc_length(self, monkeypatch):
         root = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10).parameter
         calls = _count_arc_lengths(monkeypatch)
-        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, start=root, length_model=_seam_model)
+        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, start=root)
         assert (rep.parameter, rep.iterations, len(calls)) == (root, 1, 1)
 
-    @pytest.mark.parametrize(
-        "start, model",
-        [
-            (1.45, _seam_model),  # start outside the bracket
-            (0.69, _with_slope(1e-3)),  # the step leaves the bracket
-            (0.69, _with_slope(-9.12)),  # the step moves away from the root
-            (0.69, None),  # no length model
-        ],
-        ids=["start_outside", "leaves_bracket", "wrong_sign", "no_model"],
-    )
-    def test_failed_newton_falls_back_to_bisection_bit_for_bit(self, start, model):
-        # a failed warm start gives the cold path's report with the same
-        # model, which for every failing model is the plain bisection's
-        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, length_model=model)
-        warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start, length_model=model)
+    def test_start_outside_the_bracket_roots_cold(self):
+        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
+        warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=1.45)
         assert warm == cold
 
-    @pytest.mark.parametrize(
-        "model", [_with_slope(1e-3), _with_slope(-9.12)], ids=["leaves_bracket", "wrong_sign"]
-    )
-    def test_failed_cold_newton_gives_bisection_bit_for_bit(self, monkeypatch, model):
-        plain = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
-        calls = _count_arc_lengths(monkeypatch)
-        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, length_model=model)
-        assert cold == plain
-        # the failed Newton took no arc length: 32 pre-scan points, then bisection
-        assert len(calls) == 32 + plain.iterations
-
-    def test_cold_root_takes_the_prescan_and_one_or_two_arc_lengths(self, monkeypatch):
+    def test_cold_root_takes_one_or_two_arc_lengths(self, monkeypatch):
         family = seam_seeded_family(3)
         shape = np.array(family.initial_shape)
         rule = default_curve_rule(n=256, tol=5e-7)  # the search's rule
-        bisected = calibrate_arc_length(lambda s: family.build(shape, s), family.scale_bracket, tol=1e-12, rule=rule)
+        make = lambda s: family.build(shape, s)  # noqa: E731
+        bisected, sub, _ = _bisection_oracle(make, family.scale_bracket, 1e-12, rule)
         calls = _count_arc_lengths(monkeypatch)
         cold = family.calibrate(shape, CONSTRAINT_TOL, rule)
-        assert len(calls) <= 34 and cold.iterations == len(calls) - 32
+        assert 1 <= cold.iterations == len(calls) <= 2
         assert cold.residual <= CONSTRAINT_TOL
         assert cold.residual == abs(arc_length(family.build(shape, cold.parameter), rule).value - FOUR_PI)
-        # Newton stays inside the pre-scan's sub-bracket and lands on the root
-        assert cold.bracket == bisected.bracket
+        # the model's pre-scan finds the real arc length's sign change, and
+        # Newton stays inside it and lands on the root
+        assert cold.bracket == sub
         assert cold.bracket[0] <= cold.parameter <= cold.bracket[1]
-        assert cold.parameter == pytest.approx(bisected.parameter, abs=1e-12)
+        assert cold.parameter == pytest.approx(bisected, abs=1e-12)
+
+    @pytest.mark.parametrize("make_curve, bracket", _ORACLE_BRACKETS, ids=_ORACLE_IDS)
+    def test_cold_root_matches_the_bisection_oracle(self, make_curve, bracket):
+        root, sub, warning = _bisection_oracle(make_curve, bracket, 1e-12)
+        rep = calibrate_arc_length(make_curve, bracket, tol=1e-12)
+        assert (rep.bracket, rep.warning) == (sub, warning)
+        assert rep.parameter == pytest.approx(root, abs=1e-9)
+        assert rep.residual == abs(arc_length(make_curve(rep.parameter)).value - FOUR_PI) <= 1e-12
+
+    def test_a_rebuilt_model_without_the_sign_change_rescans(self, monkeypatch):
+        # the model at the first level, 2 rule.n = 256 nodes, is off by a
+        # shift that moves its root to the next pre-scan subinterval; the
+        # seam's arc length settles at 512 nodes, where the model is exact
+        rule = default_curve_rule(n=128, tol=1e-10)
+        entry = SCALES[curves.TENNIS_BALL]
+
+        def shifted(curve, a, rule, n):
+            model = entry.length_model(curve, a, rule, n)
+            return (lambda s: model(s - 0.05)) if n == 256 else model
+
+        root, sub, _ = _bisection_oracle(tennis_ball_seam, (0.1, 1.4), 1e-10, rule)
+        monkeypatch.setitem(SCALES, curves.TENNIS_BALL, dataclasses.replace(entry, length_model=shifted))
+        rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, rule=rule)
+        assert (rep.iterations, rep.nodes_used, rep.bracket) == (2, 512, sub)
+        assert rep.parameter == pytest.approx(root, abs=1e-9)
+        assert rep.residual <= 1e-10
 
     @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
     @pytest.mark.parametrize("n", [512, 2048])
@@ -211,6 +237,61 @@ class TestNewtonCalibration:
     def test_rebuild_keeps_the_domain(self, curve):
         rebuilt = SCALES[curve.family].rebuild(curve, 1.0 if curve.family == "great_circle" else 0.2)
         assert rebuilt.domain == curve.domain
+
+
+def _synthetic_model(slope_of):
+    """A LengthModel with L - 4pi = 2x + x^3, x = s - 0.7, whose one root is
+    0.7, and its slope replaced by slope_of(dL/ds)."""
+
+    def model(s):
+        x = s - 0.7
+        return FOUR_PI + 2.0 * x + x**3, slope_of(2.0 + 3.0 * x * x)
+
+    return model
+
+
+# Slopes that make a Newton step fail: too small (the step leaves the
+# bracket), of the wrong sign (it moves away from the root) and NaN.
+_FAILING_SLOPES = [lambda d: 1e-3 * d, lambda d: -d, lambda d: math.nan]
+_FAILING_SLOPE_IDS = ["leaves_bracket", "wrong_sign", "nan_slope"]
+
+
+class TestModelRoot:
+    @pytest.mark.parametrize("slope_of", _FAILING_SLOPES, ids=_FAILING_SLOPE_IDS)
+    def test_a_failing_step_bisects_a_cold_root_and_ends_a_warm_one(self, slope_of):
+        model = _synthetic_model(slope_of)
+        lo, hi = 0.62, 0.83  # the sign change, with 0.7 off its midpoint
+        p = _model_root(model, 0.5 * (lo + hi), lo, hi, 1e-12, True)
+        assert lo <= p <= hi
+        assert abs(model(p)[0] - FOUR_PI) <= 1e-12
+        assert _model_root(model, 0.5 * (lo + hi), 0.1, 1.4, 1e-12, False) is None
+
+    def test_the_true_slope_takes_only_newton_steps(self):
+        evaluated = []
+        model = _synthetic_model(lambda d: d)
+        p = _model_root(lambda s: evaluated.append(s) or model(s), 0.725, 0.62, 0.83, 1e-12, True)
+        assert abs(model(p)[0] - FOUR_PI) <= 1e-12
+        # the two ends, the start and one point per step, each nearer 0.7
+        steps = np.abs(np.array(evaluated[2:]) - 0.7)
+        assert np.all(np.diff(steps) < 0) and len(steps) <= 6
+
+    def test_no_sign_change_in_a_cold_bracket_gives_none(self):
+        assert _model_root(_synthetic_model(lambda d: d), 0.9, 0.8, 1.0, 1e-12, True) is None
+
+    @pytest.mark.parametrize("slope_of", _FAILING_SLOPES, ids=_FAILING_SLOPE_IDS)
+    def test_a_failing_slope_fails_warm_and_bisects_cold(self, monkeypatch, slope_of):
+        entry = SCALES[curves.TENNIS_BALL]
+
+        def tampered(curve, a, rule, n):
+            model = entry.length_model(curve, a, rule, n)
+            return lambda s: (model(s)[0], slope_of(model(s)[1]))
+
+        monkeypatch.setitem(SCALES, curves.TENNIS_BALL, dataclasses.replace(entry, length_model=tampered))
+        cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-12)
+        # the warm Newton fails, and the cold root it falls back to does not
+        assert calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69) == cold
+        assert cold.parameter == pytest.approx(SEAM_ROOT, abs=1e-9)
+        assert cold.iterations == 1 and cold.residual <= 1e-12
 
 
 class TestSearchFamilies:
@@ -301,9 +382,9 @@ class TestMinimizeFunctional:
         first = evaluate(np.array(family.initial_shape))
         cold = len(calls)
         again = evaluate(np.array(family.initial_shape))
-        # the cold call pre-scans 32 points and confirms a Newton root; the
-        # warm one starts at the root
-        assert 32 < cold <= 34 and len(calls) - cold == 1
+        # the cold call pre-scans the length model and confirms a Newton
+        # root; the warm one starts at the root
+        assert 1 <= cold <= 2 and len(calls) - cold == 1
         assert again == first
 
     def test_each_warm_candidate_takes_one_confirmed_arc_length(self, monkeypatch):
@@ -327,7 +408,7 @@ class TestMinimizeFunctional:
         minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40))
         assert len(candidates) == 40
         # the first candidate roots cold, by pre-scan and Newton in the sign change
-        assert 32 < candidates[0][2] <= 34
+        assert 1 <= candidates[0][2] <= 2
         assert [taken for _, _, taken in candidates[1:]] == [1] * 39
         rule = default_curve_rule(n=256, tol=5e-7)  # the evaluator's rule
         feasible = [(shape, scale, resid) for shape, (value, scale, resid), _ in candidates if math.isfinite(value)]
