@@ -263,23 +263,59 @@ def _trig_series_coefficients(theta_cos, theta_sin, phi_sin, theta0, phi0, phi_s
     return _TrigSeries(theta0=theta0, phi0=phi0, phi_slope=phi_slope, harmonics=tuple(rows))
 
 
-#: JSON family tag -> (public constructor, params -> trig-series coefficients).
-#: The constructor's keywords other than `domain` are the tag's params, and
-#: its `domain` default is the tag's default domain.
+#: JSON family tag -> (public constructor, params -> trig-series coefficients,
+#: scale). The constructor's keywords other than `domain` are the tag's
+#: params, and its `domain` default is the tag's default domain. The scale
+#: is the param that arc-length calibration roots to 4pi, and every
+#: coefficient is affine in it; None (the great circle) means that the
+#: scale s stretches the domain to [t_i, t_i + s (t_f - t_i)] instead.
 _FAMILIES = {
-    GREAT_CIRCLE: (great_circle, lambda: _TrigSeries(theta_slope=_TWO_PI)),
+    GREAT_CIRCLE: (great_circle, lambda: _TrigSeries(theta_slope=_TWO_PI), None),
     TENNIS_BALL: (
         tennis_ball_seam,
         lambda a: _TrigSeries(
             theta0=0.5 * math.pi, phi_slope=0.5, harmonics=((1, -(0.5 * math.pi - a), 0.0, 0.0), (2, 0.0, 0.0, a))
         ),
+        "a",
     ),
     WAVY_CIRCLE: (
         wavy_circle,
         lambda b: _TrigSeries(theta0=0.75 * math.pi, phi_slope=1.0, harmonics=((10, 0.0, b, 0.0),)),
+        "b",
     ),
-    TRIG_SERIES: (trig_series, _trig_series_coefficients),
+    TRIG_SERIES: (trig_series, _trig_series_coefficients, "amplitude"),
 }
+
+
+def with_scale(curve: SphericalCurve, s: float) -> SphericalCurve:
+    """The member of curve's family at scale s, on curve's domain and with
+    its rotation. The scale is the seam's a, the wavy circle's b or a trig
+    series' amplitude, rebuilt through the family's constructor, so a scale
+    outside its range raises; the great circle's s stretches the domain to
+    [t_i, t_i + s (t_f - t_i)]."""
+    make, _, name = _FAMILIES[curve.family]
+    params, t_i, t_f = dict(curve.params), curve.domain.t_i, curve.domain.t_f
+    if name is None:
+        t_f = t_i + s * curve.domain.period
+    else:
+        params[name] = s
+    scaled = make(**params, domain=(t_i, t_f))
+    return scaled if curve.rotation is None else replace(scaled, rotation=curve.rotation)
+
+
+def _scale_rates(curve: SphericalCurve) -> _TrigSeries:
+    """d/ds of the series of curve's family at scale s, for a family with a
+    scale param: its coefficients at s = 1 less those at s = 0, matched by
+    harmonic. Every coefficient map is affine in its scale, and the
+    difference is exact for those of _FAMILIES."""
+    _, series, name = _FAMILIES[curve.family]
+    one, zero = (series(**{**curve.params, name: s}) for s in (1.0, 0.0))
+    rows = {j: (a, b, c) for j, a, b, c in one.harmonics}
+    for j, a, b, c in zero.harmonics:
+        a1, b1, c1 = rows.get(j, (0.0, 0.0, 0.0))
+        rows[j] = (a1 - a, b1 - b, c1 - c)
+    rates = {f: getattr(one, f) - getattr(zero, f) for f in ("theta0", "theta_slope", "phi0", "phi_slope")}
+    return _TrigSeries(**rates, harmonics=tuple((j, *abc) for j, abc in sorted(rows.items()) if any(abc)))
 
 
 def from_spec(spec: dict | str | Path) -> SphericalCurve:
@@ -350,44 +386,34 @@ def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> Fun
 LengthModel = Callable[[float], tuple[float, float]]
 
 
-def length_model(
-    curve: SphericalCurve,
-    scale: float,
-    rule: QuadratureRule,
-    n: int,
-    theta_cos=(),
-    theta_sin=(),
-    phi_sin=(),
-    stretch: bool = False,
-) -> LengthModel:
-    """The LengthModel of the family through `curve`, its member at `scale`,
-    on the n-node level of `rule` (rule_nodes on the curve's domain).
+def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: int) -> LengthModel:
+    """The LengthModel of the family through `curve`, its member at `scale`
+    (curve is with_scale(c, scale) for a curve c of the family), on the
+    n-node level of `rule` (rule_nodes on the curve's domain).
 
-    The rates are trig_series coefficients of the series' derivatives in s,
-    d(theta)/ds = sum_j theta_cos[j-1] cos jt + theta_sin[j-1] sin jt and
-    d(phi)/ds = sum_j phi_sin[j-1] sin jt, as for a family whose
-    coefficients are affine in s. At each node, theta, theta' and phi' are
-    then their values at `scale` plus (s - scale) times their rates, so
-    L_n(s) = sum w sqrt(theta'^2 + sin^2(theta) phi'^2) is exact in s and
-    takes no curve evaluation; at s = scale it sums curve.speeds. The
-    derivative is the closed form
+    For a family with a scale param the rates are the series' derivatives
+    in s (_scale_rates), d(theta)/ds and d(phi)/ds. At each node, theta,
+    theta' and phi' are then their values at `scale` plus (s - scale) times
+    their rates, so L_n(s) = sum w sqrt(theta'^2 + sin^2(theta) phi'^2) is
+    exact in s and takes no curve evaluation; at s = scale it sums
+    curve.speeds. The derivative is the closed form
 
         d|r'|/ds = [theta' d(theta')/ds + sin(theta) cos(theta) d(theta)/ds phi'^2
                     + sin^2(theta) phi' d(phi')/ds] / |r'|.
 
-    With stretch, s instead stretches the domain of a constant-speed curve
-    to [t_i, t_i + (s / scale)(t_f - t_i)], so L_n(s) = (s / scale) L_n(scale).
+    For a family whose scale stretches the domain (scale None in _FAMILIES),
+    s stretches the domain of the constant-speed curve to
+    [t_i, t_i + (s / scale)(t_f - t_i)], so L_n(s) = (s / scale) L_n(scale).
     On a periodic_trapezoid rule both series read their trig values from
     the grid's table.
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
     grid = curve.domain if rule.kind == "periodic_trapezoid" else None
     theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=grid)
-    if stretch:
+    if _FAMILIES[curve.family][2] is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
-        rates = _trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
-        theta_s, _, dtheta_s, dphi_s = _series_angles(rates, ts, rates=1, grid=grid)
+        theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=grid)
 
     def model(s: float) -> tuple[float, float]:
         shift = s - scale
@@ -539,6 +565,16 @@ _TURN_MARGIN = 1e-3
 #: chord, a margin far above the few-ulp error of the dot products that the
 #: four-neighbour test compares, so that test sees the strict inequality.
 _TIE_FREE_SEGMENT = 1e-6
+
+
+#: Sampled chords within this of the least tie for the decisive witness.
+#: Twin pairs, such as (t, t') and (t + 2pi, t' + 2pi) on a trig_series
+#: curve on [0, 4pi] with phi slope 1/2, whose r(t + 2pi) is r(t) turned by
+#: pi about z, have equal chords that rounding splits by a few ulp. The
+#: slack is far above that and far below the default eps (1e-4), so the
+#: first tied pair does not move with the last bits of the curve. The
+#: verdict still rests on the least chord.
+_WITNESS_SLACK = 1e-12
 
 
 def _segments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -705,7 +741,9 @@ def is_simple(
     pairwise positive dot products (its summed turning angle is below
     pi/2) holds no local minimum. A candidate already within eps is
     decisive (the sampled chord bounds the true minimum from above), and
-    the closest such pair is the witness.
+    the witness is the first pair, in the candidates' (i, j) order, whose
+    chord is within _WITNESS_SLACK of the least: twin pairs of equal chord
+    would otherwise swap with the last bits of the curve.
     Otherwise every candidate is refined, all in one batch, to a local
     minimum of the chord within 1.5 sample spacings of each of its
     parameters (_closest_parameters). A refined pair counts only if it
@@ -734,9 +772,9 @@ def is_simple(
     if pairs.size == 0:
         return True, None
     chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-    closest = int(np.argmin(chord))
-    if chord[closest] < eps:
-        return False, (float(ts[pairs[closest, 0]]), float(ts[pairs[closest, 1]]))
+    if chord.min() < eps:
+        i, j = pairs[np.argmax(chord <= chord.min() + _WITNESS_SLACK)]
+        return False, (float(ts[i]), float(ts[j]))
 
     t1, t2, inside = _closest_parameters(curve, ts[pairs[:, 0]], ts[pairs[:, 1]], 1.5 * period / n_samples)
     t1 = curve._wrap(t1)

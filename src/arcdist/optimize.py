@@ -2,12 +2,13 @@
 
 The 4pi arc-length constraint is handled by nested calibration: every
 candidate shape re-roots its designated scale parameter, so the outer
-Nelder-Mead search stays unconstrained. Each family's series is affine
-in its scale (the great circle's scale instead stretches its domain at
-constant speed), so its arc length at one rule level is a closed form
-in the scale (curves.length_model). Every root is found on that closed
-form, on the rule's own nodes, and real arc lengths only confirm it: one
-confirming arc length per root, a second when the first refines deeper.
+Nelder-Mead search stays unconstrained. curves defines each family's
+scale (curves.with_scale): its series is affine in it (the great
+circle's scale instead stretches its domain at constant speed), so its
+arc length at one rule level is a closed form in the scale
+(curves.length_model). Every root is found on that closed form, on the
+rule's own nodes, and real arc lengths only confirm it: one confirming
+arc length per root, a second when the first refines deeper.
 The search's candidate evaluator warm-starts Newton from the previous
 candidate's scale. A cold root (the first candidate, `arcdist
 calibrate`, a warm start that fails) first pre-scans the closed form
@@ -15,8 +16,8 @@ over the bracket for a sign change, then runs Newton inside it,
 safeguarded by bisecting the sign change. A report's arc length,
 residual, node count and warning are always those of an arc length
 computed at its parameter. Non-simple or uncalibratable candidates
-receive an infinite objective. SCALES names each curve family's scale
-parameter, its default bracket and its length model.
+receive an infinite objective. SCALES gives each curve family's scale
+a label and a default bracket.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import curves
-from .curves import SphericalCurve, arc_length, great_circle, is_closed, is_simple, trig_series, wavy_circle
+from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, settled_level
 
@@ -112,12 +113,13 @@ def calibrate_arc_length(
 ) -> CalibrationReport:
     """Root the scale parameter p until |arc_length - 4pi| <= tol.
 
-    make_curve(p) must be its family's curve at scale p, as SCALES defines
-    the scale: the root is found on that family's length model, L_n =
-    SCALES[curve.family].length_model(curve, p, rule, n) for curve =
-    make_curve(p), which is the rule's n-node sum of the arc length at
-    every scale. Arc lengths only confirm a root, so a root of a make_curve
-    that breaks the contract fails its confirmation and is never reported.
+    make_curve(p) must be its family's curve at scale p, as
+    curves.with_scale defines the scale: the root is found on that
+    family's length model, L_n = curves.length_model(curve, p, rule, n)
+    for curve = make_curve(p), which is the rule's n-node sum of the arc
+    length at every scale. Arc lengths only confirm a root, so a root of a
+    make_curve that breaks the contract fails its confirmation and is never
+    reported.
 
     Newton (_newton_root) steps on L_n, first at n = 2 rule.n, the level at
     which a refinement can first stop, each clipped to an interval and at
@@ -180,13 +182,13 @@ def _newton_root(
     curve = make_curve(p)
     n = 2 * rule.n
     for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
-        model = SCALES[curve.family].length_model(curve, p, rule, n)
+        model = curves.length_model(curve, p, rule, n)
         root = None if sub is None else _model_root(model, p, *sub, tol, cold)
         if root is None and cold:
             sub, warning = _sign_change(model, *bracket)
             p = 0.5 * (sub[0] + sub[1])
             curve = make_curve(p)
-            root = _model_root(SCALES[curve.family].length_model(curve, p, rule, n), p, *sub, tol, cold)
+            root = _model_root(curves.length_model(curve, p, rule, n), p, *sub, tol, cold)
         if root is None:
             return None
         p = root
@@ -257,54 +259,19 @@ def _report_length(family, p, length, iterations, bracket, warning) -> Calibrati
 
 @dataclass(frozen=True)
 class ScaleParameter:
-    """A curve family's calibration scale: its label, its default bracket,
-    rebuild(curve, p), the family's curve at scale p on the given curve's
-    domain, and length_model(curve, p, rule, n), the family's
-    curves.LengthModel at the n-node level of rule, anchored at its curve
-    of scale p."""
+    """A curve family's calibration scale, as curves.with_scale defines it:
+    its label and its default bracket."""
 
     label: str
     bracket: tuple[float, float]
-    rebuild: Callable[[SphericalCurve, float], SphericalCurve]
-    length_model: Callable[[SphericalCurve, float, QuadratureRule, int], curves.LengthModel]
-
-
-def _domain(curve: SphericalCurve) -> tuple[float, float]:
-    return curve.domain.t_i, curve.domain.t_f
 
 
 #: Curve family tag -> the scale parameter that calibration roots to 4pi.
 SCALES = {
-    # theta = pi/2 - (pi/2 - a) cos t, phi = t/2 + a sin 2t
-    curves.TENNIS_BALL: ScaleParameter(
-        "seam amplitude a",
-        (0.1, 1.4),
-        lambda curve, a: curves.tennis_ball_seam(a, _domain(curve)),
-        lambda curve, a, rule, n: curves.length_model(curve, a, rule, n, theta_cos=[1.0], phi_sin=[0.0, 1.0]),
-    ),
-    # theta = 3pi/4 + b sin 10t
-    curves.WAVY_CIRCLE: ScaleParameter(
-        "wavy amplitude b",
-        (0.01, 0.6),
-        lambda curve, b: wavy_circle(b, _domain(curve)),
-        lambda curve, b, rule, n: curves.length_model(curve, b, rule, n, theta_sin=[0.0] * 9 + [1.0]),
-    ),
-    # the domain [t_i, t_f] becomes [t_i, t_i + s (t_f - t_i)], so L(s) = s L(1)
-    curves.GREAT_CIRCLE: ScaleParameter(
-        "domain scale",
-        (0.5, 1.5),
-        lambda curve, s: great_circle((curve.domain.t_i, curve.domain.t_i + s * curve.domain.period)),
-        lambda curve, s, rule, n: curves.length_model(curve, s, rule, n, stretch=True),
-    ),
-    # the amplitude multiplies every harmonic
-    curves.TRIG_SERIES: ScaleParameter(
-        "series amplitude",
-        (0.05, 2.5),
-        lambda curve, amp: dataclasses.replace(curve, params={**curve.params, "amplitude": amp}),
-        lambda curve, amp, rule, n: curves.length_model(
-            curve, amp, rule, n, curve.params["theta_cos"], curve.params["theta_sin"], curve.params["phi_sin"]
-        ),
-    ),
+    curves.TENNIS_BALL: ScaleParameter("seam amplitude a", (0.1, 1.4)),
+    curves.WAVY_CIRCLE: ScaleParameter("wavy amplitude b", (0.01, 0.6)),
+    curves.GREAT_CIRCLE: ScaleParameter("domain scale", (0.5, 1.5)),
+    curves.TRIG_SERIES: ScaleParameter("series amplitude", (0.05, 2.5)),
 }
 
 
@@ -342,9 +309,9 @@ class SearchFamily:
 
 
 def scale_family(curve: SphericalCurve) -> SearchFamily:
-    """Degenerate family: no free shape; scale is the curve family's SCALES entry."""
-    scale = SCALES[curve.family]
-    return SearchFamily(curve.family, (), lambda shape, p: scale.rebuild(curve, p), scale.bracket)
+    """Degenerate family: no free shape; the scale is curve's family scale
+    (curves.with_scale), within its SCALES bracket."""
+    return SearchFamily(curve.family, (), lambda shape, p: curves.with_scale(curve, p), SCALES[curve.family].bracket)
 
 
 def trig_series_family(J: int = 3, initial_shape: Sequence[float] | None = None) -> SearchFamily:

@@ -29,7 +29,7 @@ from arcdist.curves import (
     wavy_circle,
 )
 from arcdist import curves
-from arcdist.optimize import SCALES, seam_seeded_family
+from arcdist.optimize import seam_seeded_family
 from arcdist.quadrature import QuadratureRule
 from arcdist.sphere import random_rotation_matrix
 
@@ -159,14 +159,13 @@ class TestGridTable:
     @pytest.mark.parametrize("n", [512, 1024])
     def test_length_model_unchanged_bit_for_bit(self, monkeypatch, name, n):
         curve = GRID_CURVES[name]()
-        entry = SCALES[curve.family]
         scale = {"great_circle": 1.0, "seam": 0.7037, "wavy_circle": 0.2862, "trig_series": 1.0}[name]
         rule = QuadratureRule("periodic_trapezoid", 256, 1e-9)
         scales = (scale, 0.97 * scale, 1.02 * scale)
-        tabled = entry.length_model(curve, scale, rule, n)
+        tabled = curves.length_model(curve, scale, rule, n)
         values = [tabled(s) for s in scales]
         monkeypatch.setattr(curves, "_GRID_TRIG_MAX_N", 0)  # every trig value taken at the call
-        plain = entry.length_model(curve, scale, rule, n)
+        plain = curves.length_model(curve, scale, rule, n)
         assert values == [plain(s) for s in scales]
 
     def test_stays_within_its_bound(self):
@@ -263,6 +262,30 @@ class TestArcLength:
         seam = tennis_ball_seam(0.7037)
         rotated = seam.rotated(random_rotation_matrix(21))
         assert arc_length(rotated).value == pytest.approx(arc_length(seam).value, abs=1e-9)
+
+
+_TRIG_RATES_CURVE = trig_series(theta_cos=[-0.8, 0.1, 0.05], theta_sin=[0.02, -0.1, 0.03], phi_sin=[0.01, 0.7, -0.05])
+
+
+class TestScaleRates:
+    """_scale_rates equals, bit for bit, each family's rate series written
+    out by hand: d/da of the seam's (a_1, c_2) = (-(pi/2 - a), a), d/db of
+    the wavy circle's b_10 = b, and a trig series' own coefficients."""
+
+    @pytest.mark.parametrize(
+        "curve, theta_cos, theta_sin, phi_sin",
+        [
+            (tennis_ball_seam(0.7), [1.0], [], [0.0, 1.0]),
+            (wavy_circle(0.28), [], [0.0] * 9 + [1.0], []),
+            (_TRIG_RATES_CURVE, *(_TRIG_RATES_CURVE.params[k] for k in ("theta_cos", "theta_sin", "phi_sin"))),
+        ],
+        ids=["seam", "wavy_circle", "trig_series"],
+    )
+    def test_rates_are_the_declared_ones_exactly(self, curve, theta_cos, theta_sin, phi_sin):
+        declared = curves._trig_series_coefficients(theta_cos, theta_sin, phi_sin, 0.0, 0.0, 0.0, 1.0)
+        rates = curves._scale_rates(curve)
+        # the repr also tells -0.0 from 0.0
+        assert rates == declared and repr(rates) == repr(declared)
 
 
 class TestClosure:
@@ -400,6 +423,30 @@ class TestSimplicity:
         # rounding level; a 1e-11 change of scale must not switch between them.
         shape = _sweep_shape(1001)
         scale = 0.979619966977667
+        witnesses = [is_simple(seam_seeded_family(3).build(shape, scale * (1.0 + e))) for e in (0.0, -1e-11, 1e-11)]
+        assert [simple for simple, _ in witnesses] == [False] * 3
+        assert np.array([w for _, w in witnesses]) == pytest.approx(np.array([witnesses[0][1]] * 3), abs=1e-6)
+
+    # Sweep seeds and their calibrated scales (arc length 4pi to 1e-10)
+    # whose least sampled chord, already within eps, ties with its twin
+    # 2pi away (r(t + 2pi) is r(t) turned by pi about z).
+    @pytest.mark.parametrize(
+        "seed, scale",
+        [
+            (1003, 0.4604792366986448),
+            (1023, 0.4827120588901466),
+            (1066, 0.9267659024545921),
+            (1093, 0.3880255017685134),
+            (1105, 0.6787460331509477),
+            (1126, 0.7771004764064833),
+            (1133, 0.8422958185006851),
+            (1166, 0.3475114268696038),
+            (1173, 0.5583204280195851),
+            (1271, 0.7057571172221017),
+        ],
+    )
+    def test_decisive_witness_does_not_move_with_the_last_bits_of_the_scale(self, seed, scale):
+        shape = _sweep_shape(seed)
         witnesses = [is_simple(seam_seeded_family(3).build(shape, scale * (1.0 + e))) for e in (0.0, -1e-11, 1e-11)]
         assert [simple for simple, _ in witnesses] == [False] * 3
         assert np.array([w for _, w in witnesses]) == pytest.approx(np.array([witnesses[0][1]] * 3), abs=1e-6)

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, wavy_circle
+from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import sphere_to_curve_mean
 from arcdist import curves
 from arcdist.optimize import (
     CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
-    SCALES,
     CalibrationFailedError,
     NoBracketError,
     OptimizerConfig,
@@ -24,6 +23,7 @@ from arcdist.optimize import (
     _model_root,
 )
 from arcdist.quadrature import default_curve_rule, default_sphere_rule
+from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
 
@@ -177,14 +177,14 @@ class TestNewtonCalibration:
         # shift that moves its root to the next pre-scan subinterval; the
         # seam's arc length settles at 512 nodes, where the model is exact
         rule = default_curve_rule(n=128, tol=1e-10)
-        entry = SCALES[curves.TENNIS_BALL]
+        length_model = curves.length_model
 
         def shifted(curve, a, rule, n):
-            model = entry.length_model(curve, a, rule, n)
+            model = length_model(curve, a, rule, n)
             return (lambda s: model(s - 0.05)) if n == 256 else model
 
         root, sub, _ = _bisection_oracle(tennis_ball_seam, (0.1, 1.4), 1e-10, rule)
-        monkeypatch.setitem(SCALES, curves.TENNIS_BALL, dataclasses.replace(entry, length_model=shifted))
+        monkeypatch.setattr(curves, "length_model", shifted)
         rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, rule=rule)
         assert (rep.iterations, rep.nodes_used, rep.bracket) == (2, 512, sub)
         assert rep.parameter == pytest.approx(root, abs=1e-9)
@@ -193,26 +193,24 @@ class TestNewtonCalibration:
     @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
     @pytest.mark.parametrize("n", [512, 2048])
     def test_model_is_the_arc_length_at_its_level(self, curve, scale, n):
-        entry = SCALES[curve.family]
         # a loose tolerance stops the doubling at its second level, n
         rule = default_curve_rule(n=n // 2, tol=1.0)
-        model = entry.length_model(entry.rebuild(curve, scale), scale, rule, n)
+        model = curves.length_model(curves.with_scale(curve, scale), scale, rule, n)
         for s in (scale, 0.9 * scale, 1.07 * scale):
-            length = arc_length(entry.rebuild(curve, s), rule)
+            length = arc_length(curves.with_scale(curve, s), rule)
             assert length.nodes_used == n
             assert model(s)[0] == pytest.approx(length.value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("curve, scale", _FAMILY_CURVES, ids=_FAMILY_IDS)
     def test_model_slope_matches_central_difference(self, curve, scale):
-        entry = SCALES[curve.family]
         rule = default_curve_rule(n=2048, tol=1e-13)
-        here = entry.rebuild(curve, scale)
+        here = curves.with_scale(curve, scale)
         h = 1e-5
         slope = (
-            arc_length(entry.rebuild(curve, scale + h), rule).value
-            - arc_length(entry.rebuild(curve, scale - h), rule).value
+            arc_length(curves.with_scale(curve, scale + h), rule).value
+            - arc_length(curves.with_scale(curve, scale - h), rule).value
         ) / (2 * h)
-        assert entry.length_model(here, scale, rule, 4096)(scale)[1] == pytest.approx(slope, rel=1e-8)
+        assert curves.length_model(here, scale, rule, 4096)(scale)[1] == pytest.approx(slope, rel=1e-8)
 
     def test_a_deeper_level_rebuilds_the_model(self, monkeypatch):
         family = seam_seeded_family(3)
@@ -230,13 +228,21 @@ class TestNewtonCalibration:
 
     @pytest.mark.parametrize(
         "curve",
-        [tennis_ball_seam(domain=(0.0, 8.0 * math.pi)), wavy_circle(domain=(1.0, 1.0 + 4.0 * math.pi)),
-         great_circle((0.25, 1.25))],
-        ids=["seam", "wavy", "great_circle"],
+        [
+            tennis_ball_seam(domain=(0.0, 8.0 * math.pi)),
+            wavy_circle(domain=(1.0, 1.0 + 4.0 * math.pi)),
+            great_circle((0.25, 1.25)),
+            trig_series(theta_cos=[0.3], phi_sin=[0.0, 0.2], domain=(-1.0, 4.0 * math.pi - 1.0)),
+        ],
+        ids=["seam", "wavy", "great_circle", "trig_series"],
     )
     def test_rebuild_keeps_the_domain(self, curve):
-        rebuilt = SCALES[curve.family].rebuild(curve, 1.0 if curve.family == "great_circle" else 0.2)
-        assert rebuilt.domain == curve.domain
+        # the scale at which the great circle's domain is unchanged
+        scale = 1.0 if curve.family == "great_circle" else 0.2
+        for given in (curve, curve.rotated(random_rotation_matrix(3))):
+            for rebuilt in (curves.with_scale(given, scale), scale_family(given).build((), scale)):
+                assert rebuilt.domain == given.domain
+                assert np.array_equal(rebuilt.rotation, given.rotation)  # both None, or equal
 
 
 def _synthetic_model(slope_of):
@@ -280,13 +286,13 @@ class TestModelRoot:
 
     @pytest.mark.parametrize("slope_of", _FAILING_SLOPES, ids=_FAILING_SLOPE_IDS)
     def test_a_failing_slope_fails_warm_and_bisects_cold(self, monkeypatch, slope_of):
-        entry = SCALES[curves.TENNIS_BALL]
+        length_model = curves.length_model
 
         def tampered(curve, a, rule, n):
-            model = entry.length_model(curve, a, rule, n)
+            model = length_model(curve, a, rule, n)
             return lambda s: (model(s)[0], slope_of(model(s)[1]))
 
-        monkeypatch.setitem(SCALES, curves.TENNIS_BALL, dataclasses.replace(entry, length_model=tampered))
+        monkeypatch.setattr(curves, "length_model", tampered)
         cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-12)
         # the warm Newton fails, and the cold root it falls back to does not
         assert calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-12, start=0.69) == cold
