@@ -34,6 +34,7 @@ from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
 from .quadrature import (
     MC_SAMPLES,
+    SPHERE_KINDS,
     NonFiniteIntegrandError,
     QuadratureRule,
     default_curve_rule,
@@ -42,8 +43,6 @@ from .quadrature import (
 )
 from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
-
-RULES = ("gauss_legendre", "monte_carlo")
 
 #: eval's seed for its Monte Carlo sphere rule and the mean minimum distance.
 EVAL_SEED = 42
@@ -76,10 +75,10 @@ _INTEGER = (lambda v: _is_number(v, integer=True), "an integer")
 #: Every setting, keyed by its flag's dest, with the test its value must pass and what that asks for.
 _SETTINGS = {
     "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
-    "rule": (lambda v: v in RULES, f"one of {RULES}"),
+    "rule": (lambda v: v in SPHERE_KINDS, f"one of {SPHERE_KINDS}"),
     "n": _INTEGER,
     "tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "seed": _INTEGER,
+    "seed": (lambda v: _is_number(v, integer=True) and v >= 0, "a non-negative integer"),
     "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
@@ -214,6 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
         srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
     _validated(refinement_levels, crule)
+    points = [(theta0, phi0, _validated(SpherePoint, theta0, phi0)) for theta0, phi0 in cfg.get("points", [])]
 
     results = []
     length = curves.arc_length(curve, crule)
@@ -227,8 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if closed:
         m = functionals.curve_to_sphere_mean_M(curve, crule)
         results.append(_row("curve_to_sphere_mean_M", m.value, m.error_estimate))
-    for theta0, phi0 in cfg.get("points", []):
-        p = SpherePoint(float(theta0), float(phi0))
+    for theta0, phi0, p in points:
         res = functionals.point_to_curve_mean(curve, p, crule)
         results.append(_row(f"point_to_curve_mean[{theta0:.6g},{phi0:.6g}]", res.value, res.error_estimate))
         dmin, tmin = functionals.point_to_curve_min(curve, p)
@@ -319,7 +318,7 @@ def _add_common(
     if "curve" in flags:
         p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
     if "rule" in flags:
-        p.add_argument("--rule", choices=RULES, help="quadrature rule for surface integrals")
+        p.add_argument("--rule", choices=SPHERE_KINDS, help="quadrature rule for surface integrals")
     if "n" in flags:
         p.add_argument("--n", type=int, help=n_help)
     if "tol" in flags:

@@ -389,7 +389,8 @@ LengthModel = Callable[[float], tuple[float, float]]
 def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: int) -> LengthModel:
     """The LengthModel of the family through `curve`, its member at `scale`
     (curve is with_scale(c, scale) for a curve c of the family), on the
-    n-node level of `rule` (rule_nodes on the curve's domain).
+    n-node level of the periodic trapezoid `rule` (rule_nodes on the
+    curve's domain).
 
     For a family with a scale param the rates are the series' derivatives
     in s (_scale_rates), d(theta)/ds and d(phi)/ds. At each node, theta,
@@ -404,16 +405,15 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     For a family whose scale stretches the domain (scale None in _FAMILIES),
     s stretches the domain of the constant-speed curve to
     [t_i, t_i + (s / scale)(t_f - t_i)], so L_n(s) = (s / scale) L_n(scale).
-    On a periodic_trapezoid rule both series read their trig values from
-    the grid's table.
+    The nodes are a sample grid, so both series read their trig values
+    from the grid's table.
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
-    grid = curve.domain if rule.kind == "periodic_trapezoid" else None
-    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=grid)
+    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
     if _FAMILIES[curve.family][2] is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
-        theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=grid)
+        theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=curve.domain)
 
     def model(s: float) -> tuple[float, float]:
         shift = s - scale

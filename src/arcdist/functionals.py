@@ -170,14 +170,14 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     """Vectorized parameter-mean distance from each row of `points` to the curve.
 
     Evaluates the inner integral at the rule's stated node count without
-    refinement; used where many field values are needed at once. A
-    periodic_trapezoid rule's nodes are a sample grid (SphericalCurve.sample).
+    refinement; used where many field values are needed at once. The
+    rule's nodes are a sample grid (SphericalCurve.sample).
     """
     curve_rule = curve_rule or default_curve_rule()
-    ts, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
-    C = curve.sample(ts.size)[1] if curve_rule.kind == "periodic_trapezoid" else curve.positions(ts)
+    _, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
+    C = curve.sample(w.size)[1]
     w_mean = w / curve.domain.period
-    return _by_rows(points, ts.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean, float)
+    return _by_rows(points, w.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean, float)
 
 
 def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, settled_level
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule
 
 FOUR_PI = 4.0 * math.pi
 
@@ -196,7 +196,7 @@ def _newton_root(
         length = arc_length(curve, rule)
         if abs(length.value - FOUR_PI) <= tol:
             return p, length, evaluations, sub, warning
-        n = settled_level(rule, length.nodes_used)
+        n = length.nodes_used  # the trapezoid's levels nest: the level it settled at
     return None
 
 

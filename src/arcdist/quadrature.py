@@ -1,5 +1,12 @@
 """Integration engines with doubling-based error estimates.
 
+Curve integrals are over the period of a closed curve, so their
+integrands are periodic, and they take one rule: the nested periodic
+trapezoid (periodic_trapezoid). The sphere takes a product Gauss-Legendre
+x trapezoid rule (gauss_legendre) or Monte Carlo (monte_carlo), the
+SPHERE_KINDS. rule_nodes rejects a curve rule of a sphere kind, and
+sphere_integrate a sphere rule of the curve kind.
+
 Deterministic rules refine by doubling from n = rule.n and report I(2n)
 with error estimate |I(2n) - I(n)| once that is within tol. No level may
 hold more than NODE_CAP nodes (n on a line, 2n^2 on the sphere grid):
@@ -38,7 +45,9 @@ NODE_CAP = 2**20
 #: FunctionalResult.warning value when the cap was hit before the tolerance.
 TOLERANCE_NOT_REACHED = "tolerance_not_reached"
 
-RULE_KINDS = ("periodic_trapezoid", "gauss_legendre", "monte_carlo")
+#: The rule kinds of surface integrals; curve integrals take periodic_trapezoid.
+SPHERE_KINDS = ("gauss_legendre", "monte_carlo")
+RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 
 #: Sample count of a Monte Carlo sphere rule whose settings give no n: the
 #: default of eval and of verify under --rule monte_carlo.
@@ -53,7 +62,8 @@ class NonFiniteIntegrandError(ValueError):
 class QuadratureRule:
     """Integration scheme descriptor.
 
-    kind: one of periodic_trapezoid, gauss_legendre, monte_carlo.
+    kind: periodic_trapezoid for curve integrals, one of SPHERE_KINDS for
+        surface integrals.
     n: node count (starting level for refining rules; sample count for MC).
     tol: requested absolute tolerance for the doubling refinement.
     seed: RNG seed, used by monte_carlo only.
@@ -115,22 +125,13 @@ def periodic_nodes(a: float, b: float, n: int) -> np.ndarray:
 
 
 def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [a, b] and weights summing to b - a of the rule at n nodes (default rule.n).
-
-    periodic_trapezoid: equispaced from a, with b identified with a;
-    gauss_legendre: the Gauss-Legendre nodes; monte_carlo: uniform draws
-    from the rule's seed, equally weighted.
-    """
+    """Nodes and weights of the periodic trapezoid rule at n nodes (default
+    rule.n) on [a, b]: equispaced from a, with b identified with a, each
+    weighing (b - a) / n. A rule of a sphere kind raises ValueError."""
+    if rule.kind != "periodic_trapezoid":
+        raise ValueError(f"curve integrals take a periodic_trapezoid rule, not {rule.kind}")
     n = n or rule.n
-    span = b - a
-    if rule.kind == "gauss_legendre":
-        u, w = _leggauss(n)
-        return 0.5 * (a + b) + 0.5 * span * u, 0.5 * span * w
-    if rule.kind == "monte_carlo":
-        xs = a + span * np.random.default_rng(rule.seed).random(n)
-    else:
-        xs = periodic_nodes(a, b, n)
-    return xs, np.full(n, span / n)
+    return periodic_nodes(a, b, n), np.full(n, (b - a) / n)
 
 
 def refinement_levels(rule: QuadratureRule, surface: bool = False) -> list[int]:
@@ -146,15 +147,6 @@ def refinement_levels(rule: QuadratureRule, surface: bool = False) -> list[int]:
     if len(levels) < 2:
         raise ValueError(f"{rule.kind} n = {rule.n} needs {size(2 * rule.n)} nodes a level, above the cap {NODE_CAP}")
     return levels
-
-
-def settled_level(rule: QuadratureRule, nodes_used: int) -> int:
-    """Node count of the level whose value integrate_1d returned under rule
-    after nodes_used integrand evaluations."""
-    if rule.kind == "gauss_legendre":
-        return (nodes_used + rule.n) // 2  # the levels n, 2n, ..., m hold 2m - n nodes in all
-    # trapezoid levels nest, so the last one holds every node; monte_carlo draws rule.n
-    return nodes_used
 
 
 def _refine(level: Callable[[int], tuple[float, int]], levels: list[int], tol: float) -> FunctionalResult:
@@ -187,43 +179,29 @@ def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> FunctionalResult:
-    """Integrate f over [a, b] under the given rule.
+    """Integrate the periodic f over its period [a, b] by the nested periodic trapezoid.
 
     f receives a 1-D array of nodes and must return one value per node.
-    periodic_trapezoid uses equispaced nodes with both endpoints identified
-    (exact for the periodic closed-curve integrands used throughout); its
-    levels nest, so each doubling evaluates only the new nodes.
-    gauss_legendre suits non-periodic integrands; its levels do not nest,
-    and the Gauss nodes of a level of n cost O(n) memory but O(n^2) time
-    (0.5 s at n = 4096 on a 2-core x86 machine), so a tolerance that
-    drives it deep is slow. Both refine by doubling under the module's cap
-    rule; nodes_used counts the integrand evaluations of every level.
-    monte_carlo draws rule.n uniform nodes and reports the sample standard
-    error.
+    The nodes are equispaced with both endpoints identified, which suits
+    the periodic closed-curve integrands used throughout; on an open arc
+    the rule is only first order and stops at the cap flagged
+    TOLERANCE_NOT_REACHED. Its levels nest, so each doubling evaluates
+    only the new nodes, and nodes_used, which counts every evaluation, is
+    the node count of the level whose value was returned. Refines by
+    doubling under the module's cap rule. A rule of a sphere kind raises
+    ValueError (rule_nodes).
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
-    span = b - a
+    total = 0.0
 
-    if rule.kind == "monte_carlo":
-        return sample_mean(_eval(f, rule_nodes(rule, a, b)[0]), span)
-
-    if rule.kind == "gauss_legendre":
-
-        def level(n: int) -> tuple[float, int]:
-            xs, ws = rule_nodes(rule, a, b, n)
-            return float(np.dot(ws, _eval(f, xs))), n
-
-    else:
-        total = 0.0
-
-        def level(n: int) -> tuple[float, int]:
-            nonlocal total
-            xs = rule_nodes(rule, a, b, n)[0]
-            # levels nest: past the first, the new nodes are the odd ones
-            new = xs if n == rule.n else xs[1::2]
-            total += float(np.sum(_eval(f, new)))
-            return span * total / n, new.size
+    def level(n: int) -> tuple[float, int]:
+        nonlocal total
+        xs = rule_nodes(rule, a, b, n)[0]
+        # levels nest: past the first, the new nodes are the odd ones
+        new = xs if n == rule.n else xs[1::2]
+        total += float(np.sum(_eval(f, new)))
+        return (b - a) * total / n, new.size
 
     return _refine(level, refinement_levels(rule), rule.tol)
 
@@ -252,7 +230,7 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
 
 
 def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
-    u, w = rule_nodes(QuadratureRule("gauss_legendre"), -1.0, 1.0, n_theta)
+    u, w = _leggauss(n_theta)
     theta = np.arccos(u)
     n_phi = 2 * n_theta
     phi = TWO_PI * np.arange(n_phi) / n_phi

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import curves, functionals, optimize
-from .quadrature import MC_SAMPLES, QuadratureRule, default_curve_rule, default_sphere_rule, refinement_levels
+from .quadrature import (
+    MC_SAMPLES,
+    SPHERE_KINDS,
+    QuadratureRule,
+    default_curve_rule,
+    default_sphere_rule,
+    refinement_levels,
+)
 from .sphere import (
     SpherePoint,
     geodesic_distance,
@@ -66,8 +73,8 @@ class VerifySettings:
     max_evals: int = 500
 
     def __post_init__(self) -> None:
-        if self.rule not in ("gauss_legendre", "monte_carlo"):
-            raise ValueError(f"rule must be gauss_legendre or monte_carlo, got {self.rule!r}")
+        if self.rule not in SPHERE_KINDS:
+            raise ValueError(f"rule must be {' or '.join(SPHERE_KINDS)}, got {self.rule!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         rule = self.sphere_rule()  # a bad n or tol, or a rule over the node cap, fails up front

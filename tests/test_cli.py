@@ -431,16 +431,53 @@ def test_rule_over_the_node_cap_is_config_error(args, stub, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "points", ['[["north", 1]]', "[[0, 1, 2]]", '{"theta": 0}', "[[0, true]]"], ids=["string", "triple", "object", "bool"]
+    "points, error",
+    [
+        ('[["north", 1]]', "points must be"),
+        ("[[0, 1, 2]]", "points must be"),
+        ('{"theta": 0}', "points must be"),
+        ("[[0, true]]", "points must be"),
+        # points off the sphere fail the library's own SpherePoint check
+        ("[[4.0, 1.0]]", "colatitude must lie in [0, pi]"),
+        ("[[NaN, 1.0]]", "SpherePoint coordinates must be finite"),
+        ("[[0.3, Infinity]]", "SpherePoint coordinates must be finite"),
+    ],
+    ids=["string", "triple", "object", "bool", "theta_4", "nan", "inf"],
 )
-def test_bad_point_is_config_error_before_computation(points, capsys, monkeypatch):
+def test_bad_point_is_config_error_before_computation(points, error, capsys, monkeypatch):
     def must_not_run(*a, **k):
         raise AssertionError("computation started")
 
     monkeypatch.setattr("arcdist.curves.arc_length", must_not_run)
     code, _, err = run(["eval", "--curve", '{"family":"great_circle"}', "--points", points], capsys)
     assert code == 2
-    assert err.startswith("config error: points must be")
+    assert err.startswith(f"config error: {error}")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "args, seed, stub",
+    [
+        (["eval", "--curve", '{"family":"great_circle"}'], -1, "arcdist.curves.arc_length"),
+        (["optimize", "--objective", "mean_min"], -3, "arcdist.optimize.minimize_functional"),
+        (["verify"], -5000, "arcdist.cli.run_verification"),
+    ],
+    ids=["eval", "optimize", "verify"],
+)
+def test_negative_seed_is_config_error_before_computation(args, seed, stub, source, tmp_path, capsys, monkeypatch):
+    def must_not_run(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(stub, must_not_run)
+    if source == "flag":
+        args = args + ["--seed", str(seed)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": seed}))
+        args = args + ["--config", str(path)]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert err.startswith("config error: seed must be a non-negative integer")
 
 
 class TestVerifyGlue:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
+from arcdist.curves import tennis_ball_seam
+from arcdist.functionals import mean_distance_field
+from arcdist.optimize import calibrate_arc_length
 from arcdist.quadrature import (
     NODE_CAP,
     TOLERANCE_NOT_REACHED,
@@ -16,7 +19,6 @@ from arcdist.quadrature import (
     refinement_levels,
     rule_nodes,
     sample_mean,
-    settled_level,
     sphere_integrate,
 )
 from arcdist.sphere import angles_to_xyz, random_rotation_matrix
@@ -52,11 +54,6 @@ class TestIntegrate1D:
         assert res.value == pytest.approx(TWO_PI, abs=1e-14)
         assert res.error_estimate <= 1e-14
 
-    def test_theta_sin_theta_half(self):
-        # integration by parts gives pi/2 exactly
-        res = integrate_1d(lambda t: t * np.sin(t) / 2.0, 0.0, math.pi, QuadratureRule("gauss_legendre", 16, 1e-12))
-        assert res.value == pytest.approx(math.pi / 2, abs=1e-10)
-
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 1.0, 1.0, QuadratureRule())
@@ -76,17 +73,6 @@ class TestIntegrate1D:
         # the flagged value is still the best available one
         assert res.error_estimate < 1e-6
 
-    def test_gauss_nodes_used_counts_every_level(self):
-        evaluated = []
-
-        def f(t):
-            evaluated.append(t.size)
-            return np.exp(t)
-
-        res = integrate_1d(f, 0.0, 1.0, QuadratureRule("gauss_legendre", 4, 1e-12))
-        assert len(evaluated) >= 2
-        assert res.nodes_used == sum(evaluated)
-
     def test_linearity(self):
         rule = QuadratureRule("periodic_trapezoid", 128, 1e-12)
         f = lambda t: np.exp(np.sin(t))
@@ -104,31 +90,37 @@ class TestIntegrate1D:
         assert errs[1] < errs[0] / 4.0
         assert errs[2] < errs[1] / 4.0 or errs[2] < 1e-13
 
-    @pytest.mark.parametrize("kind", ["periodic_trapezoid", "gauss_legendre", "monte_carlo"])
-    def test_integrand_of_the_wrong_shape_raises(self, kind):
+    def test_integrand_of_the_wrong_shape_raises(self):
         # integrands are called on the array of nodes; a scalar-only one is not evaluated node by node
-        rule = QuadratureRule(kind, 8, 1e-9)
+        rule = QuadratureRule("periodic_trapezoid", 8, 1e-9)
         for wrong in (lambda t: np.ones((len(t), 1)), lambda t: np.ones(2 * len(t)), lambda t: math.sin(t[0])):
             with pytest.raises(ValueError, match="one value per point"):
                 integrate_1d(wrong, 0.0, TWO_PI, rule)
 
-    def test_monte_carlo_stream_matches_seed(self):
-        rule = QuadratureRule("monte_carlo", 5000, 1e-9, seed=3)
-        a = integrate_1d(lambda t: np.sin(t) ** 2, 0.0, TWO_PI, rule)
-        b = integrate_1d(lambda t: np.sin(t) ** 2, 0.0, TWO_PI, rule)
-        assert a == b
-        assert abs(a.value - math.pi) <= 4.0 * a.error_estimate
-
-
-    @pytest.mark.parametrize("kind", ["periodic_trapezoid", "gauss_legendre", "monte_carlo"])
     @pytest.mark.parametrize("tol", [1.0, 1e-6, 1e-12])
-    def test_settled_level_names_the_level_returned(self, kind, tol):
-        # a bump integrand takes the refinements one, two and several levels deep
-        rule = QuadratureRule(kind, 8, tol, seed=5)
+    def test_nodes_used_names_the_level_returned(self, tol):
+        # a bump integrand takes the refinements one, two and several levels deep;
+        # the levels nest, so the last one holds every node evaluated
+        rule = QuadratureRule("periodic_trapezoid", 8, tol)
         f = lambda t: np.exp(3.0 * np.cos(t))
         res = integrate_1d(f, 0.0, TWO_PI, rule)
-        xs, ws = rule_nodes(rule, 0.0, TWO_PI, settled_level(rule, res.nodes_used))
+        xs, ws = rule_nodes(rule, 0.0, TWO_PI, res.nodes_used)
         assert float(ws @ f(xs)) == pytest.approx(res.value, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["gauss_legendre", "monte_carlo"])
+    @pytest.mark.parametrize("use", ["integrate_1d", "mean_distance_field", "calibrate_arc_length"])
+    def test_curve_integral_under_a_sphere_rule_raises(self, kind, use):
+        # curve integrals take only the periodic trapezoid, whatever reaches them
+        rule = QuadratureRule(kind, 8, 1e-9)
+        calls = []
+        run = {
+            "integrate_1d": lambda: integrate_1d(lambda t: calls.append(t) or np.cos(t), 0.0, TWO_PI, rule),
+            "mean_distance_field": lambda: mean_distance_field(tennis_ball_seam(), np.eye(3), rule),
+            "calibrate_arc_length": lambda: calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), rule=rule),
+        }[use]
+        with pytest.raises(ValueError, match="periodic_trapezoid"):
+            run()
+        assert calls == []
 
 
 class TestSphereIntegrate:
