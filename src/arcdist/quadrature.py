@@ -21,12 +21,16 @@ mandatory rather than assuming spectral accuracy.
 Surface integrands are functions of an (N, 3) array of unit vectors. A
 product level builds its points as outer products of the trig values of
 its two axes (sin theta times cos phi and sin phi, and cos theta), not
-by evaluating trig functions at each of its nodes.
+by evaluating trig functions at each of its nodes. It builds them once:
+the points of the two levels last used are cached and handed, read-only,
+to every later integral at those levels, so an integrand must not write
+into its argument (one that tries raises ValueError).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -54,6 +58,16 @@ RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 MC_SAMPLES = 20000
 
 
+def require_integer(value, least: int, name: str) -> None:
+    """Raise ValueError unless value is an integer (operator.index) of at least `least`."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or Inf inside the integration domain."""
 
@@ -64,9 +78,10 @@ class QuadratureRule:
 
     kind: periodic_trapezoid for curve integrals, one of SPHERE_KINDS for
         surface integrals.
-    n: node count (starting level for refining rules; sample count for MC).
+    n: node count, an integer >= 2 (starting level for refining rules;
+        sample count for MC).
     tol: requested absolute tolerance for the doubling refinement.
-    seed: RNG seed, used by monte_carlo only.
+    seed: RNG seed, a non-negative integer, used by monte_carlo only.
     """
 
     kind: str = "periodic_trapezoid"
@@ -77,8 +92,8 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
-        if self.n < 2:
-            raise ValueError("node count must be >= 2")
+        require_integer(self.n, 2, "node count")
+        require_integer(self.seed, 0, "seed")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
 
@@ -216,7 +231,9 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     2 n_theta^2 nodes a level, doubling n_theta under the module's cap
     rule; nodes_used counts the nodes of every level. A level's points
     are products of the trig values of its two axes (n_theta + n_phi of
-    them) and equal angles_to_xyz of the flattened grid bit for bit.
+    them) and equal angles_to_xyz of the flattened grid bit for bit. They
+    are built once and shared, read-only, by every call at that level: g
+    must not write into its argument, and a write raises ValueError.
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
     the sample standard error as the estimate. A periodic_trapezoid rule
@@ -229,9 +246,14 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
 
 
-def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
-    u, w = _leggauss(n_theta)
-    theta = np.arccos(u)
+@lru_cache(maxsize=2)
+def _product_grid(n_theta: int) -> np.ndarray:
+    """The read-only (2 n_theta^2, 3) points of the product level at n_theta.
+
+    Two levels are kept, the pair one doubling step compares; a deeper
+    refinement evicts the oldest rather than hold every level it built.
+    """
+    theta = np.arccos(_leggauss(n_theta)[0])
     n_phi = 2 * n_theta
     phi = TWO_PI * np.arange(n_phi) / n_phi
     # Row i * n_phi + j is (theta_i, phi_j). Each coordinate is the same product
@@ -243,6 +265,19 @@ def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
     np.multiply.outer(st, np.sin(phi), out=points[..., 1])
     points[..., 1] += 0.0  # y is +0.0, never -0.0, on the meridian phi = 0
     points[..., 2] = np.cos(theta)[:, None]
-    vals = _eval(g, points.reshape(-1, 3)).reshape(n_theta, n_phi)
+    # Copied out so that the build array, as large as the level, is freed
+    # once: that raises glibc malloc's mmap and trim thresholds to the level's
+    # size, so the integrand's temporaries are reused from the heap rather than
+    # mapped anew and page-faulted on every call (about 480 faults a call at
+    # n_theta = 256 in a fresh process without the copy).
+    points = points.reshape(-1, 3).copy()
+    points.setflags(write=False)
+    return points
+
+
+def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
+    w = _leggauss(n_theta)[1]
+    n_phi = 2 * n_theta
+    vals = _eval(g, _product_grid(n_theta)).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
     return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size

@@ -25,6 +25,7 @@ from .quadrature import (
     default_curve_rule,
     default_sphere_rule,
     refinement_levels,
+    require_integer,
 )
 from .sphere import (
     SpherePoint,
@@ -77,6 +78,7 @@ class VerifySettings:
             raise ValueError(f"rule must be {' or '.join(SPHERE_KINDS)}, got {self.rule!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        require_integer(self.seed, 0, "seed")  # a Gauss table builds no seeded rule to check it
         rule = self.sphere_rule()  # a bad n or tol, or a rule over the node cap, fails up front
         if not self.monte_carlo:
             refinement_levels(rule, surface=True)

@@ -214,6 +214,14 @@ def test_settings_refuse_a_trapezoid_sphere_rule():
         VerifySettings(rule="periodic_trapezoid")
 
 
+@pytest.mark.parametrize("rule", ["gauss_legendre", "monte_carlo"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_settings_refuse_a_seed_that_is_not_a_non_negative_integer(rule, seed):
+    # a Gauss table builds no seeded rule, so the settings check their own seed
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        VerifySettings(rule=rule, seed=seed)
+
+
 def test_two_pi_squared_reference_constant():
     # guard against accidental edits of the shared target constant
     from arcdist.verify import TWO_PI_SQ

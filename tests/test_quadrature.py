@@ -9,11 +9,13 @@ from arcdist.functionals import mean_distance_field
 from arcdist.optimize import calibrate_arc_length
 from arcdist.quadrature import (
     NODE_CAP,
+    RULE_KINDS,
     TOLERANCE_NOT_REACHED,
     FunctionalResult,
     NonFiniteIntegrandError,
     QuadratureRule,
     _leggauss,
+    _product_grid,
     default_sphere_rule,
     integrate_1d,
     refinement_levels,
@@ -26,6 +28,14 @@ from arcdist.sphere import angles_to_xyz, random_rotation_matrix
 TWO_PI = 2.0 * math.pi
 
 
+def _grid_by_angles(n_theta):
+    """angles_to_xyz of the product level's flattened (theta, phi) meshgrid, row i * n_phi + j at (theta_i, phi_j)."""
+    theta = np.arccos(_leggauss(n_theta)[0])
+    phi = TWO_PI * np.arange(2 * n_theta) / (2 * n_theta)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    return angles_to_xyz(th.ravel(), ph.ravel())
+
+
 class TestRuleValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -36,6 +46,19 @@ class TestRuleValidation:
             QuadratureRule("gauss_legendre", 1, 1e-6)
         with pytest.raises(ValueError):
             QuadratureRule("gauss_legendre", 16, 0.0)
+
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    @pytest.mark.parametrize(
+        "field, value", [("n", 128.5), ("n", "16"), ("n", None), ("seed", -2), ("seed", 1.5), ("seed", "0")]
+    )
+    def test_counts_and_seeds_must_be_integers_in_range(self, kind, field, value):
+        # refused on construction, not where a level or a draw first uses them
+        with pytest.raises(ValueError, match=f"{'node count' if field == 'n' else 'seed'} must be an integer >= "):
+            QuadratureRule(kind, **{"n": 16, "tol": 1e-6, field: value})
+
+    def test_numpy_integers_are_integers(self):
+        rule = QuadratureRule("monte_carlo", np.int64(100), 1e-6, seed=np.uint32(3))
+        assert sphere_integrate(lambda x: np.ones(len(x)), rule).nodes_used == 100
 
     def test_result_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -159,8 +182,8 @@ class TestSphereIntegrate:
         assert abs(r0.value - r1.value) <= allowed
 
     def test_product_points_match_angles_to_xyz_of_the_grid(self):
-        # Levels 4 and 8, then 128 and 256: each level's points are, byte for
-        # byte, angles_to_xyz of its flattened (theta, phi) meshgrid.
+        # Levels 4 and 8, then 128 and 256: the integrand receives, byte for
+        # byte, angles_to_xyz of each level's flattened (theta, phi) meshgrid.
         seen = []
 
         def record(x):
@@ -171,13 +194,49 @@ class TestSphereIntegrate:
             sphere_integrate(record, QuadratureRule("gauss_legendre", n, 1.0))
         assert [len(x) for x in seen] == [2 * n * n for n in (4, 8, 128, 256)]
         for points in seen:
-            n_theta = math.isqrt(len(points) // 2)
-            theta = np.arccos(_leggauss(n_theta)[0])
-            phi = TWO_PI * np.arange(2 * n_theta) / (2 * n_theta)
-            th, ph = np.meshgrid(theta, phi, indexing="ij")
-            assert points.tobytes() == angles_to_xyz(th.ravel(), ph.ravel()).tobytes()
-            y_on_meridian = points[:: 2 * n_theta, 1]
-            assert np.all(y_on_meridian == 0.0) and not np.any(np.signbit(y_on_meridian))
+            assert points.tobytes() == _grid_by_angles(math.isqrt(len(points) // 2)).tobytes()
+
+    @pytest.mark.parametrize("n_theta", [8, 128, 256])
+    def test_cached_grid_is_read_only_angles_to_xyz_of_the_grid(self, n_theta):
+        points = _product_grid(n_theta)
+        assert not points.flags.writeable
+        assert points.tobytes() == _grid_by_angles(n_theta).tobytes()
+        y_on_meridian = points[:: 2 * n_theta, 1]
+        assert np.all(y_on_meridian == 0.0) and not np.any(np.signbit(y_on_meridian))
+
+    def test_same_bits_from_a_cached_and_a_fresh_grid(self):
+        w = np.array([0.6, -0.64, 0.48])
+        g = lambda x: np.arccos(np.clip(x @ w, -1.0, 1.0))
+        rule = QuadratureRule("gauss_legendre", 32, 1e-12)
+        first = sphere_integrate(g, rule)
+        assert sphere_integrate(g, rule) == first
+        _product_grid.cache_clear()
+        assert sphere_integrate(g, rule) == first
+
+    def test_an_integrand_cannot_write_into_the_shared_points(self):
+        rule = QuadratureRule("gauss_legendre", 16, 1.0)
+        g = lambda x: x[:, 2] ** 2
+        before = sphere_integrate(g, rule)
+
+        def writes(x):
+            x[:, 2] = 0.0
+            return np.ones(len(x))
+
+        with pytest.raises(ValueError, match="read-only"):
+            sphere_integrate(writes, rule)
+        assert sphere_integrate(g, rule) == before
+
+    def test_cache_holds_two_levels(self):
+        # a two-level integral finds both of its levels on the next call; a third level evicts the oldest
+        _product_grid.cache_clear()
+        rule = QuadratureRule("gauss_legendre", 4, 1.0)
+        for _ in range(2):
+            sphere_integrate(lambda x: np.ones(len(x)), rule)
+        assert _product_grid.cache_info()[:4] == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
+        _product_grid(16)
+        _product_grid(8)
+        _product_grid(4)
+        assert _product_grid.cache_info()[:4] == (3, 4, 2, 2)
 
     @pytest.mark.parametrize(
         "rule", [default_sphere_rule(n=8), QuadratureRule("monte_carlo", 100, 1e-9)], ids=["product", "monte_carlo"]
