@@ -9,6 +9,8 @@ to-curve mean is the unnormalized surface integral of that field.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,10 @@ SPHERE_TO_CURVE_TOL = 1e-6
 # 2-core Xeon (2 MiB L2 a core) put 2^15-2^17 within a few percent of each
 # other; 2^14 and below lose to per-block Python overhead, and 2^18 and above
 # to cache misses and BLAS threads (2^21: 3-4x the wall time and 7x the CPU
-# time of 2^16 on the 163,840 x 512 field).
+# time of 2^16 on the 163,840 x 512 field). A field of two blocks or more
+# spreads its blocks over the usable cores (_by_cores), each core taking a run
+# of whole blocks; the blocks are the same at any core count, and so are the
+# field's bytes.
 _CHUNK_ENTRIES = 1 << 16
 # The nearest-point refinement keeps a few dozen row-length temporaries per
 # pass, so _by_rows counts each of its rows as this many entries: blocks of
@@ -171,13 +176,21 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
 
     Evaluates the inner integral at the rule's stated node count without
     refinement; used where many field values are needed at once. The
-    rule's nodes are a sample grid (SphericalCurve.sample).
+    rule's nodes are a sample grid (SphericalCurve.sample). The points x
+    nodes matrix is formed in row blocks (_by_rows); a field of two blocks
+    or more spreads them over the usable cores (_by_cores), and its bytes
+    do not depend on how many cores there are.
     """
     curve_rule = curve_rule or default_curve_rule()
     _, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
     C = curve.sample(w.size)[1]
     w_mean = w / curve.domain.period
-    return _by_rows(points, w.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean, float)
+    return _by_cores(points, w.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean)
+
+
+def _block_rows(n_nodes: int) -> int:
+    """Rows of one _by_rows block: at most _CHUNK_ENTRIES entries, one row at least."""
+    return max(1, _CHUNK_ENTRIES // n_nodes)
 
 
 def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:
@@ -186,9 +199,50 @@ def _by_rows(points, n_nodes: int, reduce, dtype) -> np.ndarray:
     such as (float, 2), takes one row of values per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(points.shape[0], dtype)
-    step = max(1, _CHUNK_ENTRIES // n_nodes)
+    step = _block_rows(n_nodes)
     for s in range(0, points.shape[0], step):
         out[s : s + step] = reduce(points[s : s + step])
+    return out
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _by_cores(points, n_nodes: int, reduce) -> np.ndarray:
+    """_by_rows(points, n_nodes, reduce, float) with its blocks spread over the usable cores.
+
+    The blocks are cut into one contiguous run of whole blocks per core,
+    at most one run a block. Each run goes through _by_rows on its own
+    thread into its slice of the output, and the calling thread takes the
+    first. Every block holds the rows it holds in the one-thread call, and
+    BLAS rounds a row by its place in its block, so the values are that
+    call's bits at any core count. numpy's ufuncs and BLAS release the GIL
+    for a block's work, so the threads overlap. A field of one block stays
+    on the calling thread. The threads live for one call: a pool kept
+    across calls would hang the next call in a child made by os.fork().
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rows = _block_rows(n_nodes)
+    blocks = -(-len(points) // rows)
+    runs = min(_usable_cores(), blocks)
+    if runs < 2:
+        return _by_rows(points, n_nodes, reduce, float)
+    out = np.empty(len(points))
+    cuts = [rows * (blocks * k // runs) for k in range(runs + 1)]
+
+    def fill(a: int, b: int) -> None:
+        out[a:b] = _by_rows(points[a:b], n_nodes, reduce, float)
+
+    with ThreadPoolExecutor(runs - 1) as pool:
+        rest = [pool.submit(fill, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+        fill(cuts[0], cuts[1])
+    for run in rest:
+        run.result()
     return out
 
 

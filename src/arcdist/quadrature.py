@@ -22,9 +22,10 @@ Surface integrands are functions of an (N, 3) array of unit vectors. A
 product level builds its points as outer products of the trig values of
 its two axes (sin theta times cos phi and sin phi, and cos theta), not
 by evaluating trig functions at each of its nodes. It builds them once:
-the points of the two levels last used are cached and handed, read-only,
-to every later integral at those levels, so an integrand must not write
-into its argument (one that tries raises ValueError).
+the points of the two levels last used, of those up to n_theta = 512, are
+cached and handed, read-only, to every later integral at those levels, so
+an integrand must not write into its argument (one that tries raises
+ValueError). A deeper level is built, read-only, for the call that uses it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 #: Sample count of a Monte Carlo sphere rule whose settings give no n: the
 #: default of eval and of verify under --rule monte_carlo.
 MC_SAMPLES = 20000
+
+# Most points of a product level that _product_grid keeps: 2^19, the level
+# n_theta = 512, the deepest the default sphere rule reaches (12 MiB). The
+# level n_theta = 724 that a rule from n = 362 reaches is 25 MB.
+_GRID_CACHE_POINTS = 1 << 19
 
 
 def require_integer(value, least: int, name: str) -> None:
@@ -246,13 +252,20 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
 
 
-@lru_cache(maxsize=2)
 def _product_grid(n_theta: int) -> np.ndarray:
     """The read-only (2 n_theta^2, 3) points of the product level at n_theta.
 
-    Two levels are kept, the pair one doubling step compares; a deeper
-    refinement evicts the oldest rather than hold every level it built.
+    A level of at most _GRID_CACHE_POINTS points comes from _cached_grid,
+    which keeps two levels, the pair one doubling step compares; a deeper
+    refinement evicts the oldest rather than hold every level it built. A
+    larger level is built for each call and freed with its last reference.
     """
+    if 2 * n_theta * n_theta <= _GRID_CACHE_POINTS:
+        return _cached_grid(n_theta)
+    return _build_grid(n_theta)
+
+
+def _build_grid(n_theta: int) -> np.ndarray:
     theta = np.arccos(_leggauss(n_theta)[0])
     n_phi = 2 * n_theta
     phi = TWO_PI * np.arange(n_phi) / n_phi
@@ -273,6 +286,9 @@ def _product_grid(n_theta: int) -> np.ndarray:
     points = points.reshape(-1, 3).copy()
     points.setflags(write=False)
     return points
+
+
+_cached_grid = lru_cache(maxsize=2)(_build_grid)
 
 
 def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:

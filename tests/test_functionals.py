@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from arcdist import curves, functionals
 from arcdist.curves import great_circle, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import (
     _best_samples,
+    _by_cores,
     _by_rows,
     _min_distance_batch,
     arcsin_identity_residual,
@@ -20,7 +26,7 @@ from arcdist.functionals import (
     sphere_to_curve_mean,
     sup_deviation_from_half_pi,
 )
-from arcdist.quadrature import QuadratureRule, default_curve_rule
+from arcdist.quadrature import QuadratureRule, _product_grid, default_curve_rule
 from arcdist.sphere import SpherePoint, random_rotation_matrix, uniform_unit_vectors
 
 HALF_PI = 0.5 * math.pi
@@ -507,3 +513,80 @@ class TestRowBlocks:
             m.setattr(functionals, "_CHUNK_ENTRIES", 1)
             f1 = mean_distance_field(seam, pts)
         assert np.max(np.abs(f0 - f1)) <= 2 * 512 * np.finfo(float).eps * math.pi
+
+
+class TestFieldOnCores:
+    """A field of two row blocks or more spreads runs of whole blocks over the
+    usable cores; its bytes do not depend on the core count."""
+
+    @pytest.mark.parametrize("cores", [1, 3, 5])
+    def test_runs_are_whole_blocks_in_order(self, monkeypatch, cores):
+        # 1000 rows in blocks of 64 (the last of 40), whatever the core count
+        blocks = []
+
+        def reduce(P):
+            blocks.append((int(P[0, 0]), len(P)))
+            return P[:, 0].copy()
+
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: cores)
+        pts = np.repeat(np.arange(1000.0)[:, None], 3, axis=1)
+        out = _by_cores(pts, 1 << 10, reduce)
+        assert out.tobytes() == np.arange(1000.0).tobytes()
+        assert sorted(blocks) == [(s, min(64, 1000 - s)) for s in range(0, 1000, 64)]
+
+    @pytest.mark.parametrize("points", ["grid_256", "monte_carlo_8000"])
+    def test_field_bytes_do_not_depend_on_the_core_count(self, monkeypatch, points):
+        # 131,072 x 512 and 8,000 x 512 entries: 1024 and 63 blocks. More runs
+        # than cores, with a short switch interval, interleave the threads often.
+        pts = _product_grid(256) if points == "grid_256" else uniform_unit_vectors(7, 8000)
+        seam = tennis_ball_seam(0.7037)
+        field = mean_distance_field(seam, pts).tobytes()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (1, 3, 5):
+                monkeypatch.setattr(functionals, "_usable_cores", lambda: cores)
+                assert mean_distance_field(seam, pts).tobytes() == field
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_field_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        seam = tennis_ball_seam(0.7037)
+        # the optimizer's design at 256 nodes: 31,232 entries, one block
+        sup, _ = sup_deviation_from_half_pi(seam, 122, default_curve_rule(n=256))
+        assert math.isfinite(sup)
+        # the patch does catch the thread a two-block field starts
+        with pytest.raises(AssertionError, match="a thread was started"):
+            mean_distance_field(seam, uniform_unit_vectors(1, 300))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_field_after_fork_matches_the_parent(self, monkeypatch, tmp_path):
+        # The parent's multi-block field runs threads; a child forked after it
+        # must start its own and finish, with the same bytes.
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: 2)
+        seam = tennis_ball_seam(0.7037)
+        pts = uniform_unit_vectors(11, 8000)
+        field = mean_distance_field(seam, pts).tobytes()
+        out = tmp_path / "child.bin"
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                out.write_bytes(mean_distance_field(seam, pts).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its field within 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert out.read_bytes() == field

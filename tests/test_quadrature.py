@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from arcdist.quadrature import (
     FunctionalResult,
     NonFiniteIntegrandError,
     QuadratureRule,
+    _cached_grid,
     _leggauss,
     _product_grid,
     default_sphere_rule,
@@ -210,7 +213,7 @@ class TestSphereIntegrate:
         rule = QuadratureRule("gauss_legendre", 32, 1e-12)
         first = sphere_integrate(g, rule)
         assert sphere_integrate(g, rule) == first
-        _product_grid.cache_clear()
+        _cached_grid.cache_clear()
         assert sphere_integrate(g, rule) == first
 
     def test_an_integrand_cannot_write_into_the_shared_points(self):
@@ -228,15 +231,33 @@ class TestSphereIntegrate:
 
     def test_cache_holds_two_levels(self):
         # a two-level integral finds both of its levels on the next call; a third level evicts the oldest
-        _product_grid.cache_clear()
+        _cached_grid.cache_clear()
         rule = QuadratureRule("gauss_legendre", 4, 1.0)
         for _ in range(2):
             sphere_integrate(lambda x: np.ones(len(x)), rule)
-        assert _product_grid.cache_info()[:4] == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
+        assert _cached_grid.cache_info()[:4] == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
         _product_grid(16)
         _product_grid(8)
         _product_grid(4)
-        assert _product_grid.cache_info()[:4] == (3, 4, 2, 2)
+        assert _cached_grid.cache_info()[:4] == (3, 4, 2, 2)
+
+    def test_cache_keeps_no_level_above_n_theta_512(self):
+        # the default rule's deepest level is cached; a rule from n = 362 refines
+        # to n_theta = 724 (25 MB of points), which is freed after its call
+        _cached_grid.cache_clear()
+        assert _product_grid(512) is _product_grid(512)
+        deep = []
+
+        def theta(x):
+            if len(x) == 2 * 724**2:
+                deep.append(weakref.ref(x))
+            return np.arccos(x[:, 2])
+
+        sphere_integrate(theta, QuadratureRule("gauss_legendre", 362, 1e-300))
+        gc.collect()
+        assert len(deep) == 1 and deep[0]() is None
+        assert _cached_grid.cache_info().currsize == 2
+        assert not _product_grid(724).flags.writeable
 
     @pytest.mark.parametrize(
         "rule", [default_sphere_rule(n=8), QuadratureRule("monte_carlo", 100, 1e-9)], ids=["product", "monte_carlo"]
