@@ -629,17 +629,21 @@ def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capt
       to j, so no pair in the stretch is a local chord minimum.
 
     A pair not dropped is cut into pairs of sub-arcs, and at the leaf level
-    its sample pairs are tested one by one. The index separation is
+    its sample pairs are tested one by one (_leaf_pairs); a level that
+    keeps no pair ends the search with none. The index separation is
     compared in integers: a float test on parameter differences admits
     pairs exactly 3 apart whenever rounding lands them above the threshold.
     """
     n = len(pts)
     # Turning angle at each sample k + 1, between segments k and k + 1; a
     # short segment counts as a half turn, which no stretch can certify.
-    short = length < _TIE_FREE_SEGMENT
-    cos = np.einsum("ij,ij->i", seg, np.roll(seg, -1, axis=0))
-    cos /= np.maximum(length * np.roll(length, -1), _TIE_FREE_SEGMENT**2)
-    turn = np.where(short | np.roll(short, -1), math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
+    # Segments 0 .. n, segment n being segment 0 again, so that the
+    # successor of each segment is a slice.
+    ring, ring_length = np.concatenate([seg, seg[:1]]), np.concatenate([length, length[:1]])
+    short = ring_length < _TIE_FREE_SEGMENT
+    cos = np.einsum("ij,ij->i", ring[:-1], ring[1:])
+    cos /= np.maximum(ring_length[:-1] * ring_length[1:], _TIE_FREE_SEGMENT**2)
+    turn = np.where(short[:-1] | short[1:], math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
     # Turning summed from sample 0 over two turns of the curve, so that a
     # stretch starting at sample s < n needs no wrap.
     turned = np.cumsum(np.concatenate([[0.0], turn, turn]))
@@ -674,9 +678,19 @@ def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capt
         )
         apart = square_gap > (capture + _BOUND_SLACK + rx[:, :, None] + ry[:, None, :]) ** 2
         k, u, v = np.nonzero(wanted & np.where(steps <= width, ~certified, ~apart))
+        if k.size == 0:  # no pair left: no sample pair can be a candidate
+            return np.zeros((0, 2), dtype=int)
         x, y = x[k, u, 0], y[k, 0, v]
         split = _SPLIT
+    return _leaf_pairs(pts, x, y, width, capture)
 
+
+def _leaf_pairs(pts: np.ndarray, x: np.ndarray, y: np.ndarray, width: int, capture: float) -> np.ndarray:
+    """The leaf pass of _chord_candidates: index pairs (i < j), in
+    lexicographic order, of the samples within chordal distance `capture`
+    and more than 3 indices apart around the curve, for i in an arc of
+    `width` samples from x[m] and j in one from y[m], for some m."""
+    n = len(pts)
     grid = np.arange(width)
     rows_i, rows_j = (x[:, None] + grid) % n, (y[:, None] + grid) % n
     i, j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -768,7 +782,9 @@ def is_simple(
     if max_adj < eps and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < eps:
         return False, (dom.t_i, dom.t_i + 0.5 * period)
 
-    pairs = _local_chord_minima(pts, _chord_candidates(pts, seg, length, max(2.0 * max_adj, 2.0 * eps)))
+    pairs = _chord_candidates(pts, seg, length, max(2.0 * max_adj, 2.0 * eps))
+    if pairs.size:
+        pairs = _local_chord_minima(pts, pairs)
     if pairs.size == 0:
         return True, None
     chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)

@@ -12,6 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,12 +273,21 @@ def sup_deviation_from_half_pi(
     """Max |mean-distance - pi/2| over a fixed near-uniform sphere design.
 
     Deterministic by construction (golden-angle design, fixed node count),
-    so it is usable as an optimization objective. Returns (sup, argmax point).
+    so it is usable as an optimization objective. The design of each size is
+    built once (_design). Returns (sup, argmax point).
     """
-    design = fibonacci_sphere_points(n_design)
+    design = _design(n_design)
     vals = mean_distance_field(curve, design, curve_rule)
     idx = int(np.argmax(np.abs(vals - HALF_PI)))
-    return float(abs(vals[idx] - HALF_PI)), design[idx]
+    return float(abs(vals[idx] - HALF_PI)), design[idx].copy()
+
+
+@lru_cache(maxsize=4)
+def _design(n: int) -> np.ndarray:
+    """Read-only fibonacci_sphere_points(n), shared by every call that asks for n."""
+    design = fibonacci_sphere_points(n)
+    design.setflags(write=False)
+    return design
 
 
 def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
 from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, require_integer
 
 FOUR_PI = 4.0 * math.pi
 
@@ -365,8 +365,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
+        require_integer(self.max_evals, 1, "max_evals")
+        require_integer(self.design_size, 1, "design_size")
+        require_integer(self.seed, 0, "seed")
         if not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
             raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
 
@@ -483,9 +484,7 @@ def minimize_functional(
         while state["evals"] < config.max_evals:
             order = np.argsort(values, kind="stable")
             simplex, values = simplex[order], values[order]
-            pairs = ((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
-            diam = max(float(np.linalg.norm(simplex[i] - simplex[j])) for i, j in pairs)
-            if diam < DIAMETER_TOL:
+            if _diameter(simplex) < DIAMETER_TOL:
                 converged = True
                 break
 
@@ -519,6 +518,12 @@ def minimize_functional(
 
     warning = None if converged else MAX_EVALUATIONS_REACHED
     return _report(family, config, state, trace, f0, converged, warning)
+
+
+def _diameter(simplex: np.ndarray) -> float:
+    """The largest distance between two vertices (rows) of the simplex."""
+    gap = simplex[:, None, :] - simplex[None, :, :]
+    return math.sqrt(float(np.einsum("ijk,ijk->ij", gap, gap).max()))
 
 
 def _report(family, config, state, trace, initial_value, converged, warning) -> OptimizationReport:

@@ -528,6 +528,57 @@ class TestChordCandidates:
         assert _chord_candidates(pts, *_segments(pts), 0.05).size == 0
 
 
+class TestEmptyLevel:
+    """A level of the arc search that keeps no pair ends it: no leaf pass,
+    no local-minimum filter."""
+
+    # The seam at its published amplitude, and the second candidate of the
+    # default seam search (the seam shape plus 0.1 in a_1) at its
+    # calibrated scale.
+    CURVES = {
+        "seam": lambda: tennis_ball_seam(0.7037),
+        "search_candidate": lambda: seam_seeded_family(3).build(
+            np.array(seam_seeded_family(3).initial_shape) + 0.1 * np.eye(9)[0], 1.002690414819381
+        ),
+    }
+
+    @pytest.fixture
+    def stops_after_one_level(self, monkeypatch):
+        """Forbid the leaf pass and the local-minimum filter, and count the
+        levels the search runs (each builds the balls of its two arc sets)."""
+        balls = []
+        arc_balls = curves._arc_balls
+
+        def counted(pts, length):
+            ball = arc_balls(pts, length)
+
+            def counting(s, width):
+                balls.append(width)
+                return ball(s, width)
+
+            return counting
+
+        def forbidden(*args):
+            raise AssertionError("called after a level that kept no pair")
+
+        monkeypatch.setattr(curves, "_arc_balls", counted)
+        monkeypatch.setattr(curves, "_leaf_pairs", forbidden)
+        monkeypatch.setattr(curves, "_local_chord_minima", forbidden)
+        yield
+        assert balls == [64, 64]  # one level: the 64-sample arcs of each side
+
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_is_simple_stops_at_the_first_level(self, stops_after_one_level, name):
+        assert is_simple(self.CURVES[name]()) == (True, None)
+
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_no_candidates_are_an_empty_integer_pair_array(self, stops_after_one_level, name):
+        pts = self.CURVES[name]().sample(4096)[1]
+        seg, length = _segments(pts)
+        found = _chord_candidates(pts, seg, length, 2.0 * float(length.max()))
+        assert found.shape == (0, 2) and np.issubdtype(found.dtype, np.integer)
+
+
 def test_import_leaves_scipy_spatial_out():
     # the CLI, which imports verify, loads neither scipy.spatial nor scipy.stats (which would load it)
     root = Path(__file__).resolve().parents[1]

@@ -20,6 +20,7 @@ from arcdist.optimize import (
     scale_family,
     seam_seeded_family,
     trig_series_family,
+    _diameter,
     _model_root,
 )
 from arcdist.quadrature import default_curve_rule, default_sphere_rule
@@ -437,9 +438,19 @@ class TestMinimizeFunctional:
         )
         report = minimize_functional(seam_seeded_family(2), config=OptimizerConfig(max_evals=5000))
         assert report.converged and report.warning is None
-        assert report.evaluations == len(report.trace) < 5000
+        # pins where the diameter stop ends the search
+        assert report.evaluations == len(report.trace) == 386
         assert np.all(np.diff(report.trace) <= 0.0)
         assert np.allclose(report.best_shape, target, atol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 9])
+    def test_diameter_is_the_largest_pairwise_distance(self, k):
+        rng = np.random.default_rng(k)
+        for scale in (1e-7, 1e-3, 1.0):
+            simplex = scale * rng.standard_normal((k + 1, k))
+            pairwise = [np.linalg.norm(simplex[i] - simplex[j]) for i in range(k + 1) for j in range(i + 1, k + 1)]
+            # the two sum a vertex gap's squares in different orders
+            assert _diameter(simplex) == pytest.approx(max(pairwise), rel=1e-14)
 
     def test_bit_reproducible_for_fixed_config(self):
         cfg = OptimizerConfig(max_evals=25, seed=11)
@@ -457,3 +468,21 @@ class TestMinimizeFunctional:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(objective="simulated_annealing")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"max_evals": 0},
+            {"max_evals": 2.5},
+            {"max_evals": "40"},
+            {"design_size": 0},
+            {"design_size": 2.5},
+            {"seed": -1},
+            {"seed": -1, "objective": "mean_min"},
+            {"seed": 1.0},
+            {"seed": None},
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            OptimizerConfig(**setting)

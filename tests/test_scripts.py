@@ -1,6 +1,7 @@
 """Each script under scripts/ starts and prints its help, so a renamed import fails here,
 and the is_simple verdict sweep runs a small case."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,3 +44,21 @@ def test_simple_sweep_writes_one_row_per_check(tmp_path):
     assert [r["scale"] == 1.0 for r in rows] == [True, False] * 3
     assert [r["simple"] for r in rows] == [False, False, False, False, True, True]
     assert [r["witness"] is None for r in rows] == [r["simple"] for r in rows]
+
+
+def test_simple_sweep_slice_reproduces_its_recorded_verdicts():
+    # Seeds 1000-1019 of the default sweep, its first 40 rows as recorded in
+    # tests/data. The verdicts must match exactly; the scales and witnesses
+    # to 1e-9, which another libm's last bits cannot cross.
+    spec = importlib.util.spec_from_file_location("simple_sweep", ROOT / "scripts" / "simple_sweep.py")
+    simple_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(simple_sweep)
+    recorded = json.loads((ROOT / "tests" / "data" / "simple_sweep_seeds_1000_1019.json").read_text())
+    rows = simple_sweep.sweep(1000, 20)
+    assert len(rows) == len(recorded) == 40
+    assert [(r["seed"], r["simple"]) for r in rows] == [(r["seed"], r["simple"]) for r in recorded]
+    for row, want in zip(rows, recorded):
+        assert row["scale"] == pytest.approx(want["scale"], abs=1e-9)
+        assert (row["witness"] is None) == (want["witness"] is None)
+        if want["witness"] is not None:
+            assert row["witness"] == pytest.approx(want["witness"], abs=1e-9)
