@@ -38,7 +38,6 @@ from .optimize import (
     calibrate_arc_length,
     minimize_functional,
     seam_seeded_family,
-    trig_series_family,
 )
 from .quadrature import (
     FunctionalResult,

@@ -428,12 +428,14 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     return model
 
 
-def is_closed(curve: SphericalCurve, eps: float = 1e-8) -> bool:
-    """True iff the endpoints coincide within chordal distance eps."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+#: is_closed's bound on the chordal distance between a curve's endpoints.
+_CLOSURE_EPS = 1e-8
+
+
+def is_closed(curve: SphericalCurve) -> bool:
+    """True iff the endpoints coincide within chordal distance _CLOSURE_EPS."""
     ends = curve.positions(np.array([curve.domain.t_i, curve.domain.t_f]))
-    return bool(np.linalg.norm(ends[0] - ends[1]) < eps)
+    return bool(np.linalg.norm(ends[0] - ends[1]) < _CLOSURE_EPS)
 
 
 #: The nearest-parameter refinement stops a row once its step is at most this.

@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +49,9 @@ SPHERE_TO_CURVE_TOL = 1e-6
 _CHUNK_ENTRIES = 1 << 16
 # The nearest-point refinement keeps a few dozen row-length temporaries per
 # pass, so _by_rows counts each of its rows as this many entries: blocks of
-# 2048 rows. Refining all 10,000 rows of a call at once raised its traced
-# peak from 1.3 to 4.0 MB (seam, 4096-sample scan).
+# 2048 rows, which the best-sample scan (_best_samples) shares. Refining all
+# 10,000 rows of a call at once raised its traced peak from 1.3 to 4.0 MB
+# (seam, 4096-sample scan).
 _REFINE_ENTRIES_PER_ROW = 32
 # The best-sample scan (_best_samples) cuts n samples into isqrt(n) // 2
 # arcs of about 2 sqrt(n) samples (128 at 4096). An interleaved sweep on a
@@ -247,22 +249,16 @@ def _by_cores(points, n_nodes: int, reduce) -> np.ndarray:
     return out
 
 
-def sphere_to_curve_mean(
-    curve: SphericalCurve,
-    sphere_rule: QuadratureRule | None = None,
-    curve_rule: QuadratureRule | None = None,
-) -> FunctionalResult:
+def sphere_to_curve_mean(curve: SphericalCurve, sphere_rule: QuadratureRule | None = None) -> FunctionalResult:
     """Unnormalized surface integral over the sphere of the mean distance field.
 
     The conventional target value is area 4pi times the great-circle field
     constant pi/2, i.e. 2 pi^2. Divide by 4pi for the normalized mean. The
     error estimate reflects refinement of the outer surface integral at
-    fixed inner resolution.
+    fixed inner resolution, the field's default curve rule.
     """
     sphere_rule = sphere_rule or default_sphere_rule(tol=SPHERE_TO_CURVE_TOL)
-    curve_rule = curve_rule or default_curve_rule()
-
-    return sphere_integrate(lambda x: mean_distance_field(curve, x, curve_rule), sphere_rule)
+    return sphere_integrate(lambda x: mean_distance_field(curve, x), sphere_rule)
 
 
 def sup_deviation_from_half_pi(
@@ -299,49 +295,47 @@ def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) 
     that forms the dot products with only the arcs of samples that can hold
     it (_best_samples). Newton-bisection refinement
     (curves._nearest_parameters) then finds the nearest parameter within
-    one sample spacing of it, in row blocks. It starts at the vertex of the
-    parabola through the dot products with the best sample and its two
-    neighbours around the closed curve (Brent, Algorithms for Minimization
-    without Derivatives, 1973), or at the best sample where that parabola
-    is not concave. The distance is the arccos of the dot product at the
-    refinement's last evaluated parameter, which is within _NEAREST_STEP of
-    the returned, wrapped one.
+    one sample spacing of it; each row block is scanned and refined in one
+    pass. The refinement starts at the vertex of the parabola through the
+    dot products with the best sample and its two neighbours around the
+    closed curve (Brent, Algorithms for Minimization without Derivatives,
+    1973), or at the best sample where that parabola is not concave. The
+    distance is the arccos of the dot product at the refinement's last
+    evaluated parameter, which is within _NEAREST_STEP of the returned,
+    wrapped one.
     """
     if n_scan < 64:
         raise ValueError("n_scan must be >= 64")
     ts, C = curve.sample(n_scan)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     dt = curve.domain.period / n_scan
+    scan = _best_samples(C)
 
-    def refine(B: np.ndarray) -> np.ndarray:
-        # A block reads its points with their best samples' indices as a fourth column.
-        P, i = B[:, :3], B[:, 3].astype(np.int64)
+    def refine(P: np.ndarray) -> np.ndarray:
+        i = scan(P)
         f_prev, f_best, f_next = (np.einsum("ij,ij->i", P, C.take(i + k, axis=0, mode="wrap")) for k in (-1, 0, 1))
         bend = f_prev - 2.0 * f_best + f_next
         shift = np.divide(0.5 * dt * (f_prev - f_next), bend, out=np.zeros_like(bend), where=bend < 0)
         t, f = _nearest_parameters(curve, P, ts[i], dt, ts[i] + np.clip(shift, -dt, dt))
         return np.column_stack([t, f])
 
-    t, f = _by_rows(
-        np.column_stack([points, _best_samples(points, C)]), _REFINE_ENTRIES_PER_ROW, refine, (float, 2)
-    ).T
+    t, f = _by_rows(points, _REFINE_ENTRIES_PER_ROW, refine, (float, 2)).T
     return np.arccos(np.clip(f, -1.0, 1.0)), curve._wrap(t)
 
 
-def _best_samples(points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """np.argmax(points @ C.T, axis=1) for the closed curve's samples C, with
-    the dot products formed only where a point's best sample can lie.
+def _best_samples(C: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The scan P -> np.argmax(P @ C.T, axis=1) for the closed curve's samples
+    C, with the dot products formed only where a point's best sample can lie.
 
     C is cut into arcs of consecutive samples, each in its ball
-    (curves._arc_balls), so no sample of arc k is nearer to a point p than
-    |p - centre_k| - radius_k. Arc k is dropped for p when that exceeds
-    |p - c*| + _SCAN_SLACK, c* the nearest centre, which is itself a sample:
-    every sample of the arc then has a smaller dot product with p than c*.
-    The chords come from dot products, as in the far-pair rule of
-    curves._chord_candidates. The arcs left are scanned in ascending order,
-    one product each, and a point's best changes only for a strictly larger
-    dot product, so ties still go to the smallest index. Row blocks are
-    sized by the points x arcs bound matrix.
+    (curves._arc_balls), built once for every block the scan is given, so no
+    sample of arc k is nearer to a point p than |p - centre_k| - radius_k.
+    Arc k is dropped for p when that exceeds |p - c*| + _SCAN_SLACK, c* the
+    nearest centre, which is itself a sample: every sample of the arc then
+    has a smaller dot product with p than c*. The chords come from dot
+    products, as in the far-pair rule of curves._chord_candidates. The arcs
+    left are scanned in ascending order, one product each, and a point's
+    best changes only for a strictly larger dot product, so ties still go to
+    the smallest index.
     """
     n = len(C)
     n_arcs = max(1, math.isqrt(n) // _SCAN_ARC_ROOTS)
@@ -371,7 +365,7 @@ def _best_samples(points: np.ndarray, C: np.ndarray) -> np.ndarray:
             best_idx[rows] = j[up] + starts[k]
         return best_idx
 
-    return _by_rows(points, n_arcs, scan, np.int64)
+    return scan
 
 
 def point_to_curve_min(curve: SphericalCurve, p, n_scan: int = 4096) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -101,6 +101,13 @@ CALIBRATION_TOL = 1e-6
 
 #: Bound on |arc_length - 4pi| to which the search calibrates each candidate.
 CONSTRAINT_TOL = 1e-10
+
+#: The search's curve rule: each candidate's calibration, and the nodes of
+#: the sup-deviation objective's field. Trial shapes can put near-kinks into
+#: |r'(t)| (simultaneous zeros of both speed terms); a looser quadrature
+#: tolerance keeps the nested calibration cheap while staying far below the
+#: 1e-4 constraint check.
+SEARCH_RULE = default_curve_rule(n=256, tol=5e-7)
 
 
 def calibrate_arc_length(
@@ -186,9 +193,7 @@ def _newton_root(
         root = None if sub is None else _model_root(model, p, *sub, tol, cold)
         if root is None and cold:
             sub, warning = _sign_change(model, *bracket)
-            p = 0.5 * (sub[0] + sub[1])
-            curve = make_curve(p)
-            root = _model_root(curves.length_model(curve, p, rule, n), p, *sub, tol, cold)
+            root = _model_root(model, 0.5 * (sub[0] + sub[1]), *sub, tol, cold)
         if root is None:
             return None
         p = root
@@ -314,20 +319,21 @@ def scale_family(curve: SphericalCurve) -> SearchFamily:
     return SearchFamily(curve.family, (), lambda shape, p: curves.with_scale(curve, p), SCALES[curve.family].bracket)
 
 
-def trig_series_family(J: int = 3, initial_shape: Sequence[float] | None = None) -> SearchFamily:
-    """Search family over trig-series shapes with an amplitude scale.
+def seam_seeded_family(J: int = 3) -> SearchFamily:
+    """Trig-series family over J harmonics with an amplitude scale, started
+    at the tennis ball seam shape.
 
     Shape layout: [a_1..a_J, b_1..b_J, c_1..c_J] for
     theta = pi/2 + amp * (sum a_j cos jt + b_j sin jt),
-    phi = t/2 + amp * sum c_j sin jt, on [0, 4pi].
+    phi = t/2 + amp * sum c_j sin jt, on [0, 4pi]. The seam embeds as
+    a_1 = -(pi/2 - a), c_2 = a with unit amplitude, a = curves.TENNIS_BALL_A.
+    For another start, dataclasses.replace(family, initial_shape=...).
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if initial_shape is None:
-        initial_shape = (0.0,) * (3 * J)
-    initial_shape = tuple(float(v) for v in initial_shape)
-    if len(initial_shape) != 3 * J:
-        raise ValueError(f"shape vector must have length {3 * J}")
+    if J < 2:
+        raise ValueError("the seam shape needs J >= 2")
+    shape = [0.0] * (3 * J)
+    shape[0] = -(0.5 * math.pi - curves.TENNIS_BALL_A)
+    shape[2 * J + 1] = curves.TENNIS_BALL_A
 
     def build(shape: np.ndarray, scale: float) -> SphericalCurve:
         shape = np.asarray(shape, dtype=float)
@@ -338,20 +344,7 @@ def trig_series_family(J: int = 3, initial_shape: Sequence[float] | None = None)
             amplitude=scale,
         )
 
-    return SearchFamily(curves.TRIG_SERIES, initial_shape, build, SCALES[curves.TRIG_SERIES].bracket)
-
-
-def seam_seeded_family(J: int = 3, a: float = curves.TENNIS_BALL_A) -> SearchFamily:
-    """Trig-series family seeded at the tennis ball seam shape.
-
-    The seam embeds as a_1 = -(pi/2 - a), c_2 = a with unit amplitude.
-    """
-    if J < 2:
-        raise ValueError("the seam shape needs J >= 2")
-    shape = [0.0] * (3 * J)
-    shape[0] = -(0.5 * math.pi - a)
-    shape[2 * J + 1] = a
-    return trig_series_family(J, shape)
+    return SearchFamily(curves.TRIG_SERIES, tuple(shape), build, SCALES[curves.TRIG_SERIES].bracket)
 
 
 @dataclass(frozen=True)
@@ -375,13 +368,13 @@ class OptimizerConfig:
 def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
     # Fixed quadrature settings keep each objective deterministic per config.
     if config.objective == "sup_dev_from_half_pi":
-        sup, _ = sup_deviation_from_half_pi(curve, config.design_size, default_curve_rule(n=256))
+        sup, _ = sup_deviation_from_half_pi(curve, config.design_size, SEARCH_RULE)
         return sup
     return mean_min_arc_distance(curve, n_points=1024, seed=config.seed, n_scan=1024).value
 
 
 def make_candidate_evaluator(
-    family: SearchFamily, config: OptimizerConfig, rule: QuadratureRule | None = None
+    family: SearchFamily, config: OptimizerConfig
 ) -> Callable[[np.ndarray], tuple[float, float, float]]:
     """Return eval(shape) -> (objective, scale, |arc_length - 4pi|).
 
@@ -397,21 +390,17 @@ def make_candidate_evaluator(
     evaluator given the same shapes in the same order returns the same
     values.
     """
-    # Trial shapes can put near-kinks into |r'(t)| (simultaneous zeros of
-    # both speed terms); a looser quadrature tolerance keeps the nested
-    # calibration cheap while staying far below the 1e-4 constraint check.
-    rule = rule or default_curve_rule(n=256, tol=5e-7)
     last_scale = None
 
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale
         try:
-            cal = family.calibrate(shape, CONSTRAINT_TOL, rule, start=last_scale)
+            cal = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         last_scale = cal.parameter
         curve = family.build(shape, cal.parameter)
-        if not is_closed(curve, 1e-8):
+        if not is_closed(curve):
             return math.inf, cal.parameter, cal.residual
         simple, _ = is_simple(curve)
         if not simple:

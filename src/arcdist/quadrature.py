@@ -268,7 +268,7 @@ def _product_grid(n_theta: int) -> np.ndarray:
 def _build_grid(n_theta: int) -> np.ndarray:
     theta = np.arccos(_leggauss(n_theta)[0])
     n_phi = 2 * n_theta
-    phi = TWO_PI * np.arange(n_phi) / n_phi
+    phi = periodic_nodes(0.0, TWO_PI, n_phi)
     # Row i * n_phi + j is (theta_i, phi_j). Each coordinate is the same product
     # of the same doubles as angles_to_xyz of the flattened grid, so the points
     # agree bit for bit, but only the axes' n_theta + n_phi trig values are taken.

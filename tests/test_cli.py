@@ -9,7 +9,7 @@ import scipy
 
 from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
-from arcdist.quadrature import MC_SAMPLES, TOLERANCE_NOT_REACHED, FunctionalResult
+from arcdist.quadrature import MC_SAMPLES, TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
 from arcdist.verify import ClaimRow, VerifySettings
 
 
@@ -93,7 +93,7 @@ class TestEval:
         inner = []
 
         def field(curve, points, curve_rule=None):
-            inner.append(curve_rule.n)
+            inner.append((curve_rule or default_curve_rule()).n)
             return np.full(len(points), 0.5 * math.pi)
 
         monkeypatch.setattr("arcdist.functionals.mean_distance_field", field)
@@ -105,7 +105,7 @@ class TestEval:
         # eval and verify take their Monte Carlo sample count from one library constant
         rules = []
 
-        def surface_mean(curve, sphere_rule=None, curve_rule=None):
+        def surface_mean(curve, sphere_rule=None):
             rules.append(sphere_rule)
             return FunctionalResult(2 * math.pi**2, 0.0, 1)
 

@@ -286,10 +286,6 @@ class TestClosure:
         assert is_closed(tennis_ball_seam(0.7037))
         assert not is_closed(great_circle((0.0, 0.5)))
 
-    def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            is_closed(great_circle(), eps=0.0)
-
 
 class TestSimplicity:
     def test_doubled_great_circle_every_point_coincides(self):

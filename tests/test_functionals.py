@@ -367,21 +367,21 @@ class TestBestSamples:
             near /= np.linalg.norm(near, axis=1)[:, None]
             pts = np.vstack([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], pts, near])
         full = _by_rows(pts, n_scan, lambda P: np.argmax(P @ C.T, axis=1), np.int64)
-        best = _best_samples(pts, C)
+        best = _best_samples(C)(pts)
         assert best.tobytes() == full.tobytes()
 
     def test_ties_go_to_the_first_sample(self):
         poles = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-        assert _best_samples(poles, self._samples(great_circle((0.0, 2.0)), 4096)).tolist() == [0, 0]
+        assert _best_samples(self._samples(great_circle((0.0, 2.0)), 4096))(poles).tolist() == [0, 0]
         point_curve = trig_series(theta0=0.0, phi_slope=1.0, domain=(0.0, 2.0 * math.pi))
-        assert not _best_samples(uniform_unit_vectors(23, 1000), self._samples(point_curve, 256)).any()
+        assert not _best_samples(self._samples(point_curve, 256))(uniform_unit_vectors(23, 1000)).any()
 
     def test_forms_under_a_quarter_of_the_entries(self):
         # 10,000 points x 4096 samples: a full scan forms 40.96M dot products.
         C = self._samples(tennis_ball_seam(0.7037), 4096).view(_CountedSamples)
         C.formed = []
         pts = uniform_unit_vectors(29, 10_000)
-        best = _best_samples(pts, C)
+        best = _best_samples(C)(pts)
         assert sum(C.formed) < 10_000 * 4096 / 4
         full = _by_rows(pts, 4096, lambda P: np.argmax(P @ np.asarray(C).T, axis=1), np.int64)
         assert best.tobytes() == full.tobytes()

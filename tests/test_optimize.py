@@ -11,6 +11,8 @@ from arcdist.optimize import (
     CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
+    NEWTON_MAX_EVALUATIONS,
+    SEARCH_RULE,
     CalibrationFailedError,
     NoBracketError,
     OptimizerConfig,
@@ -19,7 +21,6 @@ from arcdist.optimize import (
     minimize_functional,
     scale_family,
     seam_seeded_family,
-    trig_series_family,
     _diameter,
     _model_root,
 )
@@ -70,6 +71,29 @@ class TestCalibration:
         a = calibrate_arc_length(lambda b: wavy_circle(b), (0.01, 0.6), tol=1e-6)
         b = calibrate_arc_length(lambda b: wavy_circle(b), (0.01, 0.6), tol=1e-6)
         assert a == b
+
+    @pytest.mark.parametrize("bracket", [(1.4, 0.1), (0.7, 0.7)])
+    def test_bracket_must_be_increasing(self, bracket):
+        with pytest.raises(ValueError, match="lo < hi"):
+            calibrate_arc_length(tennis_ball_seam, bracket)
+
+    @pytest.mark.parametrize("start, taken", [(None, NEWTON_MAX_EVALUATIONS), (0.7, 2 * NEWTON_MAX_EVALUATIONS)])
+    def test_unconfirmed_roots_fail_after_the_budget(self, monkeypatch, start, taken):
+        # every arc length reads 1e-3 above the length model's, so no model
+        # root is ever confirmed; a warm start spends its budget before the
+        # cold root spends its own
+        calls = []
+        real = arc_length
+
+        def offset(*args):
+            calls.append(1)
+            length = real(*args)
+            return dataclasses.replace(length, value=length.value + 1e-3)
+
+        monkeypatch.setattr("arcdist.optimize.arc_length", offset)
+        with pytest.raises(CalibrationFailedError):
+            calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start)
+        assert len(calls) == taken
 
 
 def _count_arc_lengths(monkeypatch):
@@ -123,8 +147,8 @@ _FAMILY_CURVES = [
 ]
 _FAMILY_IDS = ["seam", "wavy", "great_circle", "trig_series"]
 
-# A seam_seeded_family(3) shape whose arc length under the search's rule
-# (n = 256, tol = 5e-7) refines to 1024 nodes at its root.
+# A seam_seeded_family(3) shape whose arc length under SEARCH_RULE refines to
+# 1024 nodes at its root.
 _DEEP_SHAPE = np.array([-0.81, -0.16, -0.12, -0.73, 0.54, 0.34, -0.1, 0.94, 0.08])
 
 
@@ -151,14 +175,13 @@ class TestNewtonCalibration:
     def test_cold_root_takes_one_or_two_arc_lengths(self, monkeypatch):
         family = seam_seeded_family(3)
         shape = np.array(family.initial_shape)
-        rule = default_curve_rule(n=256, tol=5e-7)  # the search's rule
         make = lambda s: family.build(shape, s)  # noqa: E731
-        bisected, sub, _ = _bisection_oracle(make, family.scale_bracket, 1e-12, rule)
+        bisected, sub, _ = _bisection_oracle(make, family.scale_bracket, 1e-12, SEARCH_RULE)
         calls = _count_arc_lengths(monkeypatch)
-        cold = family.calibrate(shape, CONSTRAINT_TOL, rule)
+        cold = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE)
         assert 1 <= cold.iterations == len(calls) <= 2
         assert cold.residual <= CONSTRAINT_TOL
-        assert cold.residual == abs(arc_length(family.build(shape, cold.parameter), rule).value - FOUR_PI)
+        assert cold.residual == abs(arc_length(family.build(shape, cold.parameter), SEARCH_RULE).value - FOUR_PI)
         # the model's pre-scan finds the real arc length's sign change, and
         # Newton stays inside it and lands on the root
         assert cold.bracket == sub
@@ -215,16 +238,15 @@ class TestNewtonCalibration:
 
     def test_a_deeper_level_rebuilds_the_model(self, monkeypatch):
         family = seam_seeded_family(3)
-        rule = default_curve_rule(n=256, tol=5e-7)
-        cold = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, rule)
+        cold = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, SEARCH_RULE)
         assert cold.nodes_used == 1024
         calls = _count_arc_lengths(monkeypatch)
-        warm = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, rule, start=1.0)
+        warm = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, SEARCH_RULE, start=1.0)
         # the model at 512 nodes misses the 1024-node arc length by more
         # than the tolerance; the model rebuilt at 1024 meets it
         assert (warm.iterations, len(calls), warm.nodes_used) == (2, 2, 1024)
         assert warm.residual <= CONSTRAINT_TOL
-        assert warm.residual == abs(arc_length(family.build(_DEEP_SHAPE, warm.parameter), rule).value - FOUR_PI)
+        assert warm.residual == abs(arc_length(family.build(_DEEP_SHAPE, warm.parameter), SEARCH_RULE).value - FOUR_PI)
         assert warm.parameter == pytest.approx(cold.parameter, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -311,8 +333,6 @@ class TestSearchFamilies:
 
     def test_shape_layout_validated(self):
         with pytest.raises(ValueError):
-            trig_series_family(J=2, initial_shape=(0.0,) * 5)
-        with pytest.raises(ValueError):
             seam_seeded_family(J=1)
 
 
@@ -337,7 +357,7 @@ class TestMinimizeFunctional:
         assert report.best_scale == pytest.approx(WAVY_ROOT, abs=1e-5)
         # the sphere-to-curve mean is the universal constant 2 pi^2, so it cannot rank candidates
         curve = wavy_circle(WAVY_ROOT)
-        value = sphere_to_curve_mean(curve, default_sphere_rule(n=48, tol=1e-4), default_curve_rule(n=256)).value
+        value = sphere_to_curve_mean(curve, default_sphere_rule(n=48, tol=1e-4)).value
         assert value == pytest.approx(2.0 * math.pi**2, abs=1e-6)
 
     def test_budget_of_one_returns_initial_point_flagged(self):
@@ -417,11 +437,10 @@ class TestMinimizeFunctional:
         # the first candidate roots cold, by pre-scan and Newton in the sign change
         assert 1 <= candidates[0][2] <= 2
         assert [taken for _, _, taken in candidates[1:]] == [1] * 39
-        rule = default_curve_rule(n=256, tol=5e-7)  # the evaluator's rule
         feasible = [(shape, scale, resid) for shape, (value, scale, resid), _ in candidates if math.isfinite(value)]
         assert len(feasible) > 30
         for shape, scale, resid in feasible:
-            assert resid == abs(arc_length(family.build(shape, scale), rule).value - FOUR_PI) <= CONSTRAINT_TOL
+            assert resid == abs(arc_length(family.build(shape, scale), SEARCH_RULE).value - FOUR_PI) <= CONSTRAINT_TOL
 
     @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf])
     def test_simplex_scale_must_be_positive_and_finite(self, scale):
@@ -442,6 +461,29 @@ class TestMinimizeFunctional:
         assert report.evaluations == len(report.trace) == 386
         assert np.all(np.diff(report.trace) <= 0.0)
         assert np.allclose(report.best_shape, target, atol=1e-5)
+
+    def test_failed_contraction_shrinks_toward_the_best_vertex(self, monkeypatch):
+        # finite values on the k + 1 initial vertices, increasing so that x0
+        # stays best, and +inf after: the reflection and the inside
+        # contraction both fail, so the search shrinks
+        family = seam_seeded_family(2)
+        x0 = np.array(family.initial_shape)
+        k = x0.size
+        shapes = []
+
+        def stub(family, config):
+            def evaluate(shape):
+                shapes.append(np.array(shape))
+                return (float(len(shapes)) if len(shapes) <= k + 1 else math.inf), 1.0, 0.0
+
+            return evaluate
+
+        monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", stub)
+        report = minimize_functional(family, config=OptimizerConfig(max_evals=2 * k + 3))
+        assert report.evaluations == len(shapes) == 2 * k + 3 == 15
+        vertices = x0 + OptimizerConfig().simplex_scale * np.eye(k)
+        assert np.array_equal(np.array(shapes[k + 3 :]), x0 + 0.5 * (vertices - x0))
+        assert report.best_value == 1.0 and report.best_shape == family.initial_shape
 
     @pytest.mark.parametrize("k", [1, 2, 6, 9])
     def test_diameter_is_the_largest_pairwise_distance(self, k):

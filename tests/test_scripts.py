@@ -47,13 +47,13 @@ def test_simple_sweep_writes_one_row_per_check(tmp_path):
 
 
 def test_simple_sweep_slice_reproduces_its_recorded_verdicts():
-    # Seeds 1000-1019 of the default sweep, its first 40 rows as recorded in
-    # tests/data. The verdicts must match exactly; the scales and witnesses
-    # to 1e-9, which another libm's last bits cannot cross.
+    # Seeds 1000-1019 of the default sweep, the first 40 of its rows recorded
+    # in tests/data (CI checks all 600). The verdicts must match exactly; the
+    # scales and witnesses to 1e-9, which another libm's last bits cannot cross.
     spec = importlib.util.spec_from_file_location("simple_sweep", ROOT / "scripts" / "simple_sweep.py")
     simple_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(simple_sweep)
-    recorded = json.loads((ROOT / "tests" / "data" / "simple_sweep_seeds_1000_1019.json").read_text())
+    recorded = json.loads((ROOT / "tests" / "data" / "simple_sweep_seeds_1000_1299.json").read_text())[:40]
     rows = simple_sweep.sweep(1000, 20)
     assert len(rows) == len(recorded) == 40
     assert [(r["seed"], r["simple"]) for r in rows] == [(r["seed"], r["simple"]) for r in recorded]
