@@ -17,7 +17,7 @@ import numpy as np
 
 from arcdist.curves import arc_length, to_spec
 from arcdist.functionals import sup_deviation_from_half_pi
-from arcdist.optimize import OptimizerConfig, minimize_functional, seam_seeded_family
+from arcdist.optimize import SEARCH_RULE, OptimizerConfig, minimize_functional, seam_seeded_family
 
 
 def main() -> int:
@@ -33,11 +33,12 @@ def main() -> int:
     report = minimize_functional(family, config=config)
 
     best = family.build(np.array(report.best_shape), report.best_scale)
-    sup, worst_point = sup_deviation_from_half_pi(best)
+    # the objective as the search took it: its design and its rule
+    sup, worst_point = sup_deviation_from_half_pi(best, config.design_size, SEARCH_RULE)
     print(f"evaluations:      {report.evaluations} (converged={report.converged})")
-    print(f"objective:        {report.initial_value:.6f} -> {report.best_value:.6f}")
+    print(f"objective:        {report.initial_value:.17g} -> {report.best_value:.17g}")
     print(f"arc length:       {arc_length(best).value:.9f}")
-    print(f"sup dev at best:  {sup:.6f} (worst point {np.round(worst_point, 4)})")
+    print(f"sup dev at best:  {sup:.17g} (worst point {np.round(worst_point, 4)})")
     print(f"best curve spec:  {json.dumps(to_spec(best))}")
 
     payload = {

@@ -32,19 +32,11 @@ import scipy
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
-from .quadrature import (
-    MC_SAMPLES,
-    SPHERE_KINDS,
-    NonFiniteIntegrandError,
-    QuadratureRule,
-    default_curve_rule,
-    default_sphere_rule,
-    refinement_levels,
-)
+from .quadrature import NonFiniteIntegrandError, default_curve_rule, default_sphere_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import VerifySettings, format_table, run_verification
 
-#: eval's seed for its Monte Carlo sphere rule and the mean minimum distance.
+#: eval's seed for the random points of the mean minimum distance.
 EVAL_SEED = 42
 
 
@@ -75,7 +67,6 @@ _INTEGER = (lambda v: _is_number(v, integer=True), "an integer")
 #: Every setting, keyed by its flag's dest, with the test its value must pass and what that asks for.
 _SETTINGS = {
     "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
-    "rule": (lambda v: v in SPHERE_KINDS, f"one of {SPHERE_KINDS}"),
     "n": _INTEGER,
     "tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "seed": (lambda v: _is_number(v, integer=True) and v >= 0, "a non-negative integer"),
@@ -183,7 +174,7 @@ def _row(name: str, value: float, error: float | None = None, **extra) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _settings(args)
-    settings = _validated(VerifySettings, **_given(cfg, "rule", "n", "tol", "seed", "max_evals"))
+    settings = _validated(VerifySettings, **_given(cfg, "n", "tol", "seed", "max_evals"))
     rows, all_pass = run_verification(settings)
     print(format_table(rows))
     if "out" in cfg:
@@ -204,14 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     curve = _curve_from_config(cfg)
-    seed = cfg.get("seed", EVAL_SEED)
-    if cfg.get("rule") == "monte_carlo":
-        # --n selects the MC sample count; curve integrals stay on the default grid
-        crule = _validated(default_curve_rule, **_given(cfg, "tol"))
-        srule = _validated(QuadratureRule, "monte_carlo", cfg.get("n", MC_SAMPLES), seed=seed)
-    else:
-        crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
-        srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
+    crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
+    srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
     _validated(refinement_levels, crule)
     points = [(theta0, phi0, _validated(SpherePoint, theta0, phi0)) for theta0, phi0 in cfg.get("points", [])]
 
@@ -235,7 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mt = functionals.sphere_to_curve_mean(curve, srule)
     results.append(_row("sphere_to_curve_mean", mt.value, mt.error_estimate))
     results.append(_row("sphere_to_curve_mean_over_4pi", mt.value / (4 * math.pi), mt.error_estimate / (4 * math.pi)))
-    mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=seed)
+    mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=cfg.get("seed", EVAL_SEED))
     results.append(_row("mean_min_arc_distance", mm.value, mm.error_estimate))
     _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
@@ -313,12 +298,10 @@ def _add_common(
     tol_help: str = "absolute tolerance",
     seed: int | None = None,
 ) -> None:
-    """--config, those of --curve, --rule, --n, --tol and --seed named in flags, and --out."""
+    """--config, those of --curve, --n, --tol and --seed named in flags, and --out."""
     p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
     if "curve" in flags:
         p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
-    if "rule" in flags:
-        p.add_argument("--rule", choices=SPHERE_KINDS, help="quadrature rule for surface integrals")
     if "n" in flags:
         p.add_argument("--n", type=int, help=n_help)
     if "tol" in flags:
@@ -339,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full claim verification table")
     _add_common(
-        p, "rule", "n", "tol", "seed",
-        n_help=f"sphere rule n_theta (default {VerifySettings().sphere_rule().n}); with --rule monte_carlo, "
-        f"the sample count (default {VerifySettings(rule='monte_carlo').sphere_rule().n})",
+        p, "n", "tol", "seed",
+        n_help=f"sphere rule n_theta (default {VerifySettings().sphere_rule().n})",
         tol_help=f"absolute tolerance of every Gauss surface integral in the table (default "
         f"{VerifySettings().sphere_rule().tol:g}; {functionals.SPHERE_TO_CURVE_TOL:g} for the sphere-to-curve means "
         "of rows 7 and 8)",
@@ -353,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
-        p, "curve", "rule", "n", "tol", "seed",
-        n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')}); with --rule monte_carlo, "
-        f"the sphere sample count (default {MC_SAMPLES})",
+        p, "curve", "n", "tol", "seed",
+        n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
         seed=EVAL_SEED,
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')

@@ -251,6 +251,9 @@ def trig_series(
         "phi_slope": float(phi_slope),
         "amplitude": float(amplitude),
     }
+    for name, value in params.items():
+        if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+            raise CurveSpecError(f"trig_series {name} must be finite, got {value}")
     return SphericalCurve(TRIG_SERIES, params, CurveDomain(*domain))
 
 

@@ -378,9 +378,10 @@ def make_candidate_evaluator(
 ) -> Callable[[np.ndarray], tuple[float, float, float]]:
     """Return eval(shape) -> (objective, scale, |arc_length - 4pi|).
 
-    Infeasible candidates (no calibration bracket, open, or non-simple)
-    come back as (inf, nan, inf). Exposed so feasibility filtering can be
-    exercised directly, e.g. on an injected doubled great circle.
+    A candidate whose calibration fails (no bracket, or no root found)
+    comes back as (inf, nan, inf); an open or non-simple one as (inf,
+    scale, residual) of its calibration. Exposed so feasibility filtering
+    can be exercised directly, e.g. on an injected doubled great circle.
 
     The evaluator keeps the last calibrated scale and warm-starts the next
     calibration from it, so a candidate's scale depends, within

@@ -54,10 +54,6 @@ TOLERANCE_NOT_REACHED = "tolerance_not_reached"
 SPHERE_KINDS = ("gauss_legendre", "monte_carlo")
 RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 
-#: Sample count of a Monte Carlo sphere rule whose settings give no n: the
-#: default of eval and of verify under --rule monte_carlo.
-MC_SAMPLES = 20000
-
 # Most points of a product level that _product_grid keeps: 2^19, the level
 # n_theta = 512, the deepest the default sphere rule reaches (12 MiB). The
 # level n_theta = 724 that a rule from n = 362 reaches is 25 MB.

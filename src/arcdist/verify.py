@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import curves, functionals, optimize
 from .quadrature import (
-    MC_SAMPLES,
-    SPHERE_KINDS,
     QuadratureRule,
     default_curve_rule,
     default_sphere_rule,
@@ -61,39 +58,28 @@ class ClaimRow:
 
 @dataclass(frozen=True)
 class VerifySettings:
-    """Verification knobs: sphere-integral rule kind, sizes, seed, budget.
+    """Verification knobs: sphere-rule size and tolerance, seed, budget.
 
-    n and tol, when given, set the rule of every surface integral in the
-    table; unset, each takes its library default (see sphere_rule).
+    n and tol, when given, set the Gauss product rule of every surface
+    integral in the table; unset, each takes its library default (see
+    sphere_rule).
     """
 
-    rule: str = "gauss_legendre"
     n: int | None = None
     tol: float | None = None
     seed: int = 42
     max_evals: int = 500
 
     def __post_init__(self) -> None:
-        if self.rule not in SPHERE_KINDS:
-            raise ValueError(f"rule must be {' or '.join(SPHERE_KINDS)}, got {self.rule!r}")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        require_integer(self.seed, 0, "seed")  # a Gauss table builds no seeded rule to check it
-        rule = self.sphere_rule()  # a bad n or tol, or a rule over the node cap, fails up front
-        if not self.monte_carlo:
-            refinement_levels(rule, surface=True)
+        require_integer(self.max_evals, 1, "max_evals")
+        require_integer(self.seed, 0, "seed")  # the Gauss rules take no seed to check it
+        # a bad n or tol, or a rule over the node cap, fails up front
+        refinement_levels(self.sphere_rule(), surface=True)
 
-    @property
-    def monte_carlo(self) -> bool:
-        return self.rule == "monte_carlo"
-
-    def sphere_rule(self, seed_offset: int = 0, tol: float | None = None) -> QuadratureRule:
-        """A surface integral's rule: Monte Carlo over n samples (default
-        MC_SAMPLES) seeded at seed + seed_offset, or default_sphere_rule at
-        the n and tol given. tol is the criterion's own default, which a
-        tol in the settings replaces."""
-        if self.monte_carlo:
-            return QuadratureRule("monte_carlo", MC_SAMPLES if self.n is None else self.n, seed=self.seed + seed_offset)
+    def sphere_rule(self, tol: float | None = None) -> QuadratureRule:
+        """A surface integral's rule: default_sphere_rule at the n and tol
+        given. tol is the criterion's own default, which a tol in the
+        settings replaces."""
         given = {"n": self.n, "tol": tol if self.tol is None else self.tol}
         return default_sphere_rule(**{k: v for k, v in given.items() if v is not None})
 
@@ -136,44 +122,19 @@ def _at_most(name: str, value: float, tolerance: float, **row) -> ClaimRow:
     return ClaimRow(name, value, tolerance=tolerance, passed=value <= tolerance, **row)
 
 
-def _mc_tolerance(devs: np.ndarray, errs: np.ndarray) -> tuple[bool, float]:
-    """Family-wise three-sigma check for k independent MC estimates.
-
-    A literal 3-standard-error bound on each of k draws fails for some
-    draw in roughly 0.27 * k percent of seeds, so the per-comparison
-    quantile is Bonferroni-adjusted to keep the whole family at the
-    three-sigma confidence the tolerance names (for k = 1 this is exactly
-    3 standard errors).
-    """
-    k = devs.size
-    z = float(-ndtri(0.00135 / k))  # the upper 0.00135 / k normal quantile
-    ok = bool(np.all(devs <= z * errs))
-    return ok, z * float(errs.max())
-
-
-def _worst_of(
-    s: VerifySettings, name: str, functional, qs: np.ndarray, first_offset: int, target: float
-) -> tuple[ClaimRow, np.ndarray]:
+def _worst_of(s: VerifySettings, name: str, functional, qs: np.ndarray, target: float) -> tuple[ClaimRow, np.ndarray]:
     """The row of the estimate farthest from target among functional(q, rule)
-    over the points qs, and every estimate.
-
-    Point i's sphere rule is seeded at first_offset + i. Gauss estimates
-    pass within 1e-6 of target, Monte Carlo ones within the family-wise
-    bound of _mc_tolerance.
-    """
-    results = [functional(q, s.sphere_rule(seed_offset=first_offset + i)) for i, q in enumerate(qs)]
+    over the points qs, which passes within 1e-6 of target, and every estimate."""
+    rule = s.sphere_rule()
+    results = [functional(q, rule) for q in qs]
     values = np.array([r.value for r in results])
-    errs = np.array([r.error_estimate for r in results])
-    devs = np.abs(values - target)
-    worst = int(np.argmax(devs))
-    ok, tol = _mc_tolerance(devs, errs) if s.monte_carlo else (bool(devs.max() <= 1e-6), 1e-6)
-    row = ClaimRow(
+    worst = int(np.argmax(np.abs(values - target)))
+    row = _within(
         name,
         float(values[worst]),
-        paper_value=target,
-        tolerance=tol,
-        passed=ok,
-        error_estimate=float(errs[worst]),
+        target,
+        1e-6,
+        error_estimate=results[worst].error_estimate,
         warning=_warning(results),
     )
     return row, values
@@ -184,7 +145,7 @@ def criterion_1_point_to_sphere(ctx: VerifyContext) -> list[ClaimRow]:
     s = ctx.settings
     qs = uniform_unit_vectors(s.seed + 100, 100)
     name = "1. point-to-sphere mean (worst of 100)"
-    row, values = _worst_of(s, name, functionals.mean_point_to_sphere, qs, 0, HALF_PI)
+    row, values = _worst_of(s, name, functionals.mean_point_to_sphere, qs, HALF_PI)
     row.message = f"max |dev| = {abs(row.value - HALF_PI):.3e}; spread = {np.ptp(values):.3e}"
     return [row]
 
@@ -194,7 +155,7 @@ def criterion_2_arcsin_identity(ctx: VerifyContext) -> list[ClaimRow]:
     s = ctx.settings
     qs = uniform_unit_vectors(s.seed + 200, 20)
     name = "2. arcsin identity residual (worst of 20)"
-    return [_worst_of(s, name, functionals.arcsin_identity_residual, qs, 1000, 0.0)[0]]
+    return [_worst_of(s, name, functionals.arcsin_identity_residual, qs, 0.0)[0]]
 
 
 def criterion_3_seam_M(ctx: VerifyContext) -> list[ClaimRow]:
@@ -275,7 +236,7 @@ def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_7_seam_sphere_mean(ctx: VerifyContext) -> list[ClaimRow]:
     """Sphere-to-curve mean of the seam equals 2 pi^2 (rel 5e-2), plus sup-dev."""
-    rule = ctx.settings.sphere_rule(seed_offset=7, tol=functionals.SPHERE_TO_CURVE_TOL)
+    rule = ctx.settings.sphere_rule(tol=functionals.SPHERE_TO_CURVE_TOL)
     res = functionals.sphere_to_curve_mean(ctx.seam, rule)
     sup, _ = functionals.sup_deviation_from_half_pi(ctx.seam)
     return [
@@ -297,7 +258,7 @@ def criterion_7_seam_sphere_mean(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_8_wavy_excess(ctx: VerifyContext) -> list[ClaimRow]:
     """Claimed strict excess of the wavy circle's sphere-to-curve mean over 2 pi^2."""
-    rule = ctx.settings.sphere_rule(seed_offset=8, tol=functionals.SPHERE_TO_CURVE_TOL)
+    rule = ctx.settings.sphere_rule(tol=functionals.SPHERE_TO_CURVE_TOL)
     res = functionals.sphere_to_curve_mean(ctx.wavy, rule)
     excess = res.value - TWO_PI_SQ
     # Rounding floor: two refinement levels can agree bitwise (error 0)
@@ -366,7 +327,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
         d0 = geodesic_distance(us[i], us[i + 1])
         d1 = geodesic_distance(R @ us[i], R @ us[i + 1])
         ratios.append(abs(d0 - d1) / 1e-12)
-    rule = s.sphere_rule(seed_offset=1103)
+    rule = s.sphere_rule()
     seam_rot = ctx.seam.rotated(R)
     crule = default_curve_rule()
     pairs = [(functionals.mean_point_to_sphere(q, rule), functionals.mean_point_to_sphere(R @ q, rule)) for q in us[:3]]

@@ -200,26 +200,24 @@ def test_default_sphere_rule_is_the_library_default():
     assert VerifySettings().sphere_rule() == default_sphere_rule()
 
 
-def test_monte_carlo_mode_with_looser_tolerances_passes():
-    # the sphere-integral criteria also hold under Monte Carlo integration
-    # at family-wise three-sigma tolerances
-    mc = VerifyContext(VerifySettings(rule="monte_carlo", n=1000))
-    _report(criterion_1_point_to_sphere(mc))
-    _report(criterion_2_arcsin_identity(mc))
+def test_settings_take_no_rule():
+    # every surface integral of the table takes the Gauss product rule
+    with pytest.raises(TypeError):
+        VerifySettings(rule="monte_carlo")
 
 
-def test_settings_refuse_a_trapezoid_sphere_rule():
-    # the sphere rule is the Gauss product or Monte Carlo; no other kind is run as Gauss
-    with pytest.raises(ValueError, match="gauss_legendre or monte_carlo"):
-        VerifySettings(rule="periodic_trapezoid")
-
-
-@pytest.mark.parametrize("rule", ["gauss_legendre", "monte_carlo"])
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
-def test_settings_refuse_a_seed_that_is_not_a_non_negative_integer(rule, seed):
-    # a Gauss table builds no seeded rule, so the settings check their own seed
+def test_settings_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    # the Gauss rules take no seed, so the settings check their own
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-        VerifySettings(rule=rule, seed=seed)
+        VerifySettings(seed=seed)
+
+
+@pytest.mark.parametrize("max_evals", [0, 2.5, "3"])
+def test_settings_refuse_a_max_evals_that_is_not_a_positive_integer(max_evals):
+    # checked up front, not by the optimizer after criteria 1-11 have run
+    with pytest.raises(ValueError, match="max_evals must be an integer >= 1"):
+        VerifySettings(max_evals=max_evals)
 
 
 def test_two_pi_squared_reference_constant():

@@ -9,7 +9,7 @@ import scipy
 
 from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
-from arcdist.quadrature import MC_SAMPLES, TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
+from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
 from arcdist.verify import ClaimRow, VerifySettings
 
 
@@ -43,6 +43,13 @@ class TestSample:
         assert (t, y) == (0.0, 0.0)
         assert x == pytest.approx(math.sin(0.7037), abs=1e-12)
         assert z == pytest.approx(math.cos(0.7037), abs=1e-12)
+
+    def test_non_finite_trig_series_rejected(self, capsys):
+        # a NaN amplitude is a config error, not three rows of nan
+        curve = '{"family":"trig_series","params":{"amplitude":NaN,"theta_cos":[0.1]}}'
+        code, out, err = run(["sample", "--curve", curve, "--n", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: trig_series amplitude must be finite")
 
     def test_single_row_rejected(self, capsys):
         code, _, err = run(["sample", "--curve", '{"family":"great_circle"}', "--n", "1"], capsys)
@@ -100,22 +107,6 @@ class TestEval:
         code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--n", "1024"], capsys)
         assert code == 0
         assert inner and set(inner) == {512}
-
-    def test_monte_carlo_default_is_the_library_constant(self, monkeypatch, capsys):
-        # eval and verify take their Monte Carlo sample count from one library constant
-        rules = []
-
-        def surface_mean(curve, sphere_rule=None):
-            rules.append(sphere_rule)
-            return FunctionalResult(2 * math.pi**2, 0.0, 1)
-
-        monkeypatch.setattr("arcdist.functionals.sphere_to_curve_mean", surface_mean)
-        code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--rule", "monte_carlo"], capsys)
-        assert code == 0
-        assert rules[0].n == MC_SAMPLES == VerifySettings(rule="monte_carlo").sphere_rule().n == 20000
-        with pytest.raises(SystemExit):
-            main(["eval", "--help"])
-        assert "the sphere sample count (default 20000)" in " ".join(capsys.readouterr().out.split())
 
 
 class TestCalibrate:
@@ -238,6 +229,20 @@ class TestConfigHandling:
         code, _, err = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [(None, "cannot read config file"), ("[1, 2]", "config file must hold a JSON object")],
+        ids=["missing_file", "array"],
+    )
+    def test_unreadable_config_is_config_error(self, content, error, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("arcdist.cli.run_verification", None)
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith(f"config error: {error}")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"curve": {"family": "great_circle"}, "mode": "fast"}))
@@ -251,7 +256,6 @@ class TestConfigHandling:
             json.dumps(
                 {
                     "curve": {"family": "great_circle", "domain": [0, 1]},
-                    "rule": "monte_carlo",
                     "n": 5,
                     "tol": 1e-8,
                     "seed": 42,
@@ -264,15 +268,24 @@ class TestConfigHandling:
 
     def test_unknown_rule_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rule": "gauss_legendre", "order": 7}))
+        cfg.write_text(json.dumps({"n": 64, "order": 7}))
         code, _, err = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config keys: ['order']" in err
 
+    def test_rule_key_is_unknown(self, tmp_path, capsys, monkeypatch):
+        # every surface integral takes the Gauss product rule; no setting chooses another
+        monkeypatch.setattr("arcdist.cli.run_verification", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rule": "monte_carlo"}))
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config keys: ['rule']" in err
+
     @pytest.mark.parametrize(
         "command, cfg",
         [
-            ("verify", {"rule": {"rule": "gauss_legendre", "n": 64}}),
+            ("verify", {"rule": {"n": 64}}),
             ("optimize", {"optimizer": {"max_evals": 3, "seed": 1}}),
         ],
         ids=["rule_section", "optimizer_section"],
@@ -309,13 +322,12 @@ class TestConfigHandling:
         [
             ("eval", {"n": "abc", "curve": {"family": "great_circle"}}),
             ("eval", {"tol": "small", "curve": {"family": "great_circle"}}),
-            ("eval", {"rule": ["gauss_legendre"], "curve": {"family": "great_circle"}}),
             ("eval", {"points": [["north", 1]], "curve": {"family": "great_circle"}}),
             ("optimize", {"max_evals": "30"}),
             ("optimize", {"simplex_scale": [0.1]}),
             ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
         ],
-        ids=["n_string", "tol_string", "rule_list", "point_string", "max_evals_string", "simplex_scale_list",
+        ids=["n_string", "tol_string", "point_string", "max_evals_string", "simplex_scale_list",
              "bracket_strings"],
     )
     def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
@@ -327,7 +339,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("rule", ["simpson", "gauss"])
     def test_unknown_rule_rejected(self, rule):
-        # argparse choices reject unknown rules, and the old alias gauss, at the flag level
+        # eval takes no --rule: argparse rejects it whatever its value
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--curve", '{"family":"great_circle"}', "--rule", rule])
         assert exc.value.code == 2
@@ -351,6 +363,8 @@ class TestConfigHandling:
         ["eval", "--curve", '{"family":"great_circle"}', "--rule", "periodic_trapezoid"],
         ["verify", "--rule", "trapezoid"],
         ["verify", "--rule", "periodic_trapezoid"],
+        ["verify", "--rule", "monte_carlo"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--rule", "monte_carlo"],
     ],
     ids=[
         "verify_curve",
@@ -368,6 +382,8 @@ class TestConfigHandling:
         "eval_rule_periodic_trapezoid",
         "verify_rule_trapezoid",
         "verify_rule_periodic_trapezoid",
+        "verify_rule_monte_carlo",
+        "eval_rule_monte_carlo",
     ],
 )
 def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):

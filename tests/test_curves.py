@@ -56,6 +56,24 @@ class TestConstruction:
         with pytest.raises(CurveSpecError):
             wavy_circle(math.pi / 4)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"theta_cos": [0.1, math.nan]},
+            {"theta_sin": [math.inf]},
+            {"phi_sin": [0.0, -math.inf]},
+            {"theta0": math.nan},
+            {"phi0": math.inf},
+            {"phi_slope": math.nan},
+            {"amplitude": math.nan, "theta_cos": [0.1]},
+        ],
+        ids=["theta_cos", "theta_sin", "phi_sin", "theta0", "phi0", "phi_slope", "amplitude"],
+    )
+    def test_trig_series_rejects_a_non_finite_parameter(self, params):
+        name = next(iter(params))
+        with pytest.raises(CurveSpecError, match=f"trig_series {name} must be finite"):
+            trig_series(**params)
+
 
 class TestPositions:
     def test_great_circle_anchor_points(self):
@@ -313,6 +331,8 @@ class TestSimplicity:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             is_simple(great_circle(), n_samples=32)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            is_simple(great_circle(), eps=0.0)
 
     @staticmethod
     def _trochoid(c, d):
@@ -623,6 +643,12 @@ class TestSpecParsing:
         c = from_spec(str(path))
         assert c.domain.t_f == 1.0
 
+    def test_file_with_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text('{"family": "great_circle",')
+        with pytest.raises(CurveSpecError, match="curve spec file is not valid JSON"):
+            from_spec(path)
+
     def test_default_domains(self):
         assert from_spec({"family": "tennis_ball"}).domain.t_f == pytest.approx(FOUR_PI)
         assert from_spec({"family": "great_circle"}).domain.t_f == 2.0
@@ -636,6 +662,11 @@ class TestSpecParsing:
             {"family": "tennis_ball", "domain": [0.0]},
             {"family": "wavy_circle", "params": {"b": 2.0}},
             "not json {",
+            '{"family": "tennis_ball"',
+            [{"family": "tennis_ball"}],
+            {"family": "tennis_ball", "params": [0.7]},
+            {"family": "tennis_ball", "params": {"a": "wide"}},
+            {"family": "trig_series", "params": {"theta_cos": 0.5}},
         ],
     )
     def test_invalid_specs_rejected(self, spec):

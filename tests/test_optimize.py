@@ -386,6 +386,15 @@ class TestMinimizeFunctional:
         assert math.isinf(value)
         assert scale == pytest.approx(1.0, abs=1e-6)
 
+    def test_open_candidate_scores_infinity_at_its_calibrated_scale(self, monkeypatch):
+        # rejected as open before the simplicity check runs
+        monkeypatch.setattr("arcdist.optimize.is_simple", None)
+        evaluator = make_candidate_evaluator(scale_family(wavy_circle(domain=(0.0, 5.0))), OptimizerConfig())
+        value, scale, residual = evaluator(np.array([]))
+        assert math.isinf(value)
+        assert scale == pytest.approx(0.3729095, abs=1e-6)
+        assert residual <= 1e-6
+
     def test_best_iterate_is_closed_simple_and_calibrated(self):
         fam = seam_seeded_family(3)
         report = minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(max_evals=30, seed=7))

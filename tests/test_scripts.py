@@ -29,6 +29,21 @@ def test_script_help(script):
     assert "usage:" in proc.stdout
 
 
+def test_flatter_curve_search_reports_the_objective_it_minimized(tmp_path):
+    # the sup line recomputes the best value on the search's own design and rule, bit for bit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_flatter_curve.py"), "--max-evals", "8",
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(":", 1) for line in proc.stdout.splitlines() if ":" in line)
+    best = lines["objective"].split("->")[1].strip()
+    assert lines["sup dev at best"].split()[0] == best
+
+
 def test_simple_sweep_writes_one_row_per_check(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -130,6 +130,11 @@ def test_fibonacci_design_is_unit_norm_and_deterministic():
     assert np.array_equal(pts, fibonacci_sphere_points(122))
 
 
+def test_fibonacci_design_needs_a_point():
+    with pytest.raises(ValueError, match="design size must be >= 1"):
+        fibonacci_sphere_points(0)
+
+
 def test_random_rotation_is_orthogonal():
     for seed in range(5):
         R = random_rotation_matrix(seed)
