@@ -10,9 +10,10 @@ A run's settings are one flat dict keyed by the flags' dests: the
 wins. A key no command takes, or a value of the wrong type, exits 2
 before any computation; a key only another command takes is dropped. A
 command passes the settings it was given, and no others, to the library
-object that owns their defaults (VerifySettings, OptimizerConfig,
-seam_seeded_family, default_curve_rule, default_sphere_rule,
-SearchFamily.calibrate), and a report's config echoes the settings given.
+object that owns their defaults (OptimizerConfig, seam_seeded_family,
+default_curve_rule, default_sphere_rule, SearchFamily.calibrate), and a
+report's config echoes the settings given. verify takes no setting but
+--out: it computes the one table.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, from_spec
 from .quadrature import NonFiniteIntegrandError, default_curve_rule, default_sphere_rule, refinement_levels
 from .sphere import SpherePoint
-from .verify import VerifySettings, format_table, run_verification
+from .verify import format_table, run_verification
 
 #: eval's seed for the random points of the mean minimum distance.
 EVAL_SEED = 42
@@ -174,8 +175,7 @@ def _row(name: str, value: float, error: float | None = None, **extra) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _settings(args)
-    settings = _validated(VerifySettings, **_given(cfg, "n", "tol", "seed", "max_evals"))
-    rows, all_pass = run_verification(settings)
+    rows, all_pass = run_verification()
     print(format_table(rows))
     if "out" in cfg:
         results = []
@@ -321,22 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full claim verification table")
-    _add_common(
-        p, "n", "tol", "seed",
-        n_help=f"sphere rule n_theta (default {VerifySettings().sphere_rule().n})",
-        tol_help=f"absolute tolerance of every Gauss surface integral in the table (default "
-        f"{VerifySettings().sphere_rule().tol:g}; {functionals.SPHERE_TO_CURVE_TOL:g} for the sphere-to-curve means "
-        "of rows 7 and 8)",
-        seed=VerifySettings.seed,
-    )
-    budget = f"optimizer budget (default {VerifySettings.max_evals})"
-    p.add_argument("--max-evals", dest="max_evals", type=int, help=budget)
+    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
         p, "curve", "n", "tol", "seed",
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
+        tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g}) and of the "
+        f"sphere-to-curve mean's surface rule (default {functionals.SPHERE_TO_CURVE_TOL:g})",
         seed=EVAL_SEED,
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')

@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -321,13 +322,20 @@ def _scale_rates(curve: SphericalCurve) -> _TrigSeries:
     return _TrigSeries(**rates, harmonics=tuple((j, *abc) for j, abc in sorted(rows.items()) if any(abc)))
 
 
+def _is_real(value) -> bool:
+    """True for a real number; booleans do not count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def from_spec(spec: dict | str | Path) -> SphericalCurve:
     """Build a curve from a JSON object {"family", "params", "domain"}.
 
-    Accepts a dict, a JSON string, or a path to a JSON file. Unknown keys
-    and malformed values raise CurveSpecError.
+    Accepts a dict, a JSON string (one whose first non-blank character is
+    { or [), or a path to a JSON file. Unknown keys and malformed values
+    raise CurveSpecError: each param is a real number or a list of them,
+    and the domain two real numbers.
     """
-    if isinstance(spec, Path) or (isinstance(spec, str) and not spec.lstrip().startswith("{")):
+    if isinstance(spec, Path) or (isinstance(spec, str) and not spec.lstrip().startswith(("{", "["))):
         try:
             spec = json.loads(Path(spec).read_text())
         except OSError as exc:
@@ -357,10 +365,13 @@ def from_spec(spec: dict | str | Path) -> SphericalCurve:
     unknown = set(params) - (set(keywords) - {"domain"})
     if unknown:
         raise CurveSpecError(f"unknown params for {family}: {sorted(unknown)}")
+    for name, value in params.items():
+        if not (_is_real(value) or (isinstance(value, (list, tuple)) and all(map(_is_real, value)))):
+            raise CurveSpecError(f"param {name} must be a number or a list of numbers, got {value!r}")
 
     domain = spec.get("domain", keywords["domain"].default)
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise CurveSpecError("domain must be a two-element array [t_i, t_f]")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and all(map(_is_real, domain))):
+        raise CurveSpecError(f"domain must be two numbers [t_i, t_f], got {domain!r}")
     try:
         return make(**params, domain=(float(domain[0]), float(domain[1])))
     except (TypeError, ValueError) as exc:

@@ -138,19 +138,9 @@ def curve_to_sphere_mean_M(curve: SphericalCurve, rule: QuadratureRule | None = 
     )
 
 
-def point_to_curve_mean(
-    curve: SphericalCurve,
-    p,
-    rule: QuadratureRule | None = None,
-    arc_length_weighted: bool = False,
-) -> FunctionalResult:
-    """Mean geodesic distance from a sphere point to the curve.
-
-    Default is the parameter mean (1/period) * integral of dist(p, r(t)) dt.
-    With arc_length_weighted=True the integrand is weighted by |r'(t)| and
-    normalized by arc length instead (reparameterization-invariant variant;
-    off by default because the defining functional is the dt-mean).
-    """
+def point_to_curve_mean(curve: SphericalCurve, p, rule: QuadratureRule | None = None) -> FunctionalResult:
+    """Mean geodesic distance from a sphere point to the curve: the
+    parameter mean (1/period) * integral of dist(p, r(t)) dt."""
     qv = as_unit_xyz(p)
     rule = rule or default_curve_rule()
     dom = curve.domain
@@ -158,20 +148,9 @@ def point_to_curve_mean(
     def dist(ts: np.ndarray) -> np.ndarray:
         return np.arccos(np.clip(curve.positions(ts) @ qv, -1.0, 1.0))
 
-    if not arc_length_weighted:
-        res = integrate_1d(dist, dom.t_i, dom.t_f, rule)
-        period = dom.period
-        return FunctionalResult(res.value / period, res.error_estimate / period, res.nodes_used, res.warning)
-
-    def weighted(ts: np.ndarray) -> np.ndarray:
-        return dist(ts) * curve.speeds(ts)
-
-    num = integrate_1d(weighted, dom.t_i, dom.t_f, rule)
-    den = arc_length(curve, rule)
-    value = num.value / den.value
-    err = (num.error_estimate + abs(value) * den.error_estimate) / den.value
-    warning = num.warning or den.warning
-    return FunctionalResult(value, err, num.nodes_used + den.nodes_used, warning)
+    res = integrate_1d(dist, dom.t_i, dom.t_f, rule)
+    period = dom.period
+    return FunctionalResult(res.value / period, res.error_estimate / period, res.nodes_used, res.warning)
 
 
 def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: QuadratureRule | None = None) -> np.ndarray:

@@ -17,13 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import curves, functionals, optimize
-from .quadrature import (
-    QuadratureRule,
-    default_curve_rule,
-    default_sphere_rule,
-    refinement_levels,
-    require_integer,
-)
+from .quadrature import QuadratureRule, default_curve_rule
 from .sphere import (
     SpherePoint,
     geodesic_distance,
@@ -36,6 +30,10 @@ HALF_PI = 0.5 * math.pi
 TWO_PI_SQ = 2.0 * math.pi**2
 SEAM_A_REF = curves.TENNIS_BALL_A
 WAVY_B_REF = curves.WAVY_CIRCLE_B
+#: the seed every random draw of the table derives from.
+SEED = 42
+#: criterion 12's optimizer budget.
+MAX_EVALS = 500
 
 
 @dataclass
@@ -56,39 +54,8 @@ class ClaimRow:
     warning: str | None = None
 
 
-@dataclass(frozen=True)
-class VerifySettings:
-    """Verification knobs: sphere-rule size and tolerance, seed, budget.
-
-    n and tol, when given, set the Gauss product rule of every surface
-    integral in the table; unset, each takes its library default (see
-    sphere_rule).
-    """
-
-    n: int | None = None
-    tol: float | None = None
-    seed: int = 42
-    max_evals: int = 500
-
-    def __post_init__(self) -> None:
-        require_integer(self.max_evals, 1, "max_evals")
-        require_integer(self.seed, 0, "seed")  # the Gauss rules take no seed to check it
-        # a bad n or tol, or a rule over the node cap, fails up front
-        refinement_levels(self.sphere_rule(), surface=True)
-
-    def sphere_rule(self, tol: float | None = None) -> QuadratureRule:
-        """A surface integral's rule: default_sphere_rule at the n and tol
-        given. tol is the criterion's own default, which a tol in the
-        settings replaces."""
-        given = {"n": self.n, "tol": tol if self.tol is None else self.tol}
-        return default_sphere_rule(**{k: v for k, v in given.items() if v is not None})
-
-
 class VerifyContext:
     """Caches the calibrated curves shared by several criteria."""
-
-    def __init__(self, settings: VerifySettings):
-        self.settings = settings
 
     @cached_property
     def seam_calibration(self) -> optimize.CalibrationReport:
@@ -122,11 +89,10 @@ def _at_most(name: str, value: float, tolerance: float, **row) -> ClaimRow:
     return ClaimRow(name, value, tolerance=tolerance, passed=value <= tolerance, **row)
 
 
-def _worst_of(s: VerifySettings, name: str, functional, qs: np.ndarray, target: float) -> tuple[ClaimRow, np.ndarray]:
-    """The row of the estimate farthest from target among functional(q, rule)
+def _worst_of(name: str, functional, qs: np.ndarray, target: float) -> tuple[ClaimRow, np.ndarray]:
+    """The row of the estimate farthest from target among functional(q)
     over the points qs, which passes within 1e-6 of target, and every estimate."""
-    rule = s.sphere_rule()
-    results = [functional(q, rule) for q in qs]
+    results = [functional(q) for q in qs]
     values = np.array([r.value for r in results])
     worst = int(np.argmax(np.abs(values - target)))
     row = _within(
@@ -142,20 +108,18 @@ def _worst_of(s: VerifySettings, name: str, functional, qs: np.ndarray, target: 
 
 def criterion_1_point_to_sphere(ctx: VerifyContext) -> list[ClaimRow]:
     """Mean distance from 100 random unit vectors to the sphere equals pi/2."""
-    s = ctx.settings
-    qs = uniform_unit_vectors(s.seed + 100, 100)
+    qs = uniform_unit_vectors(SEED + 100, 100)
     name = "1. point-to-sphere mean (worst of 100)"
-    row, values = _worst_of(s, name, functionals.mean_point_to_sphere, qs, HALF_PI)
+    row, values = _worst_of(name, functionals.mean_point_to_sphere, qs, HALF_PI)
     row.message = f"max |dev| = {abs(row.value - HALF_PI):.3e}; spread = {np.ptp(values):.3e}"
     return [row]
 
 
 def criterion_2_arcsin_identity(ctx: VerifyContext) -> list[ClaimRow]:
     """The arcsin surface integral vanishes for 20 random unit vectors."""
-    s = ctx.settings
-    qs = uniform_unit_vectors(s.seed + 200, 20)
+    qs = uniform_unit_vectors(SEED + 200, 20)
     name = "2. arcsin identity residual (worst of 20)"
-    return [_worst_of(s, name, functionals.arcsin_identity_residual, qs, 0.0)[0]]
+    return [_worst_of(name, functionals.arcsin_identity_residual, qs, 0.0)[0]]
 
 
 def criterion_3_seam_M(ctx: VerifyContext) -> list[ClaimRow]:
@@ -176,7 +140,7 @@ def criterion_3_seam_M(ctx: VerifyContext) -> list[ClaimRow]:
 def criterion_4_great_circle_field(ctx: VerifyContext) -> list[ClaimRow]:
     """Mean distance from 50 random points to a great circle equals pi/2."""
     gc = curves.great_circle((0.0, 2.0))
-    theta, phi = sample_sphere_angles(ctx.settings.seed + 400, 50)
+    theta, phi = sample_sphere_angles(SEED + 400, 50)
     rule = default_curve_rule(tol=1e-10)
     results = [functionals.point_to_curve_mean(gc, SpherePoint(t, p), rule) for t, p in zip(theta, phi)]
     worst = max(results, key=lambda r: abs(r.value - HALF_PI))
@@ -236,8 +200,7 @@ def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_7_seam_sphere_mean(ctx: VerifyContext) -> list[ClaimRow]:
     """Sphere-to-curve mean of the seam equals 2 pi^2 (rel 5e-2), plus sup-dev."""
-    rule = ctx.settings.sphere_rule(tol=functionals.SPHERE_TO_CURVE_TOL)
-    res = functionals.sphere_to_curve_mean(ctx.seam, rule)
+    res = functionals.sphere_to_curve_mean(ctx.seam)
     sup, _ = functionals.sup_deviation_from_half_pi(ctx.seam)
     return [
         _within(
@@ -258,8 +221,7 @@ def criterion_7_seam_sphere_mean(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_8_wavy_excess(ctx: VerifyContext) -> list[ClaimRow]:
     """Claimed strict excess of the wavy circle's sphere-to-curve mean over 2 pi^2."""
-    rule = ctx.settings.sphere_rule(tol=functionals.SPHERE_TO_CURVE_TOL)
-    res = functionals.sphere_to_curve_mean(ctx.wavy, rule)
+    res = functionals.sphere_to_curve_mean(ctx.wavy)
     excess = res.value - TWO_PI_SQ
     # Rounding floor: two refinement levels can agree bitwise (error 0)
     # while both sit a few ulp off 2 pi^2, which is no excess.
@@ -302,7 +264,7 @@ def criterion_9_simplicity(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_10_el_grid(ctx: VerifyContext) -> list[ClaimRow]:
     """Distance-integrand residuals vanish on theta = m pi, phi = phi0 - (pi/2 + k pi)."""
-    theta0, phi0 = sample_sphere_angles(ctx.settings.seed + 1001, 10)
+    theta0, phi0 = sample_sphere_angles(SEED + 1001, 10)
     worst = 0.0
     for t0, p0 in zip(theta0, phi0):
         p = SpherePoint(t0, p0)
@@ -315,22 +277,20 @@ def criterion_10_el_grid(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
     """Rotation invariance, min<=mean, MC error scaling, great-circle mean-min."""
-    s = ctx.settings
     rows = []
 
     # Rotation invariance, reported as max violation ratio (dev / allowed).
-    rng = np.random.default_rng(s.seed + 1100)
+    rng = np.random.default_rng(SEED + 1100)
     ratios = []
-    R = random_rotation_matrix(s.seed + 1101)
-    us = uniform_unit_vectors(s.seed + 1102, 40)
+    R = random_rotation_matrix(SEED + 1101)
+    us = uniform_unit_vectors(SEED + 1102, 40)
     for i in range(0, 40, 2):
         d0 = geodesic_distance(us[i], us[i + 1])
         d1 = geodesic_distance(R @ us[i], R @ us[i + 1])
         ratios.append(abs(d0 - d1) / 1e-12)
-    rule = s.sphere_rule()
     seam_rot = ctx.seam.rotated(R)
     crule = default_curve_rule()
-    pairs = [(functionals.mean_point_to_sphere(q, rule), functionals.mean_point_to_sphere(R @ q, rule)) for q in us[:3]]
+    pairs = [(functionals.mean_point_to_sphere(q), functionals.mean_point_to_sphere(R @ q)) for q in us[:3]]
     curve_mean = functionals.point_to_curve_mean
     for u in us[3:8]:
         pairs.append((curve_mean(ctx.seam, u, crule), curve_mean(seam_rot, R @ u, crule)))
@@ -356,7 +316,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
         else:
             coeffs = 0.25 * rng.standard_normal(9)
             c = curves.trig_series(coeffs[:3], coeffs[3:6], coeffs[6:], phi_slope=0.5)
-        pts = uniform_unit_vectors(s.seed + 1200 + i, 5)
+        pts = uniform_unit_vectors(SEED + 1200 + i, 5)
         mins, _ = functionals._min_distance_batch(c, pts, 4096)
         for j, u in enumerate(pts):
             results.append(functionals.point_to_curve_mean(c, u, crule))
@@ -365,7 +325,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
 
     # Monte Carlo sphere-to-curve mean standard error shrinks ~2x for 4x samples.
     results = [
-        functionals.sphere_to_curve_mean(ctx.seam, QuadratureRule("monte_carlo", n, 1e-9, seed=s.seed + 1300))
+        functionals.sphere_to_curve_mean(ctx.seam, QuadratureRule("monte_carlo", n, 1e-9, seed=SEED + 1300))
         for n in (2000, 8000)
     ]
     ratio = results[0].error_estimate / results[1].error_estimate
@@ -382,7 +342,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
     )
 
     # Great-circle mean minimum distance: closed form pi/2 - 1.
-    res = functionals.mean_min_arc_distance(curves.great_circle((0.0, 2.0)), 100_000, seed=s.seed)
+    res = functionals.mean_min_arc_distance(curves.great_circle((0.0, 2.0)), 100_000, seed=SEED)
     rows.append(
         _within(
             "11d. great-circle mean minimum distance",
@@ -393,7 +353,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
             warning=res.warning,
         )
     )
-    res = functionals.mean_min_arc_distance(ctx.seam, 20_000, seed=s.seed + 1)
+    res = functionals.mean_min_arc_distance(ctx.seam, 20_000, seed=SEED + 1)
     rows.append(
         ClaimRow(
             "11i. seam mean minimum distance",
@@ -408,8 +368,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_12_optimizer(ctx: VerifyContext) -> list[ClaimRow]:
     """Optimizer sanity: monotone trace, constraint residuals, infeasibility filter."""
-    s = ctx.settings
-    config = optimize.OptimizerConfig(max_evals=s.max_evals, seed=s.seed)
+    config = optimize.OptimizerConfig(max_evals=MAX_EVALS, seed=SEED)
     report = optimize.minimize_functional(optimize.seam_seeded_family(3), "sup_dev_from_half_pi", config)
     trace = np.array(report.trace)
     max_increase = float(np.max(np.diff(trace))) if trace.size > 1 else 0.0
@@ -424,7 +383,7 @@ def criterion_12_optimizer(ctx: VerifyContext) -> list[ClaimRow]:
         _at_most("12b. max |arc length - 4pi| over feasible iterates", report.max_constraint_residual, 1e-4),
     ]
     evaluator = optimize.make_candidate_evaluator(
-        optimize.scale_family(curves.great_circle()), optimize.OptimizerConfig(seed=s.seed)
+        optimize.scale_family(curves.great_circle()), optimize.OptimizerConfig(seed=SEED)
     )
     value, _, _ = evaluator(np.array([]))
     best_curve = optimize.seam_seeded_family(3).build(np.array(report.best_shape), report.best_scale)
@@ -458,9 +417,9 @@ CRITERIA = (
 )
 
 
-def run_verification(settings: VerifySettings | None = None) -> tuple[list[ClaimRow], bool]:
+def run_verification() -> tuple[list[ClaimRow], bool]:
     """Run all criteria; returns (rows, all_checked_rows_passed)."""
-    ctx = VerifyContext(settings or VerifySettings())
+    ctx = VerifyContext()
     rows = [row for criterion in CRITERIA for row in criterion(ctx)]
     all_pass = all(r.passed for r in rows if r.passed is not None)
     return rows, all_pass

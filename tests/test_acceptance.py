@@ -13,19 +13,20 @@ measured evidence (see also README "Known deviations"):
   for the wavy circle cannot exceed any error estimate.
 """
 
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from arcdist import verify
-from arcdist.quadrature import FunctionalResult, default_sphere_rule
+from arcdist.quadrature import FunctionalResult
 from arcdist.verify import (
     SEAM_A_REF,
     WAVY_B_REF,
     ClaimRow,
     VerifyContext,
-    VerifySettings,
     criterion_1_point_to_sphere,
     criterion_2_arcsin_identity,
     criterion_3_seam_M,
@@ -42,7 +43,7 @@ from arcdist.verify import (
 
 @pytest.fixture(scope="session")
 def ctx() -> VerifyContext:
-    return VerifyContext(VerifySettings())
+    return VerifyContext()
 
 
 @pytest.fixture(scope="session")
@@ -124,7 +125,7 @@ def test_criterion_8_threshold_clears_rounding(monkeypatch, excess, passed):
     # few ulp is rounding, while a real excess still turns the row green
     result = FunctionalResult(2.0 * math.pi**2 + excess, 0.0, 1)
     monkeypatch.setattr(verify.functionals, "sphere_to_curve_mean", lambda *args, **kwargs: result)
-    (row,) = criterion_8_wavy_excess(SimpleNamespace(settings=VerifySettings(), wavy=None))
+    (row,) = criterion_8_wavy_excess(SimpleNamespace(wavy=None))
     assert row.passed is passed
 
 
@@ -171,53 +172,44 @@ def test_table_rows_in_order(table):
     ]
 
 
+RECORDED = json.loads((Path(__file__).parent / "data" / "verify_table.json").read_text())["results"]
+
+
+def _differences(rows: list[ClaimRow], recorded: list[dict]) -> list[str]:
+    """The rows that break "unchanged" as the ROADMAP means it: each keeps its
+    status, a checked row's value stays within its recorded tolerance and an
+    informational row's within 1e-9."""
+    return [
+        f"{row.name}: {row.value!r} ({row.passed}), recorded {want['value']!r} ({want.get('pass')})"
+        for row, want in zip(rows, recorded)
+        if row.passed != want.get("pass")
+        or abs(row.value - want["value"]) > (1e-9 if row.passed is None else want["tolerance"])
+    ]
+
+
+def test_table_matches_the_recorded_copy(table):
+    rows = [r for rows in table.values() for r in rows]
+    assert [r.name for r in rows] == [want["name"] for want in RECORDED]
+    assert not _differences(rows, RECORDED)
+
+
 @pytest.mark.parametrize(
-    "criterion, functional, default_tol",
+    "name, shift, flip",
     [
-        (criterion_1_point_to_sphere, "mean_point_to_sphere", 1e-7),
-        (criterion_2_arcsin_identity, "arcsin_identity_residual", 1e-7),
-        (criterion_7_seam_sphere_mean, "sphere_to_curve_mean", 1e-6),
-        (criterion_8_wavy_excess, "sphere_to_curve_mean", 1e-6),
+        ("11d. great-circle mean minimum distance", 0.004, False),  # past its 3.57e-3 tolerance
+        ("6b. wavy amplitude root of L - 4pi", 0.0, True),  # a red row turning green
+        ("11i. seam mean minimum distance", 1e-8, False),  # an informational row past 1e-9
     ],
-    ids=["1", "2", "7", "8"],
+    ids=["checked_value_moved", "status_flipped", "info_value_moved"],
 )
-@pytest.mark.parametrize("tol", [None, 1e-3], ids=["default_tol", "tol_given"])
-def test_tol_reaches_the_criterion_sphere_rules(monkeypatch, criterion, functional, default_tol, tol):
-    # a given tol replaces every criterion's default; unset, each keeps its library default
-    rules = []
-
-    def record(_, rule):
-        rules.append(rule)
-        return FunctionalResult(0.0, 0.0, 1)
-
-    monkeypatch.setattr(verify.functionals, functional, record)
-    monkeypatch.setattr(verify.functionals, "sup_deviation_from_half_pi", lambda curve: (0.0, None))
-    criterion(SimpleNamespace(settings=VerifySettings(tol=tol), seam=None, wavy=None))
-    assert rules and {r.tol for r in rules} == {default_tol if tol is None else tol}
-
-
-def test_default_sphere_rule_is_the_library_default():
-    assert VerifySettings().sphere_rule() == default_sphere_rule()
-
-
-def test_settings_take_no_rule():
-    # every surface integral of the table takes the Gauss product rule
-    with pytest.raises(TypeError):
-        VerifySettings(rule="monte_carlo")
-
-
-@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
-def test_settings_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
-    # the Gauss rules take no seed, so the settings check their own
-    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-        VerifySettings(seed=seed)
-
-
-@pytest.mark.parametrize("max_evals", [0, 2.5, "3"])
-def test_settings_refuse_a_max_evals_that_is_not_a_positive_integer(max_evals):
-    # checked up front, not by the optimizer after criteria 1-11 have run
-    with pytest.raises(ValueError, match="max_evals must be an integer >= 1"):
-        VerifySettings(max_evals=max_evals)
+def test_recorded_copy_check_catches_a_changed_row(name, shift, flip):
+    rows = [ClaimRow(r["name"], r["value"], tolerance=r.get("tolerance"), passed=r.get("pass")) for r in RECORDED]
+    assert not _differences(rows, RECORDED)
+    row = next(r for r in rows if r.name == name)
+    row.value += shift
+    if flip:
+        row.passed = not row.passed
+    assert [d.split(":")[0] for d in _differences(rows, RECORDED)] == [name]
 
 
 def test_two_pi_squared_reference_constant():

@@ -10,7 +10,7 @@ import scipy
 from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
 from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
-from arcdist.verify import ClaimRow, VerifySettings
+from arcdist.verify import ClaimRow
 
 
 def run(args, capsys):
@@ -365,6 +365,10 @@ class TestConfigHandling:
         ["verify", "--rule", "periodic_trapezoid"],
         ["verify", "--rule", "monte_carlo"],
         ["eval", "--curve", '{"family":"great_circle"}', "--rule", "monte_carlo"],
+        ["verify", "--n", "64"],
+        ["verify", "--tol", "1e-3"],
+        ["verify", "--seed", "3"],
+        ["verify", "--max-evals", "3"],
     ],
     ids=[
         "verify_curve",
@@ -384,6 +388,10 @@ class TestConfigHandling:
         "verify_rule_periodic_trapezoid",
         "verify_rule_monte_carlo",
         "eval_rule_monte_carlo",
+        "verify_n",
+        "verify_tol",
+        "verify_seed",
+        "verify_max_evals",
     ],
 )
 def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
@@ -401,7 +409,6 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
         ["optimize", "--J", "1"],
         ["eval", "--curve", '{"family":"great_circle"}', "--n", "0"],
         ["eval", "--curve", '{"family":"great_circle"}', "--tol", "0"],
-        ["verify", "--max-evals", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--tol", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "1.4", "0.1"],
         ["optimize", "--simplex-scale", "0", "--max-evals", "30"],
@@ -412,7 +419,6 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
         "optimize_J_1",
         "eval_n_0",
         "eval_tol_0",
-        "verify_max_evals_0",
         "calibrate_tol_0",
         "calibrate_reversed_bracket",
         "optimize_simplex_scale_0",
@@ -429,10 +435,9 @@ def test_invalid_setting_is_config_error(args, capsys):
 @pytest.mark.parametrize(
     "args, stub",
     [
-        (["verify", "--n", "1024"], "arcdist.cli.run_verification"),
         (["eval", "--n", "1048576", "--curve", '{"family":"great_circle"}'], "arcdist.curves.arc_length"),
     ],
-    ids=["verify_sphere_n_1024", "eval_trapezoid_n_2^20"],
+    ids=["eval_trapezoid_n_2^20"],
 )
 def test_rule_over_the_node_cap_is_config_error(args, stub, capsys, monkeypatch):
     # rejected before any integral runs: the first computation is stubbed to fail loudly
@@ -470,15 +475,21 @@ def test_bad_point_is_config_error_before_computation(points, error, capsys, mon
     assert err.startswith(f"config error: {error}")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+_EVAL = (["eval", "--curve", '{"family":"great_circle"}'], -1, "arcdist.curves.arc_length")
+_OPTIMIZE = (["optimize", "--objective", "mean_min"], -3, "arcdist.optimize.minimize_functional")
+
+
 @pytest.mark.parametrize(
-    "args, seed, stub",
+    "args, seed, stub, source",
     [
-        (["eval", "--curve", '{"family":"great_circle"}'], -1, "arcdist.curves.arc_length"),
-        (["optimize", "--objective", "mean_min"], -3, "arcdist.optimize.minimize_functional"),
-        (["verify"], -5000, "arcdist.cli.run_verification"),
+        (*_EVAL, "flag"),
+        (*_OPTIMIZE, "flag"),
+        (*_EVAL, "config"),
+        (*_OPTIMIZE, "config"),
+        # verify takes no seed, but a config file's seed is checked before it is dropped
+        (["verify"], -5000, "arcdist.cli.run_verification", "config"),
     ],
-    ids=["eval", "optimize", "verify"],
+    ids=["eval-flag", "optimize-flag", "eval-config", "optimize-config", "verify-config"],
 )
 def test_negative_seed_is_config_error_before_computation(args, seed, stub, source, tmp_path, capsys, monkeypatch):
     def must_not_run(*a, **k):
@@ -496,6 +507,22 @@ def test_negative_seed_is_config_error_before_computation(args, seed, stub, sour
     assert err.startswith("config error: seed must be a non-negative integer")
 
 
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ('[{"family":"tennis_ball"}]', "curve spec must be a JSON object"),
+        ('{"family":"tennis_ball","params":{"a":true}}', "param a must be a number"),
+        ('{"family":"trig_series","params":{"theta_cos":[true]},"domain":[0,true]}', "param theta_cos must be"),
+        ('{"family":"tennis_ball","domain":["0","12.566370614359172"]}', "domain must be two numbers"),
+    ],
+    ids=["inline_array", "bool_param", "bool_list_param", "string_domain"],
+)
+def test_bad_curve_spec_is_config_error(spec, error, capsys):
+    code, _, err = run(["sample", "--curve", spec, "--n", "3"], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: {error}")
+
+
 class TestVerifyGlue:
     """Exit-code and report plumbing, with the expensive table stubbed out."""
 
@@ -507,8 +534,7 @@ class TestVerifyGlue:
             ClaimRow("c", 2.0),
         ]
 
-        def fake(settings):
-            assert settings == VerifySettings(seed=3)  # the seed given; the library's defaults for the rest
+        def fake():
             return rows, all(r.passed for r in rows if r.passed is not None)
 
         monkeypatch.setattr("arcdist.cli.run_verification", fake)
@@ -516,7 +542,7 @@ class TestVerifyGlue:
 
     def test_exit_1_iff_any_row_fails(self, fake_rows, tmp_path, capsys):
         out_path = tmp_path / "verify.json"
-        code, out, _ = run(["verify", "--seed", "3", "--out", str(out_path)], capsys)
+        code, out, _ = run(["verify", "--out", str(out_path)], capsys)
         assert code == 1
         assert "FAIL" in out and "PASS" in out and "why it failed" in out
         report = json.loads(out_path.read_text())
@@ -525,7 +551,7 @@ class TestVerifyGlue:
         assert by_name["a"]["tolerance"] == 0.1
         assert by_name["b"]["tolerance"] == 0.1
         assert "tolerance" not in by_name["c"]
-        assert report["config"] == {"seed": 3}
+        assert report["config"] == {}
         assert by_name["b"]["pass"] is False
         assert by_name["b"]["message"] == "why it failed"
         assert "pass" not in by_name["c"]  # informational row
@@ -533,7 +559,7 @@ class TestVerifyGlue:
 
     def test_report_names_its_environment(self, fake_rows, tmp_path, capsys):
         out_path = tmp_path / "verify.json"
-        run(["verify", "--seed", "3", "--out", str(out_path)], capsys)
+        run(["verify", "--out", str(out_path)], capsys)
         env = json.loads(out_path.read_text())["environment"]
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
@@ -554,9 +580,18 @@ class TestVerifyGlue:
         monkeypatch.setattr(cli, "Path", Unreadable)
         assert cli._blas_threads() is None
 
+    def test_config_settings_of_other_commands_are_dropped(self, fake_rows, tmp_path, capsys):
+        # checked like any config key, then dropped: verify computes the one table
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "tol": 1e-3, "seed": 3, "max_evals": 3}))
+        out_path = tmp_path / "verify.json"
+        code, _, _ = run(["verify", "--config", str(cfg), "--out", str(out_path)], capsys)
+        assert code == 1
+        assert json.loads(out_path.read_text())["config"] == {}
+
     def test_exit_0_when_all_pass(self, monkeypatch, capsys):
         rows = [ClaimRow("a", 1.0, tolerance=0.1, passed=True)]
-        monkeypatch.setattr("arcdist.cli.run_verification", lambda settings: (rows, True))
+        monkeypatch.setattr("arcdist.cli.run_verification", lambda: (rows, True))
         code, _, _ = run(["verify"], capsys)
         assert code == 0
 
@@ -564,7 +599,7 @@ class TestVerifyGlue:
 def test_verify_row_carries_its_integral_warning(monkeypatch, tmp_path, capsys):
     # row 1 alone, over integrals that stopped at the node cap: its JSON row and its table line say so
     capped = FunctionalResult(0.5 * math.pi, 0.0, 1, warning=TOLERANCE_NOT_REACHED)
-    monkeypatch.setattr(verify.functionals, "mean_point_to_sphere", lambda q, rule: capped)
+    monkeypatch.setattr(verify.functionals, "mean_point_to_sphere", lambda q: capped)
     monkeypatch.setattr(verify, "CRITERIA", (verify.criterion_1_point_to_sphere,))
     out_path = tmp_path / "verify.json"
     code, out, _ = run(["verify", "--out", str(out_path)], capsys)

@@ -667,11 +667,26 @@ class TestSpecParsing:
             {"family": "tennis_ball", "params": [0.7]},
             {"family": "tennis_ball", "params": {"a": "wide"}},
             {"family": "trig_series", "params": {"theta_cos": 0.5}},
+            '[{"family": "tennis_ball"}]',
+            {"family": "tennis_ball", "params": {"a": True}},
+            {"family": "trig_series", "params": {"theta_cos": [True]}, "domain": [0, True]},
+            {"family": "tennis_ball", "domain": ["0", "12.566370614359172"]},
+            {"family": "great_circle", "domain": [0, True]},
         ],
     )
     def test_invalid_specs_rejected(self, spec):
         with pytest.raises(CurveSpecError):
             from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ['[{"family": "tennis_ball"}]', '  [1, 2]'])
+    def test_inline_json_array_is_read_as_json(self, spec):
+        # not as a file path: the array is parsed and refused as no object
+        with pytest.raises(CurveSpecError, match="curve spec must be a JSON object"):
+            from_spec(spec)
+
+    def test_numpy_scalars_are_numbers(self):
+        c = from_spec({"family": "trig_series", "params": {"theta_cos": [np.float64(-0.8)], "amplitude": np.int64(1)}})
+        assert c.params["theta_cos"] == [-0.8] and c.params["amplitude"] == 1.0
 
     def test_trig_series_spec(self):
         c = from_spec(

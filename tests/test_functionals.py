@@ -95,20 +95,6 @@ class TestPointToCurveMean:
         res = point_to_curve_mean(lat, SpherePoint(0.0, 0.0))
         assert res.value == pytest.approx(1.1, abs=1e-12)
 
-    def test_arc_length_weighted_variant(self):
-        # constant-speed great circle: both means coincide
-        gc = great_circle((0.0, 2.0))
-        q = uniform_unit_vectors(34, 1)[0]
-        plain = point_to_curve_mean(gc, q).value
-        weighted = point_to_curve_mean(gc, q, arc_length_weighted=True).value
-        assert weighted == pytest.approx(plain, abs=1e-8)
-        # wavy circle has non-constant speed: the two means differ
-        wv = wavy_circle(0.28624)
-        p = SpherePoint(1.0, 0.3)
-        assert abs(
-            point_to_curve_mean(wv, p).value - point_to_curve_mean(wv, p, arc_length_weighted=True).value
-        ) > 1e-4
-
 
 class TestSphereToCurveMean:
     def test_constant_field_integrates_to_area_times_value(self):
