@@ -34,7 +34,7 @@ def main() -> int:
 
     best = family.build(np.array(report.best_shape), report.best_scale)
     # the objective as the search took it: its design and its rule
-    sup, worst_point = sup_deviation_from_half_pi(best, config.design_size, SEARCH_RULE)
+    sup, worst_point = sup_deviation_from_half_pi(best, SEARCH_RULE)
     print(f"evaluations:      {report.evaluations} (converged={report.converged})")
     print(f"objective:        {report.initial_value:.17g} -> {report.best_value:.17g}")
     print(f"arc length:       {arc_length(best).value:.9f}")

@@ -32,13 +32,16 @@ import numpy as np
 import scipy
 
 from . import __version__, curves, functionals, optimize
-from .curves import CurveSpecError, from_spec
+from .curves import CurveSpecError, _is_real, from_spec
 from .quadrature import NonFiniteIntegrandError, default_curve_rule, default_sphere_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import format_table, run_verification
 
 #: eval's seed for the random points of the mean minimum distance.
 EVAL_SEED = 42
+
+#: The --out help of every command that writes a JSON report.
+_JSON_OUT = "JSON report path (default stdout)"
 
 
 class ConfigError(ValueError):
@@ -53,30 +56,30 @@ def _validated(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """True for a JSON number (an integer if asked); booleans do not count."""
-    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
-
-
 def _is_pair(value) -> bool:
     """True for a list of two numbers."""
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
 
 
-_INTEGER = (lambda v: _is_number(v, integer=True), "an integer")
+def _is_integer(value) -> bool:
+    """True for a JSON integer; booleans do not count."""
+    return _is_real(value) and isinstance(value, int)
+
+
+_INTEGER = (_is_integer, "an integer")
 
 #: Every setting, keyed by its flag's dest, with the test its value must pass and what that asks for.
 _SETTINGS = {
     "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
     "n": _INTEGER,
-    "tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "seed": (lambda v: _is_number(v, integer=True) and v >= 0, "a non-negative integer"),
+    "tol": (lambda v: _is_real(v) and v > 0, "a positive number"),
+    "seed": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer"),
     "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
     "max_evals": _INTEGER,
     "objective": (lambda v: v in optimize.OBJECTIVES, f"one of {optimize.OBJECTIVES}"),
-    "simplex_scale": (_is_number, "a number"),
+    "simplex_scale": (_is_real, "a number"),
     "J": _INTEGER,
 }
 
@@ -294,9 +297,10 @@ def _default(func, name: str):
 def _add_common(
     p: argparse.ArgumentParser,
     *flags: str,
+    out_help: str,
     n_help: str | None = None,
     tol_help: str = "absolute tolerance",
-    seed: int | None = None,
+    seed_help: str | None = None,
 ) -> None:
     """--config, those of --curve, --n, --tol and --seed named in flags, and --out."""
     p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
@@ -307,8 +311,8 @@ def _add_common(
     if "tol" in flags:
         p.add_argument("--tol", type=float, help=tol_help)
     if "seed" in flags:
-        p.add_argument("--seed", type=int, help=f"RNG seed (default {seed})")
-    p.add_argument("--out", help="output path (JSON report or CSV samples); default stdout")
+        p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--out", help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,32 +325,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full claim verification table")
-    _add_common(p)
+    _add_common(p, out_help="also write the table as a JSON report to this path (the table is always printed)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
         p, "curve", "n", "tol", "seed",
+        out_help=_JSON_OUT,
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
         tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g}) and of the "
         f"sphere-to-curve mean's surface rule (default {functionals.SPHERE_TO_CURVE_TOL:g})",
-        seed=EVAL_SEED,
+        seed_help=f"RNG seed of the mean minimum distance's 10,000 random points (default {EVAL_SEED})",
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="emit CSV rows t,x,y,z along the curve")
-    _add_common(p, "curve", "n", n_help="number of rows (>= 2)")
+    _add_common(p, "curve", "n", out_help="CSV output path (default stdout)", n_help="number of rows (>= 2)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("calibrate", help="root the family scale parameter to arc length 4pi")
-    _add_common(p, "curve", "tol")
+    _add_common(p, "curve", "tol", out_help=_JSON_OUT)
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("optimize", help="minimize a functional over the trig-series family")
     opt = optimize.OptimizerConfig
-    _add_common(p, "seed", seed=opt.seed)
+    _add_common(
+        p, "seed",
+        out_help=_JSON_OUT,
+        seed_help=f"RNG seed of the mean_min objective's 1024 Monte Carlo points (default {opt.seed}); "
+        "sup_dev_from_half_pi takes no random points, so it ignores the seed",
+    )
     p.add_argument("--objective", choices=optimize.OBJECTIVES, help=f"default {opt.objective}")
     p.add_argument("--max-evals", dest="max_evals", type=int, help=f"evaluation budget (default {opt.max_evals})")
     p.add_argument(

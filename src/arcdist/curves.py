@@ -17,14 +17,16 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
+from .quadrature import (
+    FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, require_integer, rule_nodes
+)
 from .sphere import angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
@@ -147,8 +149,8 @@ class SphericalCurve:
     """
 
     family: str
-    params: dict[str, Any] = field(default_factory=dict)
-    domain: CurveDomain = field(default_factory=lambda: CurveDomain(0.0, 1.0))
+    params: dict[str, Any]
+    domain: CurveDomain
     rotation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -583,11 +585,15 @@ _TURN_MARGIN = 1e-3
 _TIE_FREE_SEGMENT = 1e-6
 
 
+#: is_simple flags two parameters within this chordal distance as a
+#: self-intersection.
+SIMPLE_EPS = 1e-4
+
 #: Sampled chords within this of the least tie for the decisive witness.
 #: Twin pairs, such as (t, t') and (t + 2pi, t' + 2pi) on a trig_series
 #: curve on [0, 4pi] with phi slope 1/2, whose r(t + 2pi) is r(t) turned by
 #: pi about z, have equal chords that rounding splits by a few ulp. The
-#: slack is far above that and far below the default eps (1e-4), so the
+#: slack is far above that and far below SIMPLE_EPS, so the
 #: first tied pair does not move with the last bits of the curve. The
 #: verdict still rests on the least chord.
 _WITNESS_SLACK = 1e-12
@@ -748,15 +754,12 @@ def _local_chord_minima(pts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return pairs[local_min]
 
 
-def is_simple(
-    curve: SphericalCurve,
-    n_samples: int = 4096,
-    eps: float = 1e-4,
-) -> tuple[bool, tuple[float, float] | None]:
+def is_simple(curve: SphericalCurve, n_samples: int = 4096) -> tuple[bool, tuple[float, float] | None]:
     """Detect self-intersections by dense sampling plus local refinement.
 
     Flags the curve non-simple when it finds two parameters more than 3
-    sample spacings apart around the curve within chordal distance eps.
+    sample spacings apart around the curve within chordal distance
+    eps = SIMPLE_EPS, on a grid of n_samples >= 64.
     Candidates are the sample pairs within the capture radius (twice the
     longest sample chord, at least 2 eps) whose integer index separation
     exceeds 3 and whose sampled chord is a discrete local minimum over the
@@ -784,27 +787,24 @@ def is_simple(
     change with the last bits of the curve. Returns (simple, witness
     parameter pair or None).
     """
-    if n_samples < 64:
-        raise ValueError("n_samples must be >= 64")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    require_integer(n_samples, 64, "n_samples")
     dom = curve.domain
     period = dom.period
     ts, pts = curve.sample(n_samples)
     seg, length = _segments(pts)
     max_adj = float(length.max())
     # Degenerate point-like curve: every pair coincides. (Its sample chords
-    # are all below eps, so the extent needs checking only then.)
-    if max_adj < eps and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < eps:
+    # are all below SIMPLE_EPS, so the extent needs checking only then.)
+    if max_adj < SIMPLE_EPS and float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) < SIMPLE_EPS:
         return False, (dom.t_i, dom.t_i + 0.5 * period)
 
-    pairs = _chord_candidates(pts, seg, length, max(2.0 * max_adj, 2.0 * eps))
+    pairs = _chord_candidates(pts, seg, length, max(2.0 * max_adj, 2.0 * SIMPLE_EPS))
     if pairs.size:
         pairs = _local_chord_minima(pts, pairs)
     if pairs.size == 0:
         return True, None
     chord = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-    if chord.min() < eps:
+    if chord.min() < SIMPLE_EPS:
         i, j = pairs[np.argmax(chord <= chord.min() + _WITNESS_SLACK)]
         return False, (float(ts[i]), float(ts[j]))
 
@@ -814,7 +814,7 @@ def is_simple(
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)
     dt = np.abs(t1 - t2)
     admissible = inside & (np.minimum(dt, period - dt) > 3.0 * period / n_samples)
-    hits = np.nonzero(admissible & (dist < eps))[0]
+    hits = np.nonzero(admissible & (dist < SIMPLE_EPS))[0]
     if hits.size:
         return False, (float(t1[hits[0]]), float(t2[hits[0]]))
     return True, None

@@ -24,6 +24,7 @@ from .quadrature import (
     default_curve_rule,
     default_sphere_rule,
     integrate_1d,
+    require_integer,
     rule_nodes,
     sample_mean,
     sphere_integrate,
@@ -35,6 +36,9 @@ HALF_PI = 0.5 * math.pi
 
 #: Tolerance of sphere_to_curve_mean's default sphere rule.
 SPHERE_TO_CURVE_TOL = 1e-6
+
+#: Points of the golden-angle design over which sup_deviation_from_half_pi takes its max.
+DESIGN_SIZE = 122
 
 # Most entries in one block of points x curve nodes (_by_rows). At 2^16 a
 # block matrix is 512 KiB, so the two or three a reduce makes stay in a 2 MiB
@@ -89,19 +93,20 @@ class ELResidual:
             raise ValueError("residuals must be finite")
 
 
+def _point_integral(angle: Callable[[np.ndarray], np.ndarray], q, rule: QuadratureRule | None) -> FunctionalResult:
+    """Surface integral of angle(q . x) over the sphere, the dot product
+    clipped to [-1, 1], by rule (default default_sphere_rule())."""
+    qv = as_unit_xyz(q)
+    return sphere_integrate(lambda x: angle(np.clip(x @ qv, -1.0, 1.0)), rule or default_sphere_rule())
+
+
 def mean_point_to_sphere(q, rule: QuadratureRule | None = None) -> FunctionalResult:
     """Mean geodesic distance from a fixed unit vector to the whole sphere.
 
     (1/4pi) * integral over S of arccos(q . x) dS; equals pi/2 for every q
     (reduce to the 1D form: integral of gamma sin(gamma)/2 over [0, pi]).
     """
-    qv = as_unit_xyz(q)
-    rule = rule or default_sphere_rule()
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return np.arccos(np.clip(x @ qv, -1.0, 1.0))
-
-    res = sphere_integrate(g, rule)
+    res = _point_integral(np.arccos, q, rule)
     return FunctionalResult(res.value / FOUR_PI, res.error_estimate / FOUR_PI, res.nodes_used, res.warning)
 
 
@@ -115,13 +120,7 @@ def arcsin_identity_residual(q, rule: QuadratureRule | None = None) -> Functiona
     arcsin in powers of D and E, the phi-integral of D^k is strictly
     positive for even k, so the individual terms do not vanish.
     """
-    qv = as_unit_xyz(q)
-    rule = rule or default_sphere_rule()
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return np.arcsin(np.clip(x @ qv, -1.0, 1.0))
-
-    return sphere_integrate(g, rule)
+    return _point_integral(np.arcsin, q, rule)
 
 
 def curve_to_sphere_mean_M(curve: SphericalCurve, rule: QuadratureRule | None = None) -> FunctionalResult:
@@ -241,26 +240,24 @@ def sphere_to_curve_mean(curve: SphericalCurve, sphere_rule: QuadratureRule | No
 
 
 def sup_deviation_from_half_pi(
-    curve: SphericalCurve,
-    n_design: int = 122,
-    curve_rule: QuadratureRule | None = None,
+    curve: SphericalCurve, curve_rule: QuadratureRule | None = None
 ) -> tuple[float, np.ndarray]:
     """Max |mean-distance - pi/2| over a fixed near-uniform sphere design.
 
-    Deterministic by construction (golden-angle design, fixed node count),
-    so it is usable as an optimization objective. The design of each size is
-    built once (_design). Returns (sup, argmax point).
+    Deterministic by construction (golden-angle design of DESIGN_SIZE
+    points, fixed node count), so it is usable as an optimization objective.
+    The design is built once (_design). Returns (sup, argmax point).
     """
-    design = _design(n_design)
+    design = _design()
     vals = mean_distance_field(curve, design, curve_rule)
     idx = int(np.argmax(np.abs(vals - HALF_PI)))
     return float(abs(vals[idx] - HALF_PI)), design[idx].copy()
 
 
-@lru_cache(maxsize=4)
-def _design(n: int) -> np.ndarray:
-    """Read-only fibonacci_sphere_points(n), shared by every call that asks for n."""
-    design = fibonacci_sphere_points(n)
+@lru_cache(maxsize=1)
+def _design() -> np.ndarray:
+    """Read-only fibonacci_sphere_points(DESIGN_SIZE), shared by every call."""
+    design = fibonacci_sphere_points(DESIGN_SIZE)
     design.setflags(write=False)
     return design
 
@@ -283,8 +280,7 @@ def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) 
     evaluated parameter, which is within _NEAREST_STEP of the returned,
     wrapped one.
     """
-    if n_scan < 64:
-        raise ValueError("n_scan must be >= 64")
+    require_integer(n_scan, 64, "n_scan")
     ts, C = curve.sample(n_scan)
     dt = curve.domain.period / n_scan
     scan = _best_samples(C)
@@ -377,8 +373,7 @@ def mean_min_arc_distance(
     the error estimate. Each distance comes from the best of n_scan >= 64
     samples, refined (see _min_distance_batch).
     """
-    if n_points < 100:
-        raise ValueError("n_points must be >= 100")
+    require_integer(n_points, 100, "n_points")
     points = uniform_unit_vectors(seed, n_points)
     return sample_mean(_min_distance_batch(curve, points, n_scan)[0])
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from . import curves
 from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
-from .functionals import mean_min_arc_distance, sup_deviation_from_half_pi
+from .functionals import DESIGN_SIZE, mean_min_arc_distance, sup_deviation_from_half_pi
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, require_integer
 
 FOUR_PI = 4.0 * math.pi
@@ -329,8 +329,7 @@ def seam_seeded_family(J: int = 3) -> SearchFamily:
     a_1 = -(pi/2 - a), c_2 = a with unit amplitude, a = curves.TENNIS_BALL_A.
     For another start, dataclasses.replace(family, initial_shape=...).
     """
-    if J < 2:
-        raise ValueError("the seam shape needs J >= 2")
+    require_integer(J, 2, "J")  # the seam shape needs two harmonics
     shape = [0.0] * (3 * J)
     shape[0] = -(0.5 * math.pi - curves.TENNIS_BALL_A)
     shape[2 * J + 1] = curves.TENNIS_BALL_A
@@ -353,13 +352,13 @@ class OptimizerConfig:
     max_evals: int = 2000
     simplex_scale: float = 0.1
     seed: int = 42
-    design_size: int = 122
+    #: Points of the sup-deviation objective's design (functionals.DESIGN_SIZE).
+    design_size: ClassVar[int] = DESIGN_SIZE
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         require_integer(self.max_evals, 1, "max_evals")
-        require_integer(self.design_size, 1, "design_size")
         require_integer(self.seed, 0, "seed")
         if not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
             raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
@@ -368,7 +367,7 @@ class OptimizerConfig:
 def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
     # Fixed quadrature settings keep each objective deterministic per config.
     if config.objective == "sup_dev_from_half_pi":
-        sup, _ = sup_deviation_from_half_pi(curve, config.design_size, SEARCH_RULE)
+        sup, _ = sup_deviation_from_half_pi(curve, SEARCH_RULE)
         return sup
     return mean_min_arc_distance(curve, n_points=1024, seed=config.seed, n_scan=1024).value
 

@@ -61,9 +61,10 @@ _GRID_CACHE_POINTS = 1 << 19
 
 
 def require_integer(value, least: int, name: str) -> None:
-    """Raise ValueError unless value is an integer (operator.index) of at least `least`."""
+    """Raise ValueError unless value is an integer (operator.index) of at least
+    `least`; a bool does not count."""
     try:
-        ok = operator.index(value) >= least
+        ok = not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         ok = False
     if not ok:
@@ -121,9 +122,9 @@ def default_curve_rule(n: int = 512, tol: float = 1e-9) -> QuadratureRule:
     return QuadratureRule("periodic_trapezoid", n, tol)
 
 
-def default_sphere_rule(n: int = 128, tol: float = 1e-7) -> QuadratureRule:
-    """Default product rule for surface integrals: Gauss-Legendre n x trapezoid 2n."""
-    return QuadratureRule("gauss_legendre", n, tol)
+def default_sphere_rule(tol: float = 1e-7) -> QuadratureRule:
+    """Default product rule for surface integrals: Gauss-Legendre 128 x trapezoid 256 at its first level."""
+    return QuadratureRule("gauss_legendre", 128, tol)
 
 
 @lru_cache(maxsize=64)

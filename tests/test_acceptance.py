@@ -145,33 +145,6 @@ def test_criterion_12_optimizer_sanity(table):
     _report(table[criterion_12_optimizer])
 
 
-def test_table_rows_in_order(table):
-    assert [r.name for rows in table.values() for r in rows] == [
-        "1. point-to-sphere mean (worst of 100)",
-        "2. arcsin identity residual (worst of 20)",
-        "3. seam curve-to-sphere mean M",
-        "4. great-circle mean distance (worst of 50)",
-        "5. wavy-circle mean distance at pole point",
-        "6a. seam amplitude root of L - 4pi",
-        "6b. wavy amplitude root of L - 4pi",
-        "7. seam sphere-to-curve mean",
-        "7i. seam sup |mean distance - pi/2| (122-design)",
-        "8. wavy sphere-to-curve mean excess over 2pi^2",
-        "9a. doubled great circle flagged non-simple",
-        "9b. seam flagged simple",
-        "9c. single-traversal great circle flagged simple",
-        "10. stationarity residuals on the discrete grid",
-        "11a. rotation invariance (max violation ratio)",
-        "11b. max(min - mean) over 200 pairs",
-        "11c. MC error shrink factor for 4x samples",
-        "11d. great-circle mean minimum distance",
-        "11i. seam mean minimum distance",
-        "12a. optimizer best-so-far trace non-increasing",
-        "12b. max |arc length - 4pi| over feasible iterates",
-        "12c. doubled great circle rejected as infeasible",
-    ]
-
-
 RECORDED = json.loads((Path(__file__).parent / "data" / "verify_table.json").read_text())["results"]
 
 

@@ -326,9 +326,16 @@ class TestConfigHandling:
             ("optimize", {"max_evals": "30"}),
             ("optimize", {"simplex_scale": [0.1]}),
             ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
+            ("optimize", {"max_evals": True}),
+            ("optimize", {"max_evals": 2.5}),
+            ("optimize", {"seed": False}),
+            ("optimize", {"J": 2.5}),
+            ("eval", {"tol": True, "curve": {"family": "great_circle"}}),
+            ("calibrate", {"bracket": [0.1, True], "curve": {"family": "tennis_ball"}}),
         ],
         ids=["n_string", "tol_string", "point_string", "max_evals_string", "simplex_scale_list",
-             "bracket_strings"],
+             "bracket_strings", "max_evals_bool", "max_evals_fraction", "seed_bool", "J_fraction", "tol_bool",
+             "bracket_bool"],
     )
     def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -607,3 +614,28 @@ def test_verify_row_carries_its_integral_warning(monkeypatch, tmp_path, capsys):
     assert row["name"].startswith("1. ") and row["warning"] == TOLERANCE_NOT_REACHED
     assert f"note: {TOLERANCE_NOT_REACHED}" in out
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, out_help",
+    [
+        ("verify", "also write the table as a JSON report to this path (the table is always printed)"),
+        ("eval", "JSON report path (default stdout)"),
+        ("sample", "CSV output path (default stdout)"),
+        ("calibrate", "JSON report path (default stdout)"),
+        ("optimize", "JSON report path (default stdout)"),
+    ],
+)
+def test_out_help_says_what_the_command_writes(command, out_help, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"--out OUT {out_help}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_optimize_seed_help_names_the_objective_it_reaches(capsys):
+    with pytest.raises(SystemExit):
+        main(["optimize", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "RNG seed of the mean_min objective's 1024 Monte Carlo points (default 42)" in text
+    assert "sup_dev_from_half_pi takes no random points, so it ignores the seed" in text

@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(CurveSpecError):
             wavy_circle(math.pi / 4)
 
+    def test_params_and_domain_are_required(self):
+        # a family's own constructor carries its domain; no default domain stands in for it
+        with pytest.raises(TypeError):
+            curves.SphericalCurve(curves.TENNIS_BALL, {"a": 0.7037})
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -328,11 +333,11 @@ class TestSimplicity:
         simple, witness = is_simple(point_curve)
         assert not simple and witness is not None
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            is_simple(great_circle(), n_samples=32)
-        with pytest.raises(ValueError, match="eps must be positive"):
-            is_simple(great_circle(), eps=0.0)
+    @pytest.mark.parametrize("n_samples", [32, 4096.5, True, "4096"])
+    def test_sample_count_validated(self, n_samples):
+        # a fractional count would build a grid that is not the periodic one
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 64"):
+            is_simple(tennis_ball_seam(), n_samples=n_samples)
 
     @staticmethod
     def _trochoid(c, d):

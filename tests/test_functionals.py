@@ -148,6 +148,13 @@ def test_sup_deviation_is_deterministic():
     assert 0.0 < a < 0.05
 
 
+def test_sup_deviation_design_is_built_once():
+    design = functionals._design()
+    assert design is functionals._design()
+    assert design.shape == (functionals.DESIGN_SIZE, 3) == (122, 3)
+    assert not design.flags.writeable
+
+
 class TestPointToCurveMin:
     def test_point_on_curve(self):
         seam = tennis_ball_seam(0.7037)
@@ -178,9 +185,10 @@ class TestPointToCurveMin:
         d, _ = point_to_curve_min(wavy_circle(0.1856), SpherePoint(0.0, 0.0))
         assert d == pytest.approx(0.75 * math.pi - 0.1856, abs=1e-6)
 
-    def test_scan_count_validated(self):
-        with pytest.raises(ValueError):
-            point_to_curve_min(great_circle(), np.array([0.0, 0.0, 1.0]), n_scan=8)
+    @pytest.mark.parametrize("n_scan", [8, 100.5, True])
+    def test_scan_count_validated(self, n_scan):
+        with pytest.raises(ValueError, match="n_scan must be an integer >= 64"):
+            point_to_curve_min(great_circle(), np.array([0.0, 0.0, 1.0]), n_scan=n_scan)
 
     def test_min_never_exceeds_mean(self):
         rng = np.random.default_rng(36)
@@ -388,12 +396,13 @@ class TestMeanMinArcDistance:
         seam_val = mean_min_arc_distance(tennis_ball_seam(0.7037), 20_000, seed=4).value
         assert seam_val < HALF_PI - 1.0
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            mean_min_arc_distance(great_circle(), n_points=10)
+    @pytest.mark.parametrize("n_points", [10, 150.5, True])
+    def test_sample_count_validated(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 100"):
+            mean_min_arc_distance(great_circle(), n_points=n_points)
 
     def test_scan_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_scan must be an integer >= 64"):
             mean_min_arc_distance(great_circle(), n_points=1000, n_scan=32)
 
 
@@ -544,7 +553,7 @@ class TestFieldOnCores:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         seam = tennis_ball_seam(0.7037)
         # the optimizer's design at 256 nodes: 31,232 entries, one block
-        sup, _ = sup_deviation_from_half_pi(seam, 122, default_curve_rule(n=256))
+        sup, _ = sup_deviation_from_half_pi(seam, default_curve_rule(n=256))
         assert math.isfinite(sup)
         # the patch does catch the thread a two-block field starts
         with pytest.raises(AssertionError, match="a thread was started"):

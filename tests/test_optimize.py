@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, trig_series, wavy_circle
-from arcdist.functionals import sphere_to_curve_mean
+from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean
 from arcdist import curves
 from arcdist.optimize import (
     CONSTRAINT_TOL,
@@ -24,7 +24,7 @@ from arcdist.optimize import (
     _diameter,
     _model_root,
 )
-from arcdist.quadrature import default_curve_rule, default_sphere_rule
+from arcdist.quadrature import QuadratureRule, default_curve_rule
 from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
@@ -331,9 +331,10 @@ class TestSearchFamilies:
         )
         assert rep.parameter == pytest.approx(1.0, abs=5e-4)
 
-    def test_shape_layout_validated(self):
-        with pytest.raises(ValueError):
-            seam_seeded_family(J=1)
+    @pytest.mark.parametrize("J", [1, 2.5, True])
+    def test_shape_layout_validated(self, J):
+        with pytest.raises(ValueError, match="J must be an integer >= 2"):
+            seam_seeded_family(J=J)
 
 
 class TestMinimizeFunctional:
@@ -357,7 +358,7 @@ class TestMinimizeFunctional:
         assert report.best_scale == pytest.approx(WAVY_ROOT, abs=1e-5)
         # the sphere-to-curve mean is the universal constant 2 pi^2, so it cannot rank candidates
         curve = wavy_circle(WAVY_ROOT)
-        value = sphere_to_curve_mean(curve, default_sphere_rule(n=48, tol=1e-4)).value
+        value = sphere_to_curve_mean(curve, QuadratureRule("gauss_legendre", 48, 1e-4)).value
         assert value == pytest.approx(2.0 * math.pi**2, abs=1e-6)
 
     def test_budget_of_one_returns_initial_point_flagged(self):
@@ -526,14 +527,19 @@ class TestMinimizeFunctional:
             {"max_evals": 0},
             {"max_evals": 2.5},
             {"max_evals": "40"},
-            {"design_size": 0},
-            {"design_size": 2.5},
+            {"max_evals": True},
             {"seed": -1},
             {"seed": -1, "objective": "mean_min"},
             {"seed": 1.0},
             {"seed": None},
+            {"seed": False},
         ],
     )
     def test_bad_settings_rejected_at_construction(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
             OptimizerConfig(**setting)
+
+    def test_design_size_is_the_objective_design_not_a_setting(self):
+        assert OptimizerConfig().design_size == OptimizerConfig.design_size == DESIGN_SIZE == 122
+        with pytest.raises(TypeError):
+            OptimizerConfig(design_size=61)

@@ -1,5 +1,6 @@
 """Each script under scripts/ starts and prints its help, so a renamed import fails here,
-and the is_simple verdict sweep runs a small case."""
+and the flatter-curve search, the seam amplitude scan and the is_simple verdict sweep
+each run a small case."""
 
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +44,24 @@ def test_flatter_curve_search_reports_the_objective_it_minimized(tmp_path):
     lines = dict(line.split(":", 1) for line in proc.stdout.splitlines() if ":" in line)
     best = lines["objective"].split("->")[1].strip()
     assert lines["sup dev at best"].split()[0] == best
+
+
+def test_seam_amplitude_scan_writes_one_row_per_step(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "scan.csv"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scan_seam_amplitude.py"), "--lo", "0.7", "--hi", "0.71",
+         "--steps", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = out.read_text().splitlines()
+    assert header == "a,arc_length,sup_dev_from_half_pi,mean_min"
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert values.shape == (2, 4)
+    assert np.all(np.isfinite(values))
+    assert values[:, 0].tolist() == [0.7, 0.71]
 
 
 def test_simple_sweep_writes_one_row_per_check(tmp_path):
