@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, _is_real, from_spec
@@ -147,7 +146,6 @@ def _environment() -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         "blas_threads": _blas_threads(),
     }

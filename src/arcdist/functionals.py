@@ -371,9 +371,11 @@ def mean_min_arc_distance(
     Arithmetic mean over an area-uniform sample of sphere points of the
     distance to the nearest curve point, with the sample standard error as
     the error estimate. Each distance comes from the best of n_scan >= 64
-    samples, refined (see _min_distance_batch).
+    samples, refined (see _min_distance_batch). seed, a non-negative
+    integer, draws the sample.
     """
     require_integer(n_points, 100, "n_points")
+    require_integer(seed, 0, "seed")
     points = uniform_unit_vectors(seed, n_points)
     return sample_mean(_min_distance_batch(curve, points, n_scan)[0])
 

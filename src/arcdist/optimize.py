@@ -391,6 +391,13 @@ def make_candidate_evaluator(
     values.
     """
     last_scale = None
+    # A candidate's temporaries (the 4096-sample simplicity check, the design
+    # x nodes field) reach a few hundred kB. Freeing one untouched 1 MiB block
+    # raises glibc malloc's mmap and trim thresholds above that, so they are
+    # reused from the heap rather than mapped, or trimmed, and page-faulted
+    # anew for every candidate: about 170 faults a candidate, measured in a
+    # process that had freed no block that large.
+    np.empty(1 << 17)
 
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale

@@ -18,6 +18,10 @@ mean with the sample standard error. The arc-distance integrands here are
 only C0 where their argument reaches +-1, so the doubling estimate is
 mandatory rather than assuming spectral accuracy.
 
+The Gauss-Legendre nodes are found by Newton's method on the three-term
+Legendre recurrence from Tricomi's estimates (_leggauss), in numpy with
+O(n) memory, so importing the module loads no scipy.
+
 Surface integrands are functions of an (N, 3) array of unit vectors. A
 product level builds its points as outer products of the trig values of
 its two axes (sin theta times cos phi and sin phi, and cos theta), not
@@ -37,7 +41,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .sphere import uniform_unit_vectors
 
@@ -127,11 +130,44 @@ def default_sphere_rule(tol: float = 1e-7) -> QuadratureRule:
     return QuadratureRule("gauss_legendre", 128, tol)
 
 
+def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step P_n(x) / P_n'(x) at each x in (-1, 1), and P_n'(x), from the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    # (1 - x)(1 + x) rather than 1 - x^2 keeps its relative precision near +-1
+    dp = n * (p_prev - x * p) / ((1 - x) * (1 + x))
+    return p / dp, dp
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # scipy's banded eigensolver needs O(n) memory; numpy's leggauss builds
-    # a dense n x n companion matrix
-    nodes, weights = roots_legendre(n)
+    """The n Gauss-Legendre nodes on [-1, 1], ascending, and their weights, both read-only.
+
+    Newton's method on the recurrence finds the nonnegative roots of P_n from
+    Tricomi's estimates, in O(n) memory (numpy's leggauss builds a dense n x n
+    companion matrix). The negative half mirrors them, so the nodes and weights
+    are exactly symmetric, and an odd n has the node 0.0.
+    """
+    # Tricomi's estimate of the k-th largest root, k = 1 .. ceil(n / 2)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = math.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) is exactly 0 for odd n, so Newton keeps it
+    for _ in range(10):
+        step = _legendre_newton(n, x)[0]
+        x = x - step
+        # convergence is quadratic, so after a step this small x is exact to rounding
+        if np.max(np.abs(step)) <= 1e-11:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes for n = {n} did not converge")
+    dp = _legendre_newton(n, x)[1]
+    w = 2 / ((1 - x) * (1 + x) * dp**2)  # 2 / ((1 - x^2) P_n'(x)^2)
+    half = n // 2
+    nodes = np.concatenate((-x[:half], x[::-1]))
+    weights = np.concatenate((w[:half], w[::-1]))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -5,7 +5,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy
 
 from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
@@ -569,7 +568,8 @@ class TestVerifyGlue:
         run(["verify", "--out", str(out_path)], capsys)
         env = json.loads(out_path.read_text())["environment"]
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert set(env) == {"numpy", "blas", "blas_threads"}
+        assert env["numpy"] == np.__version__
         assert env["blas"] == f"{blas['name']} {blas['version']}"
         if "openblas" in blas["name"] and os.path.exists("/proc/self/maps"):
             assert isinstance(env["blas_threads"], int) and env["blas_threads"] >= 1

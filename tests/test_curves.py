@@ -600,14 +600,18 @@ class TestEmptyLevel:
         assert found.shape == (0, 2) and np.issubdtype(found.dtype, np.integer)
 
 
-def test_import_leaves_scipy_spatial_out():
-    # the CLI, which imports verify, loads neither scipy.spatial nor scipy.stats (which would load it)
+def test_import_loads_no_scipy():
+    # neither the library nor the CLI, which imports verify, loads scipy or any scipy.* module
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = (
-        "import arcdist, sys; assert 'scipy.spatial' not in sys.modules; "
-        "import arcdist.cli; assert not {'scipy.spatial', 'scipy.stats'} & set(sys.modules), sorted(sys.modules)"
+        "import sys\n"
+        "def scipy_modules(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import arcdist\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "import arcdist.cli\n"
+        "assert not scipy_modules(), scipy_modules()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

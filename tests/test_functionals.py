@@ -405,6 +405,11 @@ class TestMeanMinArcDistance:
         with pytest.raises(ValueError, match="n_scan must be an integer >= 64"):
             mean_min_arc_distance(great_circle(), n_points=1000, n_scan=32)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            mean_min_arc_distance(great_circle(), n_points=100, seed=seed)
+
 
 class TestELResiduals:
     def test_zero_colatitude_solution(self):

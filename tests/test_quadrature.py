@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import i0, roots_legendre
 
 from arcdist.curves import tennis_ball_seam
 from arcdist.functionals import mean_distance_field
@@ -277,6 +277,9 @@ class TestSphereIntegrate:
         assert calls == []
 
 
+NODE_COUNTS = [2, 3, 4, 5, 63, 128, 256, 362, 512, 724]
+
+
 class TestGaussNodes:
     @pytest.mark.parametrize("n", [4, 64, 512])
     def test_match_numpy_leggauss(self, n):
@@ -284,6 +287,39 @@ class TestGaussNodes:
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
         assert np.max(np.abs(weights - ref_weights)) <= 1e-13
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_ascending_and_exactly_symmetric(self, n):
+        nodes, weights = _leggauss(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.all(np.diff(nodes) > 0) and -1 < nodes[0] and nodes[-1] < 1
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        if n % 2:
+            assert nodes[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_even_moments_are_exact(self, n):
+        # the n-node rule integrates every polynomial of degree < 2n exactly
+        nodes, weights = _leggauss(n)
+        assert abs(np.sum(weights) - 2.0) <= 1e-15
+        for k in range(n):
+            assert abs(np.sum(weights * nodes ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-15, k
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_match_scipy_roots_legendre(self, n):
+        # scipy's own weights are off by up to 1.2e-13 at n = 724
+        nodes, weights = _leggauss(n)
+        ref_nodes, ref_weights = roots_legendre(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - ref_weights)) <= 2e-13
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_read_only(self, n):
+        nodes, weights = _leggauss(n)
+        for array in (nodes, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestNodeCap:
@@ -324,13 +360,17 @@ class TestNodeCap:
         assert calls == []
 
     def test_sphere_stops_at_the_last_level_within_the_cap(self):
+        # arccos(x . q) has a kink at q, and at an oblique q no grid line
+        # passes through it, so the two levels differ. arccos(z) would not do:
+        # both levels give its integral, 2 pi^2, to the last digit.
         calls = []
+        q = np.array([0.36, 0.48, 0.8])
 
-        def theta(x):
+        def distance_to_q(x):
             calls.append(len(x))
-            return np.arccos(x[:, 2])
+            return np.arccos(np.clip(x @ q, -1.0, 1.0))
 
-        res = sphere_integrate(theta, QuadratureRule("gauss_legendre", 362, 1e-300))
+        res = sphere_integrate(distance_to_q, QuadratureRule("gauss_legendre", 362, 1e-300))
         assert calls == [2 * 362**2, 2 * 724**2]
         assert res.nodes_used == sum(calls)
         assert res.warning == TOLERANCE_NOT_REACHED
