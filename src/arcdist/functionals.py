@@ -41,12 +41,12 @@ SPHERE_TO_CURVE_TOL = 1e-6
 DESIGN_SIZE = 122
 
 # Most entries in one block of points x curve nodes (_by_rows). At 2^16 a
-# block matrix is 512 KiB, so the two or three a reduce makes stay in a 2 MiB
-# L2 cache, and OpenBLAS runs the 3-wide product on one thread. A sweep on a
-# 2-core Xeon (2 MiB L2 a core) put 2^15-2^17 within a few percent of each
-# other; 2^14 and below lose to per-block Python overhead, and 2^18 and above
-# to cache misses and BLAS threads (2^21: 3-4x the wall time and 7x the CPU
-# time of 2^16 on the 163,840 x 512 field). A field of two blocks or more
+# block matrix is 512 KiB, so the one a reduce makes (_angles takes the arccos
+# in place) stays in a 2 MiB L2 cache, and OpenBLAS runs the 3-wide product on
+# one thread. A sweep on a 2-core Xeon (2 MiB L2 a core) put 2^15-2^17 within
+# a few percent of each other; 2^14 and below lose to per-block Python
+# overhead, and 2^18 and above to cache misses and BLAS threads (2^21: 3-4x
+# the wall time and 7x the CPU time of 2^16 on the 163,840 x 512 field). A field of two blocks or more
 # spreads its blocks over the usable cores (_by_cores), each core taking a run
 # of whole blocks; the blocks are the same at any core count, and so are the
 # field's bytes.
@@ -93,11 +93,32 @@ class ELResidual:
             raise ValueError("residuals must be finite")
 
 
-def _point_integral(angle: Callable[[np.ndarray], np.ndarray], q, rule: QuadratureRule | None) -> FunctionalResult:
-    """Surface integral of angle(q . x) over the sphere, the dot product
-    clipped to [-1, 1], by rule (default default_sphere_rule())."""
+def _angles(dots: Callable[[], np.ndarray], angle: np.ufunc = np.arccos, reduce=lambda a: a) -> np.ndarray:
+    """reduce(angle(np.clip(dots(), -1.0, 1.0))), bit for bit, with no clip pass.
+
+    dots() returns a fresh array of dot products of unit vectors, which
+    rounding pushes past +-1 only rarely (a point on a curve node, say). The
+    angle is taken in place on that array, with numpy's invalid-value
+    warning off (set here, so that it holds on _by_cores' worker threads as
+    well). Only where the result holds a NaN are the dot products formed
+    anew by dots() and clipped. reduce must keep a NaN angle as a NaN in its
+    result, as a weighted row sum does; the check reads the reduced values.
+    """
+    d = dots()
+    with np.errstate(invalid="ignore"):
+        angle(d, out=d)
+    out = reduce(d)
+    if np.isnan(out).any():
+        out = reduce(angle(np.clip(dots(), -1.0, 1.0)))
+    return out
+
+
+def _point_integral(angle: np.ufunc, q, rule: QuadratureRule | None) -> FunctionalResult:
+    """Surface integral of angle(q . x) over the sphere, by rule (default
+    default_sphere_rule()). The dot products are clipped to [-1, 1] only
+    where one leaves it (_angles), and the shared grid x is never written."""
     qv = as_unit_xyz(q)
-    return sphere_integrate(lambda x: angle(np.clip(x @ qv, -1.0, 1.0)), rule or default_sphere_rule())
+    return sphere_integrate(lambda x: _angles(lambda: x @ qv, angle), rule or default_sphere_rule())
 
 
 def mean_point_to_sphere(q, rule: QuadratureRule | None = None) -> FunctionalResult:
@@ -145,7 +166,8 @@ def point_to_curve_mean(curve: SphericalCurve, p, rule: QuadratureRule | None = 
     dom = curve.domain
 
     def dist(ts: np.ndarray) -> np.ndarray:
-        return np.arccos(np.clip(curve.positions(ts) @ qv, -1.0, 1.0))
+        r = curve.positions(ts)
+        return _angles(lambda: r @ qv)
 
     res = integrate_1d(dist, dom.t_i, dom.t_f, rule)
     period = dom.period
@@ -160,13 +182,15 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     rule's nodes are a sample grid (SphericalCurve.sample). The points x
     nodes matrix is formed in row blocks (_by_rows); a field of two blocks
     or more spreads them over the usable cores (_by_cores), and its bytes
-    do not depend on how many cores there are.
+    do not depend on how many cores there are. A block's arccos is taken in
+    place; only a block with a dot product that rounding pushed past +-1, as
+    it can for a point on a node, is formed again and clipped (_angles).
     """
     curve_rule = curve_rule or default_curve_rule()
     _, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
     C = curve.sample(w.size)[1]
     w_mean = w / curve.domain.period
-    return _by_cores(points, w.size, lambda P: np.arccos(np.clip(P @ C.T, -1.0, 1.0)) @ w_mean)
+    return _by_cores(points, w.size, lambda P: _angles(lambda: P @ C.T, reduce=lambda A: A @ w_mean))
 
 
 def _block_rows(n_nodes: int) -> int:
@@ -294,7 +318,7 @@ def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) 
         return np.column_stack([t, f])
 
     t, f = _by_rows(points, _REFINE_ENTRIES_PER_ROW, refine, (float, 2)).T
-    return np.arccos(np.clip(f, -1.0, 1.0)), curve._wrap(t)
+    return _angles(f.copy), curve._wrap(t)
 
 
 def _best_samples(C: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -35,14 +35,13 @@ ValueError). A deeper level is built, read-only, for the call that uses it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .sphere import uniform_unit_vectors
+from .sphere import require_integer, uniform_unit_vectors
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
@@ -61,17 +60,6 @@ RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 # n_theta = 512, the deepest the default sphere rule reaches (12 MiB). The
 # level n_theta = 724 that a rule from n = 362 reaches is 25 MB.
 _GRID_CACHE_POINTS = 1 << 19
-
-
-def require_integer(value, least: int, name: str) -> None:
-    """Raise ValueError unless value is an integer (operator.index) of at least
-    `least`; a bool does not count."""
-    try:
-        ok = not isinstance(value, bool) and operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class NonFiniteIntegrandError(ValueError):

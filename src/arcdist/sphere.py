@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,17 @@ TWO_PI = 2.0 * math.pi
 
 # Norm deviation above which an input is rejected as not a unit vector.
 _UNIT_NORM_ATOL = 1e-6
+
+
+def require_integer(value, least: int, name: str) -> None:
+    """Raise ValueError unless value is an integer (operator.index) of at least
+    `least`; a bool does not count."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +76,12 @@ def geodesic_distance(u, v) -> float:
 
 
 def sample_sphere_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Area-uniform (theta, phi) arrays: cos(theta) uniform on [-1, 1], phi on [0, 2pi)."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
+    """Area-uniform (theta, phi) arrays: cos(theta) uniform on [-1, 1], phi on [0, 2pi).
+
+    seed is a non-negative integer and n an integer >= 1 (require_integer).
+    """
+    require_integer(seed, 0, "seed")
+    require_integer(n, 1, "sample count")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n)
     phi = rng.uniform(0.0, TWO_PI, n)
@@ -80,9 +95,8 @@ def uniform_unit_vectors(seed: int, n: int) -> np.ndarray:
 
 
 def fibonacci_sphere_points(n: int) -> np.ndarray:
-    """Deterministic near-uniform (n, 3) design via the golden-angle lattice."""
-    if n < 1:
-        raise ValueError("design size must be >= 1")
+    """Deterministic near-uniform (n, 3) design via the golden-angle lattice; n is an integer >= 1."""
+    require_integer(n, 1, "design size")
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
@@ -91,7 +105,8 @@ def fibonacci_sphere_points(n: int) -> np.ndarray:
 
 
 def random_rotation_matrix(seed: int) -> np.ndarray:
-    """Seeded Haar-ish random rotation via a normalized random quaternion."""
+    """Seeded Haar-ish random rotation via a normalized random quaternion; seed is a non-negative integer."""
+    require_integer(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from arcdist.functionals import (
     sphere_to_curve_mean,
     sup_deviation_from_half_pi,
 )
-from arcdist.quadrature import QuadratureRule, _product_grid, default_curve_rule
+from arcdist.quadrature import (
+    QuadratureRule,
+    _product_grid,
+    default_curve_rule,
+    integrate_1d,
+    rule_nodes,
+    sphere_integrate,
+)
 from arcdist.sphere import SpherePoint, random_rotation_matrix, uniform_unit_vectors
 
 HALF_PI = 0.5 * math.pi
@@ -451,6 +459,104 @@ def test_mean_distance_field_matches_direct_node_mean():
     # and agrees with the refined pointwise functional to quadrature accuracy
     for v, q in zip(ref, pts):
         assert v == pytest.approx(point_to_curve_mean(seam, q).value, abs=1e-6)
+
+
+class TestArcKernels:
+    """Each arc-distance kernel takes its angle in place and clips only where a
+    dot product leaves [-1, 1] (functionals._angles), with the bits of the
+    clipped formula it replaces. Every test takes an input where no dot product
+    leaves [-1, 1] (a product level, or a random point for the point-to-curve
+    mean) and one where rounding pushes one past 1, so that only the clipped
+    recomputation gives a finite value; it fails once that recomputation is
+    removed. Warnings are errors: the in-place angle of a dot
+    product past 1 must warn on no thread."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def _field_reference(curve, points):
+        """mean_distance_field's clipped formula, np.arccos(np.clip(P @ C.T, -1, 1)) @ w_mean,
+        on the row blocks _by_rows cuts, and whether each block has a dot product past 1."""
+        _, w = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
+        C = curve.sample(w.size)[1]
+        rows = functionals._block_rows(w.size)
+        blocks = [points[s : s + rows] @ C.T for s in range(0, len(points), rows)]
+        field = [np.arccos(np.clip(A, -1.0, 1.0)) @ (w / curve.domain.period) for A in blocks]
+        return np.concatenate(field), [bool((A > 1.0).any()) for A in blocks]
+
+    def test_field(self):
+        seam = tennis_ball_seam(0.7037)
+        on_nodes = seam.sample(512)[1]
+        for points, past_one in ((_product_grid(64), False), (on_nodes, True)):
+            ref, blocks_past_one = self._field_reference(seam, points)
+            assert any(blocks_past_one) == past_one
+            assert np.array_equal(mean_distance_field(seam, points), ref)
+
+    def test_field_recomputes_a_block_on_a_worker_thread(self, monkeypatch):
+        # 512 rows in four blocks of 128, over two cores: the calling thread takes
+        # the first two blocks and a worker the last two, which alone hold points
+        # on the curve's nodes. The worker's arccos must not warn either.
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: 2)
+        seam = tennis_ball_seam(0.7037)
+        points = np.concatenate([uniform_unit_vectors(41, 256), seam.sample(512)[1][:256]])
+        ref, blocks_past_one = self._field_reference(seam, points)
+        assert blocks_past_one == [False, False, True, True]
+        runs, submit = [], functionals.ThreadPoolExecutor.submit
+
+        def recording_submit(pool, fn, *rows):
+            runs.append(rows)
+            return submit(pool, fn, *rows)
+
+        monkeypatch.setattr(functionals.ThreadPoolExecutor, "submit", recording_submit)
+        assert np.array_equal(mean_distance_field(seam, points), ref)
+        assert runs == [(256, 512)]
+
+    @pytest.mark.parametrize(
+        "kernel, angle, scale",
+        [(mean_point_to_sphere, np.arccos, FOUR_PI), (arcsin_identity_residual, np.arcsin, 1.0)],
+        ids=["arccos", "arcsin"],
+    )
+    def test_point_integrals(self, kernel, angle, scale):
+        # levels n_theta = 128 and 256; q from the first, whose dot product
+        # with itself rounds above 1
+        rule = QuadratureRule("gauss_legendre", 128, 1e-7)
+        for q, past_one in ((uniform_unit_vectors(43, 1)[0], False), (_product_grid(128)[6660], True)):
+            assert any((_product_grid(n) @ q > 1.0).any() for n in (128, 256)) == past_one
+            ref = sphere_integrate(lambda x: angle(np.clip(x @ q, -1.0, 1.0)), rule)
+            res = kernel(q, rule)
+            assert ref.nodes_used == res.nodes_used == 2 * 128**2 + 2 * 256**2
+            assert np.array_equal([res.value, res.error_estimate], [ref.value / scale, ref.error_estimate / scale])
+
+    def test_point_to_curve_mean(self):
+        seam = tennis_ball_seam(0.7037)
+        dom, rule = seam.domain, default_curve_rule()
+        r = seam.positions(rule_nodes(rule, dom.t_i, dom.t_f)[0])
+        for p, past_one in ((uniform_unit_vectors(47, 1)[0], False), (r[6], True)):
+            assert (r @ p > 1.0).any() == past_one
+            ref = integrate_1d(lambda t: np.arccos(np.clip(seam.positions(t) @ p, -1.0, 1.0)), dom.t_i, dom.t_f, rule)
+            assert np.array_equal(point_to_curve_mean(seam, p, rule).value, ref.value / dom.period)
+
+    def test_nearest_distance(self, monkeypatch):
+        # the distance is the clipped arccos of the refinement's last dot product
+        seam = tennis_ball_seam(0.7037)
+        dots, refine = [], functionals._nearest_parameters
+
+        def recording_refine(*args):
+            t, f = refine(*args)
+            dots.append(f.copy())
+            return t, f
+
+        monkeypatch.setattr(functionals, "_nearest_parameters", recording_refine)
+        for points, past_one in ((_product_grid(16), False), (seam.sample(4096)[1][::8], True)):
+            dots.clear()
+            d, _ = _min_distance_batch(seam, points, 4096)
+            f = np.concatenate(dots)
+            assert (f > 1.0).any() == past_one
+            assert np.array_equal(d, np.arccos(np.clip(f, -1.0, 1.0)))
 
 
 class TestRowBlocks:

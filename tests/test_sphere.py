@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arcdist import quadrature
 from arcdist.sphere import (
     SpherePoint,
     as_unit_xyz,
     fibonacci_sphere_points,
     geodesic_distance,
     random_rotation_matrix,
+    require_integer,
     sample_sphere_angles,
     uniform_unit_vectors,
 )
@@ -131,8 +133,39 @@ def test_fibonacci_design_is_unit_norm_and_deterministic():
 
 
 def test_fibonacci_design_needs_a_point():
-    with pytest.raises(ValueError, match="design size must be >= 1"):
+    with pytest.raises(ValueError, match="design size must be an integer >= 1"):
         fibonacci_sphere_points(0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_fibonacci_design_size_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="design size must be an integer >= 1"):
+        fibonacci_sphere_points(n)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", -1, None])
+def test_samplers_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    # True would otherwise draw seed 1's points and 1.5 end in numpy's TypeError
+    for sample in (lambda: uniform_unit_vectors(seed, 3), lambda: sample_sphere_angles(seed, 3)):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sample()
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        random_rotation_matrix(seed)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0])
+def test_samplers_refuse_a_count_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
+        uniform_unit_vectors(1, n)
+
+
+def test_samplers_take_numpy_integers():
+    assert np.array_equal(uniform_unit_vectors(np.int64(7), np.int32(5)), uniform_unit_vectors(7, 5))
+    assert np.array_equal(random_rotation_matrix(np.uint8(3)), random_rotation_matrix(3))
+
+
+def test_quadrature_takes_the_same_integer_check():
+    assert quadrature.require_integer is require_integer
 
 
 def test_random_rotation_is_orthogonal():
