@@ -19,6 +19,7 @@ from arcdist.curves import (
     great_circle,
     is_closed,
     _chord_candidates,
+    _leaf_pairs,
     _local_chord_minima,
     _nearest_parameters,
     _segments,
@@ -549,6 +550,25 @@ class TestChordCandidates:
         assert _chord_candidates(pts, *_segments(pts), 0.05).size == 0
 
 
+class TestLeafPairs:
+    """The leaf pass returns each pair once, in lexicographic order."""
+
+    def test_overlapping_arcs_give_each_pair_once(self):
+        # The doubled great circle's sample k coincides with sample k + 32 of
+        # 64; arcs from 0 and 1 against arcs from 32 and 33 overlap in 3 of
+        # their 4 samples, so (1, 33), (2, 34) and (3, 35) are found twice.
+        pts = great_circle((0.0, 2.0)).sample(64)[1]
+        pairs = _leaf_pairs(pts, np.array([0, 1, 60]), np.array([32, 33, 28]), 4, 1e-6)
+        expected = np.array([[0, 32], [1, 33], [2, 34], [3, 35], [4, 36], [28, 60], [29, 61], [30, 62], [31, 63]])
+        np.testing.assert_array_equal(pairs, expected)
+
+    @pytest.mark.parametrize("x, y", [([0], [32]), ([], [])], ids=["no_pair_within_capture", "no_arc"])
+    def test_no_pair_is_an_empty_integer_pair_array(self, x, y):
+        pts = tennis_ball_seam(0.7037).sample(64)[1]
+        pairs = _leaf_pairs(pts, np.array(x, dtype=int), np.array(y, dtype=int), 4, 1e-3)
+        assert pairs.shape == (0, 2) and np.issubdtype(pairs.dtype, np.integer)
+
+
 class TestEmptyLevel:
     """A level of the arc search that keeps no pair ends it: no leaf pass,
     no local-minimum filter."""
@@ -600,12 +620,18 @@ class TestEmptyLevel:
         assert found.shape == (0, 2) and np.issubdtype(found.dtype, np.integer)
 
 
-def test_import_loads_no_scipy():
-    # neither the library nor the CLI, which imports verify, loads scipy or any scipy.* module
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports arcdist from this checkout; it must exit 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = (
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # neither the library nor the CLI, which imports verify, loads scipy or any scipy.* module
+    _run_fresh(
         "import sys\n"
         "def scipy_modules(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "import arcdist\n"
@@ -613,8 +639,21 @@ def test_import_loads_no_scipy():
         "import arcdist.cli\n"
         "assert not scipy_modules(), scipy_modules()\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_leaf_pass_and_nearest_points_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process (about 15 ms);
+    # the leaf pass, which the doubled great circle reaches, sorts instead.
+    _run_fresh(
+        "import sys\n"
+        "from arcdist import curves, functionals\n"
+        "leaf, calls = curves._leaf_pairs, []\n"
+        "curves._leaf_pairs = lambda *args: calls.append(1) or leaf(*args)\n"
+        "assert curves.is_simple(curves.great_circle((0.0, 2.0)))[0] is False\n"
+        "assert calls, 'no leaf pass'\n"
+        "functionals.mean_min_arc_distance(curves.tennis_ball_seam(0.7037), 100, n_scan=256)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
 
 
 class TestNearestParameters:

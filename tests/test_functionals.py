@@ -270,20 +270,72 @@ class TestNearestRefinement:
         assert np.all(d == HALF_PI)
 
     def test_seam_needs_few_passes_per_block(self, monkeypatch):
-        # From the vertex of the parabola through the best scan sample and its
-        # neighbours, about 1e-5 from the maximum, Newton stops most rows after
-        # their second pass (the best sample alone, up to half a spacing off,
-        # took 3); bisection alone would take about 25 to shrink a 2-sample
-        # bracket to 1e-10.
+        # The start, the maximum of the degree-6 polynomial through the best
+        # scan sample and three neighbours each side, lies about 1e-13 from
+        # the curve's at 4096 samples, so every row's first Newton step is
+        # below the stopping step; from the best sample Newton takes 3 passes,
+        # and bisection alone about 25 to shrink a 2-sample bracket to 1e-10.
         passes, rows = self._count_passes(monkeypatch)
         _min_distance_batch(tennis_ball_seam(0.7037), uniform_unit_vectors(29, 10_000), 4096)
-        assert len(passes) == 5 and max(passes) <= 3
-        assert sum(rows) <= 2.2 * 10_000
+        assert passes == [1] * 5 and sum(rows) == 10_000
+
+    @pytest.mark.parametrize(
+        "curve",
+        [wavy_circle(0.286241), trig_series(theta_cos=[0.3, -0.1], theta_sin=[0.0, 0.2], phi_sin=[0.4, 0.0, 0.1])],
+        ids=["wavy", "trig_series"],
+    )
+    def test_one_pass_per_block_at_4096_samples(self, monkeypatch, curve):
+        passes, rows = self._count_passes(monkeypatch)
+        _min_distance_batch(curve, uniform_unit_vectors(29, 10_000), 4096)
+        assert passes == [1] * 5 and sum(rows) == 10_000
+
+    @pytest.mark.parametrize(
+        "curve, pts, n_scan",
+        [
+            (
+                trig_series(theta0=0.0, phi_slope=1.0, domain=(0.0, 2.0 * math.pi)),
+                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.6, 0.8, 0.0]]),
+                256,
+            ),
+            (great_circle(), np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]), 256),
+            (wavy_circle(0.7), uniform_unit_vectors(31, 2_000), 4096),
+            (wavy_circle(0.7), uniform_unit_vectors(31, 2_000), 64),
+            (tennis_ball_seam(0.7037), uniform_unit_vectors(31, 2_000), 64),
+        ],
+        ids=["point_curve", "great_circle_poles", "wavy_0.7", "wavy_0.7_64", "seam_64"],
+    )
+    def test_every_start_lies_within_a_spacing_of_its_sample(self, monkeypatch, curve, pts, n_scan):
+        starts = []
+        refine = functionals._nearest_parameters
+
+        def recording_refine(curve, targets, centers, half_width, start):
+            starts.append((centers, half_width, start))
+            return refine(curve, targets, centers, half_width, start)
+
+        monkeypatch.setattr(functionals, "_nearest_parameters", recording_refine)
+        _min_distance_batch(curve, pts, n_scan)
+        assert sum(len(c) for c, _, _ in starts) == len(pts)
+        for centers, half_width, start in starts:
+            assert half_width == curve.domain.period / n_scan
+            assert np.all((centers - half_width <= start) & (start <= centers + half_width))
+
+    def test_window_peak_finds_the_maximum_of_sampled_cosines(self):
+        # Columns f_k = cos(h (k - x*)), k = -3..3: the degree-6 polynomial
+        # through them peaks within O(h^7) of x*; a peak beyond a spacing is
+        # clipped to it, and constant columns keep the sample.
+        peaks = np.array([-0.93, -0.5, -0.1, 0.0, 0.27, 0.5, 0.81, 1.0])
+        k = np.arange(-3, 4)[:, None]
+        for h in (0.003, 0.05):
+            x = functionals._window_peak(np.cos(h * (k - peaks)))
+            assert np.max(np.abs(x - peaks)) <= 1e-9
+        far = functionals._window_peak(np.cos(0.05 * (k - np.array([-2.5, 1.7]))))
+        assert np.array_equal(far, [-1.0, 1.0])
+        assert np.array_equal(functionals._window_peak(np.full((7, 3), 0.25)), np.zeros(3))
 
     def test_doubled_great_circle_takes_one_pass_per_block(self, monkeypatch):
         # A point's dot product with the great circle is A cos(2 pi t - c), so
-        # the parabola's vertex misses its maximum by under 1e-10 in t, and the
-        # first Newton step is already below the stopping step.
+        # the start misses its maximum by under 1e-10 in t, and the first
+        # Newton step is already below the stopping step.
         passes, rows = self._count_passes(monkeypatch)
         _min_distance_batch(great_circle(), uniform_unit_vectors(29, 10_000), 4096)
         assert passes == [1] * 5 and sum(rows) == 10_000
