@@ -1,23 +1,11 @@
 """Arc-length calibration and derivative-free search over curve families.
 
 The 4pi arc-length constraint is handled by nested calibration: every
-candidate shape re-roots its designated scale parameter, so the outer
-Nelder-Mead search stays unconstrained. curves defines each family's
-scale (curves.with_scale): its series is affine in it (the great
-circle's scale instead stretches its domain at constant speed), so its
-arc length at one rule level is a closed form in the scale
-(curves.length_model). Every root is found on that closed form, on the
-rule's own nodes, and real arc lengths only confirm it: one confirming
-arc length per root, a second when the first refines deeper.
-The search's candidate evaluator warm-starts Newton from the previous
-candidate's scale. A cold root (the first candidate, `arcdist
-calibrate`, a warm start that fails) first pre-scans the closed form
-over the bracket for a sign change, then runs Newton inside it,
-safeguarded by bisecting the sign change. A report's arc length,
-residual, node count and warning are always those of an arc length
-computed at its parameter. Non-simple or uncalibratable candidates
-receive an infinite objective. SCALES gives each curve family's scale
-a label and a default bracket.
+candidate shape re-roots its family's scale (curves.with_scale) to arc
+length 4pi with calibrate_arc_length, so the outer Nelder-Mead search
+stays unconstrained. Non-simple or uncalibratable candidates receive an
+infinite objective. SCALES gives each curve family's scale a label and a
+default bracket.
 """
 
 from __future__ import annotations
@@ -32,7 +20,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
 from .functionals import DESIGN_SIZE, mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, require_integer
+from .quadrature import QuadratureRule, default_curve_rule, require_integer
 
 FOUR_PI = 4.0 * math.pi
 
@@ -160,29 +148,29 @@ def calibrate_arc_length(
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
 
-    root = None
-    if start is not None and lo <= start <= hi:
-        root = _newton_root(make_curve, float(start), (lo, hi), tol, rule)
-    if root is None:
+    warm = start is not None and lo <= start <= hi
+    report = _newton_root(make_curve, family, float(start), (lo, hi), tol, rule) if warm else None
+    if report is None:
         make_curve(hi)  # the scan builds only lo, and an end past the family's range must raise
-        root = _newton_root(make_curve, lo, (lo, hi), tol, rule, cold=True)
-    if root is None:
+        report = _newton_root(make_curve, family, lo, (lo, hi), tol, rule, cold=True)
+    if report is None:
         raise CalibrationFailedError(f"no root confirmed to |L - 4pi| <= {tol} in {NEWTON_MAX_EVALUATIONS} arc lengths")
-    return _report_length(family, *root)
+    return report
 
 
 def _newton_root(
     make_curve: Callable[[float], SphericalCurve],
+    family: str,
     p: float,
     bracket: tuple[float, float],
     tol: float,
     rule: QuadratureRule,
     cold: bool = False,
-) -> tuple[float, FunctionalResult, int, tuple[float, float], str | None] | None:
+) -> CalibrationReport | None:
     """Newton on the length model from p inside the bracket, each root
-    confirmed by an arc length (see calibrate_arc_length): the root, its
-    arc length, the arc lengths taken, the interval Newton kept to and the
-    pre-scan's warning, or None when no root is confirmed. A cold root
+    confirmed by an arc length (see calibrate_arc_length): the report of
+    the first confirmed root, whose bracket is the interval Newton kept
+    to, or None when no root is confirmed. A cold root
     pre-scans the model for a sign change, first and whenever a rebuilt
     model has none in it, and bisects it where Newton fails."""
     sub, warning = (None if cold else bracket), None
@@ -190,17 +178,19 @@ def _newton_root(
     n = 2 * rule.n
     for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
         model = curves.length_model(curve, p, rule, n)
-        root = None if sub is None else _model_root(model, p, *sub, tol, cold)
-        if root is None and cold:
+        p = None if sub is None else _model_root(model, p, *sub, tol, cold)
+        if p is None and cold:
             sub, warning = _sign_change(model, *bracket)
-            root = _model_root(model, 0.5 * (sub[0] + sub[1]), *sub, tol, cold)
-        if root is None:
+            p = _model_root(model, 0.5 * (sub[0] + sub[1]), *sub, tol, cold)
+        if p is None:
             return None
-        p = root
         curve = make_curve(p)
         length = arc_length(curve, rule)
-        if abs(length.value - FOUR_PI) <= tol:
-            return p, length, evaluations, sub, warning
+        residual = abs(length.value - FOUR_PI)
+        if residual <= tol:
+            return CalibrationReport(
+                family, p, length.value, residual, length.nodes_used, evaluations, sub, length.warning or warning
+            )
         n = length.nodes_used  # the trapezoid's levels nest: the level it settled at
     return None
 
@@ -252,14 +242,6 @@ def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: 
                 return None
             length, slope = model(p)
     return p
-
-
-def _report_length(family, p, length, iterations, bracket, warning) -> CalibrationReport:
-    """The report of the root p, from the arc length computed there."""
-    value = length.value
-    return CalibrationReport(
-        family, p, value, abs(value - FOUR_PI), length.nodes_used, iterations, bracket, length.warning or warning
-    )
 
 
 @dataclass(frozen=True)
@@ -360,7 +342,7 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         require_integer(self.max_evals, 1, "max_evals")
         require_integer(self.seed, 0, "seed")
-        if not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
+        if isinstance(self.simplex_scale, bool) or not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
             raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
 
 
@@ -435,7 +417,8 @@ def minimize_functional(
     stable sort, so ties (infeasible vertices at +inf) keep their order.
     The best-vertex objective trace is non-increasing, and every feasible
     iterate satisfies the arc-length constraint to the calibration
-    tolerance.
+    tolerance. A start that is not closed and simple raises ValueError,
+    one that does not calibrate CalibrationFailedError.
     """
     if config is None:
         config = OptimizerConfig()
@@ -443,41 +426,30 @@ def minimize_functional(
         config = dataclasses.replace(config, objective=objective)
 
     evaluate = make_candidate_evaluator(family, config)
-    trace: list[float] = []
-    state = {"evals": 0, "best": math.inf, "best_shape": None, "best_scale": math.nan, "max_resid": 0.0}
+    log: list[tuple[float, np.ndarray, float, float]] = []  # (value, shape, scale, residual) per candidate
 
     def run_eval(shape: np.ndarray) -> float:
-        if state["evals"] >= config.max_evals:
+        if len(log) >= config.max_evals:
             raise _BudgetSpent
         value, scale, resid = evaluate(shape)
-        state["evals"] += 1
-        if math.isfinite(value):
-            state["max_resid"] = max(state["max_resid"], resid)
-            if value < state["best"]:
-                state["best"] = value
-                state["best_shape"] = np.array(shape, dtype=float)
-                state["best_scale"] = scale
-        trace.append(state["best"])
+        log.append((value, np.array(shape, dtype=float), scale, resid))
         return value
 
     x0 = np.asarray(family.initial_shape, dtype=float)
     f0 = run_eval(x0)
     if not math.isfinite(f0):
-        try:
-            family.calibrate(x0, CONSTRAINT_TOL)
-        except (NoBracketError, CalibrationFailedError) as exc:
-            raise CalibrationFailedError(f"calibration failed at the initial point: {exc}") from exc
+        if math.isnan(log[0][2]):  # the evaluator's calibration failed: raise what it caught
+            try:
+                family.calibrate(x0, CONSTRAINT_TOL, SEARCH_RULE)
+            except (NoBracketError, CalibrationFailedError) as exc:
+                raise CalibrationFailedError(f"calibration failed at the initial point: {exc}") from exc
         raise ValueError("initial point is infeasible (curve not closed and simple)")
 
-    k = x0.size
-    if k == 0:
-        return _report(family, config, state, trace, f0, converged=True, warning=None)
-
-    converged = False
+    converged = x0.size == 0  # an empty shape has nothing to search
     try:
-        simplex = np.vstack([x0, x0 + config.simplex_scale * np.eye(k)])
+        simplex = np.vstack([x0, x0 + config.simplex_scale * np.eye(x0.size)])
         values = np.array([f0] + [run_eval(x) for x in simplex[1:]])
-        while state["evals"] < config.max_evals:
+        while not converged and len(log) < config.max_evals:
             order = np.argsort(values, kind="stable")
             simplex, values = simplex[order], values[order]
             if _diameter(simplex) < DIAMETER_TOL:
@@ -506,40 +478,33 @@ def minimize_functional(
                 if accepted:
                     simplex[-1], values[-1] = xc, fc
                 else:  # shrink toward the best vertex
-                    for i in range(1, k + 1):
+                    for i in range(1, len(simplex)):
                         simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                         values[i] = run_eval(simplex[i])
     except _BudgetSpent:
         pass
 
-    warning = None if converged else MAX_EVALUATIONS_REACHED
-    return _report(family, config, state, trace, f0, converged, warning)
+    objectives, shapes, scales, residuals = (np.array(column) for column in zip(*log))
+    feasible = np.where(np.isfinite(objectives), objectives, math.inf)
+    best = int(np.argmin(feasible))  # the first of equal minima
+    best_curve = family.build(shapes[best], scales[best])
+    return OptimizationReport(
+        objective=config.objective,
+        family=family.tag,
+        best_shape=tuple(float(v) for v in shapes[best]),
+        best_scale=float(scales[best]),
+        best_value=float(objectives[best]),
+        initial_value=float(f0),
+        constraint_residual=float(abs(arc_length(best_curve, default_curve_rule()).value - FOUR_PI)),
+        max_constraint_residual=float(residuals[feasible < math.inf].max(initial=0.0)),
+        evaluations=len(log),
+        converged=converged,
+        trace=tuple(float(v) for v in np.minimum.accumulate(feasible)),
+        warning=None if converged else MAX_EVALUATIONS_REACHED,
+    )
 
 
 def _diameter(simplex: np.ndarray) -> float:
     """The largest distance between two vertices (rows) of the simplex."""
     gap = simplex[:, None, :] - simplex[None, :, :]
     return math.sqrt(float(np.einsum("ijk,ijk->ij", gap, gap).max()))
-
-
-def _report(family, config, state, trace, initial_value, converged, warning) -> OptimizationReport:
-    best_shape = state["best_shape"]
-    return OptimizationReport(
-        objective=config.objective,
-        family=family.tag,
-        best_shape=tuple(float(v) for v in (best_shape if best_shape is not None else ())),
-        best_scale=float(state["best_scale"]),
-        best_value=float(state["best"]),
-        initial_value=float(initial_value),
-        constraint_residual=float("nan") if best_shape is None else _best_residual(family, state),
-        max_constraint_residual=float(state["max_resid"]),
-        evaluations=int(state["evals"]),
-        converged=bool(converged),
-        trace=tuple(float(v) for v in trace),
-        warning=warning,
-    )
-
-
-def _best_residual(family: SearchFamily, state: dict) -> float:
-    curve = family.build(np.asarray(state["best_shape"]), state["best_scale"])
-    return abs(arc_length(curve, default_curve_rule()).value - FOUR_PI)

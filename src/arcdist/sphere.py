@@ -56,11 +56,13 @@ def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def as_unit_xyz(v) -> np.ndarray:
-    """A SpherePoint or unit 3-vector (norm within 1e-6, else ValueError) as an array."""
+    """A SpherePoint or unit 3-vector (shape (3,), norm within 1e-6, else ValueError) as an array."""
     if isinstance(v, SpherePoint):
         return angles_to_xyz(v.theta, v.phi)
     v = np.asarray(v, dtype=float)
-    if abs(float(v @ v) - 1.0) > 2.0 * _UNIT_NORM_ATOL:
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector of shape (3,), got shape {v.shape}")
+    if not abs(float(v @ v) - 1.0) <= 2.0 * _UNIT_NORM_ATOL:  # also refuses NaN
         raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(v)!r}")
     return v
 

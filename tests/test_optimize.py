@@ -103,6 +103,18 @@ def _count_arc_lengths(monkeypatch):
     return calls
 
 
+def _record_calibration_rules(monkeypatch):
+    rules = []
+    real = calibrate_arc_length
+
+    def recorded(*args, rule=None, **kwargs):
+        rules.append(rule)
+        return real(*args, rule=rule, **kwargs)
+
+    monkeypatch.setattr("arcdist.optimize.calibrate_arc_length", recorded)
+    return rules
+
+
 def _bisection_oracle(make_curve, bracket, tol, rule=None):
     """Reference root by real arc lengths alone: the pre-scan's 32 points
     and sign-change choice, then bisection of arc_length - 4pi in the
@@ -376,6 +388,23 @@ class TestMinimizeFunctional:
         with pytest.raises(ValueError):
             minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
 
+    def test_an_infeasible_start_is_calibrated_once_at_the_search_rule(self, monkeypatch):
+        # the doubled great circle calibrates but is never simple: the
+        # search's own calibration of the start is the only one
+        rules = _record_calibration_rules(monkeypatch)
+        with pytest.raises(ValueError, match="not closed and simple"):
+            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+        assert len(rules) == 1 and rules[0] is SEARCH_RULE
+
+    def test_a_failed_start_calibration_is_repeated_at_the_search_rule(self, monkeypatch):
+        fam = dataclasses.replace(scale_family(wavy_circle()), scale_bracket=(0.01, 0.05))  # lengths stay below 4pi
+        rules = _record_calibration_rules(monkeypatch)
+        message = "initial point: .* no sign change on \\[0.01, 0.05\\]"
+        with pytest.raises(CalibrationFailedError, match=message) as info:
+            minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+        assert isinstance(info.value.__cause__, NoBracketError)
+        assert len(rules) == 2 and all(rule is SEARCH_RULE for rule in rules)
+
     def test_calibration_failure_at_start_raises(self):
         fam = dataclasses.replace(scale_family(wavy_circle()), scale_bracket=(0.01, 0.05))  # lengths stay below 4pi
         with pytest.raises(CalibrationFailedError):
@@ -452,7 +481,7 @@ class TestMinimizeFunctional:
         for shape, scale, resid in feasible:
             assert resid == abs(arc_length(family.build(shape, scale), SEARCH_RULE).value - FOUR_PI) <= CONSTRAINT_TOL
 
-    @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf, True])
     def test_simplex_scale_must_be_positive_and_finite(self, scale):
         with pytest.raises(ValueError):
             OptimizerConfig(simplex_scale=scale)
@@ -494,6 +523,33 @@ class TestMinimizeFunctional:
         vertices = x0 + OptimizerConfig().simplex_scale * np.eye(k)
         assert np.array_equal(np.array(shapes[k + 3 :]), x0 + 0.5 * (vertices - x0))
         assert report.best_value == 1.0 and report.best_shape == family.initial_shape
+
+    def test_report_reads_the_candidate_log(self, monkeypatch):
+        # the initial simplex's 7 candidates hold two equal minima (1.0 at the
+        # third and fifth) and two infeasible ones at (inf, nan, inf); the
+        # rest score 5.0 with the largest feasible residual
+        family = seam_seeded_family(2)
+        head = [(3.0, 1e-11), (math.inf, math.inf), (1.0, 2e-11), (math.inf, math.inf), (1.0, 3e-11), (2.0, 1e-11)]
+        log = []
+
+        def stub(family, config):
+            def evaluate(shape):
+                value, residual = head[len(log)] if len(log) < len(head) else (5.0, 4e-11)
+                scale = math.nan if math.isinf(value) else 1.0 + 0.01 * len(log)
+                log.append((np.array(shape), scale))
+                return value, scale, residual
+
+            return evaluate
+
+        monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", stub)
+        report = minimize_functional(family, config=OptimizerConfig(max_evals=12))
+        assert report.evaluations == len(report.trace) == len(log) == 12
+        assert report.trace == (3.0, 3.0) + (1.0,) * 10
+        assert (report.initial_value, report.best_value, report.best_scale) == (3.0, 1.0, 1.02)
+        assert np.array_equal(report.best_shape, log[2][0])
+        assert report.max_constraint_residual == 4e-11
+        best = family.build(log[2][0], 1.02)
+        assert report.constraint_residual == abs(arc_length(best, default_curve_rule()).value - FOUR_PI)
 
     @pytest.mark.parametrize("k", [1, 2, 6, 9])
     def test_diameter_is_the_largest_pairwise_distance(self, k):

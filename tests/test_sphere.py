@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arcdist import quadrature
+from arcdist.functionals import mean_point_to_sphere
 from arcdist.sphere import (
     SpherePoint,
     as_unit_xyz,
@@ -45,6 +46,19 @@ class TestConversions:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="expected a unit vector"):
             as_unit_xyz(np.zeros(3))
+
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError, match="expected a unit vector"):
+            as_unit_xyz([math.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "v", [[1.0, 0.0], [0.6, 0.0, 0.8, 0.0], [[0.0, 0.0, 1.0]]], ids=["two", "unit_four", "one_row"]
+    )
+    def test_anything_but_a_3_vector_rejected(self, v):
+        # each norm is 1, so only the shape check refuses them
+        for refuse in (as_unit_xyz, lambda v: geodesic_distance(v, [0.0, 1.0, 0.0]), mean_point_to_sphere):
+            with pytest.raises(ValueError, match=r"expected a 3-vector of shape \(3,\), got shape"):
+                refuse(v)
 
     def test_pole_is_phi_degenerate(self):
         for phi in (0.0, 1.0, 5.0):
