@@ -253,7 +253,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         family = dataclasses.replace(family, scale_bracket=tuple(map(float, cfg["bracket"])))
     report = family.calibrate((), **_given(cfg, "tol"))
     results = [
-        _row("calibrated_parameter", report.parameter, message=optimize.SCALES[family.tag].label),
+        _row("calibrated_parameter", report.parameter, message=curves._FAMILIES[family.tag].label),
         _row("arc_length", report.arc_length, report.residual),
         _row("residual", report.residual),
         _row("iterations", report.iterations),

@@ -20,13 +20,11 @@ import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import (
-    FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, require_integer, rule_nodes
-)
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
 from .sphere import angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
@@ -154,7 +152,7 @@ class SphericalCurve:
     rotation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_series", _FAMILIES[self.family][1](**self.params))
+        object.__setattr__(self, "_series", _FAMILIES[self.family].series(**self.params))
 
     def _wrap(self, ts: np.ndarray) -> np.ndarray:
         t_i, t_f = self.domain.t_i, self.domain.t_f
@@ -269,27 +267,40 @@ def _trig_series_coefficients(theta_cos, theta_sin, phi_sin, theta0, phi0, phi_s
     return _TrigSeries(theta0=theta0, phi0=phi0, phi_slope=phi_slope, harmonics=tuple(rows))
 
 
-#: JSON family tag -> (public constructor, params -> trig-series coefficients,
-#: scale). The constructor's keywords other than `domain` are the tag's
-#: params, and its `domain` default is the tag's default domain. The scale
-#: is the param that arc-length calibration roots to 4pi, and every
-#: coefficient is affine in it; None (the great circle) means that the
-#: scale s stretches the domain to [t_i, t_i + s (t_f - t_i)] instead.
+class _Family(NamedTuple):
+    """A JSON family tag's entry in _FAMILIES.
+
+    make is the public constructor: its keywords other than `domain` are
+    the tag's params, and its `domain` default is the tag's default domain.
+    series maps the params to the trig-series coefficients. scale is the
+    param that arc-length calibration roots to 4pi, and every coefficient is
+    affine in it; None (the great circle) means that the scale s stretches
+    the domain to [t_i, t_i + s (t_f - t_i)] instead. label names the scale
+    in reports, and bracket is calibration's default bracket for it.
+    """
+
+    make: Callable[..., SphericalCurve]
+    series: Callable[..., _TrigSeries]
+    scale: str | None
+    label: str
+    bracket: tuple[float, float]
+
+
 _FAMILIES = {
-    GREAT_CIRCLE: (great_circle, lambda: _TrigSeries(theta_slope=_TWO_PI), None),
-    TENNIS_BALL: (
+    GREAT_CIRCLE: _Family(great_circle, lambda: _TrigSeries(theta_slope=_TWO_PI), None, "domain scale", (0.5, 1.5)),
+    TENNIS_BALL: _Family(
         tennis_ball_seam,
         lambda a: _TrigSeries(
             theta0=0.5 * math.pi, phi_slope=0.5, harmonics=((1, -(0.5 * math.pi - a), 0.0, 0.0), (2, 0.0, 0.0, a))
         ),
-        "a",
+        "a", "seam amplitude a", (0.1, 1.4),
     ),
-    WAVY_CIRCLE: (
+    WAVY_CIRCLE: _Family(
         wavy_circle,
         lambda b: _TrigSeries(theta0=0.75 * math.pi, phi_slope=1.0, harmonics=((10, 0.0, b, 0.0),)),
-        "b",
+        "b", "wavy amplitude b", (0.01, 0.6),
     ),
-    TRIG_SERIES: (trig_series, _trig_series_coefficients, "amplitude"),
+    TRIG_SERIES: _Family(trig_series, _trig_series_coefficients, "amplitude", "series amplitude", (0.05, 2.5)),
 }
 
 
@@ -299,13 +310,13 @@ def with_scale(curve: SphericalCurve, s: float) -> SphericalCurve:
     series' amplitude, rebuilt through the family's constructor, so a scale
     outside its range raises; the great circle's s stretches the domain to
     [t_i, t_i + s (t_f - t_i)]."""
-    make, _, name = _FAMILIES[curve.family]
+    family = _FAMILIES[curve.family]
     params, t_i, t_f = dict(curve.params), curve.domain.t_i, curve.domain.t_f
-    if name is None:
+    if family.scale is None:
         t_f = t_i + s * curve.domain.period
     else:
-        params[name] = s
-    scaled = make(**params, domain=(t_i, t_f))
+        params[family.scale] = s
+    scaled = family.make(**params, domain=(t_i, t_f))
     return scaled if curve.rotation is None else replace(scaled, rotation=curve.rotation)
 
 
@@ -314,8 +325,8 @@ def _scale_rates(curve: SphericalCurve) -> _TrigSeries:
     scale param: its coefficients at s = 1 less those at s = 0, matched by
     harmonic. Every coefficient map is affine in its scale, and the
     difference is exact for those of _FAMILIES."""
-    _, series, name = _FAMILIES[curve.family]
-    one, zero = (series(**{**curve.params, name: s}) for s in (1.0, 0.0))
+    family = _FAMILIES[curve.family]
+    one, zero = (family.series(**{**curve.params, family.scale: s}) for s in (1.0, 0.0))
     rows = {j: (a, b, c) for j, a, b, c in one.harmonics}
     for j, a, b, c in zero.harmonics:
         a1, b1, c1 = rows.get(j, (0.0, 0.0, 0.0))
@@ -358,7 +369,7 @@ def from_spec(spec: dict | str | Path) -> SphericalCurve:
     family = spec.get("family")
     if family not in _FAMILIES:
         raise CurveSpecError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
-    make = _FAMILIES[family][0]
+    make = _FAMILIES[family].make
     keywords = inspect.signature(make).parameters
 
     params = spec.get("params", {})
@@ -426,7 +437,7 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
     theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
-    if _FAMILIES[curve.family][2] is None:
+    if _FAMILIES[curve.family].scale is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
         theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=curve.domain)
@@ -588,8 +599,10 @@ _TIE_FREE_SEGMENT = 1e-6
 
 
 #: is_simple flags two parameters within this chordal distance as a
-#: self-intersection.
+#: self-intersection ...
 SIMPLE_EPS = 1e-4
+#: ... on a grid of this many equispaced samples.
+SIMPLE_SAMPLES = 4096
 
 #: Sampled chords within this of the least tie for the decisive witness.
 #: Twin pairs, such as (t, t') and (t + 2pi, t' + 2pi) on a trig_series
@@ -761,12 +774,12 @@ def _local_chord_minima(pts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return pairs[local_min]
 
 
-def is_simple(curve: SphericalCurve, n_samples: int = 4096) -> tuple[bool, tuple[float, float] | None]:
+def is_simple(curve: SphericalCurve) -> tuple[bool, tuple[float, float] | None]:
     """Detect self-intersections by dense sampling plus local refinement.
 
     Flags the curve non-simple when it finds two parameters more than 3
     sample spacings apart around the curve within chordal distance
-    eps = SIMPLE_EPS, on a grid of n_samples >= 64.
+    eps = SIMPLE_EPS, on a grid of SIMPLE_SAMPLES equispaced samples.
     Candidates are the sample pairs within the capture radius (twice the
     longest sample chord, at least 2 eps) whose integer index separation
     exceeds 3 and whose sampled chord is a discrete local minimum over the
@@ -794,10 +807,9 @@ def is_simple(curve: SphericalCurve, n_samples: int = 4096) -> tuple[bool, tuple
     change with the last bits of the curve. Returns (simple, witness
     parameter pair or None).
     """
-    require_integer(n_samples, 64, "n_samples")
     dom = curve.domain
     period = dom.period
-    ts, pts = curve.sample(n_samples)
+    ts, pts = curve.sample(SIMPLE_SAMPLES)
     seg, length = _segments(pts)
     max_adj = float(length.max())
     # Degenerate point-like curve: every pair coincides. (Its sample chords
@@ -815,12 +827,12 @@ def is_simple(curve: SphericalCurve, n_samples: int = 4096) -> tuple[bool, tuple
         i, j = pairs[np.argmax(chord <= chord.min() + _WITNESS_SLACK)]
         return False, (float(ts[i]), float(ts[j]))
 
-    t1, t2, inside = _closest_parameters(curve, ts[pairs[:, 0]], ts[pairs[:, 1]], 1.5 * period / n_samples)
+    t1, t2, inside = _closest_parameters(curve, ts[pairs[:, 0]], ts[pairs[:, 1]], 1.5 * period / SIMPLE_SAMPLES)
     t1 = curve._wrap(t1)
     t2 = curve._wrap(t2)
     dist = np.linalg.norm(curve.positions(t1) - curve.positions(t2), axis=1)
     dt = np.abs(t1 - t2)
-    admissible = inside & (np.minimum(dt, period - dt) > 3.0 * period / n_samples)
+    admissible = inside & (np.minimum(dt, period - dt) > 3.0 * period / SIMPLE_SAMPLES)
     hits = np.nonzero(admissible & (dist < SIMPLE_EPS))[0]
     if hits.size:
         return False, (float(t1[hits[0]]), float(t2[hits[0]]))

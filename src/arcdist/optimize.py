@@ -4,8 +4,8 @@ The 4pi arc-length constraint is handled by nested calibration: every
 candidate shape re-roots its family's scale (curves.with_scale) to arc
 length 4pi with calibrate_arc_length, so the outer Nelder-Mead search
 stays unconstrained. Non-simple or uncalibratable candidates receive an
-infinite objective. SCALES gives each curve family's scale a label and a
-default bracket.
+infinite objective. Each curve family's scale, with its label and its
+default bracket, is the family's entry in curves._FAMILIES.
 """
 
 from __future__ import annotations
@@ -245,24 +245,6 @@ def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: 
 
 
 @dataclass(frozen=True)
-class ScaleParameter:
-    """A curve family's calibration scale, as curves.with_scale defines it:
-    its label and its default bracket."""
-
-    label: str
-    bracket: tuple[float, float]
-
-
-#: Curve family tag -> the scale parameter that calibration roots to 4pi.
-SCALES = {
-    curves.TENNIS_BALL: ScaleParameter("seam amplitude a", (0.1, 1.4)),
-    curves.WAVY_CIRCLE: ScaleParameter("wavy amplitude b", (0.01, 0.6)),
-    curves.GREAT_CIRCLE: ScaleParameter("domain scale", (0.5, 1.5)),
-    curves.TRIG_SERIES: ScaleParameter("series amplitude", (0.05, 2.5)),
-}
-
-
-@dataclass(frozen=True)
 class SearchFamily:
     """A parametric curve family with one designated scale parameter.
 
@@ -297,8 +279,9 @@ class SearchFamily:
 
 def scale_family(curve: SphericalCurve) -> SearchFamily:
     """Degenerate family: no free shape; the scale is curve's family scale
-    (curves.with_scale), within its SCALES bracket."""
-    return SearchFamily(curve.family, (), lambda shape, p: curves.with_scale(curve, p), SCALES[curve.family].bracket)
+    (curves.with_scale), within its family's default bracket."""
+    bracket = curves._FAMILIES[curve.family].bracket
+    return SearchFamily(curve.family, (), lambda shape, p: curves.with_scale(curve, p), bracket)
 
 
 def seam_seeded_family(J: int = 3) -> SearchFamily:
@@ -307,14 +290,16 @@ def seam_seeded_family(J: int = 3) -> SearchFamily:
 
     Shape layout: [a_1..a_J, b_1..b_J, c_1..c_J] for
     theta = pi/2 + amp * (sum a_j cos jt + b_j sin jt),
-    phi = t/2 + amp * sum c_j sin jt, on [0, 4pi]. The seam embeds as
-    a_1 = -(pi/2 - a), c_2 = a with unit amplitude, a = curves.TENNIS_BALL_A.
+    phi = t/2 + amp * sum c_j sin jt, on [0, 4pi]. The start is the
+    harmonics of the tennis ball's series at a = curves.TENNIS_BALL_A, so
+    at unit amplitude the curve is the seam, whose theta0, phi slope and
+    domain are those above.
     For another start, dataclasses.replace(family, initial_shape=...).
     """
     require_integer(J, 2, "J")  # the seam shape needs two harmonics
-    shape = [0.0] * (3 * J)
-    shape[0] = -(0.5 * math.pi - curves.TENNIS_BALL_A)
-    shape[2 * J + 1] = curves.TENNIS_BALL_A
+    shape = np.zeros((3, J))
+    for j, *abc in curves._FAMILIES[curves.TENNIS_BALL].series(curves.TENNIS_BALL_A).harmonics:
+        shape[:, j - 1] = abc
 
     def build(shape: np.ndarray, scale: float) -> SphericalCurve:
         shape = np.asarray(shape, dtype=float)
@@ -325,7 +310,8 @@ def seam_seeded_family(J: int = 3) -> SearchFamily:
             amplitude=scale,
         )
 
-    return SearchFamily(curves.TRIG_SERIES, tuple(shape), build, SCALES[curves.TRIG_SERIES].bracket)
+    bracket = curves._FAMILIES[curves.TRIG_SERIES].bracket
+    return SearchFamily(curves.TRIG_SERIES, tuple(shape.ravel().tolist()), build, bracket)
 
 
 @dataclass(frozen=True)

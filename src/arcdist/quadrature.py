@@ -261,6 +261,14 @@ def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
     them) and equal angles_to_xyz of the flattened grid bit for bit. They
     are built once and shared, read-only, by every call at that level: g
     must not write into its argument, and a write raises ValueError.
+    The grid is antipodally symmetric: the Gauss nodes in cos(theta) are
+    symmetric and n_phi is even, so with each node x it holds -x at the same
+    weight, up to rounding. An integrand with g(x) + g(-x) constant, such as
+    arccos(q.x), arcsin(q.x) or the parameter-mean field, is therefore
+    integrated exactly at every level: verify rows 1, 2, 7 and 8 and eval's
+    sphere_to_curve_mean carry rounding, not convergence, in their error
+    estimates. The estimate |I(2n) - I(n)| is a difference, not a bound; on
+    integrands without that symmetry it can fall below the error.
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
     the sample standard error as the estimate. A periodic_trapezoid rule

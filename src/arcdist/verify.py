@@ -28,8 +28,6 @@ from .sphere import (
 
 HALF_PI = 0.5 * math.pi
 TWO_PI_SQ = 2.0 * math.pi**2
-SEAM_A_REF = curves.TENNIS_BALL_A
-WAVY_B_REF = curves.WAVY_CIRCLE_B
 #: the seed every random draw of the table derives from.
 SEED = 42
 #: criterion 12's optimizer budget.
@@ -150,7 +148,7 @@ def criterion_4_great_circle_field(ctx: VerifyContext) -> list[ClaimRow]:
 
 def criterion_5_wavy_pole_value(ctx: VerifyContext) -> list[ClaimRow]:
     """Mean distance from (theta0=0, phi0=1) to the wavy circle is 3 pi/4."""
-    curve = curves.wavy_circle(WAVY_B_REF)
+    curve = curves.wavy_circle(curves.WAVY_CIRCLE_B)
     res = functionals.point_to_curve_mean(curve, SpherePoint(0.0, 1.0), default_curve_rule(tol=1e-10))
     target = 0.75 * math.pi
     return [
@@ -169,22 +167,22 @@ def criterion_5_wavy_pole_value(ctx: VerifyContext) -> list[ClaimRow]:
 def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
     """Arc-length roots vs the published amplitudes (tol 5e-4 on the parameter)."""
     cal = ctx.seam_calibration
-    dev = abs(cal.parameter - SEAM_A_REF)
+    dev = abs(cal.parameter - curves.TENNIS_BALL_A)
     seam_row = _within(
         "6a. seam amplitude root of L - 4pi",
         cal.parameter,
-        SEAM_A_REF,
+        curves.TENNIS_BALL_A,
         5e-4,
         error_estimate=cal.residual,
         message=f"deviation {dev:.2e}; the 4pi constraint alone reproduces the reference value",
     )
     cal = ctx.wavy_calibration
-    dev = abs(cal.parameter - WAVY_B_REF)
-    length_at_ref = curves.arc_length(curves.wavy_circle(WAVY_B_REF))
+    dev = abs(cal.parameter - curves.WAVY_CIRCLE_B)
+    length_at_ref = curves.arc_length(curves.wavy_circle(curves.WAVY_CIRCLE_B))
     wavy_row = _within(
         "6b. wavy amplitude root of L - 4pi",
         cal.parameter,
-        WAVY_B_REF,
+        curves.WAVY_CIRCLE_B,
         5e-4,
         error_estimate=cal.residual,
         message=(

@@ -21,10 +21,9 @@ from types import SimpleNamespace
 import pytest
 
 from arcdist import verify
+from arcdist.curves import TENNIS_BALL_A, WAVY_CIRCLE_B
 from arcdist.quadrature import FunctionalResult
 from arcdist.verify import (
-    SEAM_A_REF,
-    WAVY_B_REF,
     ClaimRow,
     VerifyContext,
     criterion_1_point_to_sphere,
@@ -84,7 +83,7 @@ def test_criterion_5_wavy_counterexample_value(table):
 
 def test_criterion_6_seam_amplitude(ctx):
     cal = ctx.seam_calibration
-    dev = abs(cal.parameter - SEAM_A_REF)
+    dev = abs(cal.parameter - TENNIS_BALL_A)
     print(f"{'PASS' if dev <= 5e-4 else 'FAIL'} 6a. seam amplitude root: {cal.parameter:.7f} (dev {dev:.2e})")
     assert cal.residual <= 1e-6
     assert dev <= 5e-4
@@ -95,7 +94,7 @@ def test_criterion_6_wavy_amplitude(ctx):
     # arc-length root is ~0.28624, not the published 0.1856. The verify
     # table reports the computed root and fails this row with a message.
     cal = ctx.wavy_calibration
-    dev = abs(cal.parameter - WAVY_B_REF)
+    dev = abs(cal.parameter - WAVY_CIRCLE_B)
     print(f"{'PASS' if dev <= 5e-4 else 'FAIL'} 6b. wavy amplitude root: {cal.parameter:.7f} (dev {dev:.2e})")
     assert cal.residual <= 1e-6
     assert dev <= 5e-4, (

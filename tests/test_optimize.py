@@ -343,6 +343,14 @@ class TestSearchFamilies:
         )
         assert rep.parameter == pytest.approx(1.0, abs=5e-4)
 
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    def test_start_at_unit_amplitude_is_the_seam(self, J):
+        fam = seam_seeded_family(J)
+        start = fam.build(np.array(fam.initial_shape), 1.0)
+        seam = tennis_ball_seam()
+        assert start._series == seam._series
+        assert start.sample(4096)[1].tobytes() == seam.sample(4096)[1].tobytes()
+
     @pytest.mark.parametrize("J", [1, 2.5, True])
     def test_shape_layout_validated(self, J):
         with pytest.raises(ValueError, match="J must be an integer >= 2"):

@@ -26,7 +26,7 @@ from arcdist.quadrature import (
     sample_mean,
     sphere_integrate,
 )
-from arcdist.sphere import angles_to_xyz, random_rotation_matrix
+from arcdist.sphere import angles_to_xyz, random_rotation_matrix, uniform_unit_vectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -275,6 +275,40 @@ class TestSphereIntegrate:
         with pytest.raises(ValueError, match="periodic_trapezoid"):
             sphere_integrate(lambda x: calls.append(x) or np.ones(len(x)), QuadratureRule("periodic_trapezoid", 8, 1e-9))
         assert calls == []
+
+    # One doubling step from each n: the value is the level 2n, the estimate its difference from level n.
+    DOUBLING_RULES = [QuadratureRule("gauss_legendre", n, 1.0) for n in (64, 128, 256)]
+
+    def test_antipodally_balanced_integrands_are_exact_to_rounding(self):
+        # arccos(q.x) + arccos(-q.x) = pi, and the product grid is antipodally
+        # symmetric, so every level integrates it to 2 pi^2 up to rounding
+        for q in uniform_unit_vectors(2024, 20):
+            for rule in self.DOUBLING_RULES:
+                res = sphere_integrate(lambda x: np.arccos(np.clip(x @ q, -1.0, 1.0)), rule)
+                assert abs(res.value - 2.0 * math.pi**2) <= 1e-13
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "the doubling estimate is a difference, not a bound: on |q.x| (2 pi) one or two of 20 q "
+            "miss at every level, one at n_theta 128->256 by 1.26e-6 against an estimate of 8.07e-8 "
+            "(15.6x); on arccos(q.x)^2 (2 pi (pi^2 - 4)) one at 256->512 by 4.34e-8 against 1.54e-8 (2.8x)"
+        ),
+    )
+    def test_doubling_estimate_bounds_the_error_without_antipodal_balance(self):
+        integrands = [
+            (lambda q: lambda x: np.abs(x @ q), TWO_PI),
+            (lambda q: lambda x: np.arccos(np.clip(x @ q, -1.0, 1.0)) ** 2, TWO_PI * (math.pi**2 - 4.0)),
+        ]
+        misses = []
+        for make, exact in integrands:
+            for rule in self.DOUBLING_RULES:
+                for k, q in enumerate(uniform_unit_vectors(2024, 20)):
+                    res = sphere_integrate(make(q), rule)
+                    if abs(res.value - exact) > res.error_estimate:
+                        misses.append((exact, rule.n, k, abs(res.value - exact), res.error_estimate))
+        assert misses == []
 
 
 NODE_COUNTS = [2, 3, 4, 5, 63, 128, 256, 362, 512, 724]
