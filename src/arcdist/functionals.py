@@ -66,7 +66,11 @@ _REFINE_ENTRIES_PER_ROW = 32
 # at 4 sqrt(n) and 37-49 ms for the full scan) and at 1024 x 1024 (1.09-1.48
 # ms, against 1.36-1.76, 1.12-1.72 and 1.17-1.77 ms; the full scan took
 # 1.23-1.32 ms): narrower arcs cost more Python per sample kept, wider ones
-# keep more samples.
+# keep more samples. It stayed first once a block's arcs took five numpy
+# calls each in place of thirteen (medians over the seam, the wavy and the
+# doubled great circles and two trig series: 13.5 ms against 15.4, 17.1 and
+# 22.6 ms at 1.5, 3 and 1 sqrt(n) samples an arc, and 1.43 ms against
+# 1.50-1.62 ms at 1024 x 1024).
 _SCAN_ARC_ROOTS = 2
 # Distance slack of the scan's arc-ball bound. A chord taken from a dot
 # product is off by up to the square root of the product's few-ulp error,
@@ -235,8 +239,10 @@ def _by_cores(points, n_nodes: int, reduce) -> np.ndarray:
     BLAS rounds a row by its place in its block, so the values are that
     call's bits at any core count. numpy's ufuncs and BLAS release the GIL
     for a block's work, so the threads overlap. A field of one block stays
-    on the calling thread. The threads live for one call: a pool kept
-    across calls would hang the next call in a child made by os.fork().
+    on the calling thread. An exception raised on a run's thread reaches
+    the caller once every run has ended. The threads live for one call: a
+    pool kept across calls would hang the next call in a child made by
+    os.fork().
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = _block_rows(n_nodes)
@@ -302,14 +308,21 @@ def _min_distance_batch(curve: SphericalCurve, points: np.ndarray, n_scan: int) 
     that forms the dot products with only the arcs of samples that can hold
     it (_best_samples). Newton-bisection refinement
     (curves._nearest_parameters) then finds the nearest parameter within
-    one sample spacing of it; each row block is scanned and refined in one
-    pass. The refinement starts at the maximum of the degree-6 polynomial
-    through the dot products with the best sample and the three samples on
-    each side around the closed curve (_window_peak), which at 4096
-    samples lies about 1e-13 from the curve's, so a row stops after one
-    evaluation of the curve. The distance is the arccos of the dot product
-    at the refinement's last evaluated parameter, which is within
-    _NEAREST_STEP of the returned, wrapped one.
+    one sample spacing of it. The refinement starts at the maximum of the
+    degree-6 polynomial through the dot products with the best sample and
+    the three samples on each side around the closed curve (_window_peak),
+    which at 4096 samples lies about 1e-13 from the curve's, so a row stops
+    after one evaluation of the curve. The distance is the arccos of the
+    dot product at the refinement's last evaluated parameter, which is
+    within _NEAREST_STEP of the returned, wrapped one.
+
+    Each row block of 2048 points is scanned and refined in one pass, and
+    a row's result does not depend on the other rows of its block. The
+    blocks stay on the calling thread. Their numpy calls last microseconds,
+    so two threads spend much of their time handing the GIL back and forth:
+    spread over two cores (_by_cores), the benchmark's calls ran about 10%
+    more a second for about 30% more CPU each with both cores free, and 13%
+    fewer a second with another process on the second core (BENCH_34.json).
     """
     require_integer(n_scan, 64, "n_scan")
     ts, C = curve.sample(n_scan)
@@ -370,37 +383,55 @@ def _best_samples(C: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     Arc k is dropped for p when that exceeds |p - c*| + _SCAN_SLACK, c* the
     nearest centre, which is itself a sample: every sample of the arc then
     has a smaller dot product with p than c*. The chords come from dot
-    products, as in the far-pair rule of curves._chord_candidates. The arcs
-    left are scanned in ascending order, one product each, and a point's
-    best changes only for a strictly larger dot product, so ties still go to
-    the smallest index.
+    products, as in the far-pair rule of curves._chord_candidates. Each arc
+    forms one product with all of its live points, and a point's best is its
+    largest dot product over its live arcs, at the smallest index that
+    holds it, so ties still go to the smallest index. The scan's time goes
+    mostly to numpy calls rather than to its dot products (3-8.5M on a
+    10,000-point batch), so a block makes only five calls an arc.
     """
     n = len(C)
     n_arcs = max(1, math.isqrt(n) // _SCAN_ARC_ROOTS)
     starts = np.arange(n_arcs + 1) * n // n_arcs
     centres, radii = _arc_balls(C, _segments(C)[1])(starts[:-1], np.diff(starts))
     reach = radii[:, None] + _SCAN_SLACK
+    minus_twice_centres = -2.0 * centres
+    # Each arc's samples as a (3, m) matrix, twice: contiguous for a product
+    # with two points or more, one gemm that is 1.4-1.7x faster than on the
+    # transposed view at 100-400 points (2-core Xeon) and gives the same
+    # bits; as that view for a single point, which numpy takes as a
+    # matrix-vector product whose bits follow the layout.
+    arcs = [(C[a:b].T, C[a:b].T.copy()) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
 
     def scan(P: np.ndarray) -> np.ndarray:
         # Squared chords from the centres (rows) to the points (columns), the
         # centres' norms taken as 1: that rounding is far below the slack.
-        square_gap = centres @ P.T
-        square_gap *= -2.0
+        # Scaling by -2 is exact, so it may go before the product.
+        square_gap = minus_twice_centres @ P.T
         square_gap += np.einsum("ij,ij->i", P, P) + 1.0
         bound = np.sqrt(np.maximum(square_gap.min(axis=0), 0.0)) + reach
         live = square_gap <= np.square(bound, out=bound)
-        best = np.full(len(P), -np.inf)
-        best_idx = np.zeros(len(P), np.int64)
+        # The live (arc, point) pairs in ascending arc order, one run of
+        # points an arc, each run scanned with one product.
+        pairs = np.flatnonzero(live)
+        ends = np.searchsorted(pairs, np.arange(1, n_arcs + 1) * len(P)).tolist()
+        row = pairs % len(P)
+        Q = P.take(row, axis=0)
+        j = np.empty(row.size, np.intp)
+        v = np.empty(row.size)
         cols = np.arange(len(P))
-        for k in np.flatnonzero(live.any(axis=1)):
-            rows = live[k].nonzero()[0]
-            dots = P.take(rows, axis=0) @ C[starts[k] : starts[k + 1]].T
-            j = dots.argmax(axis=1)
-            v = dots[cols[: rows.size], j]
-            up = v > best[rows]
-            rows = rows[up]
-            best[rows] = v[up]
-            best_idx[rows] = j[up] + starts[k]
+        a = 0
+        for k, b in enumerate(ends):
+            if b > a:
+                dots = Q[a:b] @ arcs[k][b - a > 1]
+                v[a:b] = dots[cols[: b - a], dots.argmax(axis=1, out=j[a:b])]
+                j[a:b] += starts[k]
+                a = b
+        best = np.full(len(P), -np.inf)
+        np.maximum.at(best, row, v)
+        top = v == best[row]
+        best_idx = np.full(len(P), n)  # every point keeps its nearest centre's arc, so ends below n
+        np.minimum.at(best_idx, row[top], j[top])
         return best_idx
 
     return scan

@@ -34,7 +34,8 @@ DIAMETER_TOL = 1e-6
 
 
 class NoBracketError(ValueError):
-    """The pre-scan found no sign change of the length model's L - 4pi in the bracket."""
+    """The length model's L - 4pi has no root to find in the bracket: the
+    pre-scan found no sign change, or the scale moves no coefficient."""
 
 
 class CalibrationFailedError(RuntimeError):
@@ -141,7 +142,10 @@ def calibrate_arc_length(
     the sign change instead (_model_root), so a cold root cannot fail on
     the model; a rebuilt L_n with no sign change in the subinterval
     rescans the bracket. Both bracket ends are built, so an end outside
-    the family's range raises. Deterministic for fixed inputs.
+    the family's range raises. A scale that moves no coefficient of the
+    family's series (curves._scale_rates all zero) leaves every member the
+    same curve, so a cold root raises NoBracketError first, before it
+    builds the high end or pre-scans. Deterministic for fixed inputs.
     """
     rule = rule or default_curve_rule()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -151,11 +155,25 @@ def calibrate_arc_length(
     warm = start is not None and lo <= start <= hi
     report = _newton_root(make_curve, family, float(start), (lo, hi), tol, rule) if warm else None
     if report is None:
+        _require_a_scaled_coefficient(make_curve(lo), rule)
         make_curve(hi)  # the scan builds only lo, and an end past the family's range must raise
         report = _newton_root(make_curve, family, lo, (lo, hi), tol, rule, cold=True)
     if report is None:
         raise CalibrationFailedError(f"no root confirmed to |L - 4pi| <= {tol} in {NEWTON_MAX_EVALUATIONS} arc lengths")
     return report
+
+
+def _require_a_scaled_coefficient(curve: SphericalCurve, rule: QuadratureRule) -> None:
+    """NoBracketError when curve's family scale moves no coefficient of
+    its series: the length model is then one constant, and no bracket can
+    hold a root of it."""
+    family = curves._FAMILIES[curve.family]
+    if family.scale is not None and curves._scale_rates(curve) == curves._TrigSeries():
+        raise NoBracketError(
+            f"the {family.label} scales no coefficient of this {curve.family} curve, so every scale "
+            f"gives the same curve, of arc length {arc_length(curve, rule).value:.6g}, and none reaches "
+            f"{FOUR_PI:.6g}"
+        )
 
 
 def _newton_root(
@@ -234,7 +252,8 @@ def _model_root(model: curves.LengthModel, p: float, lo: float, hi: float, tol: 
         resid = length - FOUR_PI
         if bracketed:
             lo, hi = (p, hi) if (resid < 0.0) == lo_below else (lo, p)
-        p = min(max(p - resid / slope, lo), hi)
+        if slope:  # at a zero slope p stays, and the step fails the test below
+            p = min(max(p - resid / slope, lo), hi)
         length, slope = model(p)
         if not abs(length - FOUR_PI) <= 0.5 * abs(resid):  # also catches a NaN step
             p = 0.5 * (lo + hi)

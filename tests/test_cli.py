@@ -195,6 +195,14 @@ class TestCalibrate:
         assert code == 2
         assert "seam amplitude must lie in (0, pi/2)" in err
 
+    def test_default_trig_series_names_its_unscaled_series(self, capsys):
+        # every amplitude gives the equator, so the failure names that cause,
+        # not the bracket
+        code, _, err = run(["calibrate", "--curve", '{"family":"trig_series"}'], capsys)
+        assert code == 3
+        assert "series amplitude scales no coefficient of this trig_series curve" in err
+        assert "no sign change" not in err
+
     def test_no_bracket_is_numerical_failure(self, capsys):
         code, _, err = run(
             ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.3", "0.5"], capsys

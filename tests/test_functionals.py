@@ -722,6 +722,34 @@ class TestFieldOnCores:
         with pytest.raises(AssertionError, match="a thread was started"):
             mean_distance_field(seam, uniform_unit_vectors(1, 300))
 
+    def test_nearest_point_batch_starts_no_thread(self, monkeypatch):
+        # The batch's blocks stay on the calling thread at any size: eval's
+        # 10,000 points (5 blocks), a single point and the optimizer's
+        # mean_min objective (1024 points, 1024 samples).
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        seam = tennis_ball_seam(0.7037)
+        d, t = _min_distance_batch(seam, uniform_unit_vectors(5, 10_000), 4096)
+        assert np.isfinite(d).all() and np.isfinite(t).all()
+        assert math.isfinite(point_to_curve_min(seam, SpherePoint(0.3, 1.1))[0])
+        assert math.isfinite(mean_min_arc_distance(seam, n_points=1024, n_scan=1024).value)
+
+    def test_an_exception_on_a_worker_reaches_the_caller(self, monkeypatch):
+        # 1000 rows in blocks of 64 over two runs: the worker's run holds the
+        # rows from 512 on, and the calling thread's run finishes first
+        def reduce(P):
+            if P[0, 0] >= 512:
+                raise FloatingPointError(f"block at row {int(P[0, 0])}")
+            return P[:, 0].copy()
+
+        monkeypatch.setattr(functionals, "_usable_cores", lambda: 2)
+        pts = np.repeat(np.arange(1000.0)[:, None], 3, axis=1)
+        with pytest.raises(FloatingPointError, match="block at row 512"):
+            _by_cores(pts, 1 << 10, reduce)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_field_after_fork_matches_the_parent(self, monkeypatch, tmp_path):
         # The parent's multi-block field runs threads; a child forked after it

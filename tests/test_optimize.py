@@ -60,6 +60,17 @@ class TestCalibration:
         with pytest.raises(NoBracketError):
             calibrate_arc_length(lambda a: tennis_ball_seam(a), (0.3, 0.5), tol=1e-6)
 
+    @pytest.mark.parametrize("start, built_first", [(None, []), (1.0, [1.0])])
+    def test_a_scale_that_moves_no_coefficient_raises_before_any_scan(self, monkeypatch, start, built_first):
+        # the default trig series is the equator at every amplitude: after a
+        # warm start fails, the cold root builds only the bracket's low end,
+        # and never pre-scans
+        built = []
+        monkeypatch.setattr("arcdist.optimize._sign_change", None)
+        with pytest.raises(NoBracketError, match="series amplitude scales no coefficient.* arc length 6.28319"):
+            calibrate_arc_length(lambda s: built.append(s) or trig_series(amplitude=s), (0.05, 2.5), start=start)
+        assert built == built_first + [0.05]
+
     def test_multiple_sign_changes_flagged(self):
         # L - 4pi crosses zero near 0.03 and again near 0.704
         rep = calibrate_arc_length(lambda a: tennis_ball_seam(a), (0.01, 1.4), family="tennis_ball", tol=1e-6)
@@ -292,9 +303,10 @@ def _synthetic_model(slope_of):
 
 
 # Slopes that make a Newton step fail: too small (the step leaves the
-# bracket), of the wrong sign (it moves away from the root) and NaN.
-_FAILING_SLOPES = [lambda d: 1e-3 * d, lambda d: -d, lambda d: math.nan]
-_FAILING_SLOPE_IDS = ["leaves_bracket", "wrong_sign", "nan_slope"]
+# bracket), of the wrong sign (it moves away from the root), NaN and zero
+# (a flat model, whose step would divide by zero).
+_FAILING_SLOPES = [lambda d: 1e-3 * d, lambda d: -d, lambda d: math.nan, lambda d: 0.0]
+_FAILING_SLOPE_IDS = ["leaves_bracket", "wrong_sign", "nan_slope", "zero_slope"]
 
 
 class TestModelRoot:
