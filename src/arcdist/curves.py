@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
-from .sphere import angles_to_xyz
+from .sphere import _xyz, angles_to_xyz
 
 GREAT_CIRCLE = "great_circle"
 TENNIS_BALL = "tennis_ball"
@@ -188,7 +188,7 @@ class SphericalCurve:
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
         theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
-        return np.sqrt(dtheta * dtheta + (np.sin(theta) * dphi) ** 2)
+        return _speed(np.sin(theta), dtheta, dphi)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
         """This curve with `rotation` applied after any rotation it already carries."""
@@ -196,6 +196,11 @@ class SphericalCurve:
         if self.rotation is not None:
             rotation = rotation @ self.rotation
         return replace(self, rotation=rotation)
+
+
+def _speed(st: np.ndarray, dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """sqrt(theta'^2 + sin^2(theta) phi'^2) given st = sin(theta)."""
+    return np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
 
 
 def great_circle(domain: tuple[float, float] = (0.0, 2.0)) -> SphericalCurve:
@@ -408,6 +413,52 @@ def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> Fun
     return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
 
 
+class _Grid(NamedTuple):
+    """A curve evaluated once on its grid of SIMPLE_SAMPLES samples
+    (_evaluate_grid): ts and positions as sample(SIMPLE_SAMPLES) returns
+    them, and speeds(ts), each bit for bit."""
+
+    ts: np.ndarray
+    positions: np.ndarray
+    speeds: np.ndarray
+
+
+def _evaluate_grid(curve: SphericalCurve) -> _Grid:
+    """The curve's _Grid, from one series evaluation with its rates and one
+    sin(theta), which the positions and the speeds share."""
+    ts = periodic_nodes(curve.domain.t_i, curve.domain.t_f, SIMPLE_SAMPLES)
+    theta, phi, dtheta, dphi = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
+    st = np.sin(theta)
+    return _Grid(ts, curve._rotate(_xyz(theta, st, phi)), _speed(st, dtheta, dphi))
+
+
+def _grid_arc_length(curve: SphericalCurve, rule: QuadratureRule, grid: _Grid) -> FunctionalResult:
+    """arc_length(curve, rule), bit for bit, with every level that the
+    curve's grid holds read from grid.speeds.
+
+    The trapezoid's levels nest (Trefethen and Weideman, SIAM Rev. 56,
+    2014): node k of an n-node level, n dividing the grid's size m, is grid
+    node k m / n to the last bit, and so are its trig values, so its speed
+    is the grid's. integrate_1d hands the integrand the first level's nodes,
+    which start at t_i, and then each later level's new nodes, which start
+    past it; each is read as a contiguous copy, since np.sum's bits follow
+    the layout. A level that is not on the grid (finer than it, or of a
+    size that does not divide it) evaluates curve.speeds at its new nodes,
+    as arc_length does.
+    """
+    t_i, m = curve.domain.t_i, grid.speeds.size
+
+    def speeds(xs: np.ndarray) -> np.ndarray:
+        first = xs[0] == t_i
+        n = xs.size if first else 2 * xs.size
+        if m % n:
+            return curve.speeds(xs)
+        step = m // n
+        return grid.speeds[0::step].copy() if first else grid.speeds[step :: 2 * step].copy()
+
+    return integrate_1d(speeds, t_i, curve.domain.t_f, rule)
+
+
 #: model(s) -> (L_n(s), dL_n/ds), the arc length of a curve family at one
 #: rule level as a function of its scale s (built by length_model).
 LengthModel = Callable[[float], tuple[float, float]]
@@ -448,7 +499,7 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
         dtheta = dtheta0 + shift * dtheta_s
         dphi = dphi0 + shift * dphi_s
         st = np.sin(theta)
-        speed = np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
+        speed = _speed(st, dtheta, dphi)
         rate = (dtheta * dtheta_s + st * np.cos(theta) * theta_s * dphi * dphi + st * st * dphi * dphi_s) / speed
         return float(weights @ speed), float(weights @ rate)
 
@@ -806,10 +857,19 @@ def is_simple(curve: SphericalCurve) -> tuple[bool, tuple[float, float] | None]:
     of exact crossings all sit at rounding level, so their argmin would
     change with the last bits of the curve. Returns (simple, witness
     parameter pair or None).
+
+    It samples the curve and calls _is_simple, which takes the samples; an
+    optimizer candidate hands that core the samples of the grid evaluation
+    its calibration confirmed (_evaluate_grid), so it samples nothing.
     """
+    return _is_simple(curve, *curve.sample(SIMPLE_SAMPLES))
+
+
+def _is_simple(curve: SphericalCurve, ts: np.ndarray, pts: np.ndarray) -> tuple[bool, tuple[float, float] | None]:
+    """is_simple(curve) from ts and pts, curve.sample(SIMPLE_SAMPLES) or the
+    same arrays bit for bit."""
     dom = curve.domain
     period = dom.period
-    ts, pts = curve.sample(SIMPLE_SAMPLES)
     seg, length = _segments(pts)
     max_adj = float(length.max())
     # Degenerate point-like curve: every pair coincides. (Its sample chords

@@ -171,6 +171,18 @@ class TestGridTable:
         # a second sample reads the stored values
         assert curve.sample(n)[1].tobytes() == pts.tobytes()
 
+    @pytest.mark.parametrize("name", list(GRID_CURVES))
+    def test_grid_evaluation_is_sample_and_speeds_bit_for_bit(self, name):
+        curve = GRID_CURVES[name]()
+        grid = curves._evaluate_grid(curve)
+        ts, pts = curve.sample(curves.SIMPLE_SAMPLES)
+        assert grid.ts.tobytes() == ts.tobytes()
+        assert grid.positions.tobytes() == pts.tobytes()
+        assert grid.speeds.tobytes() == curve.speeds(ts).tobytes()
+        # each level of the trapezoid that divides the grid is every k-th sample
+        for step in (16, 8, 2):
+            assert grid.speeds[::step].tobytes() == curve.speeds(ts[::step]).tobytes()
+
     def test_stored_values_are_read_only(self):
         cos, sin = curves._grid_trig(0.0, FOUR_PI, 64, 3)
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from arcdist.curves import arc_length, great_circle, is_simple, tennis_ball_seam, trig_series, wavy_circle
-from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean
-from arcdist import curves
+from arcdist.curves import arc_length, great_circle, is_closed, is_simple, tennis_ball_seam, trig_series, wavy_circle
+from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean, sup_deviation_from_half_pi
+from arcdist import curves, optimize
 from arcdist.optimize import (
     CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
@@ -90,39 +90,42 @@ class TestCalibration:
 
     @pytest.mark.parametrize("start, taken", [(None, NEWTON_MAX_EVALUATIONS), (0.7, 2 * NEWTON_MAX_EVALUATIONS)])
     def test_unconfirmed_roots_fail_after_the_budget(self, monkeypatch, start, taken):
-        # every arc length reads 1e-3 above the length model's, so no model
-        # root is ever confirmed; a warm start spends its budget before the
-        # cold root spends its own
+        # every confirming arc length reads 1e-3 above the length model's, so
+        # no model root is ever confirmed; a warm start spends its budget
+        # before the cold root spends its own
         calls = []
-        real = arc_length
+        real = optimize._confirm
 
         def offset(*args):
             calls.append(1)
-            length = real(*args)
-            return dataclasses.replace(length, value=length.value + 1e-3)
+            length, grid = real(*args)
+            return dataclasses.replace(length, value=length.value + 1e-3), grid
 
-        monkeypatch.setattr("arcdist.optimize.arc_length", offset)
+        monkeypatch.setattr("arcdist.optimize._confirm", offset)
         with pytest.raises(CalibrationFailedError):
             calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start)
         assert len(calls) == taken
 
 
 def _count_arc_lengths(monkeypatch):
+    """Counts the confirming arc lengths of every calibration (optimize._confirm)."""
     calls = []
-    real = arc_length
-    monkeypatch.setattr("arcdist.optimize.arc_length", lambda *a: calls.append(1) or real(*a))
+    real = optimize._confirm
+    monkeypatch.setattr("arcdist.optimize._confirm", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
 def _record_calibration_rules(monkeypatch):
+    """Records the rule of every calibration: calibrate_arc_length's and the
+    candidate evaluator's both go through optimize._calibrate."""
     rules = []
-    real = calibrate_arc_length
+    real = optimize._calibrate
 
     def recorded(*args, rule=None, **kwargs):
         rules.append(rule)
         return real(*args, rule=rule, **kwargs)
 
-    monkeypatch.setattr("arcdist.optimize.calibrate_arc_length", recorded)
+    monkeypatch.setattr("arcdist.optimize._calibrate", recorded)
     return rules
 
 
@@ -291,6 +294,60 @@ class TestNewtonCalibration:
                 assert np.array_equal(rebuilt.rotation, given.rotation)  # both None, or equal
 
 
+def _seeded_shape(seed):
+    """The seam shape of seam_seeded_family(3) moved by 0.1 N(0, 1) from default_rng(seed)."""
+    x0 = np.array(_SEAM_START.initial_shape)
+    return x0 + 0.1 * np.random.default_rng(seed).standard_normal(x0.size)
+
+
+_CONFIRMED = [
+    (tennis_ball_seam, (0.1, 1.4)),
+    (wavy_circle, (0.01, 0.6)),
+    (lambda s: curves.with_scale(great_circle((0.5, 2.5)), s), (0.5, 1.5)),
+    (lambda a: tennis_ball_seam(a).rotated(random_rotation_matrix(5)), (0.1, 1.4)),
+    (lambda s: _SEAM_START.build(_DEEP_SHAPE, s), (0.05, 2.5)),
+] + [(lambda s, shape=_seeded_shape(seed): _SEAM_START.build(shape, s), (0.05, 2.5)) for seed in range(5)]
+_CONFIRMED_IDS = ["seam", "wavy", "stretched_great_circle", "rotated_seam", "deep_shape"] + [
+    f"seeded_{seed}" for seed in range(5)
+]
+_CONFIRMING_RULES = [
+    SEARCH_RULE,
+    default_curve_rule(),
+    # the first level is the whole grid, and each later one takes speeds at its new nodes
+    default_curve_rule(n=4096, tol=1e-300),
+    # no level of n = 384 is on the grid
+    default_curve_rule(n=384, tol=1e-10),
+]
+_CONFIRMING_RULE_IDS = ["search", "default", "past_the_grid", "off_the_grid"]
+
+
+class TestSharedConfirmation:
+    @pytest.mark.parametrize("rule", _CONFIRMING_RULES, ids=_CONFIRMING_RULE_IDS)
+    @pytest.mark.parametrize("make_curve, bracket", _CONFIRMED, ids=_CONFIRMED_IDS)
+    def test_the_grid_confirms_as_arc_length_does(self, monkeypatch, make_curve, bracket, rule):
+        # Newton takes the same steps either way, so the reports match field
+        # for field only if every confirming arc length matches arc_length's
+        shared, curve, grid = optimize._calibrate(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
+        assert curves._grid_arc_length(curve, rule, grid) == arc_length(make_curve(shared.parameter), rule)
+        monkeypatch.setattr(
+            "arcdist.optimize._confirm", lambda curve, rule: (arc_length(curve, rule), curves._evaluate_grid(curve))
+        )
+        assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule) == shared
+        start = 0.98 * shared.parameter
+        warm = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start)
+        monkeypatch.undo()
+        assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start) == warm
+
+    def test_the_cases_reach_past_the_first_levels(self):
+        # the deep shape settles at 1024 nodes under the search's rule, and
+        # the tight rule past the grid
+        deep = calibrate_arc_length(*_CONFIRMED[4], tol=CONSTRAINT_TOL, rule=SEARCH_RULE)
+        assert deep.nodes_used == 1024
+        for make_curve, bracket in _CONFIRMED:
+            report = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=_CONFIRMING_RULES[2])
+            assert report.nodes_used > 4096
+
+
 def _synthetic_model(slope_of):
     """A LengthModel with L - 4pi = 2x + x^3, x = s - 0.7, whose one root is
     0.7, and its slope replaced by slope_of(dL/ds)."""
@@ -369,6 +426,27 @@ class TestSearchFamilies:
             seam_seeded_family(J=J)
 
 
+def _reference_evaluator(family):
+    """make_candidate_evaluator for the sup-deviation objective, from public
+    calls alone: the warm-started calibration, then the rebuilt curve's
+    is_closed, is_simple and sup_deviation_from_half_pi at SEARCH_RULE."""
+    last_scale = None
+
+    def evaluate(shape):
+        nonlocal last_scale
+        try:
+            cal = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
+        except (NoBracketError, CalibrationFailedError):
+            return math.inf, math.nan, math.inf
+        last_scale = cal.parameter
+        curve = family.build(shape, cal.parameter)
+        if not (is_closed(curve) and is_simple(curve)[0]):
+            return math.inf, cal.parameter, cal.residual
+        return sup_deviation_from_half_pi(curve, SEARCH_RULE)[0], cal.parameter, cal.residual
+
+    return evaluate
+
+
 class TestMinimizeFunctional:
     def test_short_run_properties(self):
         report = minimize_functional(
@@ -438,7 +516,7 @@ class TestMinimizeFunctional:
 
     def test_open_candidate_scores_infinity_at_its_calibrated_scale(self, monkeypatch):
         # rejected as open before the simplicity check runs
-        monkeypatch.setattr("arcdist.optimize.is_simple", None)
+        monkeypatch.setattr("arcdist.curves._is_simple", None)
         evaluator = make_candidate_evaluator(scale_family(wavy_circle(domain=(0.0, 5.0))), OptimizerConfig())
         value, scale, residual = evaluator(np.array([]))
         assert math.isinf(value)
@@ -500,6 +578,27 @@ class TestMinimizeFunctional:
         assert len(feasible) > 30
         for shape, scale, resid in feasible:
             assert resid == abs(arc_length(family.build(shape, scale), SEARCH_RULE).value - FOUR_PI) <= CONSTRAINT_TOL
+
+    def test_the_evaluator_returns_what_the_public_calls_give(self, monkeypatch):
+        family = seam_seeded_family(3)
+        shapes = []
+        make_evaluator = make_candidate_evaluator
+
+        def recording_factory(*args):
+            evaluate = make_evaluator(*args)
+            return lambda shape: shapes.append(np.array(shape)) or evaluate(shape)
+
+        monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", recording_factory)
+        minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=5))
+        monkeypatch.undo()
+        assert len(shapes) == 40
+        config = OptimizerConfig(seed=5)
+        evaluate, reference = make_candidate_evaluator(family, config), _reference_evaluator(family)
+        got = [evaluate(shape) for shape in shapes]
+        assert got == [reference(shape) for shape in shapes]
+        doubled = scale_family(great_circle())
+        got = make_candidate_evaluator(doubled, config)(np.array([]))
+        assert math.isinf(got[0]) and got == _reference_evaluator(doubled)(np.array([]))
 
     @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf, True])
     def test_simplex_scale_must_be_positive_and_finite(self, scale):

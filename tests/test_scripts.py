@@ -97,3 +97,42 @@ def test_simple_sweep_slice_reproduces_its_recorded_verdicts():
         assert (row["witness"] is None) == (want["witness"] is None)
         if want["witness"] is not None:
             assert row["witness"] == pytest.approx(want["witness"], abs=1e-9)
+
+
+def _canned_runs(parent, change, correct=True):
+    """perfbench result lines of alternating pairs: op_ms.p50 and ops_per_s per run."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, ms in (("parent", p), ("change", c)):
+            metrics = {"op_ms.p50": {"value": ms, "unit": "ms"}, "ops_per_s": {"value": 1000.0 / ms, "unit": "1/s"}}
+            result = {"correct": correct, "attempted": 40, "failed": 0, "metrics": metrics}
+            runs.append({"pair": pair, "side": side, "result": result})
+    return runs
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    better = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert [better[m] for m in ("op_ms.p50", "ops_per_s", "curves.speeds.rows_per_op")] == ["lower", "higher", "lower"]
+
+    parent = [2.0, 2.1, 2.2, 2.3, 2.0, 2.1, 2.2, 2.3, 2.0, 2.1]
+    change = [1.8, 1.9, 2.0, 2.1, 1.8, 1.9, 2.0, 2.1, 1.8, 2.2]  # the last pair is a loss
+    summary = bench_pairs.summarize(_canned_runs(parent, change), better)
+    assert summary["pairs"] == 10 and summary["all_correct_with_no_failed_ops"]
+    p50 = summary["metrics"]["op_ms.p50"]
+    assert p50["parent"] == {"median": 2.1, "q1": 2.025, "q3": 2.2, "runs": parent}
+    assert p50["change"]["median"] == pytest.approx(1.95)
+    # 9 of 10 wins, and the medians 0.15 apart against a parent spread of 0.175
+    assert p50["change_wins"] == "9/10" and not p50["gain_resolved"]
+    assert summary["metrics"]["ops_per_s"]["change_wins"] == "9/10"
+
+    change = [v - 0.3 for v in change[:-1]] + [2.2]  # still 9 of 10, now 0.3 apart
+    resolved = bench_pairs.summarize(_canned_runs(parent, change), better)["metrics"]["op_ms.p50"]
+    assert resolved["change_wins"] == "9/10" and resolved["gain_resolved"]
+    change[0] = 2.5  # a second loss
+    assert not bench_pairs.summarize(_canned_runs(parent, change), better)["metrics"]["op_ms.p50"]["gain_resolved"]
+    failing = bench_pairs.summarize(_canned_runs(parent, change, correct=False), better)
+    assert not failing["all_correct_with_no_failed_ops"]
+    assert "op_ms.p50 (ms, lower is better): parent 2.1 [2.025, 2.2]" in bench_pairs.report(summary)
