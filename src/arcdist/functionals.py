@@ -198,15 +198,8 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     it can for a point on a node, is formed again and clipped (_angles).
     """
     curve_rule = curve_rule or default_curve_rule()
-    return _field(curve, curve_rule, curve.sample(curve_rule.n)[1], points)
-
-
-def _field(curve: SphericalCurve, curve_rule: QuadratureRule, C: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """mean_distance_field(curve, points, curve_rule) given C, the curve's
-    positions at the rule's nodes: curve.sample(curve_rule.n)[1], or the
-    same bits in a contiguous array, since the product's bits follow the
-    layout of its operands."""
     _, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
+    C = curve.sample(w.size)[1]
     w_mean = w / curve.domain.period
     return _by_cores(points, w.size, lambda P: _angles(lambda: P @ C.T, reduce=lambda A: A @ w_mean))
 
@@ -291,19 +284,9 @@ def sup_deviation_from_half_pi(
     Deterministic by construction (golden-angle design of DESIGN_SIZE
     points, fixed node count), so it is usable as an optimization objective.
     The design is built once (_design). Returns (sup, argmax point).
-    It samples the curve at the rule's nodes and calls _sup_deviation, which
-    takes the samples; an optimizer candidate hands that core every 16th
-    sample of its grid evaluation (curves._evaluate_grid).
     """
-    curve_rule = curve_rule or default_curve_rule()
-    return _sup_deviation(curve, curve_rule, curve.sample(curve_rule.n)[1])
-
-
-def _sup_deviation(curve: SphericalCurve, curve_rule: QuadratureRule, C: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup_deviation_from_half_pi(curve, curve_rule) given C, the curve's
-    positions at the rule's nodes, as _field takes them."""
     design = _design()
-    vals = _field(curve, curve_rule, C, design)
+    vals = mean_distance_field(curve, design, curve_rule)
     idx = int(np.argmax(np.abs(vals - HALF_PI)))
     return float(abs(vals[idx] - HALF_PI)), design[idx].copy()
 

@@ -17,10 +17,10 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from . import curves, functionals
-from .curves import SphericalCurve, arc_length, is_closed, trig_series
-from .functionals import DESIGN_SIZE, mean_min_arc_distance
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, require_integer
+from . import curves
+from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
+from .functionals import DESIGN_SIZE, mean_min_arc_distance, sup_deviation_from_half_pi
+from .quadrature import QuadratureRule, default_curve_rule, require_integer
 
 FOUR_PI = 4.0 * math.pi
 
@@ -119,18 +119,15 @@ def calibrate_arc_length(
 
     Newton (_newton_root) steps on L_n, first at n = 2 rule.n, the level at
     which a refinement can first stop, each clipped to an interval and at
-    least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc length at
-    that p confirms the root (_confirm), and the report takes its value and
-    residual from it. The confirmation evaluates make_curve(p) once on its
-    grid of curves.SIMPLE_SAMPLES samples (curves._evaluate_grid: the
-    positions that sample returns and the speeds), and its arc length is
-    arc_length(make_curve(p), rule) bit for bit: integrate_1d reads every
-    level up to the grid's from the grid's speeds and evaluates speeds at
-    the new nodes of finer ones. An optimizer candidate reuses that grid
-    for its simplicity check and its objective. A confirmation that misses
-    tol rebuilds L_n at the level it settled at and runs Newton again, for
-    at most NEWTON_MAX_EVALUATIONS arc lengths, which the report counts as
-    its iterations; CalibrationFailedError after that.
+    least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at
+    that p confirms the root, and the report takes its value and residual
+    from it. That arc length reads the levels that nest in the grid cache
+    from its speeds (curves.arc_length) and forms no positions; a curve
+    rebuilt at the root has the same key, so its is_simple and sample
+    read the same entry. A confirmation that misses tol rebuilds L_n at the
+    level it settled at and runs Newton again, for at most
+    NEWTON_MAX_EVALUATIONS arc lengths, which the report counts as its
+    iterations; CalibrationFailedError after that.
 
     With a start inside the bracket, Newton runs from the start inside the
     bracket, and the report carries the bracket as given. A warm start
@@ -153,33 +150,20 @@ def calibrate_arc_length(
     same curve, so a cold root raises NoBracketError first, before it
     builds the high end or pre-scans. Deterministic for fixed inputs.
     """
-    return _calibrate(make_curve, bracket, family=family, tol=tol, rule=rule, start=start)[0]
-
-
-def _calibrate(
-    make_curve: Callable[[float], SphericalCurve],
-    bracket: tuple[float, float],
-    family: str = "",
-    tol: float = CALIBRATION_TOL,
-    rule: QuadratureRule | None = None,
-    start: float | None = None,
-) -> tuple[CalibrationReport, SphericalCurve, curves._Grid]:
-    """calibrate_arc_length's report, with the curve at the root and the
-    grid evaluation that confirmed it (_confirm)."""
     rule = rule or default_curve_rule()
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
 
     warm = start is not None and lo <= start <= hi
-    root = _newton_root(make_curve, family, float(start), (lo, hi), tol, rule) if warm else None
-    if root is None:
+    report = _newton_root(make_curve, family, float(start), (lo, hi), tol, rule) if warm else None
+    if report is None:
         _require_a_scaled_coefficient(make_curve(lo), rule)
         make_curve(hi)  # the scan builds only lo, and an end past the family's range must raise
-        root = _newton_root(make_curve, family, lo, (lo, hi), tol, rule, cold=True)
-    if root is None:
+        report = _newton_root(make_curve, family, lo, (lo, hi), tol, rule, cold=True)
+    if report is None:
         raise CalibrationFailedError(f"no root confirmed to |L - 4pi| <= {tol} in {NEWTON_MAX_EVALUATIONS} arc lengths")
-    return root
+    return report
 
 
 def _require_a_scaled_coefficient(curve: SphericalCurve, rule: QuadratureRule) -> None:
@@ -203,12 +187,11 @@ def _newton_root(
     tol: float,
     rule: QuadratureRule,
     cold: bool = False,
-) -> tuple[CalibrationReport, SphericalCurve, curves._Grid] | None:
+) -> CalibrationReport | None:
     """Newton on the length model from p inside the bracket, each root
-    confirmed by an arc length (_confirm; see calibrate_arc_length): the
-    report of the first confirmed root, whose bracket is the interval Newton
-    kept to, with its curve and the grid that confirmed it, or None when no
-    root is confirmed. A cold root
+    confirmed by an arc length (see calibrate_arc_length): the report of
+    the first confirmed root, whose bracket is the interval Newton kept
+    to, or None when no root is confirmed. A cold root
     pre-scans the model for a sign change, first and whenever a rebuilt
     model has none in it, and bisects it where Newton fails."""
     sub, warning = (None if cold else bracket), None
@@ -223,23 +206,14 @@ def _newton_root(
         if p is None:
             return None
         curve = make_curve(p)
-        length, grid = _confirm(curve, rule)
+        length = arc_length(curve, rule)
         residual = abs(length.value - FOUR_PI)
         if residual <= tol:
-            report = CalibrationReport(
+            return CalibrationReport(
                 family, p, length.value, residual, length.nodes_used, evaluations, sub, length.warning or warning
             )
-            return report, curve, grid
         n = length.nodes_used  # the trapezoid's levels nest: the level it settled at
     return None
-
-
-def _confirm(curve: SphericalCurve, rule: QuadratureRule) -> tuple[FunctionalResult, curves._Grid]:
-    """arc_length(curve, rule), bit for bit, read from the curve's grid
-    evaluation where its levels nest in it (curves._grid_arc_length), and
-    that evaluation."""
-    grid = curves._evaluate_grid(curve)
-    return curves._grid_arc_length(curve, rule, grid), grid
 
 
 def _sign_change(model: curves.LengthModel, lo: float, hi: float) -> tuple[tuple[float, float], str | None]:
@@ -380,13 +354,10 @@ class OptimizerConfig:
             raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
 
 
-def _objective_value(curve: SphericalCurve, config: OptimizerConfig, grid: curves._Grid) -> float:
+def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
     # Fixed quadrature settings keep each objective deterministic per config.
     if config.objective == "sup_dev_from_half_pi":
-        # SEARCH_RULE's 256 nodes are every 16th sample of the grid, copied
-        # contiguous: sample(256)[1] bit for bit, in its layout
-        nodes = grid.positions[:: curves.SIMPLE_SAMPLES // SEARCH_RULE.n].copy()
-        sup, _ = functionals._sup_deviation(curve, SEARCH_RULE, nodes)
+        sup, _ = sup_deviation_from_half_pi(curve, SEARCH_RULE)
         return sup
     return mean_min_arc_distance(curve, n_points=1024, seed=config.seed, n_scan=1024).value
 
@@ -401,12 +372,10 @@ def make_candidate_evaluator(
     scale, residual) of its calibration. Exposed so feasibility filtering
     can be exercised directly, e.g. on an injected doubled great circle.
 
-    The calibration hands back the curve at its root and the grid
-    evaluation that confirmed it (_calibrate). is_simple's core and, for
-    the sup-deviation objective, that of sup_deviation_from_half_pi read
-    their samples from that grid, so a candidate evaluates its curve once
-    and returns what family.calibrate, family.build, is_closed, is_simple
-    and sup_deviation_from_half_pi(curve, SEARCH_RULE) give, bit for bit.
+    A candidate evaluates its curve's series on the 4096-sample grid once:
+    the confirming arc length fills the grid cache (curves.arc_length),
+    and the curve rebuilt at the root has the same key, so is_simple and
+    the sup-deviation objective's 256 nodes read that entry.
 
     The evaluator keeps the last calibrated scale and warm-starts the next
     calibration from it, so a candidate's scale depends, within
@@ -428,23 +397,17 @@ def make_candidate_evaluator(
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale
         try:
-            cal, curve, grid = _calibrate(
-                lambda p: family.build(shape, p),
-                family.scale_bracket,
-                family=family.tag,
-                tol=CONSTRAINT_TOL,
-                rule=SEARCH_RULE,
-                start=last_scale,
-            )
+            cal = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         last_scale = cal.parameter
+        curve = family.build(shape, cal.parameter)
         if not is_closed(curve):
             return math.inf, cal.parameter, cal.residual
-        simple, _ = curves._is_simple(curve, grid.ts, grid.positions)
+        simple, _ = is_simple(curve)
         if not simple:
             return math.inf, cal.parameter, cal.residual
-        return _objective_value(curve, config, grid), cal.parameter, cal.residual
+        return _objective_value(curve, config), cal.parameter, cal.residual
 
     return evaluate
 

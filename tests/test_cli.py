@@ -174,15 +174,13 @@ class TestCalibrate:
         assert rows["warning_multiple_sign_changes"]["message"] == "multiple_sign_changes"
 
     def test_a_capped_arc_length_carries_its_warning(self, tmp_path, capsys, monkeypatch):
-        from arcdist import optimize
+        from arcdist import curves
 
-        confirm = optimize._confirm
+        def capped(curve, rule=None):
+            res = curves.arc_length(curve, rule)
+            return FunctionalResult(res.value, 1e-3, 4096, TOLERANCE_NOT_REACHED)
 
-        def capped(curve, rule):
-            res, grid = confirm(curve, rule)
-            return FunctionalResult(res.value, 1e-3, 4096, TOLERANCE_NOT_REACHED), grid
-
-        monkeypatch.setattr("arcdist.optimize._confirm", capped)
+        monkeypatch.setattr("arcdist.optimize.arc_length", capped)
         out_path = tmp_path / "cal.json"
         code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--out", str(out_path)], capsys)
         assert code == 0

@@ -31,7 +31,7 @@ from arcdist.curves import (
 )
 from arcdist import curves
 from arcdist.optimize import seam_seeded_family
-from arcdist.quadrature import QuadratureRule
+from arcdist.quadrature import QuadratureRule, periodic_nodes
 from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
@@ -174,14 +174,60 @@ class TestGridTable:
     @pytest.mark.parametrize("name", list(GRID_CURVES))
     def test_grid_evaluation_is_sample_and_speeds_bit_for_bit(self, name):
         curve = GRID_CURVES[name]()
-        grid = curves._evaluate_grid(curve)
         ts, pts = curve.sample(curves.SIMPLE_SAMPLES)
-        assert grid.ts.tobytes() == ts.tobytes()
-        assert grid.positions.tobytes() == pts.tobytes()
-        assert grid.speeds.tobytes() == curve.speeds(ts).tobytes()
+        grid_ts, xyz = curves._grid_samples(curve)
+        speeds = curves._grid_angles(*curves._grid_key(curve)).speeds
+        assert grid_ts.tobytes() == ts.tobytes()
+        assert curve._rotate(xyz).tobytes() == pts.tobytes()
+        assert speeds.tobytes() == curve.speeds(ts).tobytes()
         # each level of the trapezoid that divides the grid is every k-th sample
         for step in (16, 8, 2):
-            assert grid.speeds[::step].tobytes() == curve.speeds(ts[::step]).tobytes()
+            assert speeds[::step].tobytes() == curve.speeds(ts[::step]).tobytes()
+
+    @pytest.mark.parametrize("name", list(GRID_CURVES))
+    @pytest.mark.parametrize("n", [1, 2, 256, 4096])
+    def test_a_divisor_sample_is_a_fresh_contiguous_copy(self, name, n):
+        curve = GRID_CURVES[name]()
+        dom = curve.domain
+        ts, pts = curve.sample(n)
+        assert ts.tobytes() == periodic_nodes(dom.t_i, dom.t_f, n).tobytes()
+        assert pts.tobytes() == curve.positions(ts).tobytes()
+        assert ts.flags.c_contiguous and pts.flags.c_contiguous and pts.flags.writeable
+        pts[:] = 0.0  # the cache is not written through a sample
+        assert curve.sample(n)[1].tobytes() == curve.positions(ts).tobytes()
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
+    def test_sample_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            tennis_ball_seam().sample(n)
+
+    def test_grid_cache_keeps_one_entry(self):
+        for a in np.linspace(0.5, 0.9, 12):
+            curve = tennis_ball_seam(a)
+            arc_length(curve)
+            is_simple(curve)
+        for cached in (curves._grid_angles, curves._grid_positions):
+            info = cached.cache_info()
+            assert info.maxsize == 1 and info.currsize == 1
+
+    def test_a_rebuilt_curve_reads_the_entry(self):
+        arc_length(tennis_ball_seam(0.7037))
+        before = curves._grid_angles.cache_info()
+        rebuilt = tennis_ball_seam(0.7037)
+        is_simple(rebuilt)
+        rebuilt.sample(512)
+        after = curves._grid_angles.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
+    def test_a_signed_zero_field_takes_its_own_entry(self):
+        # the two series compare equal as floats, but not bit for bit
+        plus, minus = (trig_series(theta_cos=[0.3], phi_sin=[0.2], phi0=zero) for zero in (0.0, -0.0))
+        assert plus._series == minus._series
+        for curve in (plus, minus, plus):
+            misses = curves._grid_positions.cache_info().misses
+            ts, pts = curve.sample(512)
+            assert curves._grid_positions.cache_info().misses == misses + 1
+            assert pts.tobytes() == curve.positions(ts).tobytes()
 
     def test_stored_values_are_read_only(self):
         cos, sin = curves._grid_trig(0.0, FOUR_PI, 64, 3)

@@ -6,7 +6,7 @@ import pytest
 
 from arcdist.curves import arc_length, great_circle, is_closed, is_simple, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean, sup_deviation_from_half_pi
-from arcdist import curves, optimize
+from arcdist import curves
 from arcdist.optimize import (
     CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
@@ -24,7 +24,7 @@ from arcdist.optimize import (
     _diameter,
     _model_root,
 )
-from arcdist.quadrature import QuadratureRule, default_curve_rule
+from arcdist.quadrature import QuadratureRule, default_curve_rule, integrate_1d
 from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
@@ -94,38 +94,38 @@ class TestCalibration:
         # no model root is ever confirmed; a warm start spends its budget
         # before the cold root spends its own
         calls = []
-        real = optimize._confirm
+        real = arc_length
 
         def offset(*args):
             calls.append(1)
-            length, grid = real(*args)
-            return dataclasses.replace(length, value=length.value + 1e-3), grid
+            length = real(*args)
+            return dataclasses.replace(length, value=length.value + 1e-3)
 
-        monkeypatch.setattr("arcdist.optimize._confirm", offset)
+        monkeypatch.setattr("arcdist.optimize.arc_length", offset)
         with pytest.raises(CalibrationFailedError):
             calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=start)
         assert len(calls) == taken
 
 
 def _count_arc_lengths(monkeypatch):
-    """Counts the confirming arc lengths of every calibration (optimize._confirm)."""
+    """Counts the arc lengths that optimize takes, the confirming ones of every calibration among them."""
     calls = []
-    real = optimize._confirm
-    monkeypatch.setattr("arcdist.optimize._confirm", lambda *a: calls.append(1) or real(*a))
+    real = arc_length
+    monkeypatch.setattr("arcdist.optimize.arc_length", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
 def _record_calibration_rules(monkeypatch):
-    """Records the rule of every calibration: calibrate_arc_length's and the
-    candidate evaluator's both go through optimize._calibrate."""
+    """Records the rule of every calibration: the candidate evaluator's goes
+    through SearchFamily.calibrate to optimize.calibrate_arc_length."""
     rules = []
-    real = optimize._calibrate
+    real = calibrate_arc_length
 
     def recorded(*args, rule=None, **kwargs):
         rules.append(rule)
         return real(*args, rule=rule, **kwargs)
 
-    monkeypatch.setattr("arcdist.optimize._calibrate", recorded)
+    monkeypatch.setattr("arcdist.optimize.calibrate_arc_length", recorded)
     return rules
 
 
@@ -321,22 +321,40 @@ _CONFIRMING_RULES = [
 _CONFIRMING_RULE_IDS = ["search", "default", "past_the_grid", "off_the_grid"]
 
 
+def _speeds_arc_length(curve, rule):
+    """The reference arc length: integrate_1d of curve.speeds at every node, no level read from the grid cache."""
+    return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
+
+
 class TestSharedConfirmation:
     @pytest.mark.parametrize("rule", _CONFIRMING_RULES, ids=_CONFIRMING_RULE_IDS)
     @pytest.mark.parametrize("make_curve, bracket", _CONFIRMED, ids=_CONFIRMED_IDS)
     def test_the_grid_confirms_as_arc_length_does(self, monkeypatch, make_curve, bracket, rule):
         # Newton takes the same steps either way, so the reports match field
-        # for field only if every confirming arc length matches arc_length's
-        shared, curve, grid = optimize._calibrate(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
-        assert curves._grid_arc_length(curve, rule, grid) == arc_length(make_curve(shared.parameter), rule)
-        monkeypatch.setattr(
-            "arcdist.optimize._confirm", lambda curve, rule: (arc_length(curve, rule), curves._evaluate_grid(curve))
-        )
+        # for field only if every confirming arc length, read from the grid
+        # cache, matches the integral of speeds evaluated at every node
+        shared = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
+        curve = make_curve(shared.parameter)
+        assert arc_length(curve, rule) == _speeds_arc_length(curve, rule)
+        monkeypatch.setattr("arcdist.optimize.arc_length", _speeds_arc_length)
         assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule) == shared
         start = 0.98 * shared.parameter
         warm = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start)
         monkeypatch.undo()
         assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start) == warm
+
+    def test_a_calibration_forms_no_positions(self, monkeypatch):
+        # the confirming arc lengths read speeds from the grid cache, which
+        # forms positions only when sample or is_simple first reads them
+        calls = []
+        real = curves._xyz
+        monkeypatch.setattr("arcdist.curves._xyz", lambda *a: calls.append(1) or real(*a))
+        for make_curve, bracket in [_CONFIRMED[i] for i in (0, 1, 2, 4)]:  # one of each family
+            cold = calibrate_arc_length(make_curve, bracket)
+            calibrate_arc_length(make_curve, bracket, start=0.98 * cold.parameter)
+        assert calls == []
+        make_curve(cold.parameter).sample(256)
+        assert len(calls) == 1
 
     def test_the_cases_reach_past_the_first_levels(self):
         # the deep shape settles at 1024 nodes under the search's rule, and
@@ -516,7 +534,7 @@ class TestMinimizeFunctional:
 
     def test_open_candidate_scores_infinity_at_its_calibrated_scale(self, monkeypatch):
         # rejected as open before the simplicity check runs
-        monkeypatch.setattr("arcdist.curves._is_simple", None)
+        monkeypatch.setattr("arcdist.optimize.is_simple", None)
         evaluator = make_candidate_evaluator(scale_family(wavy_circle(domain=(0.0, 5.0))), OptimizerConfig())
         value, scale, residual = evaluator(np.array([]))
         assert math.isinf(value)
