@@ -17,7 +17,6 @@ import inspect
 import json
 import math
 import numbers
-import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
-from .sphere import _xyz, angles_to_xyz, require_integer
+from .sphere import angles_to_xyz, require_integer
 
 GREAT_CIRCLE = "great_circle"
 TENNIS_BALL = "tennis_ball"
@@ -172,20 +171,12 @@ class SphericalCurve:
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The n equispaced parameters ts = periodic_nodes(t_i, t_f, n) and
-        positions(ts), the same bit for bit; n is an integer >= 1.
-
-        For n dividing SIMPLE_SAMPLES, every (SIMPLE_SAMPLES / n)-th node of
-        the grid cache (_grid_angles), as contiguous copies, with the
-        rotation applied after the stride. For another n, the trig values of
-        every harmonic are read from the grid's table."""
+        positions(ts), the same bit for bit, with the trig values of every
+        harmonic read from the grid's table; n is an integer >= 1."""
         require_integer(n, 1, "n")
-        if SIMPLE_SAMPLES % n:
-            ts = periodic_nodes(self.domain.t_i, self.domain.t_f, n)
-            theta, phi = _series_angles(self._series, ts, grid=self.domain)
-            return ts, self._rotate(angles_to_xyz(theta, phi))
-        step = SIMPLE_SAMPLES // n
-        ts, xyz = _grid_samples(self)
-        return ts[::step].copy(), self._rotate(xyz[::step].copy())
+        ts = periodic_nodes(self.domain.t_i, self.domain.t_f, n)
+        theta, phi = _series_angles(self._series, ts, grid=self.domain)
+        return ts, self._rotate(angles_to_xyz(theta, phi))
 
     def velocities(self, ts) -> np.ndarray:
         """dr/dt = theta' e_theta + sin(theta) phi' e_phi at the given parameters (wrapped)."""
@@ -211,58 +202,6 @@ class SphericalCurve:
 def _speed(st: np.ndarray, dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """sqrt(theta'^2 + sin^2(theta) phi'^2) given st = sin(theta)."""
     return np.sqrt(dtheta * dtheta + (st * dphi) ** 2)
-
-
-class _GridAngles(NamedTuple):
-    """A curve's series on its grid of SIMPLE_SAMPLES samples (_grid_angles)."""
-
-    ts: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    st: np.ndarray  # sin(theta)
-    speeds: np.ndarray
-
-
-def _grid_key(curve: SphericalCurve) -> tuple[_TrigSeries, CurveDomain, bytes]:
-    """The grid cache's key for curve: its series and domain, on which the
-    grid's bits depend, and their values' bytes, which make the key compare
-    bitwise (a -0.0 field and a 0.0 field compare equal as floats)."""
-    s, d = curve._series, curve.domain
-    values = [s.theta0, s.theta_slope, s.phi0, s.phi_slope, d.t_i, d.t_f, *(v for row in s.harmonics for v in row)]
-    return s, d, struct.pack(f"{len(values)}d", *values)
-
-
-@lru_cache(maxsize=1)
-def _grid_angles(series: _TrigSeries, domain: CurveDomain, bits: bytes) -> _GridAngles:
-    """The grid cache, keyed by _grid_key: the series evaluated once, with
-    its rates and one sin(theta), on ts = periodic_nodes(t_i, t_f,
-    SIMPLE_SAMPLES). arc_length reads its speeds; the positions that sample
-    and is_simple read are formed from it when first read (_grid_positions).
-    Each part keeps one entry, for a search candidate's calibration,
-    simplicity check and objective read one curve. Every array is read-only
-    and unrotated: a reader applies the curve's rotation."""
-    ts = periodic_nodes(domain.t_i, domain.t_f, SIMPLE_SAMPLES)
-    theta, phi, dtheta, dphi = _series_angles(series, ts, rates=1, grid=domain)
-    st = np.sin(theta)
-    grid = _GridAngles(ts, theta, phi, st, _speed(st, dtheta, dphi))
-    for values in grid:
-        values.setflags(write=False)
-    return grid
-
-
-@lru_cache(maxsize=1)
-def _grid_positions(series: _TrigSeries, domain: CurveDomain, bits: bytes) -> np.ndarray:
-    """The key's unrotated positions on the grid, from its _grid_angles."""
-    grid = _grid_angles(series, domain, bits)
-    xyz = _xyz(grid.theta, grid.st, grid.phi)
-    xyz.setflags(write=False)
-    return xyz
-
-
-def _grid_samples(curve: SphericalCurve) -> tuple[np.ndarray, np.ndarray]:
-    """ts and the unrotated positions of curve's grid, read from the cache."""
-    key = _grid_key(curve)
-    return _grid_angles(*key).ts, _grid_positions(*key)
 
 
 def great_circle(domain: tuple[float, float] = (0.0, 2.0)) -> SphericalCurve:
@@ -470,33 +409,9 @@ def to_spec(curve: SphericalCurve) -> dict:
 
 
 def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> FunctionalResult:
-    """Arc length: integral of |dr/dt| over the domain, with error estimate.
-
-    The value is integrate_1d(curve.speeds, t_i, t_f, rule) bit for bit,
-    but every level that nests in the grid of SIMPLE_SAMPLES samples reads
-    its speeds from the grid cache (_grid_angles). The trapezoid's levels
-    nest (Trefethen and Weideman, SIAM Rev. 56, 2014): node k of an n-node
-    level, n dividing SIMPLE_SAMPLES, is grid node k SIMPLE_SAMPLES / n to
-    the last bit, and so are its trig values, so its speed is the grid's.
-    integrate_1d hands the integrand the first level's nodes, which start
-    at t_i, and then each later level's new nodes, which start past it;
-    each is read as a contiguous copy, since np.sum's bits follow the
-    layout. A level off the grid (finer than it, or of a size that does not
-    divide it) evaluates curve.speeds at its new nodes.
-    """
+    """Arc length: integral of |dr/dt| over the domain, with error estimate."""
     rule = rule or default_curve_rule()
-    t_i = curve.domain.t_i
-
-    def speeds(xs: np.ndarray) -> np.ndarray:
-        first = xs[0] == t_i
-        n = xs.size if first else 2 * xs.size
-        if SIMPLE_SAMPLES % n:
-            return curve.speeds(xs)
-        step = SIMPLE_SAMPLES // n
-        grid = _grid_angles(*_grid_key(curve)).speeds
-        return (grid[::step] if first else grid[step :: 2 * step]).copy()
-
-    return integrate_1d(speeds, t_i, curve.domain.t_f, rule)
+    return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
 
 
 #: model(s) -> (L_n(s), dL_n/ds), the arc length of a curve family at one
@@ -897,15 +812,10 @@ def is_simple(curve: SphericalCurve) -> tuple[bool, tuple[float, float] | None]:
     of exact crossings all sit at rounding level, so their argmin would
     change with the last bits of the curve. Returns (simple, witness
     parameter pair or None).
-
-    The samples are sample(SIMPLE_SAMPLES) bit for bit, read from the grid
-    cache with no copy (_grid_angles), so a curve whose arc length was
-    just taken evaluates no series here.
     """
     dom = curve.domain
     period = dom.period
-    ts, pts = _grid_samples(curve)
-    pts = curve._rotate(pts)
+    ts, pts = curve.sample(SIMPLE_SAMPLES)
     seg, length = _segments(pts)
     max_adj = float(length.max())
     # Degenerate point-like curve: every pair coincides. (Its sample chords

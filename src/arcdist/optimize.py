@@ -121,10 +121,7 @@ def calibrate_arc_length(
     which a refinement can first stop, each clipped to an interval and at
     least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at
     that p confirms the root, and the report takes its value and residual
-    from it. That arc length reads the levels that nest in the grid cache
-    from its speeds (curves.arc_length) and forms no positions; a curve
-    rebuilt at the root has the same key, so its is_simple and sample
-    read the same entry. A confirmation that misses tol rebuilds L_n at the
+    from it. A confirmation that misses tol rebuilds L_n at the
     level it settled at and runs Newton again, for at most
     NEWTON_MAX_EVALUATIONS arc lengths, which the report counts as its
     iterations; CalibrationFailedError after that.
@@ -371,11 +368,6 @@ def make_candidate_evaluator(
     comes back as (inf, nan, inf); an open or non-simple one as (inf,
     scale, residual) of its calibration. Exposed so feasibility filtering
     can be exercised directly, e.g. on an injected doubled great circle.
-
-    A candidate evaluates its curve's series on the 4096-sample grid once:
-    the confirming arc length fills the grid cache (curves.arc_length),
-    and the curve rebuilt at the root has the same key, so is_simple and
-    the sup-deviation objective's 256 nodes read that entry.
 
     The evaluator keeps the last calibrated scale and warm-starts the next
     calibration from it, so a candidate's scale depends, within

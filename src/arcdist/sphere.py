@@ -49,11 +49,8 @@ class SpherePoint:
 def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Vectorized (theta, phi) -> (..., 3) Cartesian points."""
     theta = np.asarray(theta, dtype=float)
-    return _xyz(theta, np.sin(theta), np.asarray(phi, dtype=float))
-
-
-def _xyz(theta: np.ndarray, st: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """angles_to_xyz(theta, phi) given st = sin(theta), bit for bit."""
+    phi = np.asarray(phi, dtype=float)
+    st = np.sin(theta)
     # + 0.0 turns -0.0 into 0.0: on a meridian (phi = 0) y is 0.0 on both halves
     return np.stack([st * np.cos(phi), st * np.sin(phi) + 0.0, np.cos(theta)], axis=-1)
 

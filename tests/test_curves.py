@@ -172,19 +172,6 @@ class TestGridTable:
         assert curve.sample(n)[1].tobytes() == pts.tobytes()
 
     @pytest.mark.parametrize("name", list(GRID_CURVES))
-    def test_grid_evaluation_is_sample_and_speeds_bit_for_bit(self, name):
-        curve = GRID_CURVES[name]()
-        ts, pts = curve.sample(curves.SIMPLE_SAMPLES)
-        grid_ts, xyz = curves._grid_samples(curve)
-        speeds = curves._grid_angles(*curves._grid_key(curve)).speeds
-        assert grid_ts.tobytes() == ts.tobytes()
-        assert curve._rotate(xyz).tobytes() == pts.tobytes()
-        assert speeds.tobytes() == curve.speeds(ts).tobytes()
-        # each level of the trapezoid that divides the grid is every k-th sample
-        for step in (16, 8, 2):
-            assert speeds[::step].tobytes() == curve.speeds(ts[::step]).tobytes()
-
-    @pytest.mark.parametrize("name", list(GRID_CURVES))
     @pytest.mark.parametrize("n", [1, 2, 256, 4096])
     def test_a_divisor_sample_is_a_fresh_contiguous_copy(self, name, n):
         curve = GRID_CURVES[name]()
@@ -193,7 +180,7 @@ class TestGridTable:
         assert ts.tobytes() == periodic_nodes(dom.t_i, dom.t_f, n).tobytes()
         assert pts.tobytes() == curve.positions(ts).tobytes()
         assert ts.flags.c_contiguous and pts.flags.c_contiguous and pts.flags.writeable
-        pts[:] = 0.0  # the cache is not written through a sample
+        pts[:] = 0.0  # a later sample does not read a returned array
         assert curve.sample(n)[1].tobytes() == curve.positions(ts).tobytes()
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, True])
@@ -201,33 +188,22 @@ class TestGridTable:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             tennis_ball_seam().sample(n)
 
-    def test_grid_cache_keeps_one_entry(self):
-        for a in np.linspace(0.5, 0.9, 12):
-            curve = tennis_ball_seam(a)
-            arc_length(curve)
-            is_simple(curve)
-        for cached in (curves._grid_angles, curves._grid_positions):
-            info = cached.cache_info()
-            assert info.maxsize == 1 and info.currsize == 1
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    def test_a_cold_sample_evaluates_its_own_nodes(self, monkeypatch, n):
+        sizes = []
+        real = curves._series_angles
+        monkeypatch.setattr(curves, "_series_angles", lambda s, ts, **k: sizes.append(ts.size) or real(s, ts, **k))
+        tennis_ball_seam(0.6 + n * 1e-5).sample(n)  # a curve no earlier test sampled
+        assert sizes == [n]
 
-    def test_a_rebuilt_curve_reads_the_entry(self):
-        arc_length(tennis_ball_seam(0.7037))
-        before = curves._grid_angles.cache_info()
-        rebuilt = tennis_ball_seam(0.7037)
-        is_simple(rebuilt)
-        rebuilt.sample(512)
-        after = curves._grid_angles.cache_info()
-        assert after.misses == before.misses and after.hits > before.hits
-
-    def test_a_signed_zero_field_takes_its_own_entry(self):
-        # the two series compare equal as floats, but not bit for bit
-        plus, minus = (trig_series(theta_cos=[0.3], phi_sin=[0.2], phi0=zero) for zero in (0.0, -0.0))
-        assert plus._series == minus._series
-        for curve in (plus, minus, plus):
-            misses = curves._grid_positions.cache_info().misses
-            ts, pts = curve.sample(512)
-            assert curves._grid_positions.cache_info().misses == misses + 1
-            assert pts.tobytes() == curve.positions(ts).tobytes()
+    @pytest.mark.parametrize("n, tol", [(64, 1e-9), (256, 1e-12)])
+    @pytest.mark.parametrize("name", list(GRID_CURVES))
+    def test_arc_length_evaluates_every_node_through_speeds(self, monkeypatch, name, n, tol):
+        rows = []
+        real = curves.SphericalCurve.speeds
+        monkeypatch.setattr(curves.SphericalCurve, "speeds", lambda self, ts: rows.append(len(ts)) or real(self, ts))
+        result = arc_length(GRID_CURVES[name](), QuadratureRule("periodic_trapezoid", n, tol))
+        assert sum(rows) == result.nodes_used
 
     def test_stored_values_are_read_only(self):
         cos, sin = curves._grid_trig(0.0, FOUR_PI, 64, 3)

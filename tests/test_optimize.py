@@ -313,16 +313,14 @@ _CONFIRMED_IDS = ["seam", "wavy", "stretched_great_circle", "rotated_seam", "dee
 _CONFIRMING_RULES = [
     SEARCH_RULE,
     default_curve_rule(),
-    # the first level is the whole grid, and each later one takes speeds at its new nodes
     default_curve_rule(n=4096, tol=1e-300),
-    # no level of n = 384 is on the grid
     default_curve_rule(n=384, tol=1e-10),
 ]
 _CONFIRMING_RULE_IDS = ["search", "default", "past_the_grid", "off_the_grid"]
 
 
 def _speeds_arc_length(curve, rule):
-    """The reference arc length: integrate_1d of curve.speeds at every node, no level read from the grid cache."""
+    """The reference arc length: integrate_1d of curve.speeds at every node."""
     return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
 
 
@@ -331,8 +329,8 @@ class TestSharedConfirmation:
     @pytest.mark.parametrize("make_curve, bracket", _CONFIRMED, ids=_CONFIRMED_IDS)
     def test_the_grid_confirms_as_arc_length_does(self, monkeypatch, make_curve, bracket, rule):
         # Newton takes the same steps either way, so the reports match field
-        # for field only if every confirming arc length, read from the grid
-        # cache, matches the integral of speeds evaluated at every node
+        # for field only if every confirming arc length matches the integral
+        # of speeds evaluated at every node
         shared = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
         curve = make_curve(shared.parameter)
         assert arc_length(curve, rule) == _speeds_arc_length(curve, rule)
@@ -344,11 +342,10 @@ class TestSharedConfirmation:
         assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start) == warm
 
     def test_a_calibration_forms_no_positions(self, monkeypatch):
-        # the confirming arc lengths read speeds from the grid cache, which
-        # forms positions only when sample or is_simple first reads them
+        # the length models and the confirming arc lengths take speeds alone
         calls = []
-        real = curves._xyz
-        monkeypatch.setattr("arcdist.curves._xyz", lambda *a: calls.append(1) or real(*a))
+        real = curves.angles_to_xyz
+        monkeypatch.setattr("arcdist.curves.angles_to_xyz", lambda *a: calls.append(1) or real(*a))
         for make_curve, bracket in [_CONFIRMED[i] for i in (0, 1, 2, 4)]:  # one of each family
             cold = calibrate_arc_length(make_curve, bracket)
             calibrate_arc_length(make_curve, bracket, start=0.98 * cold.parameter)
