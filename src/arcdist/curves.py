@@ -95,15 +95,16 @@ def _grid_trig(t_i: float, t_f: float, n: int, j: int) -> tuple[np.ndarray, np.n
 
 
 def _series_angles(
-    s: _TrigSeries, ts: np.ndarray, rates: int = 0, grid: CurveDomain | None = None
+    s: _TrigSeries, ts: np.ndarray, rates: int = 0, grid: CurveDomain | None = None, with_phi: bool = True
 ) -> tuple[np.ndarray, ...]:
     """(theta, phi) of the series at ts, then (theta', phi') with rates >= 1
-    and (theta'', phi'') with rates == 2. A grid says that ts is
+    and (theta'', phi'') with rates == 2; with_phi=False gives None for phi,
+    for a caller that reads only theta and the rates. A grid says that ts is
     periodic_nodes(grid.t_i, grid.t_f, len(ts)); the trig values of each
     harmonic then come from its table (_grid_trig), the same bit for bit."""
     table = grid is not None and ts.size <= _GRID_TRIG_MAX_N
     theta = s.theta0 + s.theta_slope * ts
-    phi = s.phi0 + s.phi_slope * ts
+    phi = s.phi0 + s.phi_slope * ts if with_phi else None
     if rates:
         dtheta = np.full_like(ts, s.theta_slope)
         dphi = np.full_like(ts, s.phi_slope)
@@ -122,7 +123,7 @@ def _series_angles(
             theta = theta + a * cos
         if b:
             theta = theta + b * sin
-        if c:
+        if c and with_phi:
             phi = phi + c * sin
         if rates:
             dtheta = dtheta + j * (b * cos - a * sin)
@@ -188,7 +189,9 @@ class SphericalCurve:
 
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
-        theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
+        theta, _, dtheta, dphi = _series_angles(
+            self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1, with_phi=False
+        )
         return _speed(np.sin(theta), dtheta, dphi)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
@@ -442,11 +445,13 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     from the grid's table.
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
-    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
+    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain, with_phi=False)
     if _FAMILIES[curve.family].scale is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
-        theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=curve.domain)
+        theta_s, _, dtheta_s, dphi_s = _series_angles(
+            _scale_rates(curve), ts, rates=1, grid=curve.domain, with_phi=False
+        )
 
     def model(s: float) -> tuple[float, float]:
         shift = s - scale
@@ -650,6 +655,57 @@ def _arc_balls(pts: np.ndarray, length: np.ndarray):
     return ball
 
 
+def _stretches(x: np.ndarray, y: np.ndarray, width: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For arcs of `width` samples from x and from y (broadcast against each
+    other) of n samples around a closed curve: the index steps between their
+    starts, and the sample `first` from which a near pair (steps <= width)
+    makes one stretch of `span` samples, whose segments meet at the turns
+    first .. first + span - 3."""
+    ahead = (y - x) % n
+    steps = np.minimum(ahead, n - ahead)
+    return steps, np.where(ahead <= width, x, y), np.minimum(steps, width) + width
+
+
+@lru_cache(maxsize=8)
+def _top_level(n: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs and arc pairs of _chord_candidates' first level on n >
+    _LEAF_SAMPLES samples, which depend on n alone (read-only arrays).
+
+    `split` arcs of `width` samples start at `starts` (neighbours may
+    overlap), and arc k is paired with every arc l >= k (wanted[k, l]). For
+    np.add.reduceat over two turns of the curve, `halves` holds each arc's
+    start, middle sample and last sample, so that the first two sums of
+    each triple run from the start to the middle and from there to the
+    end, and `turns` the first and the last turn (exclusive) of each near
+    pair's stretch, the pair at the flat index `near` of wanted.
+    """
+    split = max(4, n // max(_ARC_SAMPLES, math.isqrt(n)))
+    width = -(-n // split)
+    starts = np.arange(split) * n // split
+    wanted = starts[:, None] <= starts
+    steps, first, span = _stretches(starts[:, None], starts, width, n)
+    near = np.flatnonzero(wanted & (steps <= width))
+    halves = np.add.outer(starts, [0, width // 2, width - 1]).ravel()
+    turns = np.stack([first.flat[near], first.flat[near] + span.flat[near] - 2], 1).ravel()
+    for array in (starts, halves, wanted, near, turns):
+        array.setflags(write=False)
+    return split, width, starts, halves, wanted, near, turns
+
+
+def _apart(cx: np.ndarray, rx: np.ndarray, cy: np.ndarray, ry: np.ndarray, capture: float) -> np.ndarray:
+    """[..., k, l]: whether the ball of centre cx[..., k, :] and radius
+    rx[..., k] lies farther than `capture` from that of cy[..., l, :] and
+    ry[..., l], up to _BOUND_SLACK."""
+    # Squared centre distances from the Gram matrix: their rounding is far
+    # below what the slack adds to the squared bound.
+    square_gap = (
+        np.einsum("...k,...k", cx, cx)[..., :, None]
+        + np.einsum("...k,...k", cy, cy)[..., None, :]
+        - 2.0 * np.matmul(cx, np.swapaxes(cy, -1, -2))
+    )
+    return square_gap > (capture + _BOUND_SLACK + rx[..., :, None] + ry[..., None, :]) ** 2
+
+
 def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capture: float) -> np.ndarray:
     """Index pairs (i < j) of closed-curve samples pts, whose segments and
     their lengths are seg and length (_segments), in lexicographic order,
@@ -671,13 +727,24 @@ def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capt
       samples i before j in it the chord to j - 1 is shorter than the chord
       to j, so no pair in the stretch is a local chord minimum.
 
-    A pair not dropped is cut into pairs of sub-arcs, and at the leaf level
-    its sample pairs are tested one by one (_leaf_pairs); a level that
-    keeps no pair ends the search with none. The index separation is
-    compared in integers: a float test on parameter differences admits
-    pairs exactly 3 apart whenever rounding lands them above the threshold.
+    The first level pairs each top arc with itself and every later one
+    (_top_level, built once per n). It takes each arc's two ball
+    half-lengths, and each near pair's summed
+    turning, as sums over the index ranges that the prefix sums of the
+    levels below read (np.add.reduceat over two turns of the curve), and
+    tests the far pairs on the Gram matrix of the arc centres. The sums
+    differ from prefix-sum differences only by rounding, far below
+    _TURN_MARGIN and _BOUND_SLACK. The prefix sums are built only when the
+    first level keeps a pair. A pair not dropped is cut into pairs of
+    sub-arcs, and at the leaf level its sample pairs are tested one by one
+    (_leaf_pairs); a level that keeps no pair ends the search with none.
+    The index separation is compared in integers: a float test on
+    parameter differences admits pairs exactly 3 apart whenever rounding
+    lands them above the threshold.
     """
     n = len(pts)
+    if n <= _LEAF_SAMPLES:  # no level: every sample pair is tested
+        return _leaf_pairs(pts, np.zeros(1, dtype=int), np.zeros(1, dtype=int), n, capture)
     # Turning angle at each sample k + 1, between segments k and k + 1; a
     # short segment counts as a half turn, which no stretch can certify.
     # Segments 0 .. n, segment n being segment 0 again, so that the
@@ -687,44 +754,42 @@ def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capt
     cos = np.einsum("ij,ij->i", ring[:-1], ring[1:])
     cos /= np.maximum(ring_length[:-1] * ring_length[1:], _TIE_FREE_SEGMENT**2)
     turn = np.where(short[:-1] | short[1:], math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
-    # Turning summed from sample 0 over two turns of the curve, so that a
-    # stretch starting at sample s < n needs no wrap.
+
+    # The first level (_top_level). An arc's ball is centred at its middle
+    # sample, with the longer of the polyline lengths from the arc's start
+    # to there and from there to its end as radius, and a near pair's
+    # turning is summed over its stretch. The sums run over two turns of
+    # the curve, so that no range needs a wrap.
+    split, width, starts, halves, wanted, near, turns = _top_level(n)
+    lengths = np.add.reduceat(np.concatenate([length, length]), halves)
+    centre, radius = pts[halves[1::3]], np.maximum(lengths[0::3], lengths[1::3])
+    keep = wanted & ~_apart(centre, radius, centre, radius, capture)
+    keep.flat[near] = ~(np.add.reduceat(np.concatenate([turn, turn]), turns)[0::2] < 0.5 * math.pi - _TURN_MARGIN)
+    k, l = divmod(np.flatnonzero(keep), split)
+    if k.size == 0:  # no pair left: no sample pair can be a candidate
+        return np.zeros((0, 2), dtype=int)
+
+    # Each level below cuts both arcs of every pair left into _SPLIT arcs
+    # and keeps the pairs of those that no rule drops. Turning summed from
+    # sample 0 over two turns of the curve, so that a stretch starting at
+    # sample s < n needs no wrap.
     turned = np.cumsum(np.concatenate([[0.0], turn, turn]))
     ball = _arc_balls(pts, length)
-
-    # Each level cuts both arcs of every pair left into `split` arcs of one
-    # width (neighbours may overlap) and keeps the pairs of those that no
-    # rule drops. The first level cuts the whole curve, paired with itself.
-    x = y = np.zeros(1, dtype=int)
-    width, split = n, max(4, n // max(_ARC_SAMPLES, math.isqrt(n)))
+    x, y = starts[k], starts[l]
     while width > _LEAF_SAMPLES:
-        offsets = np.arange(split) * width // split
-        width = -(-width // split)
+        offsets = np.arange(_SPLIT) * width // _SPLIT
+        width = -(-width // _SPLIT)
         # An arc paired with itself needs only the pairs of its arcs k <= l.
         wanted = (x != y)[:, None, None] | (offsets[:, None] <= offsets)
         x, y = (x[:, None] + offsets) % n, (y[:, None] + offsets) % n
         (cx, rx), (cy, ry) = ball(x, width), ball(y, width)
         x, y = x[:, :, None], y[:, None, :]
-        ahead = (y - x) % n
-        steps = np.minimum(ahead, n - ahead)
-        # A near pair's stretch runs from `first` over `span` samples, whose
-        # segments meet at the turns first .. first + span - 3.
-        first = np.where(ahead <= width, x, y)
-        span = np.minimum(steps, width) + width
+        steps, first, span = _stretches(x, y, width, n)
         certified = turned[first + span - 2] - turned[first] < 0.5 * math.pi - _TURN_MARGIN
-        # Squared centre distances from the Gram matrix: their rounding is
-        # far below what the slack adds to the squared bound.
-        square_gap = (
-            np.einsum("...k,...k", cx, cx)[:, :, None]
-            + np.einsum("...k,...k", cy, cy)[:, None, :]
-            - 2.0 * np.matmul(cx, cy.transpose(0, 2, 1))
-        )
-        apart = square_gap > (capture + _BOUND_SLACK + rx[:, :, None] + ry[:, None, :]) ** 2
-        k, u, v = np.nonzero(wanted & np.where(steps <= width, ~certified, ~apart))
+        k, u, v = np.nonzero(wanted & np.where(steps <= width, ~certified, ~_apart(cx, rx, cy, ry, capture)))
         if k.size == 0:  # no pair left: no sample pair can be a candidate
             return np.zeros((0, 2), dtype=int)
         x, y = x[k, u, 0], y[k, 0, v]
-        split = _SPLIT
     return _leaf_pairs(pts, x, y, width, capture)
 
 

@@ -375,9 +375,18 @@ def make_candidate_evaluator(
     whose warm Newton steps fail, roots cold, from the bracket's pre-scan
     (see calibrate_arc_length). A fresh
     evaluator given the same shapes in the same order returns the same
-    values.
+    values. The candidate's curve is the one its calibration built at the
+    root, where the confirming arc length was taken.
     """
     last_scale = None
+    built = None
+
+    def build(shape: np.ndarray, p: float) -> SphericalCurve:
+        nonlocal built
+        built = family.build(shape, p)
+        return built
+
+    remembering = dataclasses.replace(family, build=build)
     # A candidate's temporaries (the 4096-sample simplicity check, the design
     # x nodes field) reach a few hundred kB. Freeing one untouched 1 MiB block
     # raises glibc malloc's mmap and trim thresholds above that, so they are
@@ -389,11 +398,11 @@ def make_candidate_evaluator(
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale
         try:
-            cal = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
+            cal = remembering.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         last_scale = cal.parameter
-        curve = family.build(shape, cal.parameter)
+        curve = built  # _newton_root builds the curve at each root it confirms, last at this one
         if not is_closed(curve):
             return math.inf, cal.parameter, cal.residual
         simple, _ = is_simple(curve)

@@ -569,6 +569,25 @@ class TestChordCandidates:
         for seed in range(1000, 1040):
             self._check(family.build(_sweep_shape(seed), 1.0), n)
 
+    # Shapes and scales of candidates 100, 133, 199, 298 and 496 of a
+    # 500-candidate seam_seeded_family(3) search, rounded to 4 decimals.
+    # Such late shapes come close to themselves: each keeps 8 arc pairs
+    # down to the leaf level at 4096 samples.
+    LATE_SEARCH_SHAPES = {
+        "candidate_100": ([-0.8608, -0.0053, 0.1959, -0.0265, 0.0288, 0.0032, -0.0177, 0.5865, 0.0998], 0.9916),
+        "candidate_133": ([-0.9488, -0.0035, 0.2199, -0.0169, -0.0051, 0.0021, 0.0441, 0.6745, 0.0715], 0.8823),
+        "candidate_199": ([-0.955, -0.0003, 0.2224, 0.0039, -0.0086, -0.0005, 0.0453, 0.6774, 0.07], 0.8773),
+        "candidate_298": ([-0.9409, -0.0004, 0.2285, -0.0074, -0.0034, 0.0007, 0.0306, 0.68, 0.0551], 0.8713),
+        "candidate_496": ([-0.9618, -0.0003, 0.236, 0.009, -0.0134, 0.0005, 0.0393, 0.6977, 0.0491], 0.8487),
+    }
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize("name", list(LATE_SEARCH_SHAPES))
+    def test_same_local_minima_on_late_search_shapes(self, name, n):
+        shape, scale = self.LATE_SEARCH_SHAPES[name]
+        found, _ = self._check(seam_seeded_family(3).build(np.array(shape), scale), n)
+        assert found.size  # only the leaf pass finds pairs
+
     def test_seam_stretches_turning_less_than_a_right_angle_hold_no_candidate(self):
         # Within 0.05 of each other, seam samples lie at most a few dozen
         # apart along the curve, on stretches that turn by less than pi/2.
@@ -598,8 +617,9 @@ class TestLeafPairs:
 
 
 class TestEmptyLevel:
-    """A level of the arc search that keeps no pair ends it: no leaf pass,
-    no local-minimum filter."""
+    """A first level of the arc search that keeps no pair ends it: no arc
+    balls or prefix sums for the levels below, no leaf pass, no
+    local-minimum filter."""
 
     # The seam at its published amplitude, and the second candidate of the
     # default seam search (the seam shape plus 0.1 in a_1) at its
@@ -613,28 +633,26 @@ class TestEmptyLevel:
 
     @pytest.fixture
     def stops_after_one_level(self, monkeypatch):
-        """Forbid the leaf pass and the local-minimum filter, and count the
-        levels the search runs (each builds the balls of its two arc sets)."""
-        balls = []
-        arc_balls = curves._arc_balls
+        """Forbid the leaf pass, the local-minimum filter and what only the
+        levels below the first build (the arc balls and every prefix sum),
+        and record the arcs of each far-pair test the search runs."""
+        arcs = []
+        apart = curves._apart
 
-        def counted(pts, length):
-            ball = arc_balls(pts, length)
-
-            def counting(s, width):
-                balls.append(width)
-                return ball(s, width)
-
-            return counting
+        def counted(cx, rx, cy, ry, capture):
+            arcs.append((len(cx), len(cy)))
+            return apart(cx, rx, cy, ry, capture)
 
         def forbidden(*args):
-            raise AssertionError("called after a level that kept no pair")
+            raise AssertionError("called after a first level that kept no pair")
 
-        monkeypatch.setattr(curves, "_arc_balls", counted)
+        monkeypatch.setattr(curves, "_apart", counted)
+        monkeypatch.setattr(curves, "_arc_balls", forbidden)
+        monkeypatch.setattr(curves.np, "cumsum", forbidden)
         monkeypatch.setattr(curves, "_leaf_pairs", forbidden)
         monkeypatch.setattr(curves, "_local_chord_minima", forbidden)
         yield
-        assert balls == [64, 64]  # one level: the 64-sample arcs of each side
+        assert arcs == [(64, 64)]  # one level: the 64 top arcs paired with each other
 
     @pytest.mark.parametrize("name", list(CURVES))
     def test_is_simple_stops_at_the_first_level(self, stops_after_one_level, name):

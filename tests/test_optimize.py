@@ -24,7 +24,7 @@ from arcdist.optimize import (
     _diameter,
     _model_root,
 )
-from arcdist.quadrature import QuadratureRule, default_curve_rule, integrate_1d
+from arcdist.quadrature import QuadratureRule, default_curve_rule, rule_nodes
 from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
@@ -316,30 +316,20 @@ _CONFIRMING_RULES = [
     default_curve_rule(n=4096, tol=1e-300),
     default_curve_rule(n=384, tol=1e-10),
 ]
-_CONFIRMING_RULE_IDS = ["search", "default", "past_the_grid", "off_the_grid"]
-
-
-def _speeds_arc_length(curve, rule):
-    """The reference arc length: integrate_1d of curve.speeds at every node."""
-    return integrate_1d(curve.speeds, curve.domain.t_i, curve.domain.t_f, rule)
+_CONFIRMING_RULE_IDS = ["search", "default", "unreachable_tol", "start_at_384"]
 
 
 class TestSharedConfirmation:
     @pytest.mark.parametrize("rule", _CONFIRMING_RULES, ids=_CONFIRMING_RULE_IDS)
     @pytest.mark.parametrize("make_curve, bracket", _CONFIRMED, ids=_CONFIRMED_IDS)
-    def test_the_grid_confirms_as_arc_length_does(self, monkeypatch, make_curve, bracket, rule):
-        # Newton takes the same steps either way, so the reports match field
-        # for field only if every confirming arc length matches the integral
-        # of speeds evaluated at every node
-        shared = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
-        curve = make_curve(shared.parameter)
-        assert arc_length(curve, rule) == _speeds_arc_length(curve, rule)
-        monkeypatch.setattr("arcdist.optimize.arc_length", _speeds_arc_length)
-        assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule) == shared
-        start = 0.98 * shared.parameter
-        warm = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start)
-        monkeypatch.undo()
-        assert calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule, start=start) == warm
+    def test_speeds_are_the_norm_of_velocities_at_the_root(self, make_curve, bracket, rule):
+        # speeds forms no phi, which velocities needs; at the nodes of the
+        # confirming arc length they agree to rounding
+        report = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
+        curve = make_curve(report.parameter)
+        ts, _ = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, report.nodes_used)
+        norms = np.linalg.norm(curve.velocities(ts), axis=1)
+        assert np.all(np.abs(curve.speeds(ts) - norms) <= 4 * np.spacing(norms))
 
     def test_a_calibration_forms_no_positions(self, monkeypatch):
         # the length models and the confirming arc lengths take speeds alone
@@ -355,7 +345,7 @@ class TestSharedConfirmation:
 
     def test_the_cases_reach_past_the_first_levels(self):
         # the deep shape settles at 1024 nodes under the search's rule, and
-        # the tight rule past the grid
+        # the rule of unreachable tolerance refines past 4096 nodes
         deep = calibrate_arc_length(*_CONFIRMED[4], tol=CONSTRAINT_TOL, rule=SEARCH_RULE)
         assert deep.nodes_used == 1024
         for make_curve, bracket in _CONFIRMED:
