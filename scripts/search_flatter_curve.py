@@ -24,15 +24,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--J", type=int, default=3)
     ap.add_argument("--max-evals", type=int, default=800)
-    ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", default="flatter_curve_report.json")
     args = ap.parse_args()
 
     family = seam_seeded_family(args.J)
-    config = OptimizerConfig(objective="sup_dev_from_half_pi", max_evals=args.max_evals, seed=args.seed)
+    config = OptimizerConfig(objective="sup_dev_from_half_pi", max_evals=args.max_evals)
     report = minimize_functional(family, config=config)
 
-    best = family.build(np.array(report.best_shape), report.best_scale)
+    best = report.best_curve
     # the objective as the search took it: its design and its rule
     sup, worst_point = sup_deviation_from_half_pi(best, SEARCH_RULE)
     print(f"evaluations:      {report.evaluations} (converged={report.converged})")
@@ -42,7 +41,7 @@ def main() -> int:
     print(f"best curve spec:  {json.dumps(to_spec(best))}")
 
     payload = {
-        "config": {"J": args.J, "max_evals": args.max_evals, "seed": args.seed},
+        "config": {"J": args.J, "max_evals": args.max_evals},
         "initial_value": report.initial_value,
         "best_value": report.best_value,
         "best_curve": to_spec(best),

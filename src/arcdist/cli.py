@@ -78,7 +78,6 @@ _SETTINGS = {
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
     "max_evals": _INTEGER,
     "objective": (lambda v: v in optimize.OBJECTIVES, f"one of {optimize.OBJECTIVES}"),
-    "simplex_scale": (_is_real, "a number"),
     "J": _INTEGER,
 }
 
@@ -269,7 +268,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _settings(args)
-    config = _validated(optimize.OptimizerConfig, **_given(cfg, "objective", "max_evals", "simplex_scale", "seed"))
+    config = _validated(optimize.OptimizerConfig, **_given(cfg, "objective", "max_evals", "seed"))
     family = _validated(optimize.seam_seeded_family, **_given(cfg, "J"))
     report = optimize.minimize_functional(family, config=config)
     results = [
@@ -357,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--objective", choices=optimize.OBJECTIVES, help=f"default {opt.objective}")
     p.add_argument("--max-evals", dest="max_evals", type=int, help=f"evaluation budget (default {opt.max_evals})")
-    p.add_argument(
-        "--simplex-scale", dest="simplex_scale", type=float, help=f"initial simplex size (default {opt.simplex_scale})"
-    )
     p.add_argument("--J", type=int, help=f"search harmonics (default {_default(optimize.seam_seeded_family, 'J')})")
     p.set_defaults(func=cmd_optimize)
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -31,6 +31,9 @@ MAX_EVALUATIONS_REACHED = "max_evaluations_reached"
 
 #: The Nelder-Mead search stops once its simplex is narrower than this.
 DIAMETER_TOL = 1e-6
+
+#: The initial simplex's offset from the start along each shape parameter.
+SIMPLEX_SCALE = 0.1
 
 
 class NoBracketError(ValueError):
@@ -51,7 +54,8 @@ class CalibrationReport:
     confirming arc lengths the root took (the pre-scan and Newton take
     none). warning is that arc length's warning (TOLERANCE_NOT_REACHED)
     if it has one, else MULTIPLE_SIGN_CHANGES when the pre-scan found
-    several roots.
+    several roots. curve is the curve at the parameter, the one whose arc
+    length the report gives; it takes no part in comparisons or the repr.
     """
 
     family: str
@@ -62,11 +66,17 @@ class CalibrationReport:
     iterations: int
     bracket: tuple[float, float]
     warning: str | None = None
+    curve: SphericalCurve = field(kw_only=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of a constrained functional minimization over a curve family."""
+    """Outcome of a constrained functional minimization over a curve family.
+
+    best_curve is the family's curve at best_shape and best_scale, the one
+    constraint_residual is measured on; it takes no part in comparisons or
+    the repr.
+    """
 
     objective: str
     family: str
@@ -80,6 +90,7 @@ class OptimizationReport:
     converged: bool
     trace: tuple[float, ...]
     warning: str | None = None
+    best_curve: SphericalCurve = field(kw_only=True, compare=False, repr=False)
 
 
 #: Arc lengths a Newton root may spend confirming roots before it fails.
@@ -120,11 +131,12 @@ def calibrate_arc_length(
     Newton (_newton_root) steps on L_n, first at n = 2 rule.n, the level at
     which a refinement can first stop, each clipped to an interval and at
     least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at
-    that p confirms the root, and the report takes its value and residual
-    from it. A confirmation that misses tol rebuilds L_n at the
-    level it settled at and runs Newton again, for at most
-    NEWTON_MAX_EVALUATIONS arc lengths, which the report counts as its
-    iterations; CalibrationFailedError after that.
+    that p confirms the root. The report takes its value and residual from
+    it, and its curve is the make_curve(p) that arc length was taken on. A
+    confirmation that misses tol rebuilds L_n at the level it settled at
+    and runs Newton again, for at most NEWTON_MAX_EVALUATIONS arc lengths,
+    which the report counts as its iterations; CalibrationFailedError after
+    that.
 
     With a start inside the bracket, Newton runs from the start inside the
     bracket, and the report carries the bracket as given. A warm start
@@ -207,7 +219,8 @@ def _newton_root(
         residual = abs(length.value - FOUR_PI)
         if residual <= tol:
             return CalibrationReport(
-                family, p, length.value, residual, length.nodes_used, evaluations, sub, length.warning or warning
+                family, p, length.value, residual, length.nodes_used, evaluations, sub, length.warning or warning,
+                curve=curve,
             )
         n = length.nodes_used  # the trapezoid's levels nest: the level it settled at
     return None
@@ -337,7 +350,6 @@ def seam_seeded_family(J: int = 3) -> SearchFamily:
 class OptimizerConfig:
     objective: str = "sup_dev_from_half_pi"
     max_evals: int = 2000
-    simplex_scale: float = 0.1
     seed: int = 42
     #: Points of the sup-deviation objective's design (functionals.DESIGN_SIZE).
     design_size: ClassVar[int] = DESIGN_SIZE
@@ -347,8 +359,6 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         require_integer(self.max_evals, 1, "max_evals")
         require_integer(self.seed, 0, "seed")
-        if isinstance(self.simplex_scale, bool) or not (math.isfinite(self.simplex_scale) and self.simplex_scale > 0):
-            raise ValueError(f"simplex_scale must be positive and finite, got {self.simplex_scale}")
 
 
 def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
@@ -375,18 +385,10 @@ def make_candidate_evaluator(
     whose warm Newton steps fail, roots cold, from the bracket's pre-scan
     (see calibrate_arc_length). A fresh
     evaluator given the same shapes in the same order returns the same
-    values. The candidate's curve is the one its calibration built at the
-    root, where the confirming arc length was taken.
+    values. The candidate's curve is its calibration report's curve, on
+    which the confirming arc length was taken.
     """
     last_scale = None
-    built = None
-
-    def build(shape: np.ndarray, p: float) -> SphericalCurve:
-        nonlocal built
-        built = family.build(shape, p)
-        return built
-
-    remembering = dataclasses.replace(family, build=build)
     # A candidate's temporaries (the 4096-sample simplicity check, the design
     # x nodes field) reach a few hundred kB. Freeing one untouched 1 MiB block
     # raises glibc malloc's mmap and trim thresholds above that, so they are
@@ -398,11 +400,11 @@ def make_candidate_evaluator(
     def evaluate(shape: np.ndarray) -> tuple[float, float, float]:
         nonlocal last_scale
         try:
-            cal = remembering.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
+            cal = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=last_scale)
         except (NoBracketError, CalibrationFailedError):
             return math.inf, math.nan, math.inf
         last_scale = cal.parameter
-        curve = built  # _newton_root builds the curve at each root it confirms, last at this one
+        curve = cal.curve
         if not is_closed(curve):
             return math.inf, cal.parameter, cal.residual
         simple, _ = is_simple(curve)
@@ -425,7 +427,7 @@ def minimize_functional(
     """Nelder-Mead over the family's shape parameters under the 4pi constraint.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5;
-    initial simplex offsets simplex_scale per parameter; stops when the
+    initial simplex offsets SIMPLEX_SCALE per parameter; stops when the
     simplex diameter drops below DIAMETER_TOL or after exactly max_evals
     evaluations (best-so-far returned, flagged). Vertices are ordered by a
     stable sort, so ties (infeasible vertices at +inf) keep their order.
@@ -461,7 +463,7 @@ def minimize_functional(
 
     converged = x0.size == 0  # an empty shape has nothing to search
     try:
-        simplex = np.vstack([x0, x0 + config.simplex_scale * np.eye(x0.size)])
+        simplex = np.vstack([x0, x0 + SIMPLEX_SCALE * np.eye(x0.size)])
         values = np.array([f0] + [run_eval(x) for x in simplex[1:]])
         while not converged and len(log) < config.max_evals:
             order = np.argsort(values, kind="stable")
@@ -515,6 +517,7 @@ def minimize_functional(
         converged=converged,
         trace=tuple(float(v) for v in np.minimum.accumulate(feasible)),
         warning=None if converged else MAX_EVALUATIONS_REACHED,
+        best_curve=best_curve,
     )
 
 

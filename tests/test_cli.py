@@ -331,7 +331,6 @@ class TestConfigHandling:
             ("eval", {"tol": "small", "curve": {"family": "great_circle"}}),
             ("eval", {"points": [["north", 1]], "curve": {"family": "great_circle"}}),
             ("optimize", {"max_evals": "30"}),
-            ("optimize", {"simplex_scale": [0.1]}),
             ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
             ("optimize", {"max_evals": True}),
             ("optimize", {"max_evals": 2.5}),
@@ -340,8 +339,7 @@ class TestConfigHandling:
             ("eval", {"tol": True, "curve": {"family": "great_circle"}}),
             ("calibrate", {"bracket": [0.1, True], "curve": {"family": "tennis_ball"}}),
         ],
-        ids=["n_string", "tol_string", "point_string", "max_evals_string", "simplex_scale_list",
-             "bracket_strings", "max_evals_bool", "max_evals_fraction", "seed_bool", "J_fraction", "tol_bool",
+        ids=["n_string", "tol_string", "point_string", "max_evals_string", "bracket_strings", "max_evals_bool", "max_evals_fraction", "seed_bool", "J_fraction", "tol_bool",
              "bracket_bool"],
     )
     def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
@@ -416,6 +414,19 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_the_simplex_scale_is_no_setting(tmp_path, monkeypatch, capsys):
+    # the initial simplex's size is the constant optimize.SIMPLEX_SCALE: neither
+    # the flag nor the config key exists, and both exit 2 before any search
+    monkeypatch.setattr("arcdist.optimize.minimize_functional", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--simplex-scale", "0.1"])
+    assert exc.value.code == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"simplex_scale": 0.1}))
+    code, _, err = run(["optimize", "--config", str(path)], capsys)
+    assert code == 2 and "unknown config keys: ['simplex_scale']" in err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -425,8 +436,6 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
         ["eval", "--curve", '{"family":"great_circle"}', "--tol", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--tol", "0"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "1.4", "0.1"],
-        ["optimize", "--simplex-scale", "0", "--max-evals", "30"],
-        ["optimize", "--simplex-scale", "nan", "--max-evals", "30"],
     ],
     ids=[
         "optimize_max_evals_0",
@@ -435,8 +444,6 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
         "eval_tol_0",
         "calibrate_tol_0",
         "calibrate_reversed_bracket",
-        "optimize_simplex_scale_0",
-        "optimize_simplex_scale_nan",
     ],
 )
 def test_invalid_setting_is_config_error(args, capsys):

@@ -6,13 +6,14 @@ import pytest
 
 from arcdist.curves import arc_length, great_circle, is_closed, is_simple, tennis_ball_seam, trig_series, wavy_circle
 from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean, sup_deviation_from_half_pi
-from arcdist import curves
+from arcdist import curves, optimize
 from arcdist.optimize import (
     CONSTRAINT_TOL,
     MAX_EVALUATIONS_REACHED,
     MULTIPLE_SIGN_CHANGES,
     NEWTON_MAX_EVALUATIONS,
     SEARCH_RULE,
+    SIMPLEX_SCALE,
     CalibrationFailedError,
     NoBracketError,
     OptimizerConfig,
@@ -196,7 +197,8 @@ class TestNewtonCalibration:
     def test_start_outside_the_bracket_roots_cold(self):
         cold = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6)
         warm = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-6, start=1.45)
-        assert warm == cold
+        # each report holds the curve it built at the root, which takes no part in == or the repr
+        assert warm == cold and repr(warm) == repr(cold) and warm.curve is not cold.curve
 
     def test_cold_root_takes_one_or_two_arc_lengths(self, monkeypatch):
         family = seam_seeded_family(3)
@@ -326,7 +328,7 @@ class TestSharedConfirmation:
         # speeds forms no phi, which velocities needs; at the nodes of the
         # confirming arc length they agree to rounding
         report = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
-        curve = make_curve(report.parameter)
+        curve = report.curve
         ts, _ = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, report.nodes_used)
         norms = np.linalg.norm(curve.velocities(ts), axis=1)
         assert np.all(np.abs(curve.speeds(ts) - norms) <= 4 * np.spacing(norms))
@@ -340,7 +342,7 @@ class TestSharedConfirmation:
             cold = calibrate_arc_length(make_curve, bracket)
             calibrate_arc_length(make_curve, bracket, start=0.98 * cold.parameter)
         assert calls == []
-        make_curve(cold.parameter).sample(256)
+        cold.curve.sample(256)
         assert len(calls) == 1
 
     def test_the_cases_reach_past_the_first_levels(self):
@@ -530,8 +532,8 @@ class TestMinimizeFunctional:
 
     def test_best_iterate_is_closed_simple_and_calibrated(self):
         fam = seam_seeded_family(3)
-        report = minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(max_evals=30, seed=7))
-        best = fam.build(np.array(report.best_shape), report.best_scale)
+        report = minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(max_evals=30))
+        best = report.best_curve
         simple, _ = is_simple(best)
         assert simple
         assert abs(arc_length(best).value - FOUR_PI) <= 1e-4
@@ -605,11 +607,6 @@ class TestMinimizeFunctional:
         got = make_candidate_evaluator(doubled, config)(np.array([]))
         assert math.isinf(got[0]) and got == _reference_evaluator(doubled)(np.array([]))
 
-    @pytest.mark.parametrize("scale", [0.0, -0.1, math.nan, math.inf, True])
-    def test_simplex_scale_must_be_positive_and_finite(self, scale):
-        with pytest.raises(ValueError):
-            OptimizerConfig(simplex_scale=scale)
-
     def test_converges_on_a_quadratic(self, monkeypatch):
         # a cheap stand-in objective reaches the simplex-diameter stop well
         # inside the budget
@@ -644,7 +641,7 @@ class TestMinimizeFunctional:
         monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", stub)
         report = minimize_functional(family, config=OptimizerConfig(max_evals=2 * k + 3))
         assert report.evaluations == len(shapes) == 2 * k + 3 == 15
-        vertices = x0 + OptimizerConfig().simplex_scale * np.eye(k)
+        vertices = x0 + SIMPLEX_SCALE * np.eye(k)
         assert np.array_equal(np.array(shapes[k + 3 :]), x0 + 0.5 * (vertices - x0))
         assert report.best_value == 1.0 and report.best_shape == family.initial_shape
 
@@ -723,3 +720,65 @@ class TestMinimizeFunctional:
         assert OptimizerConfig().design_size == OptimizerConfig.design_size == DESIGN_SIZE == 122
         with pytest.raises(TypeError):
             OptimizerConfig(design_size=61)
+
+    def test_the_simplex_scale_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["objective", "max_evals", "seed"]
+        with pytest.raises(TypeError):
+            OptimizerConfig(simplex_scale=SIMPLEX_SCALE)
+
+
+class TestReportedCurves:
+    """A seeded 40-candidate search of seam_seeded_family(3), with every
+    calibration report it took and every curve its checks and objective read."""
+
+    @pytest.fixture(scope="class")
+    def search(self):
+        family, events = seam_seeded_family(3), []  # ("calibrate_arc_length", report) or (check, curve)
+
+        def recorder(name, real):
+            def recorded(*args, **kwargs):
+                result = real(*args, **kwargs)
+                events.append((name, result if name == "calibrate_arc_length" else args[0]))
+                return result
+
+            return recorded
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("calibrate_arc_length", "is_closed", "is_simple", "sup_deviation_from_half_pi"):
+                mp.setattr(optimize, name, recorder(name, getattr(optimize, name)))
+            report = minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=42))
+        return family, events, report
+
+    def test_every_candidate_reads_its_calibration_curve(self, search):
+        _, events, report = search
+        cal = None
+        for name, value in events:
+            if name == "calibrate_arc_length":
+                cal = value
+            else:
+                assert value is cal.curve
+        calibrated = [name for name, _ in events].count("calibrate_arc_length")
+        scored = [name for name, _ in events].count("sup_deviation_from_half_pi")
+        assert calibrated == report.evaluations == 40
+        assert 30 < scored <= 40
+
+    def test_each_report_curve_has_its_reported_arc_length(self, search):
+        family, events, _ = search
+        for name, cal in events:
+            if name == "calibrate_arc_length":
+                assert arc_length(cal.curve, SEARCH_RULE).value == cal.arc_length
+                assert cal.curve.family == family.tag
+
+    def test_the_best_curve_is_the_family_curve_at_the_best_point(self, search):
+        family, _, report = search
+        rebuilt = family.build(np.array(report.best_shape), report.best_scale)
+        assert np.array_equal(report.best_curve.sample(4096)[1], rebuilt.sample(4096)[1])
+        assert report.constraint_residual == abs(arc_length(report.best_curve, default_curve_rule()).value - FOUR_PI)
+
+    def test_reports_at_one_root_are_equal_with_their_own_curves(self, search):
+        family, _, report = search
+        shape, hi = np.array(report.best_shape), family.scale_bracket[1]
+        cold = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE)
+        warm = family.calibrate(shape, CONSTRAINT_TOL, SEARCH_RULE, start=hi + 1.0)  # outside: roots cold
+        assert warm == cold and warm.curve is not cold.curve
+        assert np.array_equal(warm.curve.sample(4096)[1], cold.curve.sample(4096)[1])
