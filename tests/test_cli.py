@@ -414,17 +414,21 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
     assert exc.value.code == 2
 
 
-def test_the_simplex_scale_is_no_setting(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("given", ["flag", "config_key"])
+def test_the_simplex_scale_is_no_setting(given, tmp_path, monkeypatch, capsys):
     # the initial simplex's size is the constant optimize.SIMPLEX_SCALE: neither
     # the flag nor the config key exists, and both exit 2 before any search
     monkeypatch.setattr("arcdist.optimize.minimize_functional", None)
-    with pytest.raises(SystemExit) as exc:
-        main(["optimize", "--simplex-scale", "0.1"])
-    assert exc.value.code == 2
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"simplex_scale": 0.1}))
-    code, _, err = run(["optimize", "--config", str(path)], capsys)
-    assert code == 2 and "unknown config keys: ['simplex_scale']" in err
+    if given == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--simplex-scale", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --simplex-scale 0.1" in capsys.readouterr().err
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"simplex_scale": 0.1}))
+        code, _, err = run(["optimize", "--config", str(path)], capsys)
+        assert code == 2 and "unknown config keys: ['simplex_scale']" in err
 
 
 @pytest.mark.parametrize(

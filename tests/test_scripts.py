@@ -46,6 +46,18 @@ def test_flatter_curve_search_reports_the_objective_it_minimized(tmp_path):
     assert lines["sup dev at best"].split()[0] == best
 
 
+def test_flatter_curve_search_takes_no_seed():
+    # no random draw of the sup_dev_from_half_pi search reads a seed, so the script offers none
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_flatter_curve.py"), "--seed", "42"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 42" in proc.stderr
+
+
 def test_seam_amplitude_scan_writes_one_row_per_step(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
