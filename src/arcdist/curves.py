@@ -120,17 +120,17 @@ def _series_angles(
             cos = np.cos(jt) if rates or a else None
             sin = np.sin(jt) if rates or b or c else None
         if a:
-            theta = theta + a * cos
+            theta += a * cos
         if b:
-            theta = theta + b * sin
+            theta += b * sin
         if c and with_phi:
-            phi = phi + c * sin
+            phi += c * sin
         if rates:
-            dtheta = dtheta + j * (b * cos - a * sin)
-            dphi = dphi + (j * c) * cos
+            dtheta += j * (b * cos - a * sin)
+            dphi += (j * c) * cos
         if rates > 1:
-            d2theta = d2theta - (j * j) * (a * cos + b * sin)
-            d2phi = d2phi - (j * j * c) * sin
+            d2theta -= (j * j) * (a * cos + b * sin)
+            d2phi -= (j * j * c) * sin
     if rates > 1:
         return theta, phi, dtheta, dphi, d2theta, d2phi
     return (theta, phi, dtheta, dphi) if rates else (theta, phi)
@@ -625,11 +625,21 @@ SIMPLE_SAMPLES = 4096
 _WITNESS_SLACK = 1e-12
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the (..., 3) arrays a and b along their last
+    axis, as sums of columns: for small arrays, without einsum's fixed
+    cost per call. They can differ from einsum's in the last bit, so they
+    serve only values compared with slack (the ball and turning bounds) and
+    the longest segment, whose last bit moves the capture radius only for
+    a sample pair exactly at it."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _segments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The segments of the closed polyline through pts, segment k from
     sample k to k + 1, and their lengths."""
     seg = np.diff(pts, axis=0, append=pts[:1])
-    return seg, np.sqrt(np.einsum("ij,ij->i", seg, seg))
+    return seg, np.sqrt(_dots(seg, seg))
 
 
 def _arc_balls(pts: np.ndarray, length: np.ndarray):
@@ -699,8 +709,8 @@ def _apart(cx: np.ndarray, rx: np.ndarray, cy: np.ndarray, ry: np.ndarray, captu
     # Squared centre distances from the Gram matrix: their rounding is far
     # below what the slack adds to the squared bound.
     square_gap = (
-        np.einsum("...k,...k", cx, cx)[..., :, None]
-        + np.einsum("...k,...k", cy, cy)[..., None, :]
+        _dots(cx, cx)[..., :, None]
+        + _dots(cy, cy)[..., None, :]
         - 2.0 * np.matmul(cx, np.swapaxes(cy, -1, -2))
     )
     return square_gap > (capture + _BOUND_SLACK + rx[..., :, None] + ry[..., None, :]) ** 2
@@ -751,7 +761,7 @@ def _chord_candidates(pts: np.ndarray, seg: np.ndarray, length: np.ndarray, capt
     # successor of each segment is a slice.
     ring, ring_length = np.concatenate([seg, seg[:1]]), np.concatenate([length, length[:1]])
     short = ring_length < _TIE_FREE_SEGMENT
-    cos = np.einsum("ij,ij->i", ring[:-1], ring[1:])
+    cos = _dots(ring[:-1], ring[1:])
     cos /= np.maximum(ring_length[:-1] * ring_length[1:], _TIE_FREE_SEGMENT**2)
     turn = np.where(short[:-1] | short[1:], math.pi, np.arccos(np.clip(cos, -1.0, 1.0)))
 

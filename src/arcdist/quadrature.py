@@ -166,12 +166,16 @@ def periodic_nodes(a: float, b: float, n: int) -> np.ndarray:
     return a + (b - a) * np.arange(n) / n
 
 
+def _require_curve_rule(rule: QuadratureRule) -> None:
+    if rule.kind != "periodic_trapezoid":
+        raise ValueError(f"curve integrals take a periodic_trapezoid rule, not {rule.kind}")
+
+
 def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the periodic trapezoid rule at n nodes (default
     rule.n) on [a, b]: equispaced from a, with b identified with a, each
     weighing (b - a) / n. A rule of a sphere kind raises ValueError."""
-    if rule.kind != "periodic_trapezoid":
-        raise ValueError(f"curve integrals take a periodic_trapezoid rule, not {rule.kind}")
+    _require_curve_rule(rule)
     n = n or rule.n
     return periodic_nodes(a, b, n), np.full(n, (b - a) / n)
 
@@ -229,23 +233,35 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     the rule is only first order and stops at the cap flagged
     TOLERANCE_NOT_REACHED. Its levels nest, so each doubling evaluates
     only the new nodes, and nodes_used, which counts every evaluation, is
-    the node count of the level whose value was returned. Refines by
-    doubling under the module's cap rule. A rule of a sphere kind raises
-    ValueError (rule_nodes).
+    the node count of the level whose value was returned. The first two
+    levels, which every refinement builds, take one call of f on the
+    second level's nodes; each later level one call on its new nodes.
+    Refines by doubling under the module's cap rule. A rule of a sphere
+    kind raises ValueError before f is called.
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
+    levels = refinement_levels(rule)
+    _require_curve_rule(rule)
+    # Node k of a level is node 2k of the next exactly (periodic_nodes scales
+    # k and n by the same power of two), so the first level is the even
+    # entries of the second, whose new nodes are the odd ones. The sum of a
+    # strided view runs the same pairwise sum as a copy's.
+    first_two = _eval(f, periodic_nodes(a, b, levels[1]))
     total = 0.0
 
     def level(n: int) -> tuple[float, int]:
         nonlocal total
-        xs = rule_nodes(rule, a, b, n)[0]
-        # levels nest: past the first, the new nodes are the odd ones
-        new = xs if n == rule.n else xs[1::2]
-        total += float(np.sum(_eval(f, new)))
+        if n == levels[0]:
+            new = first_two[0::2]
+        elif n == levels[1]:
+            new = first_two[1::2]
+        else:
+            new = _eval(f, periodic_nodes(a, b, n)[1::2])
+        total += float(np.sum(new))
         return (b - a) * total / n, new.size
 
-    return _refine(level, refinement_levels(rule), rule.tol)
+    return _refine(level, levels, rule.tol)
 
 
 def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:

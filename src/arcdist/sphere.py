@@ -51,8 +51,14 @@ def angles_to_xyz(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
-    # + 0.0 turns -0.0 into 0.0: on a meridian (phi = 0) y is 0.0 on both halves
-    return np.stack([st * np.cos(phi), st * np.sin(phi) + 0.0, np.cos(theta)], axis=-1)
+    xyz = np.empty(np.broadcast_shapes(theta.shape, phi.shape) + (3,))
+    # The trig functions run on contiguous arrays and only the products are
+    # written into the columns, so the bits are those of stacking the columns.
+    np.multiply(st, np.cos(phi), out=xyz[..., 0])
+    np.multiply(st, np.sin(phi), out=xyz[..., 1])
+    xyz[..., 1] += 0.0  # -0.0 becomes 0.0: on a meridian (phi = 0) y is 0.0 on both halves
+    xyz[..., 2] = np.cos(theta)
+    return xyz
 
 
 def as_unit_xyz(v) -> np.ndarray:

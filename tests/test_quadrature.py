@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import i0, roots_legendre
 
+from arcdist import functionals
 from arcdist.curves import tennis_ball_seam
-from arcdist.functionals import mean_distance_field
-from arcdist.optimize import calibrate_arc_length
+from arcdist.functionals import mean_distance_field, point_to_curve_mean
+from arcdist.optimize import SEARCH_RULE, calibrate_arc_length
 from arcdist.quadrature import (
     NODE_CAP,
     RULE_KINDS,
@@ -21,6 +22,7 @@ from arcdist.quadrature import (
     _product_grid,
     default_sphere_rule,
     integrate_1d,
+    periodic_nodes,
     refinement_levels,
     rule_nodes,
     sample_mean,
@@ -29,6 +31,24 @@ from arcdist.quadrature import (
 from arcdist.sphere import angles_to_xyz, random_rotation_matrix, uniform_unit_vectors
 
 TWO_PI = 2.0 * math.pi
+
+
+def _level_by_level(f, a, b, rule):
+    """integrate_1d's doubling with one call of f a level, on that level's new
+    nodes: (value, error estimate, nodes used, warning)."""
+    total, used, prev = 0.0, 0, None
+    for n in refinement_levels(rule):
+        xs = periodic_nodes(a, b, n)
+        new = xs if n == rule.n else xs[1::2]
+        total += float(np.sum(np.asarray(f(new), dtype=float)))
+        used += new.size
+        cur = (b - a) * total / n
+        if prev is not None:
+            est = abs(cur - prev)
+            if est <= rule.tol:
+                return cur, est, used, None
+        prev = cur
+    return cur, est, used, TOLERANCE_NOT_REACHED
 
 
 def _grid_by_angles(n_theta):
@@ -133,6 +153,52 @@ class TestIntegrate1D:
         res = integrate_1d(f, 0.0, TWO_PI, rule)
         xs, ws = rule_nodes(rule, 0.0, TWO_PI, res.nodes_used)
         assert float(ws @ f(xs)) == pytest.approx(res.value, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "rule, sizes",
+        [
+            (QuadratureRule("periodic_trapezoid", 8, 1.0), [16]),
+            (QuadratureRule("periodic_trapezoid", 8, 1e-12), [16, 16, 32]),
+        ],
+        ids=["second_level", "fourth_level"],
+    )
+    def test_the_first_two_levels_take_one_call(self, rule, sizes):
+        # f runs once on the second level's nodes, then once a level on its new nodes
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(3.0 * np.cos(t))
+
+        assert integrate_1d(f, 0.0, TWO_PI, rule).nodes_used == sum(sizes)
+        assert calls == sizes
+
+    @pytest.mark.parametrize(
+        "case",
+        ["seam_search_rule", "seam_default_rule", "bump_fourth_level", "seam_to_the_cap", "point_to_curve_mean"],
+    )
+    def test_same_bits_as_one_call_a_level(self, case, monkeypatch):
+        # one call on the second level's nodes gives the two levels' sums bit
+        # for bit: the first level's nodes are its even nodes exactly, and a
+        # strided sum is the same pairwise sum (in the cap case over 2^14 of
+        # 2^15 values, past numpy's 8192-entry buffers)
+        seam = tennis_ball_seam()
+        a, b = seam.domain.t_i, seam.domain.t_f
+        if case == "point_to_curve_mean":
+            seen = []
+            real = functionals.integrate_1d
+            monkeypatch.setattr(functionals, "integrate_1d", lambda f, *args: seen.append((f, *args)) or real(f, *args))
+            point_to_curve_mean(seam, [0.36, 0.48, 0.8])
+            (f, a, b, rule), = seen
+        else:
+            f, rule = {
+                "seam_search_rule": (seam.speeds, SEARCH_RULE),
+                "seam_default_rule": (seam.speeds, QuadratureRule()),
+                "bump_fourth_level": (lambda t: np.exp(3.0 * np.cos(t)), QuadratureRule("periodic_trapezoid", 8, 1e-12)),
+                "seam_to_the_cap": (seam.speeds, QuadratureRule("periodic_trapezoid", 2**14, 1e-300)),
+            }[case]
+        res = integrate_1d(f, a, b, rule)
+        assert (res.value, res.error_estimate, res.nodes_used, res.warning) == _level_by_level(f, a, b, rule)
 
     @pytest.mark.parametrize("kind", ["gauss_legendre", "monte_carlo"])
     @pytest.mark.parametrize("use", ["integrate_1d", "mean_distance_field", "calibrate_arc_length"])

@@ -96,7 +96,10 @@ def test_simple_sweep_writes_one_row_per_check(tmp_path):
 def test_simple_sweep_slice_reproduces_its_recorded_verdicts():
     # Seeds 1000-1019 of the default sweep, the first 40 of its rows recorded
     # in tests/data (CI checks all 600). The verdicts must match exactly; the
-    # scales and witnesses to 1e-9, which another libm's last bits cannot cross.
+    # scales and witnesses to 1e-9, a bound that holds for curve evaluation
+    # with the same bits: refined witnesses are ill-conditioned, and a few
+    # ulp in the positions have moved them by up to 6.6e-8. A change to those
+    # bits re-records the file in a change that says so.
     spec = importlib.util.spec_from_file_location("simple_sweep", ROOT / "scripts" / "simple_sweep.py")
     simple_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(simple_sweep)

@@ -8,6 +8,7 @@ from arcdist import quadrature
 from arcdist.functionals import mean_point_to_sphere
 from arcdist.sphere import (
     SpherePoint,
+    angles_to_xyz,
     as_unit_xyz,
     fibonacci_sphere_points,
     geodesic_distance,
@@ -67,6 +68,38 @@ class TestConversions:
     def test_axis_cases(self):
         assert as_unit_xyz(SpherePoint(math.pi / 2, 0.0)) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
         assert as_unit_xyz(SpherePoint(math.pi / 2, math.pi / 2)) == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
+
+
+def _stacked(theta, phi):
+    """angles_to_xyz as three stacked columns."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi) + 0.0, np.cos(theta)], axis=-1)
+
+
+_ANGLES = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, 3, 1000))
+
+
+class TestAnglesToXyz:
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            (0.7, 2.1),
+            (np.float64(4.0), 0.0),
+            (np.array(0.7), np.array(2.1)),
+            (_ANGLES[0], _ANGLES[1]),
+            (_ANGLES[0, 0], _ANGLES[1, 0]),
+            (np.linspace(0.0, 2.0 * math.pi, 9), np.zeros(9)),
+            (np.linspace(0.0, 2.0 * math.pi, 9), -0.0),
+        ],
+        ids=["scalars", "scalar_meridian", "zero_d", "two_d", "one_d", "meridian", "negative_zero_phi"],
+    )
+    def test_the_bytes_of_stacked_columns(self, theta, phi):
+        got, want = angles_to_xyz(theta, phi), _stacked(theta, phi)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        # on the meridian y is +0.0 where sin(theta) < 0 too, never -0.0
+        assert not np.signbit(got[..., 1][got[..., 1] == 0.0]).any()
 
 
 class TestGeodesicDistance:
