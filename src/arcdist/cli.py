@@ -330,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         p, "curve", "n", "tol", "seed",
         out_help=_JSON_OUT,
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
-        tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g}) and of the "
-        f"sphere-to-curve mean's surface rule (default {functionals.SPHERE_TO_CURVE_TOL:g})",
+        tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g}); for the "
+        "sphere-to-curve mean, which takes one product level whatever the tolerance, the error estimate above which "
+        f"it warns (default {functionals.SPHERE_TO_CURVE_TOL:g})",
         seed_help=f"RNG seed of the mean minimum distance's 10,000 random points (default {EVAL_SEED})",
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')

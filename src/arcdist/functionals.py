@@ -35,7 +35,9 @@ from .sphere import SpherePoint, as_unit_xyz, fibonacci_sphere_points, uniform_u
 FOUR_PI = 4.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-#: Tolerance of sphere_to_curve_mean's default sphere rule.
+#: Tolerance of sphere_to_curve_mean's default sphere rule. Its one product
+#: level is taken whatever the tolerance; an error estimate above it sets the
+#: TOLERANCE_NOT_REACHED warning.
 SPHERE_TO_CURVE_TOL = 1e-6
 
 #: Points of the golden-angle design over which sup_deviation_from_half_pi takes its max.
@@ -124,12 +126,15 @@ def _angles(dots: Callable[[], np.ndarray], angle: np.ufunc = np.arccos, reduce=
     return out
 
 
-def _point_integral(angle: np.ufunc, q, rule: QuadratureRule | None) -> FunctionalResult:
+def _point_integral(angle: np.ufunc, q, rule: QuadratureRule | None, antipodal_sum: float) -> FunctionalResult:
     """Surface integral of angle(q . x) over the sphere, by rule (default
-    default_sphere_rule()). The dot products are clipped to [-1, 1] only
-    where one leaves it (_angles), and the shared grid x is never written."""
+    default_sphere_rule()), where angle(t) + angle(-t) = antipodal_sum. The
+    dot products are clipped to [-1, 1] only where one leaves it (_angles),
+    and the shared grid x is never written."""
     qv = as_unit_xyz(q)
-    return sphere_integrate(lambda x: _angles(lambda: x @ qv, angle), rule or default_sphere_rule())
+    return sphere_integrate(
+        lambda x: _angles(lambda: x @ qv, angle), rule or default_sphere_rule(), antipodal_sum=antipodal_sum
+    )
 
 
 def mean_point_to_sphere(q, rule: QuadratureRule | None = None) -> FunctionalResult:
@@ -138,7 +143,7 @@ def mean_point_to_sphere(q, rule: QuadratureRule | None = None) -> FunctionalRes
     (1/4pi) * integral over S of arccos(q . x) dS; equals pi/2 for every q
     (reduce to the 1D form: integral of gamma sin(gamma)/2 over [0, pi]).
     """
-    res = _point_integral(np.arccos, q, rule)
+    res = _point_integral(np.arccos, q, rule, math.pi)
     return FunctionalResult(res.value / FOUR_PI, res.error_estimate / FOUR_PI, res.nodes_used, res.warning)
 
 
@@ -152,7 +157,7 @@ def arcsin_identity_residual(q, rule: QuadratureRule | None = None) -> Functiona
     arcsin in powers of D and E, the phi-integral of D^k is strictly
     positive for even k, so the individual terms do not vanish.
     """
-    return _point_integral(np.arcsin, q, rule)
+    return _point_integral(np.arcsin, q, rule, 0.0)
 
 
 def curve_to_sphere_mean_M(curve: SphericalCurve, rule: QuadratureRule | None = None) -> FunctionalResult:
@@ -269,11 +274,12 @@ def sphere_to_curve_mean(curve: SphericalCurve, sphere_rule: QuadratureRule | No
 
     The conventional target value is area 4pi times the great-circle field
     constant pi/2, i.e. 2 pi^2. Divide by 4pi for the normalized mean. The
-    error estimate reflects refinement of the outer surface integral at
-    fixed inner resolution, the field's default curve rule.
+    field at fixed inner resolution, the default curve rule, has field(x) +
+    field(-x) = pi, so a product rule takes its one level and bounds the
+    error from the grid's symmetry defect (sphere_integrate's antipodal_sum).
     """
     sphere_rule = sphere_rule or default_sphere_rule(tol=SPHERE_TO_CURVE_TOL)
-    return sphere_integrate(lambda x: mean_distance_field(curve, x), sphere_rule)
+    return sphere_integrate(lambda x: mean_distance_field(curve, x), sphere_rule, antipodal_sum=math.pi)
 
 
 def sup_deviation_from_half_pi(

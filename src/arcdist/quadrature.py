@@ -1,4 +1,5 @@
-"""Integration engines with doubling-based error estimates.
+"""Integration engines with doubling-based error estimates, and one-level
+bounds for antipodally balanced surface integrands.
 
 Curve integrals are over the period of a closed curve, so their
 integrands are periodic, and they take one rule: the nested periodic
@@ -17,6 +18,13 @@ evaluation points of every level. Monte Carlo rules report the sample
 mean with the sample standard error. The arc-distance integrands here are
 only C0 where their argument reaches +-1, so the doubling estimate is
 mandatory rather than assuming spectral accuracy.
+
+A surface integrand with g(x) + g(-x) = c, declared by sphere_integrate's
+antipodal_sum, is integrated exactly by every product level, whose grid
+pairs each node with its antipode at the same weight. It takes the one
+level n_theta = rule.n, refused as the doubling would be, with an error
+bound from an exact identity over those pairs in place of a second level:
+their symmetry defect plus the sum's rounding (see sphere_integrate).
 
 The Gauss-Legendre nodes are found by Newton's method on the three-term
 Legendre recurrence from Tricomi's estimates (_leggauss), in numpy with
@@ -264,37 +272,82 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     return _refine(level, levels, rule.tol)
 
 
-def sphere_integrate(g: Callable, rule: QuadratureRule) -> FunctionalResult:
+def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float | None = None) -> FunctionalResult:
     """Surface integral of g over the unit sphere.
 
     g receives an (N, 3) array of unit vectors, one point per row, and
-    must return N values (called once per refinement level; must be
-    pure). Deterministic rules use the product Gauss-Legendre in
-    cos(theta) x periodic trapezoid in phi with n_phi = 2 n_theta,
-    2 n_theta^2 nodes a level, doubling n_theta under the module's cap
-    rule; nodes_used counts the nodes of every level. A level's points
-    are products of the trig values of its two axes (n_theta + n_phi of
-    them) and equal angles_to_xyz of the flattened grid bit for bit. They
-    are built once and shared, read-only, by every call at that level: g
-    must not write into its argument, and a write raises ValueError.
-    The grid is antipodally symmetric: the Gauss nodes in cos(theta) are
-    symmetric and n_phi is even, so with each node x it holds -x at the same
-    weight, up to rounding. An integrand with g(x) + g(-x) constant, such as
-    arccos(q.x), arcsin(q.x) or the parameter-mean field, is therefore
-    integrated exactly at every level: verify rows 1, 2, 7 and 8 and eval's
-    sphere_to_curve_mean carry rounding, not convergence, in their error
-    estimates. The estimate |I(2n) - I(n)| is a difference, not a bound; on
-    integrands without that symmetry it can fall below the error.
+    must return N values (called once per product level; must be pure).
+    Deterministic rules use the product Gauss-Legendre in cos(theta) x
+    periodic trapezoid in phi with n_phi = 2 n_theta, 2 n_theta^2 nodes a
+    level. A level's points are products of the trig values of its two
+    axes (n_theta + n_phi of them) and equal angles_to_xyz of the flattened
+    grid bit for bit. They are built once and shared, read-only, by every
+    call at that level: g must not write into its argument, and a write
+    raises ValueError.
+
+    Without antipodal_sum, the rule doubles n_theta from rule.n under the
+    module's cap rule, and nodes_used counts the nodes of every level. The
+    estimate |I(2n) - I(n)| is a difference, not a bound; on integrands
+    without antipodal balance it can fall below the error.
+
+    antipodal_sum=c declares g balanced: g(x) + g(-x) = c for every x, as
+    for arccos(q.x) (c = pi), arcsin(q.x) (c = 0) or the parameter-mean
+    field (c = pi). Such a g integrates to 2 pi c, and the grid, whose
+    Gauss nodes and weights are exactly symmetric and whose n_phi is even,
+    pairs each node with its mirror (ring i with ring n_theta - 1 - i,
+    column j with column j + n_phi / 2) at the same weight, so every level
+    integrates it exactly. It then takes the one level n_theta = rule.n
+    (refusing the rules the doubling refuses), whose value is returned,
+    and the identity, over the weights W and the computed pair sums s,
+
+        Q - 2 pi c = (c / 2)(sum W - 4 pi) + (1/2) sum W (s - c),
+
+    gives the estimate |c / 2| |sum W - 4 pi| + (1/2) sum W |s - c| +
+    (n_theta + ceil(log2 n_phi) + 2) eps sum |W g|: the weights' defect,
+    the pairs' symmetry defect, which holds g's rounding where its argument
+    nears +-1 and the grid's own asymmetry, and a bound on the rounding of
+    the sum. nodes_used is 2 n_theta^2, and the warning is
+    TOLERANCE_NOT_REACHED when the estimate exceeds rule.tol.
+
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
-    the sample standard error as the estimate. A periodic_trapezoid rule
-    raises ValueError.
+    the sample standard error as the estimate, with or without
+    antipodal_sum. A periodic_trapezoid rule raises ValueError.
     """
     if rule.kind == "periodic_trapezoid":
         raise ValueError("sphere_integrate takes a gauss_legendre or monte_carlo rule, not periodic_trapezoid")
     if rule.kind == "monte_carlo":
         return sample_mean(_eval(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
-    return _refine(lambda n: _product_level(g, n), refinement_levels(rule, surface=True), rule.tol)
+    levels = refinement_levels(rule, surface=True)
+    if antipodal_sum is None:
+        return _refine(lambda n: _product_level(g, n)[:2], levels, rule.tol)
+    return _balanced_level(g, levels[0], antipodal_sum, rule.tol)
+
+
+def _balanced_level(g: Callable, n_theta: int, c: float, tol: float) -> FunctionalResult:
+    """The product level at n_theta of a g with g(x) + g(-x) = c, with the
+    error bound of sphere_integrate's docstring."""
+    value, evals, vals = _product_level(g, n_theta)
+    w = _leggauss(n_theta)[1]
+    n_phi = vals.shape[1]
+    h = TWO_PI / n_phi
+    # The columns j < n_phi / 2 hold one node of each mirrored pair, whose
+    # mirror is in the reversed ring, n_phi / 2 columns on; both weigh w_i h,
+    # so half the sum over every node is the sum over these.
+    s = vals[:, : n_phi // 2] + vals[::-1, n_phi // 2 :]
+    s -= c
+    np.abs(s, out=s)
+    symmetry = h * float(np.dot(w, s.sum(axis=1)))
+    weights = 0.5 * abs(c) * abs(TWO_PI * math.fsum(w) - FOUR_PI)
+    # Each rounding is off by at most eps / 2, so the count bounds twice the
+    # roundings it names: n_theta in the dot product, two weight products and
+    # ceil(log2 n_phi) in a row sum. numpy sums a row in blocks of up to 128
+    # terms, eight running sums a block, a longer chain than a pairwise sum's
+    # but one within that slack at every n_theta.
+    depth = n_theta + (n_phi - 1).bit_length() + 2
+    rounding = depth * math.ulp(1.0) * h * float(np.dot(w, np.abs(vals).sum(axis=1)))
+    err = weights + symmetry + rounding
+    return FunctionalResult(value, err, evals, None if err <= tol else TOLERANCE_NOT_REACHED)
 
 
 def _product_grid(n_theta: int) -> np.ndarray:
@@ -336,9 +389,10 @@ def _build_grid(n_theta: int) -> np.ndarray:
 _cached_grid = lru_cache(maxsize=2)(_build_grid)
 
 
-def _product_level(g: Callable, n_theta: int) -> tuple[float, int]:
+def _product_level(g: Callable, n_theta: int) -> tuple[float, int, np.ndarray]:
+    """The product rule's value at n_theta, its node count and g on its grid, (n_theta, n_phi)."""
     w = _leggauss(n_theta)[1]
     n_phi = 2 * n_theta
     vals = _eval(g, _product_grid(n_theta)).reshape(n_theta, n_phi)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
-    return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size
+    return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size, vals

@@ -221,8 +221,9 @@ def criterion_8_wavy_excess(ctx: VerifyContext) -> list[ClaimRow]:
     """Claimed strict excess of the wavy circle's sphere-to-curve mean over 2 pi^2."""
     res = functionals.sphere_to_curve_mean(ctx.wavy)
     excess = res.value - TWO_PI_SQ
-    # Rounding floor: two refinement levels can agree bitwise (error 0)
-    # while both sit a few ulp off 2 pi^2, which is no excess.
+    # An excess counts only past three error bounds and a floor of 64 ulp of
+    # 2 pi^2: the value of an integral that equals 2 pi^2 sits within its bound
+    # of 2 pi^2, often a few ulp above it, which is no excess.
     tol = 3.0 * res.error_estimate + 64.0 * math.ulp(1.0) * TWO_PI_SQ
     return [
         ClaimRow(

@@ -120,8 +120,8 @@ def test_criterion_8_wavy_excess(table):
     ids=["4_ulp_stays_red", "real_excess_detected"],
 )
 def test_criterion_8_threshold_clears_rounding(monkeypatch, excess, passed):
-    # with both refinement levels agreeing bitwise (error 0), an excess of a
-    # few ulp is rounding, while a real excess still turns the row green
+    # even with an error estimate of 0, an excess of a few ulp is rounding,
+    # while a real excess still turns the row green
     result = FunctionalResult(2.0 * math.pi**2 + excess, 0.0, 1)
     monkeypatch.setattr(verify.functionals, "sphere_to_curve_mean", lambda *args, **kwargs: result)
     (row,) = criterion_8_wavy_excess(SimpleNamespace(wavy=None))

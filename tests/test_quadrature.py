@@ -19,6 +19,7 @@ from arcdist.quadrature import (
     QuadratureRule,
     _cached_grid,
     _leggauss,
+    _product_level,
     _product_grid,
     default_sphere_rule,
     integrate_1d,
@@ -375,6 +376,97 @@ class TestSphereIntegrate:
                     if abs(res.value - exact) > res.error_estimate:
                         misses.append((exact, rule.n, k, abs(res.value - exact), res.error_estimate))
         assert misses == []
+
+
+def _doubling_by_levels(g, rule):
+    """sphere_integrate's doubling without antipodal_sum, each level summed from
+    angles_to_xyz of its grid: (value, error estimate, nodes used, warning)."""
+    used, prev = 0, None
+    for n in refinement_levels(rule, surface=True):
+        vals = np.asarray(g(_grid_by_angles(n)), dtype=float).reshape(n, 2 * n)
+        cur = float(np.dot(_leggauss(n)[1], vals.sum(axis=1))) * (TWO_PI / (2 * n))
+        used += vals.size
+        if prev is not None:
+            est = abs(cur - prev)
+            if est <= rule.tol:
+                return cur, est, used, None
+        prev = cur
+    return cur, est, used, TOLERANCE_NOT_REACHED
+
+
+def _arc(angle, q):
+    return lambda x: angle(np.clip(x @ q, -1.0, 1.0))
+
+
+class TestAntipodalSum:
+    """sphere_integrate(g, rule, antipodal_sum=c) for g(x) + g(-x) = c: one
+    product level, and an error bound from its mirrored pairs."""
+
+    # angle, antipodal sum, the integral 2 pi c of any q, unit or not
+    ANGLES = [(np.arccos, math.pi, 2.0 * math.pi**2), (np.arcsin, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("n_theta", [64, 128, 256])
+    @pytest.mark.parametrize("angle, c, exact", ANGLES, ids=["arccos", "arcsin"])
+    def test_estimate_bounds_the_error(self, angle, c, exact, n_theta):
+        # 200 random q, then 200 nodes of the level and their antipodes, on
+        # which the square-root kink of arccos and arcsin at +-1 sits on a node
+        grid = _product_grid(n_theta)
+        nodes = grid[np.random.default_rng(n_theta).choice(len(grid), 200, replace=False)]
+        rule = QuadratureRule("gauss_legendre", n_theta, 1.0)
+        for q in np.concatenate((uniform_unit_vectors(2042, 200), nodes, -nodes)):
+            res = sphere_integrate(_arc(angle, q), rule, antipodal_sum=c)
+            assert abs(res.value - exact) <= res.error_estimate, q
+
+    @pytest.mark.parametrize("n_theta", [3, 8, 64])
+    def test_value_is_the_level_and_estimate_pairs_each_node_with_its_antipode(self, n_theta):
+        q = _product_grid(n_theta)[n_theta + 1]
+        g = _arc(np.arccos, q)
+        res = sphere_integrate(g, QuadratureRule("gauss_legendre", n_theta, 1.0), antipodal_sum=math.pi)
+        assert res.value == _product_level(g, n_theta)[0]
+        assert res.nodes_used == 2 * n_theta**2
+        # the mirror of node (i, j) is (n_theta - 1 - i, j + n_theta), at -x up to rounding
+        points = _grid_by_angles(n_theta)
+        mirror = np.roll(np.arange(len(points)).reshape(n_theta, -1)[::-1], n_theta, axis=1).ravel()
+        assert np.max(np.abs(points[mirror] + points)) <= 4 * np.finfo(float).eps
+        w = np.repeat(_leggauss(n_theta)[1], 2 * n_theta) * (TWO_PI / (2 * n_theta))
+        vals = g(points)
+        depth = n_theta + math.ceil(math.log2(2 * n_theta)) + 2
+        expected = (
+            0.5 * math.pi * abs(w.sum() - 4.0 * math.pi)
+            + 0.5 * np.sum(w * np.abs(vals + vals[mirror] - math.pi))
+            + depth * np.finfo(float).eps * np.sum(w * np.abs(vals))
+        )
+        assert res.error_estimate == pytest.approx(expected, rel=1e-9, abs=1e-14)
+
+    def test_tolerance_below_the_estimate_warns(self):
+        g = _arc(np.arcsin, np.array([0.36, 0.48, 0.8]))
+        est = sphere_integrate(g, QuadratureRule("gauss_legendre", 64, 1.0), antipodal_sum=0.0).error_estimate
+        for tol, warning in ((est, None), (est / 2, TOLERANCE_NOT_REACHED), (1e-300, TOLERANCE_NOT_REACHED)):
+            res = sphere_integrate(g, QuadratureRule("gauss_legendre", 64, tol), antipodal_sum=0.0)
+            assert (res.error_estimate, res.nodes_used, res.warning) == (est, 2 * 64**2, warning)
+
+    def test_monte_carlo_ignores_it(self):
+        g = _arc(np.arccos, np.array([0.36, 0.48, 0.8]))
+        rule = QuadratureRule("monte_carlo", 1000, 1e-9, seed=7)
+        ref = sample_mean(g(uniform_unit_vectors(7, 1000)), 4.0 * math.pi)
+        assert sphere_integrate(g, rule, antipodal_sum=math.pi) == sphere_integrate(g, rule) == ref
+
+    @pytest.mark.parametrize("n, tol", [(4, 1e-3), (64, 1e-9), (128, 1e-7), (362, 1e-300)])
+    def test_without_it_the_doubling_is_unchanged(self, n, tol):
+        for g in (_arc(np.arccos, np.array([0.36, 0.48, 0.8])), lambda x: np.abs(x[:, 0])):
+            rule = QuadratureRule("gauss_legendre", n, tol)
+            res = sphere_integrate(g, rule)
+            assert (res.value, res.error_estimate, res.nodes_used, res.warning) == _doubling_by_levels(g, rule)
+
+    @pytest.mark.parametrize(
+        "n, kind, match", [(363, "gauss_legendre", "above the cap"), (8, "periodic_trapezoid", "periodic_trapezoid")]
+    )
+    def test_refused_rules_still_raise_before_any_call(self, n, kind, match):
+        calls = []
+        record = lambda x: calls.append(x) or np.ones(len(x))
+        with pytest.raises(ValueError, match=match):
+            sphere_integrate(record, QuadratureRule(kind, n, 1e-9), antipodal_sum=1.0)
+        assert calls == []
 
 
 NODE_COUNTS = [2, 3, 4, 5, 63, 128, 256, 362, 512, 724]
