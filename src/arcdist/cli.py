@@ -11,9 +11,9 @@ wins. A key no command takes, or a value of the wrong type, exits 2
 before any computation; a key only another command takes is dropped. A
 command passes the settings it was given, and no others, to the library
 object that owns their defaults (OptimizerConfig, seam_seeded_family,
-default_curve_rule, default_sphere_rule, SearchFamily.calibrate), and a
-report's config echoes the settings given. verify takes no setting but
---out: it computes the one table.
+default_curve_rule, SearchFamily.calibrate), and a report's config echoes
+the settings given. Every surface integral takes its library default
+rule. verify takes no setting but --out: it computes the one table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, _is_real, from_spec
-from .quadrature import NonFiniteIntegrandError, default_curve_rule, default_sphere_rule, refinement_levels
+from .quadrature import NonFiniteIntegrandError, default_curve_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import format_table, run_verification
 
@@ -196,7 +196,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     curve = _curve_from_config(cfg)
     crule = _validated(default_curve_rule, **_given(cfg, "n", "tol"))
-    srule = default_sphere_rule(tol=cfg["tol"]) if "tol" in cfg else None  # else sphere_to_curve_mean's own
     _validated(refinement_levels, crule)
     points = [(theta0, phi0, _validated(SpherePoint, theta0, phi0)) for theta0, phi0 in cfg.get("points", [])]
 
@@ -217,7 +216,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         results.append(_row(f"point_to_curve_mean[{theta0:.6g},{phi0:.6g}]", res.value, res.error_estimate))
         dmin, tmin = functionals.point_to_curve_min(curve, p)
         results.append(_row(f"point_to_curve_min[{theta0:.6g},{phi0:.6g}]", dmin, argmin_t=tmin))
-    mt = functionals.sphere_to_curve_mean(curve, srule)
+    mt = functionals.sphere_to_curve_mean(curve)
     results.append(_row("sphere_to_curve_mean", mt.value, mt.error_estimate))
     results.append(_row("sphere_to_curve_mean_over_4pi", mt.value / (4 * math.pi), mt.error_estimate / (4 * math.pi)))
     mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=cfg.get("seed", EVAL_SEED))
@@ -330,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "curve", "n", "tol", "seed",
         out_help=_JSON_OUT,
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
-        tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g}); for the "
-        "sphere-to-curve mean, which takes one product level whatever the tolerance, the error estimate above which "
-        f"it warns (default {functionals.SPHERE_TO_CURVE_TOL:g})",
+        tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g})",
         seed_help=f"RNG seed of the mean minimum distance's 10,000 random points (default {EVAL_SEED})",
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')

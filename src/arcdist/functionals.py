@@ -35,11 +35,6 @@ from .sphere import SpherePoint, as_unit_xyz, fibonacci_sphere_points, uniform_u
 FOUR_PI = 4.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-#: Tolerance of sphere_to_curve_mean's default sphere rule. Its one product
-#: level is taken whatever the tolerance; an error estimate above it sets the
-#: TOLERANCE_NOT_REACHED warning.
-SPHERE_TO_CURVE_TOL = 1e-6
-
 #: Points of the golden-angle design over which sup_deviation_from_half_pi takes its max.
 DESIGN_SIZE = 122
 
@@ -49,10 +44,11 @@ DESIGN_SIZE = 122
 # one thread. A sweep on a 2-core Xeon (2 MiB L2 a core) put 2^15-2^17 within
 # a few percent of each other; 2^14 and below lose to per-block Python
 # overhead, and 2^18 and above to cache misses and BLAS threads (2^21: 3-4x
-# the wall time and 7x the CPU time of 2^16 on the 163,840 x 512 field). A field of two blocks or more
-# spreads its blocks over the usable cores (_by_cores), each core taking a run
-# of whole blocks; the blocks are the same at any core count, and so are the
-# field's bytes.
+# the wall time and 7x the CPU time of 2^16 on a 163,840 x 512 field, five
+# times sphere_to_curve_mean's default 32,768 x 512). A field of two blocks
+# or more spreads its blocks over the usable cores (_by_cores), each core
+# taking a run of whole blocks; the blocks are the same at any core count, and
+# so are the field's bytes.
 _CHUNK_ENTRIES = 1 << 16
 # The nearest-point refinement keeps a few dozen row-length temporaries per
 # pass, so _by_rows counts each of its rows as this many entries: blocks of
@@ -275,10 +271,11 @@ def sphere_to_curve_mean(curve: SphericalCurve, sphere_rule: QuadratureRule | No
     The conventional target value is area 4pi times the great-circle field
     constant pi/2, i.e. 2 pi^2. Divide by 4pi for the normalized mean. The
     field at fixed inner resolution, the default curve rule, has field(x) +
-    field(-x) = pi, so a product rule takes its one level and bounds the
-    error from the grid's symmetry defect (sphere_integrate's antipodal_sum).
+    field(-x) = pi, so a product rule, default_sphere_rule() if none is
+    given, takes one level and bounds the error from the grid's symmetry
+    defect (sphere_integrate's antipodal_sum); its tol only sets the warning.
     """
-    sphere_rule = sphere_rule or default_sphere_rule(tol=SPHERE_TO_CURVE_TOL)
+    sphere_rule = sphere_rule or default_sphere_rule()
     return sphere_integrate(lambda x: mean_distance_field(curve, x), sphere_rule, antipodal_sum=math.pi)
 
 

@@ -65,8 +65,9 @@ SPHERE_KINDS = ("gauss_legendre", "monte_carlo")
 RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
 
 # Most points of a product level that _product_grid keeps: 2^19, the level
-# n_theta = 512, the deepest the default sphere rule reaches (12 MiB). The
-# level n_theta = 724 that a rule from n = 362 reaches is 25 MB.
+# n_theta = 512 (12 MiB), the deepest that the default sphere rule refines to
+# without antipodal_sum; with it, that rule takes only level 128. The level
+# n_theta = 724 that a rule from n = 362 reaches is 25 MB.
 _GRID_CACHE_POINTS = 1 << 19
 
 
@@ -121,9 +122,9 @@ def default_curve_rule(n: int = 512, tol: float = 1e-9) -> QuadratureRule:
     return QuadratureRule("periodic_trapezoid", n, tol)
 
 
-def default_sphere_rule(tol: float = 1e-7) -> QuadratureRule:
+def default_sphere_rule() -> QuadratureRule:
     """Default product rule for surface integrals: Gauss-Legendre 128 x trapezoid 256 at its first level."""
-    return QuadratureRule("gauss_legendre", 128, tol)
+    return QuadratureRule("gauss_legendre", 128, 1e-7)
 
 
 def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,8 +355,8 @@ def _product_grid(n_theta: int) -> np.ndarray:
     """The read-only (2 n_theta^2, 3) points of the product level at n_theta.
 
     A level of at most _GRID_CACHE_POINTS points comes from _cached_grid,
-    which keeps two levels, the pair one doubling step compares; a deeper
-    refinement evicts the oldest rather than hold every level it built. A
+    which keeps the two levels last used (a doubling step without
+    antipodal_sum compares two; a deeper refinement evicts the oldest). A
     larger level is built for each call and freed with its last reference.
     """
     if 2 * n_theta * n_theta <= _GRID_CACHE_POINTS:
@@ -379,8 +380,10 @@ def _build_grid(n_theta: int) -> np.ndarray:
     # Copied out so that the build array, as large as the level, is freed
     # once: that raises glibc malloc's mmap and trim thresholds to the level's
     # size, so the integrand's temporaries are reused from the heap rather than
-    # mapped anew and page-faulted on every call (about 480 faults a call at
-    # n_theta = 256 in a fresh process without the copy).
+    # mapped anew and page-faulted on every call. In a fresh process without
+    # the copy, an integral without antipodal_sum from n_theta = 256 (levels
+    # 256 and 512) took about 1,500 faults a call; a balanced one at the
+    # default level 128 took none either way.
     points = points.reshape(-1, 3).copy()
     points.setflags(write=False)
     return points

@@ -94,6 +94,17 @@ class TestEval:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_tol_leaves_the_surface_integral_at_its_default_rule(self, tmp_path, capsys):
+        # --tol sets only the curve rule's tolerance; the surface integral takes the default sphere rule
+        rows = []
+        for extra in ([], ["--tol", "1e-12"]):
+            out_path = tmp_path / f"wavy{len(extra)}.json"
+            code, _, _ = run(["eval", "--curve", '{"family":"wavy_circle"}', *extra, "--out", str(out_path)], capsys)
+            assert code == 0
+            results = json.loads(out_path.read_text())["results"]
+            rows.append([r for r in results if r["name"].startswith("sphere_to_curve_mean")])
+        assert len(rows[0]) == 2 and rows[0] == rows[1]
+
     def test_n_leaves_the_surface_integral_inner_rule_at_its_default(self, monkeypatch, capsys):
         # --n sets the curve rule; the field inside sphere_to_curve_mean keeps its default 512 nodes
         inner = []

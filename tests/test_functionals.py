@@ -31,6 +31,7 @@ from arcdist.quadrature import (
     QuadratureRule,
     _product_grid,
     default_curve_rule,
+    default_sphere_rule,
     integrate_1d,
     rule_nodes,
     sphere_integrate,
@@ -128,6 +129,11 @@ class TestSphereToCurveMean:
         for curve in (wavy_circle(0.28624), wavy_circle(0.1856), tennis_ball_seam(0.5)):
             res = sphere_to_curve_mean(curve)
             assert res.value == pytest.approx(TWO_PI_SQ, abs=1e-9)
+
+    def test_default_rule_is_the_default_sphere_rule(self):
+        # the one default surface rule, warning included
+        seam = tennis_ball_seam(0.7037)
+        assert sphere_to_curve_mean(seam) == sphere_to_curve_mean(seam, default_sphere_rule())
 
     def test_nodes_used_counts_every_level(self):
         # the balanced field takes the one level n_theta = 128, of 2 n_theta^2 product nodes

@@ -219,15 +219,15 @@ class TestIntegrate1D:
 
 class TestSphereIntegrate:
     def test_area(self):
-        res = sphere_integrate(lambda x: np.ones(len(x)), default_sphere_rule(tol=1e-10))
+        res = sphere_integrate(lambda x: np.ones(len(x)), QuadratureRule("gauss_legendre", 128, 1e-10))
         assert res.value == pytest.approx(4.0 * math.pi, abs=1e-10)
 
     def test_z_squared(self):
-        res = sphere_integrate(lambda x: x[:, 2] ** 2, default_sphere_rule(tol=1e-10))
+        res = sphere_integrate(lambda x: x[:, 2] ** 2, QuadratureRule("gauss_legendre", 128, 1e-10))
         assert res.value == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
 
     def test_arccos_z(self):
-        res = sphere_integrate(lambda x: np.arccos(x[:, 2]), default_sphere_rule(tol=1e-8))
+        res = sphere_integrate(lambda x: np.arccos(x[:, 2]), QuadratureRule("gauss_legendre", 128, 1e-8))
         assert res.value == pytest.approx(2.0 * math.pi**2, abs=1e-8)
 
     def test_monte_carlo_constant_is_exact(self):
