@@ -95,16 +95,17 @@ def _grid_trig(t_i: float, t_f: float, n: int, j: int) -> tuple[np.ndarray, np.n
 
 
 def _series_angles(
-    s: _TrigSeries, ts: np.ndarray, rates: int = 0, grid: CurveDomain | None = None, with_phi: bool = True
+    s: _TrigSeries, ts: np.ndarray, rates: int = 0, grid: CurveDomain | None = None
 ) -> tuple[np.ndarray, ...]:
     """(theta, phi) of the series at ts, then (theta', phi') with rates >= 1
-    and (theta'', phi'') with rates == 2; with_phi=False gives None for phi,
-    for a caller that reads only theta and the rates. A grid says that ts is
+    and (theta'', phi'') with rates == 2. Each harmonic adds every term: a
+    zero coefficient adds a signed zero, and x + (+-0.0) is x for every x
+    but -0.0, at which no angle starts. A grid says that ts is
     periodic_nodes(grid.t_i, grid.t_f, len(ts)); the trig values of each
     harmonic then come from its table (_grid_trig), the same bit for bit."""
     table = grid is not None and ts.size <= _GRID_TRIG_MAX_N
     theta = s.theta0 + s.theta_slope * ts
-    phi = s.phi0 + s.phi_slope * ts if with_phi else None
+    phi = s.phi0 + s.phi_slope * ts
     if rates:
         dtheta = np.full_like(ts, s.theta_slope)
         dphi = np.full_like(ts, s.phi_slope)
@@ -116,15 +117,10 @@ def _series_angles(
             cos, sin = _grid_trig(grid.t_i, grid.t_f, ts.size, j)
         else:
             jt = j * ts
-            # Without rates, take only the trig values a nonzero coefficient needs.
-            cos = np.cos(jt) if rates or a else None
-            sin = np.sin(jt) if rates or b or c else None
-        if a:
-            theta += a * cos
-        if b:
-            theta += b * sin
-        if c and with_phi:
-            phi += c * sin
+            cos, sin = np.cos(jt), np.sin(jt)
+        theta += a * cos
+        theta += b * sin
+        phi += c * sin
         if rates:
             dtheta += j * (b * cos - a * sin)
             dphi += (j * c) * cos
@@ -189,9 +185,7 @@ class SphericalCurve:
 
     def speeds(self, ts) -> np.ndarray:
         """|dr/dt| = sqrt(theta'^2 + sin^2(theta) phi'^2); rotations leave it unchanged."""
-        theta, _, dtheta, dphi = _series_angles(
-            self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1, with_phi=False
-        )
+        theta, _, dtheta, dphi = _series_angles(self._series, self._wrap(np.asarray(ts, dtype=float)), rates=1)
         return _speed(np.sin(theta), dtheta, dphi)
 
     def rotated(self, rotation: np.ndarray) -> "SphericalCurve":
@@ -445,13 +439,11 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     from the grid's table.
     """
     ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
-    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain, with_phi=False)
+    theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
     if _FAMILIES[curve.family].scale is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale
     else:
-        theta_s, _, dtheta_s, dphi_s = _series_angles(
-            _scale_rates(curve), ts, rates=1, grid=curve.domain, with_phi=False
-        )
+        theta_s, _, dtheta_s, dphi_s = _series_angles(_scale_rates(curve), ts, rates=1, grid=curve.domain)
 
     def model(s: float) -> tuple[float, float]:
         shift = s - scale

@@ -225,6 +225,38 @@ class TestGridTable:
         plain = curves.length_model(curve, scale, rule, n)
         assert values == [plain(s) for s in scales]
 
+    @pytest.mark.parametrize("rates", [0, 1, 2])
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("name", list(GRID_CURVES))
+    def test_series_on_a_grid_is_the_plain_series_bit_for_bit(self, name, n, rates):
+        curve = GRID_CURVES[name]()
+        ts = periodic_nodes(curve.domain.t_i, curve.domain.t_f, n)
+        tabled = curves._series_angles(curve._series, ts, rates=rates, grid=curve.domain)
+        plain = curves._series_angles(curve._series, ts, rates=rates)
+        assert len(tabled) == len(plain) == 2 * (rates + 1)
+        assert [v.tobytes() for v in tabled] == [v.tobytes() for v in plain]
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {"theta_cos": [-(0.5 * math.pi - 0.7037)], "phi_sin": [0.0, 0.7037]},  # the seam: sparse
+            {"theta_cos": [0.3, -0.1], "theta_sin": [0.0, 0.2], "phi_sin": [0.4, 0.0, 0.1]},
+        ],
+        ids=["sparse", "dense"],
+    )
+    def test_speeds_and_length_model_do_not_read_phi0(self, coeffs):
+        rule = QuadratureRule("periodic_trapezoid", 256, 1e-9)
+        ts = np.random.default_rng(3).uniform(0.0, FOUR_PI, 1000)
+        scales = (1.0, 0.97, 1.02)
+        seen = []
+        for phi0 in (0.0, 1.3, -2.1):
+            curve = trig_series(**coeffs, phi0=phi0)
+            model = curves.length_model(curve, 1.0, rule, 512)
+            seen.append((curve.speeds(ts).tobytes(), [model(s) for s in scales], curve.positions(ts).tobytes()))
+        speeds, lengths, positions = zip(*seen)
+        assert len(set(speeds)) == 1 and lengths[0] == lengths[1] == lengths[2]
+        assert len(set(positions)) == 3  # phi0 does move the curve
+
     def test_stays_within_its_bound(self):
         entries = curves._GRID_TRIG_ENTRIES
         seam = tennis_ball_seam(0.7037)
