@@ -1,5 +1,6 @@
-"""Integration engines with doubling-based error estimates, and one-level
-bounds for antipodally balanced surface integrands.
+"""Integration engines: doubling refinement with its error estimate for
+curve integrals, a one-level bound for antipodally balanced surface
+integrands, and Monte Carlo.
 
 Curve integrals are over the period of a closed curve, so their
 integrands are periodic, and they take one rule: the nested periodic
@@ -8,23 +9,27 @@ x trapezoid rule (gauss_legendre) or Monte Carlo (monte_carlo), the
 SPHERE_KINDS. rule_nodes rejects a curve rule of a sphere kind, and
 sphere_integrate a sphere rule of the curve kind.
 
-Deterministic rules refine by doubling from n = rule.n and report I(2n)
-with error estimate |I(2n) - I(n)| once that is within tol. No level may
-hold more than NODE_CAP nodes (n on a line, 2n^2 on the sphere grid):
-refinement stops at the last level within the cap, flagged
-TOLERANCE_NOT_REACHED, and a rule whose second level would pass the cap
-raises ValueError before the integrand is called. nodes_used counts the
-evaluation points of every level. Monte Carlo rules report the sample
-mean with the sample standard error. The arc-distance integrands here are
-only C0 where their argument reaches +-1, so the doubling estimate is
-mandatory rather than assuming spectral accuracy.
+No level may hold more than NODE_CAP nodes (n on a line, 2n^2 on the
+sphere grid), and nodes_used counts the evaluation points of every level.
+The curve rule refines by doubling from n = rule.n and reports I(2n) with
+error estimate |I(2n) - I(n)| once that is within tol. It stops at the
+last level within the cap, flagged TOLERANCE_NOT_REACHED, and a rule whose
+second level would pass the cap raises ValueError before the integrand is
+called. Monte Carlo rules report the sample mean with the sample standard
+error. The arc-distance integrands here are only C0 where their argument
+reaches +-1, so the doubling estimate is mandatory rather than assuming
+spectral accuracy.
 
-A surface integrand with g(x) + g(-x) = c, declared by sphere_integrate's
-antipodal_sum, is integrated exactly by every product level, whose grid
-pairs each node with its antipode at the same weight. It takes the one
-level n_theta = rule.n, refused as the doubling would be, with an error
-bound from an exact identity over those pairs in place of a second level:
-their symmetry defect plus the sum's rounding (see sphere_integrate).
+A gauss_legendre rule takes only a surface integrand with g(x) + g(-x) = c,
+declared by sphere_integrate's antipodal_sum. Every product level
+integrates such a g exactly, since its grid pairs each node with its
+antipode at the same weight. So it takes the one level n_theta = rule.n,
+refused when its 2 n_theta^2 nodes pass the cap, with an error bound from
+an exact identity over those pairs in place of a second level: their
+symmetry defect plus the sum's rounding (see sphere_integrate). An
+unbalanced integrand takes monte_carlo, whose standard error is an honest
+error bar: the difference of two product levels is not, and read 15.6x
+below the error of |q.x| at n_theta = 128 -> 256.
 
 The Gauss-Legendre nodes are found by Newton's method on the three-term
 Legendre recurrence from Tricomi's estimates (_leggauss), in numpy with
@@ -34,15 +39,15 @@ Surface integrands are functions of an (N, 3) array of unit vectors. A
 product level builds its points as outer products of the trig values of
 its two axes (sin theta times cos phi and sin phi, and cos theta), not
 by evaluating trig functions at each of its nodes. It builds them once:
-the points of the two levels last used, of those up to n_theta = 512, are
-cached and handed, read-only, to every later integral at those levels, so
-an integrand must not write into its argument (one that tries raises
-ValueError). A deeper level is built, read-only, for the call that uses it.
+the points of the level last used are cached and handed, read-only, to
+every later integral at that level, so an integrand must not write into
+its argument (one that tries raises ValueError).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -63,12 +68,6 @@ TOLERANCE_NOT_REACHED = "tolerance_not_reached"
 #: The rule kinds of surface integrals; curve integrals take periodic_trapezoid.
 SPHERE_KINDS = ("gauss_legendre", "monte_carlo")
 RULE_KINDS = ("periodic_trapezoid", *SPHERE_KINDS)
-
-# Most points of a product level that _product_grid keeps: 2^19, the level
-# n_theta = 512 (12 MiB), the deepest that the default sphere rule refines to
-# without antipodal_sum; with it, that rule takes only level 128. The level
-# n_theta = 724 that a rule from n = 362 reaches is 25 MB.
-_GRID_CACHE_POINTS = 1 << 19
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -123,7 +122,7 @@ def default_curve_rule(n: int = 512, tol: float = 1e-9) -> QuadratureRule:
 
 
 def default_sphere_rule() -> QuadratureRule:
-    """Default product rule for surface integrals: Gauss-Legendre 128 x trapezoid 256 at its first level."""
+    """Default product rule for balanced surface integrands: one level, Gauss-Legendre 128 x trapezoid 256."""
     return QuadratureRule("gauss_legendre", 128, 1e-7)
 
 
@@ -189,32 +188,16 @@ def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -
     return periodic_nodes(a, b, n), np.full(n, (b - a) / n)
 
 
-def refinement_levels(rule: QuadratureRule, surface: bool = False) -> list[int]:
-    """Node counts n = rule.n, 2n, 4n, ... of the levels a deterministic rule may build.
+def refinement_levels(rule: QuadratureRule) -> list[int]:
+    """Node counts n = rule.n, 2n, 4n, ... of the levels a curve rule may build.
 
-    A level holds n nodes on a line and 2n^2 on the product sphere grid
-    (surface=True); the list ends at the last level within NODE_CAP.
-    Raises ValueError when fewer than two levels fit, since the doubling
-    estimate needs two.
+    The list ends at the last level within NODE_CAP. Raises ValueError
+    when fewer than two levels fit, since the doubling estimate needs two.
     """
-    size = (lambda n: 2 * n * n) if surface else (lambda n: n)
-    levels = [rule.n << k for k in range(NODE_CAP.bit_length()) if size(rule.n << k) <= NODE_CAP]
+    levels = [rule.n << k for k in range(NODE_CAP.bit_length()) if rule.n << k <= NODE_CAP]
     if len(levels) < 2:
-        raise ValueError(f"{rule.kind} n = {rule.n} needs {size(2 * rule.n)} nodes a level, above the cap {NODE_CAP}")
+        raise ValueError(f"{rule.kind} n = {rule.n} needs {2 * rule.n} nodes a level, above the cap {NODE_CAP}")
     return levels
-
-
-def _refine(level: Callable[[int], tuple[float, int]], levels: list[int], tol: float) -> FunctionalResult:
-    """Doubling refinement: level(n) -> (I(n), evaluations) over `levels` until tol."""
-    prev, used = level(levels[0])
-    for n in levels[1:]:
-        cur, evals = level(n)
-        used += evals
-        est = abs(cur - prev)
-        if est <= tol:
-            return FunctionalResult(cur, est, used)
-        prev = cur
-    return FunctionalResult(cur, est, used, warning=TOLERANCE_NOT_REACHED)
 
 
 def sample_mean(values: np.ndarray, scale: float = 1.0) -> FunctionalResult:
@@ -257,20 +240,18 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     # entries of the second, whose new nodes are the odd ones. The sum of a
     # strided view runs the same pairwise sum as a copy's.
     first_two = _eval(f, periodic_nodes(a, b, levels[1]))
-    total = 0.0
-
-    def level(n: int) -> tuple[float, int]:
-        nonlocal total
-        if n == levels[0]:
-            new = first_two[0::2]
-        elif n == levels[1]:
-            new = first_two[1::2]
-        else:
-            new = _eval(f, periodic_nodes(a, b, n)[1::2])
+    total, used = 0.0, 0
+    for k, n in enumerate(levels):
+        new = first_two[k::2] if k < 2 else _eval(f, periodic_nodes(a, b, n)[1::2])
         total += float(np.sum(new))
-        return (b - a) * total / n, new.size
-
-    return _refine(level, levels, rule.tol)
+        cur = (b - a) * total / n
+        used += new.size
+        if k:
+            est = abs(cur - prev)
+            if est <= rule.tol:
+                return FunctionalResult(cur, est, used)
+        prev = cur
+    return FunctionalResult(cur, est, used, warning=TOLERANCE_NOT_REACHED)
 
 
 def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float | None = None) -> FunctionalResult:
@@ -286,20 +267,16 @@ def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float 
     call at that level: g must not write into its argument, and a write
     raises ValueError.
 
-    Without antipodal_sum, the rule doubles n_theta from rule.n under the
-    module's cap rule, and nodes_used counts the nodes of every level. The
-    estimate |I(2n) - I(n)| is a difference, not a bound; on integrands
-    without antipodal balance it can fall below the error.
-
-    antipodal_sum=c declares g balanced: g(x) + g(-x) = c for every x, as
-    for arccos(q.x) (c = pi), arcsin(q.x) (c = 0) or the parameter-mean
-    field (c = pi). Such a g integrates to 2 pi c, and the grid, whose
-    Gauss nodes and weights are exactly symmetric and whose n_phi is even,
-    pairs each node with its mirror (ring i with ring n_theta - 1 - i,
-    column j with column j + n_phi / 2) at the same weight, so every level
-    integrates it exactly. It then takes the one level n_theta = rule.n
-    (refusing the rules the doubling refuses), whose value is returned,
-    and the identity, over the weights W and the computed pair sums s,
+    A gauss_legendre rule takes only a balanced g, declared by
+    antipodal_sum=c: g(x) + g(-x) = c for every x, as for arccos(q.x)
+    (c = pi), arcsin(q.x) (c = 0) or the parameter-mean field (c = pi).
+    Such a g integrates to 2 pi c, and the grid, whose Gauss nodes and
+    weights are exactly symmetric and whose n_phi is even, pairs each node
+    with its mirror (ring i with ring n_theta - 1 - i, column j with column
+    j + n_phi / 2) at the same weight, so every level integrates it
+    exactly. It takes the one level n_theta = rule.n, whose value is
+    returned, and the identity, over the weights W and the computed pair
+    sums s,
 
         Q - 2 pi c = (c / 2)(sum W - 4 pi) + (1/2) sum W (s - c),
 
@@ -308,21 +285,34 @@ def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float 
     the pairs' symmetry defect, which holds g's rounding where its argument
     nears +-1 and the grid's own asymmetry, and a bound on the rounding of
     the sum. nodes_used is 2 n_theta^2, and the warning is
-    TOLERANCE_NOT_REACHED when the estimate exceeds rule.tol.
+    TOLERANCE_NOT_REACHED when the estimate exceeds rule.tol. The rule
+    raises ValueError, before g is called, without antipodal_sum or when
+    its 2 n_theta^2 nodes pass NODE_CAP (n_theta > 724).
 
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
     the sample standard error as the estimate, with or without
-    antipodal_sum. A periodic_trapezoid rule raises ValueError.
+    antipodal_sum; it takes an unbalanced g. A periodic_trapezoid rule, or
+    an antipodal_sum that is not a finite real number (a bool is not),
+    raises ValueError before g is called.
     """
     if rule.kind == "periodic_trapezoid":
         raise ValueError("sphere_integrate takes a gauss_legendre or monte_carlo rule, not periodic_trapezoid")
+    if antipodal_sum is not None and (
+        isinstance(antipodal_sum, bool) or not isinstance(antipodal_sum, numbers.Real) or not math.isfinite(antipodal_sum)
+    ):
+        raise ValueError(f"antipodal_sum must be a finite real number, got {antipodal_sum!r}")
     if rule.kind == "monte_carlo":
         return sample_mean(_eval(g, uniform_unit_vectors(rule.seed, rule.n)), FOUR_PI)
-    levels = refinement_levels(rule, surface=True)
     if antipodal_sum is None:
-        return _refine(lambda n: _product_level(g, n)[:2], levels, rule.tol)
-    return _balanced_level(g, levels[0], antipodal_sum, rule.tol)
+        raise ValueError(
+            "a gauss_legendre rule takes only an integrand with g(x) + g(-x) = c, declared by antipodal_sum; "
+            "integrate any other by monte_carlo"
+        )
+    nodes = 2 * int(rule.n) ** 2
+    if nodes > NODE_CAP:
+        raise ValueError(f"gauss_legendre n = {rule.n} needs {nodes} nodes, above the cap {NODE_CAP}")
+    return _balanced_level(g, rule.n, antipodal_sum, rule.tol)
 
 
 def _balanced_level(g: Callable, n_theta: int, c: float, tol: float) -> FunctionalResult:
@@ -351,20 +341,13 @@ def _balanced_level(g: Callable, n_theta: int, c: float, tol: float) -> Function
     return FunctionalResult(value, err, evals, None if err <= tol else TOLERANCE_NOT_REACHED)
 
 
-def _product_grid(n_theta: int) -> np.ndarray:
+def _build_grid(n_theta: int) -> np.ndarray:
     """The read-only (2 n_theta^2, 3) points of the product level at n_theta.
 
-    A level of at most _GRID_CACHE_POINTS points comes from _cached_grid,
-    which keeps the two levels last used (a doubling step without
-    antipodal_sum compares two; a deeper refinement evicts the oldest). A
-    larger level is built for each call and freed with its last reference.
+    _product_grid keeps the level last built, since every library caller
+    takes n_theta = 128 (0.8 MB of points). At worst it holds n_theta = 724,
+    the deepest level within NODE_CAP: 25 MB.
     """
-    if 2 * n_theta * n_theta <= _GRID_CACHE_POINTS:
-        return _cached_grid(n_theta)
-    return _build_grid(n_theta)
-
-
-def _build_grid(n_theta: int) -> np.ndarray:
     theta = np.arccos(_leggauss(n_theta)[0])
     n_phi = 2 * n_theta
     phi = periodic_nodes(0.0, TWO_PI, n_phi)
@@ -380,16 +363,18 @@ def _build_grid(n_theta: int) -> np.ndarray:
     # Copied out so that the build array, as large as the level, is freed
     # once: that raises glibc malloc's mmap and trim thresholds to the level's
     # size, so the integrand's temporaries are reused from the heap rather than
-    # mapped anew and page-faulted on every call. In a fresh process without
-    # the copy, an integral without antipodal_sum from n_theta = 256 (levels
-    # 256 and 512) took about 1,500 faults a call; a balanced one at the
-    # default level 128 took none either way.
+    # mapped anew and page-faulted on every call. In a fresh process on a
+    # 2-core host, 100 mean_point_to_sphere calls at level 128, after one
+    # warm-up call, took 0 minor faults with the copy and 9,600 without it
+    # (38-39 ms against 41-63 ms); three sphere_to_curve_mean(seam) calls,
+    # the first one building the level, took 745-781 against 810-815, in
+    # about the same time.
     points = points.reshape(-1, 3).copy()
     points.setflags(write=False)
     return points
 
 
-_cached_grid = lru_cache(maxsize=2)(_build_grid)
+_product_grid = lru_cache(maxsize=1)(_build_grid)
 
 
 def _product_level(g: Callable, n_theta: int) -> tuple[float, int, np.ndarray]:

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -13,11 +11,11 @@ from arcdist.optimize import SEARCH_RULE, calibrate_arc_length
 from arcdist.quadrature import (
     NODE_CAP,
     RULE_KINDS,
+    SPHERE_KINDS,
     TOLERANCE_NOT_REACHED,
     FunctionalResult,
     NonFiniteIntegrandError,
     QuadratureRule,
-    _cached_grid,
     _leggauss,
     _product_level,
     _product_grid,
@@ -219,15 +217,17 @@ class TestIntegrate1D:
 
 class TestSphereIntegrate:
     def test_area(self):
-        res = sphere_integrate(lambda x: np.ones(len(x)), QuadratureRule("gauss_legendre", 128, 1e-10))
+        res = sphere_integrate(lambda x: np.ones(len(x)), QuadratureRule("gauss_legendre", 128, 1e-10), antipodal_sum=2.0)
         assert res.value == pytest.approx(4.0 * math.pi, abs=1e-10)
 
-    def test_z_squared(self):
-        res = sphere_integrate(lambda x: x[:, 2] ** 2, QuadratureRule("gauss_legendre", 128, 1e-10))
-        assert res.value == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
+    def test_product_level_of_z_squared(self):
+        # z^2 is not antipodally balanced, so sphere_integrate refuses it a
+        # product rule; the level itself still integrates it
+        assert _product_level(lambda x: x[:, 2] ** 2, 128)[0] == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
 
     def test_arccos_z(self):
-        res = sphere_integrate(lambda x: np.arccos(x[:, 2]), QuadratureRule("gauss_legendre", 128, 1e-8))
+        rule = QuadratureRule("gauss_legendre", 128, 1e-8)
+        res = sphere_integrate(lambda x: np.arccos(x[:, 2]), rule, antipodal_sum=math.pi)
         assert res.value == pytest.approx(2.0 * math.pi**2, abs=1e-8)
 
     def test_monte_carlo_constant_is_exact(self):
@@ -241,28 +241,42 @@ class TestSphereIntegrate:
         w = np.array([0.6, -0.64, 0.48])
 
         def g(x):
-            return np.exp(x @ w)
+            return np.arccos(np.clip(x @ w, -1.0, 1.0))
 
         def g_rot(x):
-            return np.exp((x @ R.T) @ w)
+            return np.arccos(np.clip((x @ R.T) @ w, -1.0, 1.0))
 
         rule = QuadratureRule("gauss_legendre", 64, 1e-9)
-        r0 = sphere_integrate(g, rule)
-        r1 = sphere_integrate(g_rot, rule)
-        allowed = 3.0 * (r0.error_estimate + r1.error_estimate) + 1e-12
-        assert abs(r0.value - r1.value) <= allowed
+        r0 = sphere_integrate(g, rule, antipodal_sum=math.pi)
+        r1 = sphere_integrate(g_rot, rule, antipodal_sum=math.pi)
+        assert abs(r0.value - r1.value) <= r0.error_estimate + r1.error_estimate
+
+    def test_without_antipodal_sum_a_product_rule_raises_before_any_call(self):
+        # an unbalanced integrand takes monte_carlo, whose standard error is an error bar
+        calls = []
+        with pytest.raises(ValueError, match="antipodal_sum.*monte_carlo"):
+            sphere_integrate(lambda x: calls.append(x) or np.ones(len(x)), default_sphere_rule())
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", SPHERE_KINDS)
+    @pytest.mark.parametrize("c", [math.nan, math.inf, "3.14", True], ids=["nan", "inf", "str", "bool"])
+    def test_malformed_antipodal_sum_raises_before_any_call(self, kind, c):
+        calls = []
+        with pytest.raises(ValueError, match="antipodal_sum must be a finite real number"):
+            sphere_integrate(lambda x: calls.append(x) or np.ones(len(x)), QuadratureRule(kind, 8, 1e-9), antipodal_sum=c)
+        assert calls == []
 
     def test_product_points_match_angles_to_xyz_of_the_grid(self):
-        # Levels 4 and 8, then 128 and 256: the integrand receives, byte for
-        # byte, angles_to_xyz of each level's flattened (theta, phi) meshgrid.
+        # the integrand receives, byte for byte, angles_to_xyz of each
+        # level's flattened (theta, phi) meshgrid
         seen = []
 
         def record(x):
             seen.append(x.copy())
             return np.ones(len(x))
 
-        for n in (4, 128):
-            sphere_integrate(record, QuadratureRule("gauss_legendre", n, 1.0))
+        for n in (4, 8, 128, 256):
+            sphere_integrate(record, QuadratureRule("gauss_legendre", n, 1.0), antipodal_sum=2.0)
         assert [len(x) for x in seen] == [2 * n * n for n in (4, 8, 128, 256)]
         for points in seen:
             assert points.tobytes() == _grid_by_angles(math.isqrt(len(points) // 2)).tobytes()
@@ -279,53 +293,33 @@ class TestSphereIntegrate:
         w = np.array([0.6, -0.64, 0.48])
         g = lambda x: np.arccos(np.clip(x @ w, -1.0, 1.0))
         rule = QuadratureRule("gauss_legendre", 32, 1e-12)
-        first = sphere_integrate(g, rule)
-        assert sphere_integrate(g, rule) == first
-        _cached_grid.cache_clear()
-        assert sphere_integrate(g, rule) == first
+        first = sphere_integrate(g, rule, antipodal_sum=math.pi)
+        assert sphere_integrate(g, rule, antipodal_sum=math.pi) == first
+        _product_grid.cache_clear()
+        assert sphere_integrate(g, rule, antipodal_sum=math.pi) == first
 
     def test_an_integrand_cannot_write_into_the_shared_points(self):
         rule = QuadratureRule("gauss_legendre", 16, 1.0)
-        g = lambda x: x[:, 2] ** 2
-        before = sphere_integrate(g, rule)
+        g = lambda x: np.arccos(x[:, 2])
+        before = sphere_integrate(g, rule, antipodal_sum=math.pi)
 
         def writes(x):
             x[:, 2] = 0.0
             return np.ones(len(x))
 
         with pytest.raises(ValueError, match="read-only"):
-            sphere_integrate(writes, rule)
-        assert sphere_integrate(g, rule) == before
+            sphere_integrate(writes, rule, antipodal_sum=2.0)
+        assert sphere_integrate(g, rule, antipodal_sum=math.pi) == before
 
-    def test_cache_holds_two_levels(self):
-        # a two-level integral finds both of its levels on the next call; a third level evicts the oldest
-        _cached_grid.cache_clear()
-        rule = QuadratureRule("gauss_legendre", 4, 1.0)
-        for _ in range(2):
-            sphere_integrate(lambda x: np.ones(len(x)), rule)
-        assert _cached_grid.cache_info()[:4] == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
-        _product_grid(16)
+    def test_cache_holds_one_level(self):
+        # a repeated level is the same read-only array; another level evicts it
+        _product_grid.cache_clear()
+        first = _product_grid(16)
+        assert _product_grid(16) is first and not first.flags.writeable
+        assert _product_grid.cache_info()[:4] == (1, 1, 1, 1)  # hits, misses, maxsize, currsize
         _product_grid(8)
-        _product_grid(4)
-        assert _cached_grid.cache_info()[:4] == (3, 4, 2, 2)
-
-    def test_cache_keeps_no_level_above_n_theta_512(self):
-        # the default rule's deepest level is cached; a rule from n = 362 refines
-        # to n_theta = 724 (25 MB of points), which is freed after its call
-        _cached_grid.cache_clear()
-        assert _product_grid(512) is _product_grid(512)
-        deep = []
-
-        def theta(x):
-            if len(x) == 2 * 724**2:
-                deep.append(weakref.ref(x))
-            return np.arccos(x[:, 2])
-
-        sphere_integrate(theta, QuadratureRule("gauss_legendre", 362, 1e-300))
-        gc.collect()
-        assert len(deep) == 1 and deep[0]() is None
-        assert _cached_grid.cache_info().currsize == 2
-        assert not _product_grid(724).flags.writeable
+        assert _product_grid(16) is not first
+        assert _product_grid.cache_info()[:4] == (1, 3, 1, 1)
 
     @pytest.mark.parametrize(
         "rule", [QuadratureRule("gauss_legendre", 8, 1e-7), QuadratureRule("monte_carlo", 100, 1e-9)],
@@ -334,64 +328,25 @@ class TestSphereIntegrate:
     def test_integrand_of_the_wrong_shape_raises(self, rule):
         for wrong in (lambda x: np.ones((len(x), 1)), lambda x: np.ones(3 * len(x)), lambda x: 1.0):
             with pytest.raises(ValueError, match="one value per point"):
-                sphere_integrate(wrong, rule)
+                sphere_integrate(wrong, rule, antipodal_sum=1.0)
 
-
-    def test_trapezoid_rule_raises(self):
+    @pytest.mark.parametrize("c", [None, 1.0])
+    def test_trapezoid_rule_raises(self, c):
         calls = []
         with pytest.raises(ValueError, match="periodic_trapezoid"):
-            sphere_integrate(lambda x: calls.append(x) or np.ones(len(x)), QuadratureRule("periodic_trapezoid", 8, 1e-9))
+            sphere_integrate(
+                lambda x: calls.append(x) or np.ones(len(x)), QuadratureRule("periodic_trapezoid", 8, 1e-9), antipodal_sum=c
+            )
         assert calls == []
-
-    # One doubling step from each n: the value is the level 2n, the estimate its difference from level n.
-    DOUBLING_RULES = [QuadratureRule("gauss_legendre", n, 1.0) for n in (64, 128, 256)]
 
     def test_antipodally_balanced_integrands_are_exact_to_rounding(self):
         # arccos(q.x) + arccos(-q.x) = pi, and the product grid is antipodally
         # symmetric, so every level integrates it to 2 pi^2 up to rounding
         for q in uniform_unit_vectors(2024, 20):
-            for rule in self.DOUBLING_RULES:
-                res = sphere_integrate(lambda x: np.arccos(np.clip(x @ q, -1.0, 1.0)), rule)
+            for n in (128, 256, 512):
+                rule = QuadratureRule("gauss_legendre", n, 1.0)
+                res = sphere_integrate(lambda x: np.arccos(np.clip(x @ q, -1.0, 1.0)), rule, antipodal_sum=math.pi)
                 assert abs(res.value - 2.0 * math.pi**2) <= 1e-13
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "the doubling estimate is a difference, not a bound: on |q.x| (2 pi) one or two of 20 q "
-            "miss at every level, one at n_theta 128->256 by 1.26e-6 against an estimate of 8.07e-8 "
-            "(15.6x); on arccos(q.x)^2 (2 pi (pi^2 - 4)) one at 256->512 by 4.34e-8 against 1.54e-8 (2.8x)"
-        ),
-    )
-    def test_doubling_estimate_bounds_the_error_without_antipodal_balance(self):
-        integrands = [
-            (lambda q: lambda x: np.abs(x @ q), TWO_PI),
-            (lambda q: lambda x: np.arccos(np.clip(x @ q, -1.0, 1.0)) ** 2, TWO_PI * (math.pi**2 - 4.0)),
-        ]
-        misses = []
-        for make, exact in integrands:
-            for rule in self.DOUBLING_RULES:
-                for k, q in enumerate(uniform_unit_vectors(2024, 20)):
-                    res = sphere_integrate(make(q), rule)
-                    if abs(res.value - exact) > res.error_estimate:
-                        misses.append((exact, rule.n, k, abs(res.value - exact), res.error_estimate))
-        assert misses == []
-
-
-def _doubling_by_levels(g, rule):
-    """sphere_integrate's doubling without antipodal_sum, each level summed from
-    angles_to_xyz of its grid: (value, error estimate, nodes used, warning)."""
-    used, prev = 0, None
-    for n in refinement_levels(rule, surface=True):
-        vals = np.asarray(g(_grid_by_angles(n)), dtype=float).reshape(n, 2 * n)
-        cur = float(np.dot(_leggauss(n)[1], vals.sum(axis=1))) * (TWO_PI / (2 * n))
-        used += vals.size
-        if prev is not None:
-            est = abs(cur - prev)
-            if est <= rule.tol:
-                return cur, est, used, None
-        prev = cur
-    return cur, est, used, TOLERANCE_NOT_REACHED
 
 
 def _arc(angle, q):
@@ -451,23 +406,6 @@ class TestAntipodalSum:
         ref = sample_mean(g(uniform_unit_vectors(7, 1000)), 4.0 * math.pi)
         assert sphere_integrate(g, rule, antipodal_sum=math.pi) == sphere_integrate(g, rule) == ref
 
-    @pytest.mark.parametrize("n, tol", [(4, 1e-3), (64, 1e-9), (128, 1e-7), (362, 1e-300)])
-    def test_without_it_the_doubling_is_unchanged(self, n, tol):
-        for g in (_arc(np.arccos, np.array([0.36, 0.48, 0.8])), lambda x: np.abs(x[:, 0])):
-            rule = QuadratureRule("gauss_legendre", n, tol)
-            res = sphere_integrate(g, rule)
-            assert (res.value, res.error_estimate, res.nodes_used, res.warning) == _doubling_by_levels(g, rule)
-
-    @pytest.mark.parametrize(
-        "n, kind, match", [(363, "gauss_legendre", "above the cap"), (8, "periodic_trapezoid", "periodic_trapezoid")]
-    )
-    def test_refused_rules_still_raise_before_any_call(self, n, kind, match):
-        calls = []
-        record = lambda x: calls.append(x) or np.ones(len(x))
-        with pytest.raises(ValueError, match=match):
-            sphere_integrate(record, QuadratureRule(kind, n, 1e-9), antipodal_sum=1.0)
-        assert calls == []
-
 
 NODE_COUNTS = [2, 3, 4, 5, 63, 128, 256, 362, 512, 724]
 
@@ -515,46 +453,43 @@ class TestGaussNodes:
 
 
 class TestNodeCap:
-    """Every level fits under NODE_CAP; a rule whose second level cannot fit is
-    rejected before its integrand is called (counted, never run at that size)."""
+    """Every level fits under NODE_CAP; a curve rule whose second level, or a
+    product rule whose one level, cannot fit is rejected before its integrand
+    is called (counted, never run at that size)."""
 
     def test_levels_end_at_the_cap(self):
         assert refinement_levels(QuadratureRule("periodic_trapezoid", 2**19, 1e-9)) == [2**19, 2**20]
-        assert refinement_levels(QuadratureRule("gauss_legendre", 4, 1e-9))[-1] == NODE_CAP
-        assert refinement_levels(default_sphere_rule(), surface=True) == [128, 256, 512]
-        # 2 n^2 nodes a level: 724 is the largest n_theta with 2 n^2 <= 2^20
-        assert refinement_levels(QuadratureRule("gauss_legendre", 362, 1e-9), surface=True) == [362, 724]
+        assert refinement_levels(QuadratureRule("periodic_trapezoid", 4, 1e-9))[-1] == NODE_CAP
 
     @pytest.mark.parametrize(
         "rule, surface",
         [
-            (QuadratureRule("gauss_legendre", 363, 1e-9), True),
+            (QuadratureRule("gauss_legendre", 725, 1e-9), True),
             (QuadratureRule("gauss_legendre", 1024, 1e-9), True),
             (QuadratureRule("periodic_trapezoid", 2**20, 1e-9), False),
             (QuadratureRule("gauss_legendre", 2**19 + 1, 1e-9), False),
         ],
-        ids=["sphere_363", "sphere_1024", "trapezoid_2^20", "gauss_2^19+1"],
+        ids=["sphere_725", "sphere_1024", "trapezoid_2^20", "gauss_2^19+1"],
     )
     def test_rule_over_the_cap_raises_before_any_call(self, rule, surface):
         calls = []
 
         def record(*args):
             calls.append(np.size(args[0]))
-            return np.ones_like(args[0])
+            return np.ones(len(args[0]))
 
+        if surface:
+            run = lambda: sphere_integrate(record, rule, antipodal_sum=2.0)
+        else:
+            with pytest.raises(ValueError, match="above the cap"):
+                refinement_levels(rule)
+            run = lambda: integrate_1d(record, 0.0, 1.0, rule)
         with pytest.raises(ValueError, match="above the cap"):
-            refinement_levels(rule, surface)
-        with pytest.raises(ValueError, match="above the cap"):
-            if surface:
-                sphere_integrate(record, rule)
-            else:
-                integrate_1d(record, 0.0, 1.0, rule)
+            run()
         assert calls == []
 
-    def test_sphere_stops_at_the_last_level_within_the_cap(self):
-        # arccos(x . q) has a kink at q, and at an oblique q no grid line
-        # passes through it, so the two levels differ. arccos(z) would not do:
-        # both levels give its integral, 2 pi^2, to the last digit.
+    def test_sphere_takes_the_deepest_level_within_the_cap(self):
+        # 2 n^2 nodes a level: 724 is the largest n_theta with 2 n^2 <= 2^20
         calls = []
         q = np.array([0.36, 0.48, 0.8])
 
@@ -562,10 +497,10 @@ class TestNodeCap:
             calls.append(len(x))
             return np.arccos(np.clip(x @ q, -1.0, 1.0))
 
-        res = sphere_integrate(distance_to_q, QuadratureRule("gauss_legendre", 362, 1e-300))
-        assert calls == [2 * 362**2, 2 * 724**2]
-        assert res.nodes_used == sum(calls)
-        assert res.warning == TOLERANCE_NOT_REACHED
+        res = sphere_integrate(distance_to_q, QuadratureRule("gauss_legendre", 724, 1e-300), antipodal_sum=math.pi)
+        assert calls == [res.nodes_used] == [2 * 724**2]
+        assert abs(res.value - 2.0 * math.pi**2) <= res.error_estimate
+        _product_grid.cache_clear()  # frees the level's 25 MB of points
 
 
 class TestSampleMean:

@@ -151,3 +151,37 @@ def test_bench_pairs_summary_on_canned_runs():
     failing = bench_pairs.summarize(_canned_runs(parent, change, correct=False), better)
     assert not failing["all_correct_with_no_failed_ops"]
     assert "op_ms.p50 (ms, lower is better): parent 2.1 [2.025, 2.2]" in bench_pairs.report(summary)
+
+
+def test_bench_pairs_keeps_every_run_when_one_exits_nonzero(tmp_path):
+    # the change's perfbench stub exits 3: every run is kept, --out is
+    # written with the failed runs' exit codes and stderr, and the script exits 1
+    stubs = {
+        "parent": (
+            "import json\n"
+            "print(json.dumps({'environment': {'stub': True}}))\n"
+            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,"
+            " 'metrics': {'op_ms.p50': {'value': 1.0, 'unit': 'ms'}}}))\n"
+        ),
+        "change": "import sys\nsys.stderr.write('Traceback\\nRuntimeError: stub failure\\n')\nsys.exit(3)\n",
+    }
+    for side, source in stubs.items():
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(source)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "seam_search", "--pairs", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "pair 0 change exited 3: RuntimeError: stub failure" in proc.stdout
+    report = json.loads(out.read_text())
+    assert [(r["pair"], r["side"], "result" in r) for r in report["runs"]] == [
+        (0, "parent", True), (0, "change", False), (1, "change", False), (1, "parent", True)
+    ]
+    failed = report["summary"]["failed_runs"]
+    assert [(r["pair"], r["side"], r["exit_code"]) for r in failed] == [(0, "change", 3), (1, "change", 3)]
+    assert failed[0]["stderr_tail"] == ["Traceback", "RuntimeError: stub failure"]
+    assert report["summary"]["pairs"] == 0 and not report["summary"]["all_correct_with_no_failed_ops"]
