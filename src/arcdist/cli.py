@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, curves, functionals, optimize
 from .curves import CurveSpecError, _is_real, from_spec
-from .quadrature import NonFiniteIntegrandError, default_curve_rule, refinement_levels
+from .quadrature import FunctionalResult, NonFiniteIntegrandError, default_curve_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import format_table, run_verification
 
@@ -165,12 +165,13 @@ def _write_json(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _row(name: str, value: float, error: float | None = None, **extra) -> dict:
-    row = {"name": name, "value": float(value)}
-    if error is not None:
-        row["error_estimate"] = float(error)
-    row.update({k: v for k, v in extra.items() if v is not None})
-    return row
+def _row(name: str, value: float | FunctionalResult, **extra) -> dict:
+    """A report row: name, value and each extra field that is not None. A
+    FunctionalResult value also gives its error_estimate, nodes_used and warning."""
+    if isinstance(value, FunctionalResult):
+        fields = {"error_estimate": value.error_estimate, "nodes_used": value.nodes_used, "warning": value.warning}
+        extra, value = {**fields, **extra}, value.value
+    return {"name": name, "value": float(value), **{k: v for k, v in extra.items() if v is not None}}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -178,16 +179,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows, all_pass = run_verification()
     print(format_table(rows))
     if "out" in cfg:
-        results = []
-        for r in rows:
-            item = _row(
-                r.name, r.value, r.error_estimate, paper_value=r.paper_value, tolerance=r.tolerance, warning=r.warning
+        results = [
+            _row(
+                r.name, r.value, error_estimate=r.error_estimate, nodes_used=r.nodes_used, paper_value=r.paper_value,
+                tolerance=r.tolerance, warning=r.warning, **{"pass": None if r.passed is None else bool(r.passed)},
+                message=r.message or None,
             )
-            if r.passed is not None:
-                item["pass"] = bool(r.passed)
-            if r.message:
-                item["message"] = r.message
-            results.append(item)
+            for r in rows
+        ]
         _write_json(_report_envelope(cfg, results), cfg["out"])
     return 0 if all_pass else 1
 
@@ -201,7 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     results = []
     length = curves.arc_length(curve, crule)
-    results.append(_row("arc_length", length.value, length.error_estimate))
+    results.append(_row("arc_length", length))
     closed = curves.is_closed(curve)
     results.append(_row("is_closed", float(closed)))
     simple, witness = curves.is_simple(curve)
@@ -210,17 +209,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     if closed:
         m = functionals.curve_to_sphere_mean_M(curve, crule)
-        results.append(_row("curve_to_sphere_mean_M", m.value, m.error_estimate))
+        results.append(_row("curve_to_sphere_mean_M", m))
     for theta0, phi0, p in points:
         res = functionals.point_to_curve_mean(curve, p, crule)
-        results.append(_row(f"point_to_curve_mean[{theta0:.6g},{phi0:.6g}]", res.value, res.error_estimate))
+        results.append(_row(f"point_to_curve_mean[{theta0:.6g},{phi0:.6g}]", res))
         dmin, tmin = functionals.point_to_curve_min(curve, p)
         results.append(_row(f"point_to_curve_min[{theta0:.6g},{phi0:.6g}]", dmin, argmin_t=tmin))
     mt = functionals.sphere_to_curve_mean(curve)
-    results.append(_row("sphere_to_curve_mean", mt.value, mt.error_estimate))
-    results.append(_row("sphere_to_curve_mean_over_4pi", mt.value / (4 * math.pi), mt.error_estimate / (4 * math.pi)))
+    over_4pi = dataclasses.replace(mt, value=mt.value / (4 * math.pi), error_estimate=mt.error_estimate / (4 * math.pi))
+    results += [_row("sphere_to_curve_mean", mt), _row("sphere_to_curve_mean_over_4pi", over_4pi)]
     mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=cfg.get("seed", EVAL_SEED))
-    results.append(_row("mean_min_arc_distance", mm.value, mm.error_estimate))
+    results.append(_row("mean_min_arc_distance", mm))
     _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 
@@ -252,7 +251,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     report = family.calibrate((), **_given(cfg, "tol"))
     results = [
         _row("calibrated_parameter", report.parameter, message=curves._FAMILIES[family.tag].label),
-        _row("arc_length", report.arc_length, report.residual),
+        _row("arc_length", report.arc_length, error_estimate=report.residual),
         _row("residual", report.residual),
         _row("iterations", report.iterations),
         _row("nodes_used", report.nodes_used),

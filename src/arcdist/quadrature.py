@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -81,7 +82,8 @@ class QuadratureRule:
     kind: periodic_trapezoid for curve integrals, one of SPHERE_KINDS for
         surface integrals.
     n: node count, an integer >= 2 (starting level for refining rules;
-        sample count for MC).
+        sample count for MC), kept as a Python int so that the levels'
+        shifts and the cap checks are exact for a numpy integer too.
     tol: requested absolute tolerance for the doubling refinement.
     seed: RNG seed, a non-negative integer, used by monte_carlo only.
     """
@@ -95,6 +97,7 @@ class QuadratureRule:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
         require_integer(self.n, 2, "node count")
+        object.__setattr__(self, "n", operator.index(self.n))
         require_integer(self.seed, 0, "seed")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
@@ -309,7 +312,7 @@ def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float 
             "a gauss_legendre rule takes only an integrand with g(x) + g(-x) = c, declared by antipodal_sum; "
             "integrate any other by monte_carlo"
         )
-    nodes = 2 * int(rule.n) ** 2
+    nodes = 2 * rule.n**2
     if nodes > NODE_CAP:
         raise ValueError(f"gauss_legendre n = {rule.n} needs {nodes} nodes, above the cap {NODE_CAP}")
     return _balanced_level(g, rule.n, antipodal_sum, rule.tol)

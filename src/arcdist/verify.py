@@ -11,7 +11,7 @@ the same constant for every curve so no strict excess exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +38,10 @@ MAX_EVALS = 500
 class ClaimRow:
     """One verification table row; passed=None marks an informational row.
 
-    warning is the first warning of the integrals the row was computed
-    from (TOLERANCE_NOT_REACHED when one stopped at the node cap).
+    results are the FunctionalResults the row was computed from. warning is
+    their first warning (TOLERANCE_NOT_REACHED when one stopped at the node
+    cap) and nodes_used their total, None without results. A row of one
+    result takes its error_estimate unless the row gives its own.
     """
 
     name: str
@@ -49,7 +51,20 @@ class ClaimRow:
     passed: bool | None = None
     error_estimate: float | None = None
     message: str = ""
-    warning: str | None = None
+    results: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.results = tuple(self.results)
+        if self.error_estimate is None and len(self.results) == 1:
+            self.error_estimate = self.results[0].error_estimate
+
+    @property
+    def warning(self) -> str | None:
+        return next((r.warning for r in self.results if r.warning is not None), None)
+
+    @property
+    def nodes_used(self) -> int | None:
+        return sum(r.nodes_used for r in self.results) if self.results else None
 
 
 class VerifyContext:
@@ -72,11 +87,6 @@ class VerifyContext:
         return self.wavy_calibration.curve
 
 
-def _warning(results) -> str | None:
-    """The first warning among the FunctionalResults, if any."""
-    return next((r.warning for r in results if r.warning is not None), None)
-
-
 def _within(name: str, value: float, paper_value: float, tolerance: float, **row) -> ClaimRow:
     """The row of a claim that passes when |value - paper_value| <= tolerance."""
     return ClaimRow(name, value, paper_value, tolerance, abs(value - paper_value) <= tolerance, **row)
@@ -87,19 +97,14 @@ def _at_most(name: str, value: float, tolerance: float, **row) -> ClaimRow:
     return ClaimRow(name, value, tolerance=tolerance, passed=value <= tolerance, **row)
 
 
-def _worst_of(name: str, functional, qs: np.ndarray, target: float) -> tuple[ClaimRow, np.ndarray]:
+def _worst_of(name: str, functional, qs, target: float, tolerance: float) -> tuple[ClaimRow, np.ndarray]:
     """The row of the estimate farthest from target among functional(q)
-    over the points qs, which passes within 1e-6 of target, and every estimate."""
+    over the points qs, which passes within tolerance of target, and every estimate."""
     results = [functional(q) for q in qs]
     values = np.array([r.value for r in results])
     worst = int(np.argmax(np.abs(values - target)))
     row = _within(
-        name,
-        float(values[worst]),
-        target,
-        1e-6,
-        error_estimate=results[worst].error_estimate,
-        warning=_warning(results),
+        name, float(values[worst]), target, tolerance, error_estimate=results[worst].error_estimate, results=results
     )
     return row, values
 
@@ -108,7 +113,7 @@ def criterion_1_point_to_sphere(ctx: VerifyContext) -> list[ClaimRow]:
     """Mean distance from 100 random unit vectors to the sphere equals pi/2."""
     qs = uniform_unit_vectors(SEED + 100, 100)
     name = "1. point-to-sphere mean (worst of 100)"
-    row, values = _worst_of(name, functionals.mean_point_to_sphere, qs, HALF_PI)
+    row, values = _worst_of(name, functionals.mean_point_to_sphere, qs, HALF_PI, 1e-6)
     row.message = f"max |dev| = {abs(row.value - HALF_PI):.3e}; spread = {np.ptp(values):.3e}"
     return [row]
 
@@ -117,22 +122,13 @@ def criterion_2_arcsin_identity(ctx: VerifyContext) -> list[ClaimRow]:
     """The arcsin surface integral vanishes for 20 random unit vectors."""
     qs = uniform_unit_vectors(SEED + 200, 20)
     name = "2. arcsin identity residual (worst of 20)"
-    return [_worst_of(name, functionals.arcsin_identity_residual, qs, 0.0)[0]]
+    return [_worst_of(name, functionals.arcsin_identity_residual, qs, 0.0, 1e-6)[0]]
 
 
 def criterion_3_seam_M(ctx: VerifyContext) -> list[ClaimRow]:
     """Curve-to-sphere mean of the calibrated seam equals 2 pi^2 (rel 1e-3)."""
     res = functionals.curve_to_sphere_mean_M(ctx.seam)
-    return [
-        _within(
-            "3. seam curve-to-sphere mean M",
-            res.value,
-            TWO_PI_SQ,
-            1e-3 * TWO_PI_SQ,
-            error_estimate=res.error_estimate,
-            warning=res.warning,
-        )
-    ]
+    return [_within("3. seam curve-to-sphere mean M", res.value, TWO_PI_SQ, 1e-3 * TWO_PI_SQ, results=(res,))]
 
 
 def criterion_4_great_circle_field(ctx: VerifyContext) -> list[ClaimRow]:
@@ -140,10 +136,9 @@ def criterion_4_great_circle_field(ctx: VerifyContext) -> list[ClaimRow]:
     gc = curves.great_circle((0.0, 2.0))
     theta, phi = sample_sphere_angles(SEED + 400, 50)
     rule = default_curve_rule(tol=1e-10)
-    results = [functionals.point_to_curve_mean(gc, SpherePoint(t, p), rule) for t, p in zip(theta, phi)]
-    worst = max(results, key=lambda r: abs(r.value - HALF_PI))
+    points = [SpherePoint(t, p) for t, p in zip(theta, phi)]
     name = "4. great-circle mean distance (worst of 50)"
-    return [_within(name, worst.value, HALF_PI, 1e-8, warning=_warning(results))]
+    return [_worst_of(name, lambda p: functionals.point_to_curve_mean(gc, p, rule), points, HALF_PI, 1e-8)[0]]
 
 
 def criterion_5_wavy_pole_value(ctx: VerifyContext) -> list[ClaimRow]:
@@ -158,8 +153,7 @@ def criterion_5_wavy_pole_value(ctx: VerifyContext) -> list[ClaimRow]:
             paper_value=2.3562,
             tolerance=1e-4,
             passed=abs(res.value - target) <= 1e-4,
-            error_estimate=res.error_estimate,
-            warning=res.warning,
+            results=(res,),
         )
     ]
 
@@ -191,7 +185,7 @@ def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
             f"{4 * math.pi:.4f}). Open question: the constraint does not determine the published "
             "value. See README: Known deviations."
         ),
-        warning=length_at_ref.warning,
+        results=(length_at_ref,),
     )
     return [seam_row, wavy_row]
 
@@ -201,14 +195,7 @@ def criterion_7_seam_sphere_mean(ctx: VerifyContext) -> list[ClaimRow]:
     res = functionals.sphere_to_curve_mean(ctx.seam)
     sup, _ = functionals.sup_deviation_from_half_pi(ctx.seam)
     return [
-        _within(
-            "7. seam sphere-to-curve mean",
-            res.value,
-            TWO_PI_SQ,
-            5e-2 * TWO_PI_SQ,
-            error_estimate=res.error_estimate,
-            warning=res.warning,
-        ),
+        _within("7. seam sphere-to-curve mean", res.value, TWO_PI_SQ, 5e-2 * TWO_PI_SQ, results=(res,)),
         ClaimRow(
             "7i. seam sup |mean distance - pi/2| (122-design)",
             sup,
@@ -232,13 +219,12 @@ def criterion_8_wavy_excess(ctx: VerifyContext) -> list[ClaimRow]:
             paper_value=None,
             tolerance=tol,
             passed=bool(excess > tol),
-            error_estimate=res.error_estimate,
             message=(
                 "the surface integral of the mean-distance field equals 2 pi^2 for every curve "
                 "(swap the two integrals: the inner one is the constant point-to-sphere mean), "
                 "so no strict excess exists. See README: Known deviations."
             ),
-            warning=res.warning,
+            results=(res,),
         )
     ]
 
@@ -299,7 +285,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
     for r0, r1 in pairs:
         ratios.append(abs(r0.value - r1.value) / (3.0 * (r0.error_estimate + r1.error_estimate) + 1e-12))
     name = "11a. rotation invariance (max violation ratio)"
-    rows.append(_at_most(name, float(max(ratios)), 1.0, warning=_warning(r for pair in pairs for r in pair)))
+    rows.append(_at_most(name, float(max(ratios)), 1.0, results=[r for pair in pairs for r in pair]))
 
     # min <= mean on 200 random (curve, point) pairs: 40 curves x 5 points.
     worst_gap = -math.inf
@@ -320,7 +306,7 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
         for j, u in enumerate(pts):
             results.append(functionals.point_to_curve_mean(c, u, crule))
             worst_gap = max(worst_gap, float(mins[j]) - results[-1].value)
-    rows.append(_at_most("11b. max(min - mean) over 200 pairs", worst_gap, 1e-9, warning=_warning(results)))
+    rows.append(_at_most("11b. max(min - mean) over 200 pairs", worst_gap, 1e-9, results=results))
 
     # Monte Carlo sphere-to-curve mean standard error shrinks ~2x for 4x samples.
     results = [
@@ -336,32 +322,17 @@ def criterion_11_properties(ctx: VerifyContext) -> list[ClaimRow]:
             tolerance=1.8,
             passed=ratio >= 1.8,
             message="pass requires shrink >= 1.8",
-            warning=_warning(results),
+            results=results,
         )
     )
 
     # Great-circle mean minimum distance: closed form pi/2 - 1.
     res = functionals.mean_min_arc_distance(curves.great_circle((0.0, 2.0)), 100_000, seed=SEED)
-    rows.append(
-        _within(
-            "11d. great-circle mean minimum distance",
-            res.value,
-            HALF_PI - 1.0,
-            3.0 * res.error_estimate,
-            error_estimate=res.error_estimate,
-            warning=res.warning,
-        )
-    )
+    name = "11d. great-circle mean minimum distance"
+    rows.append(_within(name, res.value, HALF_PI - 1.0, 3.0 * res.error_estimate, results=(res,)))
     res = functionals.mean_min_arc_distance(ctx.seam, 20_000, seed=SEED + 1)
-    rows.append(
-        ClaimRow(
-            "11i. seam mean minimum distance",
-            res.value,
-            error_estimate=res.error_estimate,
-            message="informational: no reference value; recorded for comparison",
-            warning=res.warning,
-        )
-    )
+    message = "informational: no reference value; recorded for comparison"
+    rows.append(ClaimRow("11i. seam mean minimum distance", res.value, message=message, results=(res,)))
     return rows
 
 

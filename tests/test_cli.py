@@ -105,6 +105,21 @@ class TestEval:
             rows.append([r for r in results if r["name"].startswith("sphere_to_curve_mean")])
         assert len(rows[0]) == 2 and rows[0] == rows[1]
 
+    def test_row_carries_its_integral_warning_and_node_count(self, capsys):
+        # a point on the wavy circle at b = 0.3 (t = 0.1): its mean distance under --tol 1e-12 stops at the node cap
+        curve = '{"family":"wavy_circle","params":{"b":0.3}}'
+        args = ["eval", "--curve", curve, "--points", "[[2.6086357856347138,0.1]]", "--tol", "1e-12"]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        row = rows["point_to_curve_mean[2.60864,0.1]"]
+        assert row["warning"] == TOLERANCE_NOT_REACHED and row["nodes_used"] == 1048576
+        # the mean over 4pi is the same integral, scaled: it reports the same nodes and warning
+        mean, over_4pi = rows["sphere_to_curve_mean"], rows["sphere_to_curve_mean_over_4pi"]
+        assert over_4pi["nodes_used"] == mean["nodes_used"] >= 1
+        assert over_4pi.get("warning") == mean.get("warning")
+        assert all("nodes_used" in r for r in rows.values() if "error_estimate" in r)
+
     def test_n_leaves_the_surface_integral_inner_rule_at_its_default(self, monkeypatch, capsys):
         # --n sets the curve rule; the field inside sphere_to_curve_mean keeps its default 512 nodes
         inner = []
@@ -591,7 +606,8 @@ class TestVerifyGlue:
         assert by_name["b"]["pass"] is False
         assert by_name["b"]["message"] == "why it failed"
         assert "pass" not in by_name["c"]  # informational row
-        assert not any("warning" in row for row in report["results"])
+        # rows built from no results carry no warning and no node count
+        assert not any("warning" in row or "nodes_used" in row for row in report["results"])
 
     def test_report_names_its_environment(self, fake_rows, tmp_path, capsys):
         out_path = tmp_path / "verify.json"
@@ -642,6 +658,7 @@ def test_verify_row_carries_its_integral_warning(monkeypatch, tmp_path, capsys):
     code, out, _ = run(["verify", "--out", str(out_path)], capsys)
     (row,) = json.loads(out_path.read_text())["results"]
     assert row["name"].startswith("1. ") and row["warning"] == TOLERANCE_NOT_REACHED
+    assert row["nodes_used"] == 100  # the total over the 100 capped results of 1 node each
     assert f"note: {TOLERANCE_NOT_REACHED}" in out
     assert code == 0
 

@@ -468,8 +468,10 @@ class TestNodeCap:
             (QuadratureRule("gauss_legendre", 1024, 1e-9), True),
             (QuadratureRule("periodic_trapezoid", 2**20, 1e-9), False),
             (QuadratureRule("gauss_legendre", 2**19 + 1, 1e-9), False),
+            # a numpy node count is taken as a Python int, so its levels' shifts cannot wrap
+            (QuadratureRule("periodic_trapezoid", np.int64(2**62), 1e-9), False),
         ],
-        ids=["sphere_725", "sphere_1024", "trapezoid_2^20", "gauss_2^19+1"],
+        ids=["sphere_725", "sphere_1024", "trapezoid_2^20", "gauss_2^19+1", "trapezoid_int64_2^62"],
     )
     def test_rule_over_the_cap_raises_before_any_call(self, rule, surface):
         calls = []
