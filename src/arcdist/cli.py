@@ -250,16 +250,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         family = dataclasses.replace(family, scale_bracket=tuple(map(float, cfg["bracket"])))
     report = family.calibrate((), **_given(cfg, "tol"))
     results = [
-        _row("calibrated_parameter", report.parameter, message=curves._FAMILIES[family.tag].label),
-        _row("arc_length", report.arc_length, error_estimate=report.residual),
+        _row(
+            "calibrated_parameter", report.parameter, message=curves._FAMILIES[family.tag].label, warning=report.warning
+        ),
+        _row("arc_length", report.length),
         _row("residual", report.residual),
         _row("iterations", report.iterations),
-        _row("nodes_used", report.nodes_used),
         _row("bracket_lo", report.bracket[0]),
         _row("bracket_hi", report.bracket[1]),
     ]
-    if report.warning:
-        results.append(_row(f"warning_{report.warning}", 1.0, message=report.warning))
     _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
 
@@ -276,7 +275,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         _row("constraint_residual", report.constraint_residual),
         _row("max_constraint_residual", report.max_constraint_residual),
         _row("evaluations", report.evaluations),
-        _row("converged", float(report.converged), message=report.warning),
+        _row("converged", float(report.converged), warning=report.warning),
     ]
     for i, v in enumerate(report.best_shape):
         results.append(_row(f"best_shape_{i}", v))

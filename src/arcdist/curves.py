@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes, rule_nodes
+from .quadrature import FunctionalResult, QuadratureRule, default_curve_rule, integrate_1d, periodic_nodes
 from .sphere import angles_to_xyz, require_integer
 
 GREAT_CIRCLE = "great_circle"
@@ -416,11 +416,11 @@ def arc_length(curve: SphericalCurve, rule: QuadratureRule | None = None) -> Fun
 LengthModel = Callable[[float], tuple[float, float]]
 
 
-def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: int) -> LengthModel:
+def length_model(curve: SphericalCurve, scale: float, n: int) -> LengthModel:
     """The LengthModel of the family through `curve`, its member at `scale`
     (curve is with_scale(c, scale) for a curve c of the family), on the
-    n-node level of the periodic trapezoid `rule` (rule_nodes on the
-    curve's domain).
+    n-node periodic trapezoid over the curve's domain: the nodes
+    periodic_nodes(t_i, t_f, n), each weighing period / n.
 
     For a family with a scale param the rates are the series' derivatives
     in s (_scale_rates), d(theta)/ds and d(phi)/ds. At each node, theta,
@@ -438,7 +438,7 @@ def length_model(curve: SphericalCurve, scale: float, rule: QuadratureRule, n: i
     The nodes are a sample grid, so both series read their trig values
     from the grid's table.
     """
-    ts, weights = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, n)
+    ts, weights = periodic_nodes(curve.domain.t_i, curve.domain.t_f, n), np.full(n, curve.domain.period / n)
     theta0, _, dtheta0, dphi0 = _series_angles(curve._series, ts, rates=1, grid=curve.domain)
     if _FAMILIES[curve.family].scale is None:
         theta_s, dtheta_s, dphi_s = np.zeros_like(ts), dtheta0 / scale, dphi0 / scale

@@ -22,11 +22,11 @@ from .curves import SphericalCurve, _arc_balls, _nearest_parameters, _segments, 
 from .quadrature import (
     FunctionalResult,
     QuadratureRule,
+    _require_curve_rule,
     default_curve_rule,
     default_sphere_rule,
     integrate_1d,
     require_integer,
-    rule_nodes,
     sample_mean,
     sphere_integrate,
 )
@@ -199,10 +199,11 @@ def mean_distance_field(curve: SphericalCurve, points: np.ndarray, curve_rule: Q
     it can for a point on a node, is formed again and clipped (_angles).
     """
     curve_rule = curve_rule or default_curve_rule()
-    _, w = rule_nodes(curve_rule, curve.domain.t_i, curve.domain.t_f)
-    C = curve.sample(w.size)[1]
-    w_mean = w / curve.domain.period
-    return _by_cores(points, w.size, lambda P: _angles(lambda: P @ C.T, reduce=lambda A: A @ w_mean))
+    _require_curve_rule(curve_rule)
+    n, period = curve_rule.n, curve.domain.period
+    C = curve.sample(n)[1]
+    w_mean = np.full(n, period / n) / period
+    return _by_cores(points, n, lambda P: _angles(lambda: P @ C.T, reduce=lambda A: A @ w_mean))
 
 
 def _block_rows(n_nodes: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from . import curves
 from .curves import SphericalCurve, arc_length, is_closed, is_simple, trig_series
 from .functionals import DESIGN_SIZE, mean_min_arc_distance, sup_deviation_from_half_pi
-from .quadrature import QuadratureRule, default_curve_rule, require_integer
+from .quadrature import FunctionalResult, QuadratureRule, _require_curve_rule, default_curve_rule, require_integer
 
 FOUR_PI = 4.0 * math.pi
 
@@ -49,20 +49,20 @@ class CalibrationFailedError(RuntimeError):
 class CalibrationReport:
     """Outcome of rooting a family's scale parameter to arc length 4pi.
 
-    arc_length, residual = |arc_length - 4pi| and nodes_used are those of
-    the arc length computed at the parameter. iterations counts the
-    confirming arc lengths the root took (the pre-scan and Newton take
-    none). warning is that arc length's warning (TOLERANCE_NOT_REACHED)
-    if it has one, else MULTIPLE_SIGN_CHANGES when the pre-scan found
-    several roots. curve is the curve at the parameter, the one whose arc
-    length the report gives; it takes no part in comparisons or the repr.
+    length is the arc length computed at the parameter, the one that
+    confirmed the root, with its own error estimate, nodes and warning;
+    residual = |length.value - 4pi|. iterations counts the confirming arc
+    lengths the root took (the pre-scan and Newton take none). warning is
+    the calibration's own: MULTIPLE_SIGN_CHANGES when the pre-scan found
+    several roots, else None. curve is the curve at the parameter, the one
+    whose arc length the report gives; it takes no part in comparisons or
+    the repr.
     """
 
     family: str
     parameter: float
-    arc_length: float
+    length: FunctionalResult
     residual: float
-    nodes_used: int
     iterations: int
     bracket: tuple[float, float]
     warning: str | None = None
@@ -122,21 +122,21 @@ def calibrate_arc_length(
 
     make_curve(p) must be its family's curve at scale p, as
     curves.with_scale defines the scale: the root is found on that
-    family's length model, L_n = curves.length_model(curve, p, rule, n)
-    for curve = make_curve(p), which is the rule's n-node sum of the arc
-    length at every scale. Arc lengths only confirm a root, so a root of a
-    make_curve that breaks the contract fails its confirmation and is never
-    reported.
+    family's length model, L_n = curves.length_model(curve, p, n) for
+    curve = make_curve(p), which is the n-node periodic trapezoid sum of
+    the arc length at every scale. Arc lengths only confirm a root, so a
+    root of a make_curve that breaks the contract fails its confirmation
+    and is never reported.
 
     Newton (_newton_root) steps on L_n, first at n = 2 rule.n, the level at
     which a refinement can first stop, each clipped to an interval and at
     least halving |L_n - 4pi|. Once |L_n - 4pi| <= tol, one arc_length at
-    that p confirms the root. The report takes its value and residual from
-    it, and its curve is the make_curve(p) that arc length was taken on. A
-    confirmation that misses tol rebuilds L_n at the level it settled at
-    and runs Newton again, for at most NEWTON_MAX_EVALUATIONS arc lengths,
-    which the report counts as its iterations; CalibrationFailedError after
-    that.
+    that p confirms the root. The report carries it as its length, with
+    the residual |length.value - 4pi|, and its curve is the make_curve(p)
+    that arc length was taken on. A confirmation that misses tol rebuilds
+    L_n at the level it settled at and runs Newton again, for at most
+    NEWTON_MAX_EVALUATIONS arc lengths, which the report counts as its
+    iterations; CalibrationFailedError after that.
 
     With a start inside the bracket, Newton runs from the start inside the
     bracket, and the report carries the bracket as given. A warm start
@@ -160,6 +160,7 @@ def calibrate_arc_length(
     builds the high end or pre-scans. Deterministic for fixed inputs.
     """
     rule = rule or default_curve_rule()
+    _require_curve_rule(rule)  # before the length model, which takes only n from it
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
@@ -207,7 +208,7 @@ def _newton_root(
     curve = make_curve(p)
     n = 2 * rule.n
     for evaluations in range(1, NEWTON_MAX_EVALUATIONS + 1):
-        model = curves.length_model(curve, p, rule, n)
+        model = curves.length_model(curve, p, n)
         p = None if sub is None else _model_root(model, p, *sub, tol, cold)
         if p is None and cold:
             sub, warning = _sign_change(model, *bracket)
@@ -218,10 +219,7 @@ def _newton_root(
         length = arc_length(curve, rule)
         residual = abs(length.value - FOUR_PI)
         if residual <= tol:
-            return CalibrationReport(
-                family, p, length.value, residual, length.nodes_used, evaluations, sub, length.warning or warning,
-                curve=curve,
-            )
+            return CalibrationReport(family, p, length, residual, evaluations, sub, warning, curve=curve)
         n = length.nodes_used  # the trapezoid's levels nest: the level it settled at
     return None
 

@@ -6,7 +6,7 @@ Curve integrals are over the period of a closed curve, so their
 integrands are periodic, and they take one rule: the nested periodic
 trapezoid (periodic_trapezoid). The sphere takes a product Gauss-Legendre
 x trapezoid rule (gauss_legendre) or Monte Carlo (monte_carlo), the
-SPHERE_KINDS. rule_nodes rejects a curve rule of a sphere kind, and
+SPHERE_KINDS. integrate_1d rejects a curve rule of a sphere kind, and
 sphere_integrate a sphere rule of the curve kind.
 
 No level may hold more than NODE_CAP nodes (n on a line, 2n^2 on the
@@ -180,15 +180,6 @@ def periodic_nodes(a: float, b: float, n: int) -> np.ndarray:
 def _require_curve_rule(rule: QuadratureRule) -> None:
     if rule.kind != "periodic_trapezoid":
         raise ValueError(f"curve integrals take a periodic_trapezoid rule, not {rule.kind}")
-
-
-def rule_nodes(rule: QuadratureRule, a: float, b: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the periodic trapezoid rule at n nodes (default
-    rule.n) on [a, b]: equispaced from a, with b identified with a, each
-    weighing (b - a) / n. A rule of a sphere kind raises ValueError."""
-    _require_curve_rule(rule)
-    n = n or rule.n
-    return periodic_nodes(a, b, n), np.full(n, (b - a) / n)
 
 
 def refinement_levels(rule: QuadratureRule) -> list[int]:

@@ -169,6 +169,7 @@ def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
         5e-4,
         error_estimate=cal.residual,
         message=f"deviation {dev:.2e}; the 4pi constraint alone reproduces the reference value",
+        results=(cal.length,),
     )
     cal = ctx.wavy_calibration
     dev = abs(cal.parameter - curves.WAVY_CIRCLE_B)
@@ -185,7 +186,7 @@ def criterion_6_calibration(ctx: VerifyContext) -> list[ClaimRow]:
             f"{4 * math.pi:.4f}). Open question: the constraint does not determine the published "
             "value. See README: Known deviations."
         ),
-        results=(length_at_ref,),
+        results=(length_at_ref, cal.length),
     )
     return [seam_row, wavy_row]
 

@@ -8,6 +8,7 @@ import pytest
 
 from arcdist import cli, verify
 from arcdist.cli import _SETTINGS, build_parser, main
+from arcdist.curves import arc_length, tennis_ball_seam, with_scale
 from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
 from arcdist.verify import ClaimRow
 
@@ -182,24 +183,17 @@ class TestCalibrate:
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
         assert rows["calibrated_parameter"]["value"] == pytest.approx(2.0, abs=1e-12)
 
-    def test_reports_the_nodes_of_its_arc_length(self, tmp_path, capsys):
+    @staticmethod
+    def _calibrate(tmp_path, capsys, *flags):
+        """The rows of arcdist calibrate on the seam with flags, by name."""
         out_path = tmp_path / "cal.json"
-        code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--out", str(out_path)], capsys)
+        code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', *flags, "--out", str(out_path)], capsys)
         assert code == 0
-        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
-        # the default curve rule (n = 512) settles at its second level
-        assert rows["nodes_used"]["value"] == 1024
-        assert not any(name.startswith("warning_") for name in rows)
+        return {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
 
-    def test_warning_row_is_named_after_its_warning(self, tmp_path, capsys):
-        out_path = tmp_path / "cal.json"
-        spec = '{"family":"tennis_ball"}'
-        code, _, _ = run(["calibrate", "--curve", spec, "--bracket", "0.01", "1.4", "--out", str(out_path)], capsys)
-        assert code == 0
-        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
-        assert rows["warning_multiple_sign_changes"]["message"] == "multiple_sign_changes"
-
-    def test_a_capped_arc_length_carries_its_warning(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def _capped_arc_length(monkeypatch):
+        """Every confirming arc length stops at the node cap, with its value kept."""
         from arcdist import curves
 
         def capped(curve, rule=None):
@@ -207,13 +201,41 @@ class TestCalibrate:
             return FunctionalResult(res.value, 1e-3, 4096, TOLERANCE_NOT_REACHED)
 
         monkeypatch.setattr("arcdist.optimize.arc_length", capped)
-        out_path = tmp_path / "cal.json"
-        code, _, _ = run(["calibrate", "--curve", '{"family":"tennis_ball"}', "--out", str(out_path)], capsys)
-        assert code == 0
-        rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
-        assert rows["nodes_used"]["value"] == 4096
-        assert rows["warning_tolerance_not_reached"]["message"] == TOLERANCE_NOT_REACHED
-        assert "warning_multiple_sign_changes" not in rows
+
+    def test_reports_the_nodes_of_its_arc_length(self, tmp_path, capsys):
+        rows = self._calibrate(tmp_path, capsys)
+        # the default curve rule (n = 512) settles at its second level
+        assert rows["arc_length"]["nodes_used"] == 1024
+        assert "nodes_used" not in rows
+        assert not any("warning" in row or name.startswith("warning_") for name, row in rows.items())
+
+    def test_arc_length_row_carries_its_own_error_estimate(self, tmp_path, capsys):
+        # the doubling estimate of the confirming arc length, not the constraint residual
+        rows = self._calibrate(tmp_path, capsys)
+        length = arc_length(with_scale(tennis_ball_seam(), rows["calibrated_parameter"]["value"]))
+        assert rows["arc_length"]["value"] == length.value
+        assert rows["arc_length"]["error_estimate"] == length.error_estimate
+        assert rows["residual"]["value"] == abs(length.value - 4 * math.pi)
+
+    def test_sign_change_warning_is_on_the_calibrated_parameter(self, tmp_path, capsys):
+        rows = self._calibrate(tmp_path, capsys, "--bracket", "0.01", "1.4")
+        assert rows["calibrated_parameter"]["warning"] == "multiple_sign_changes"
+        assert "warning" not in rows["arc_length"]
+        assert not any(name.startswith("warning_") for name in rows)
+
+    def test_a_capped_arc_length_carries_its_warning(self, tmp_path, capsys, monkeypatch):
+        self._capped_arc_length(monkeypatch)
+        rows = self._calibrate(tmp_path, capsys)
+        assert rows["arc_length"]["nodes_used"] == 4096
+        assert rows["arc_length"]["warning"] == TOLERANCE_NOT_REACHED
+        assert "warning" not in rows["calibrated_parameter"]
+
+    def test_a_capped_arc_length_keeps_the_sign_change_warning(self, tmp_path, capsys, monkeypatch):
+        self._capped_arc_length(monkeypatch)
+        rows = self._calibrate(tmp_path, capsys, "--bracket", "0.01", "1.4")
+        assert rows["calibrated_parameter"]["warning"] == "multiple_sign_changes"
+        assert rows["arc_length"]["warning"] == "tolerance_not_reached"
+        assert rows["arc_length"]["nodes_used"] == 4096
 
     def test_bracket_end_past_the_family_range_is_config_error(self, capsys):
         # the pre-scan runs on the length model, but both ends are still built
@@ -245,7 +267,8 @@ class TestOptimize:
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
         assert rows["evaluations"]["value"] == 1.0
         assert rows["converged"]["value"] == 0.0
-        assert rows["converged"]["message"] == "max_evaluations_reached"
+        assert rows["converged"]["warning"] == "max_evaluations_reached"
+        assert "message" not in rows["converged"]
 
 
 class TestConfigHandling:

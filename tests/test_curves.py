@@ -217,12 +217,11 @@ class TestGridTable:
     def test_length_model_unchanged_bit_for_bit(self, monkeypatch, name, n):
         curve = GRID_CURVES[name]()
         scale = {"great_circle": 1.0, "seam": 0.7037, "wavy_circle": 0.2862, "trig_series": 1.0}[name]
-        rule = QuadratureRule("periodic_trapezoid", 256, 1e-9)
         scales = (scale, 0.97 * scale, 1.02 * scale)
-        tabled = curves.length_model(curve, scale, rule, n)
+        tabled = curves.length_model(curve, scale, n)
         values = [tabled(s) for s in scales]
         monkeypatch.setattr(curves, "_GRID_TRIG_MAX_N", 0)  # every trig value taken at the call
-        plain = curves.length_model(curve, scale, rule, n)
+        plain = curves.length_model(curve, scale, n)
         assert values == [plain(s) for s in scales]
 
     @pytest.mark.parametrize("rates", [0, 1, 2])
@@ -245,13 +244,12 @@ class TestGridTable:
         ids=["sparse", "dense"],
     )
     def test_speeds_and_length_model_do_not_read_phi0(self, coeffs):
-        rule = QuadratureRule("periodic_trapezoid", 256, 1e-9)
         ts = np.random.default_rng(3).uniform(0.0, FOUR_PI, 1000)
         scales = (1.0, 0.97, 1.02)
         seen = []
         for phi0 in (0.0, 1.3, -2.1):
             curve = trig_series(**coeffs, phi0=phi0)
-            model = curves.length_model(curve, 1.0, rule, 512)
+            model = curves.length_model(curve, 1.0, 512)
             seen.append((curve.speeds(ts).tobytes(), [model(s) for s in scales], curve.positions(ts).tobytes()))
         speeds, lengths, positions = zip(*seen)
         assert len(set(speeds)) == 1 and lengths[0] == lengths[1] == lengths[2]

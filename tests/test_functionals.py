@@ -33,7 +33,7 @@ from arcdist.quadrature import (
     default_curve_rule,
     default_sphere_rule,
     integrate_1d,
-    rule_nodes,
+    periodic_nodes,
     sphere_integrate,
 )
 from arcdist.sphere import SpherePoint, random_rotation_matrix, uniform_unit_vectors
@@ -564,11 +564,12 @@ class TestArcKernels:
     def _field_reference(curve, points):
         """mean_distance_field's clipped formula, np.arccos(np.clip(P @ C.T, -1, 1)) @ w_mean,
         on the row blocks _by_rows cuts, and whether each block has a dot product past 1."""
-        _, w = rule_nodes(default_curve_rule(), curve.domain.t_i, curve.domain.t_f)
-        C = curve.sample(w.size)[1]
-        rows = functionals._block_rows(w.size)
+        n = default_curve_rule().n
+        C = curve.sample(n)[1]
+        rows = functionals._block_rows(n)
         blocks = [points[s : s + rows] @ C.T for s in range(0, len(points), rows)]
-        field = [np.arccos(np.clip(A, -1.0, 1.0)) @ (w / curve.domain.period) for A in blocks]
+        w_mean = np.full(n, curve.domain.period / n) / curve.domain.period
+        field = [np.arccos(np.clip(A, -1.0, 1.0)) @ w_mean for A in blocks]
         return np.concatenate(field), [bool((A > 1.0).any()) for A in blocks]
 
     def test_field(self):
@@ -618,7 +619,7 @@ class TestArcKernels:
     def test_point_to_curve_mean(self):
         seam = tennis_ball_seam(0.7037)
         dom, rule = seam.domain, default_curve_rule()
-        r = seam.positions(rule_nodes(rule, dom.t_i, dom.t_f)[0])
+        r = seam.positions(periodic_nodes(dom.t_i, dom.t_f, rule.n))
         for p, past_one in ((uniform_unit_vectors(47, 1)[0], False), (r[6], True)):
             assert (r @ p > 1.0).any() == past_one
             ref = integrate_1d(lambda t: np.arccos(np.clip(seam.positions(t) @ p, -1.0, 1.0)), dom.t_i, dom.t_f, rule)

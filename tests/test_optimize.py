@@ -25,7 +25,7 @@ from arcdist.optimize import (
     _diameter,
     _model_root,
 )
-from arcdist.quadrature import QuadratureRule, default_curve_rule, rule_nodes
+from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, QuadratureRule, default_curve_rule, periodic_nodes
 from arcdist.sphere import random_rotation_matrix
 
 FOUR_PI = 4.0 * math.pi
@@ -78,6 +78,18 @@ class TestCalibration:
         assert rep.warning == MULTIPLE_SIGN_CHANGES
         # the root closest to the bracket midpoint is the canonical one
         assert rep.parameter == pytest.approx(SEAM_ROOT, abs=1e-4)
+
+    def test_a_capped_arc_length_keeps_the_sign_change_warning(self, monkeypatch):
+        # the confirming arc length's warning rides on the report's length,
+        # and the pre-scan's stays the report's own
+        def capped(curve, rule=None):
+            res = arc_length(curve, rule)
+            return FunctionalResult(res.value, 1e-3, 4096, TOLERANCE_NOT_REACHED)
+
+        monkeypatch.setattr("arcdist.optimize.arc_length", capped)
+        rep = calibrate_arc_length(tennis_ball_seam, (0.01, 1.4), tol=1e-6)
+        assert rep.warning == MULTIPLE_SIGN_CHANGES
+        assert (rep.length.warning, rep.length.nodes_used) == (TOLERANCE_NOT_REACHED, 4096)
 
     def test_deterministic(self):
         a = calibrate_arc_length(lambda b: wavy_circle(b), (0.01, 0.6), tol=1e-6)
@@ -147,7 +159,7 @@ def _bisection_oracle(make_curve, bracket, tol, rule=None):
         mid = 0.5 * (a + b)
         length = arc_length(make_curve(mid), rule)
         if abs(length.value - FOUR_PI) <= tol:
-            return mid, (float(scan[i]), float(scan[i + 1])), length.warning or warning
+            return mid, (float(scan[i]), float(scan[i + 1])), warning
         if (length.value < FOUR_PI) == below[i]:
             a = mid
         else:
@@ -231,14 +243,14 @@ class TestNewtonCalibration:
         rule = default_curve_rule(n=128, tol=1e-10)
         length_model = curves.length_model
 
-        def shifted(curve, a, rule, n):
-            model = length_model(curve, a, rule, n)
+        def shifted(curve, a, n):
+            model = length_model(curve, a, n)
             return (lambda s: model(s - 0.05)) if n == 256 else model
 
         root, sub, _ = _bisection_oracle(tennis_ball_seam, (0.1, 1.4), 1e-10, rule)
         monkeypatch.setattr(curves, "length_model", shifted)
         rep = calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), tol=1e-10, rule=rule)
-        assert (rep.iterations, rep.nodes_used, rep.bracket) == (2, 512, sub)
+        assert (rep.iterations, rep.length.nodes_used, rep.bracket) == (2, 512, sub)
         assert rep.parameter == pytest.approx(root, abs=1e-9)
         assert rep.residual <= 1e-10
 
@@ -247,7 +259,7 @@ class TestNewtonCalibration:
     def test_model_is_the_arc_length_at_its_level(self, curve, scale, n):
         # a loose tolerance stops the doubling at its second level, n
         rule = default_curve_rule(n=n // 2, tol=1.0)
-        model = curves.length_model(curves.with_scale(curve, scale), scale, rule, n)
+        model = curves.length_model(curves.with_scale(curve, scale), scale, n)
         for s in (scale, 0.9 * scale, 1.07 * scale):
             length = arc_length(curves.with_scale(curve, s), rule)
             assert length.nodes_used == n
@@ -262,17 +274,17 @@ class TestNewtonCalibration:
             arc_length(curves.with_scale(curve, scale + h), rule).value
             - arc_length(curves.with_scale(curve, scale - h), rule).value
         ) / (2 * h)
-        assert curves.length_model(here, scale, rule, 4096)(scale)[1] == pytest.approx(slope, rel=1e-8)
+        assert curves.length_model(here, scale, 4096)(scale)[1] == pytest.approx(slope, rel=1e-8)
 
     def test_a_deeper_level_rebuilds_the_model(self, monkeypatch):
         family = seam_seeded_family(3)
         cold = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, SEARCH_RULE)
-        assert cold.nodes_used == 1024
+        assert cold.length.nodes_used == 1024
         calls = _count_arc_lengths(monkeypatch)
         warm = family.calibrate(_DEEP_SHAPE, CONSTRAINT_TOL, SEARCH_RULE, start=1.0)
         # the model at 512 nodes misses the 1024-node arc length by more
         # than the tolerance; the model rebuilt at 1024 meets it
-        assert (warm.iterations, len(calls), warm.nodes_used) == (2, 2, 1024)
+        assert (warm.iterations, len(calls), warm.length.nodes_used) == (2, 2, 1024)
         assert warm.residual <= CONSTRAINT_TOL
         assert warm.residual == abs(arc_length(family.build(_DEEP_SHAPE, warm.parameter), SEARCH_RULE).value - FOUR_PI)
         assert warm.parameter == pytest.approx(cold.parameter, abs=1e-9)
@@ -329,7 +341,7 @@ class TestSharedConfirmation:
         # confirming arc length they agree to rounding
         report = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=rule)
         curve = report.curve
-        ts, _ = rule_nodes(rule, curve.domain.t_i, curve.domain.t_f, report.nodes_used)
+        ts = periodic_nodes(curve.domain.t_i, curve.domain.t_f, report.length.nodes_used)
         norms = np.linalg.norm(curve.velocities(ts), axis=1)
         assert np.all(np.abs(curve.speeds(ts) - norms) <= 4 * np.spacing(norms))
 
@@ -349,10 +361,10 @@ class TestSharedConfirmation:
         # the deep shape settles at 1024 nodes under the search's rule, and
         # the rule of unreachable tolerance refines past 4096 nodes
         deep = calibrate_arc_length(*_CONFIRMED[4], tol=CONSTRAINT_TOL, rule=SEARCH_RULE)
-        assert deep.nodes_used == 1024
+        assert deep.length.nodes_used == 1024
         for make_curve, bracket in _CONFIRMED:
             report = calibrate_arc_length(make_curve, bracket, tol=CONSTRAINT_TOL, rule=_CONFIRMING_RULES[2])
-            assert report.nodes_used > 4096
+            assert report.length.nodes_used > 4096
 
 
 def _synthetic_model(slope_of):
@@ -399,8 +411,8 @@ class TestModelRoot:
     def test_a_failing_slope_fails_warm_and_bisects_cold(self, monkeypatch, slope_of):
         length_model = curves.length_model
 
-        def tampered(curve, a, rule, n):
-            model = length_model(curve, a, rule, n)
+        def tampered(curve, a, n):
+            model = length_model(curve, a, n)
             return lambda s: (model(s)[0], slope_of(model(s)[1]))
 
         monkeypatch.setattr(curves, "length_model", tampered)
@@ -766,7 +778,8 @@ class TestReportedCurves:
         family, events, _ = search
         for name, cal in events:
             if name == "calibrate_arc_length":
-                assert arc_length(cal.curve, SEARCH_RULE).value == cal.arc_length
+                assert arc_length(cal.curve, SEARCH_RULE) == cal.length
+                assert cal.residual == abs(cal.length.value - FOUR_PI)
                 assert cal.curve.family == family.tag
 
     def test_the_best_curve_is_the_family_curve_at_the_best_point(self, search):

@@ -23,7 +23,6 @@ from arcdist.quadrature import (
     integrate_1d,
     periodic_nodes,
     refinement_levels,
-    rule_nodes,
     sample_mean,
     sphere_integrate,
 )
@@ -150,8 +149,8 @@ class TestIntegrate1D:
         rule = QuadratureRule("periodic_trapezoid", 8, tol)
         f = lambda t: np.exp(3.0 * np.cos(t))
         res = integrate_1d(f, 0.0, TWO_PI, rule)
-        xs, ws = rule_nodes(rule, 0.0, TWO_PI, res.nodes_used)
-        assert float(ws @ f(xs)) == pytest.approx(res.value, rel=1e-14)
+        xs = periodic_nodes(0.0, TWO_PI, res.nodes_used)
+        assert float(np.full(xs.size, TWO_PI / xs.size) @ f(xs)) == pytest.approx(res.value, rel=1e-14)
 
     @pytest.mark.parametrize(
         "rule, sizes",
@@ -200,15 +199,19 @@ class TestIntegrate1D:
         assert (res.value, res.error_estimate, res.nodes_used, res.warning) == _level_by_level(f, a, b, rule)
 
     @pytest.mark.parametrize("kind", ["gauss_legendre", "monte_carlo"])
-    @pytest.mark.parametrize("use", ["integrate_1d", "mean_distance_field", "calibrate_arc_length"])
+    @pytest.mark.parametrize(
+        "use", ["integrate_1d", "mean_distance_field", "calibrate_arc_length", "calibrate_arc_length_without_a_root"]
+    )
     def test_curve_integral_under_a_sphere_rule_raises(self, kind, use):
-        # curve integrals take only the periodic trapezoid, whatever reaches them
+        # curve integrals take only the periodic trapezoid, whatever reaches them;
+        # a calibration refuses the rule before its length model can find no root
         rule = QuadratureRule(kind, 8, 1e-9)
         calls = []
         run = {
             "integrate_1d": lambda: integrate_1d(lambda t: calls.append(t) or np.cos(t), 0.0, TWO_PI, rule),
             "mean_distance_field": lambda: mean_distance_field(tennis_ball_seam(), np.eye(3), rule),
             "calibrate_arc_length": lambda: calibrate_arc_length(tennis_ball_seam, (0.1, 1.4), rule=rule),
+            "calibrate_arc_length_without_a_root": lambda: calibrate_arc_length(tennis_ball_seam, (0.3, 0.5), rule=rule),
         }[use]
         with pytest.raises(ValueError, match="periodic_trapezoid"):
             run()
