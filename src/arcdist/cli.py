@@ -11,9 +11,10 @@ wins. A key no command takes, or a value of the wrong type, exits 2
 before any computation; a key only another command takes is dropped. A
 command passes the settings it was given, and no others, to the library
 object that owns their defaults (OptimizerConfig, seam_seeded_family,
-default_curve_rule, SearchFamily.calibrate), and a report's config echoes
-the settings given. Every surface integral takes its library default
-rule. verify takes no setting but --out: it computes the one table.
+default_curve_rule, SearchFamily.calibrate, mean_min_arc_distance), and a
+report's config echoes the settings given. Every surface integral takes
+its library default rule. verify takes no setting but --out: it computes
+the one table. An --out file that cannot be written is a config error.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .curves import CurveSpecError, _is_real, from_spec
 from .quadrature import FunctionalResult, NonFiniteIntegrandError, default_curve_rule, refinement_levels
 from .sphere import SpherePoint
 from .verify import format_table, run_verification
-
-#: eval's seed for the random points of the mean minimum distance.
-EVAL_SEED = 42
 
 #: The --out help of every command that writes a JSON report.
 _JSON_OUT = "JSON report path (default stdout)"
@@ -72,7 +70,6 @@ _SETTINGS = {
     "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
     "n": _INTEGER,
     "tol": (lambda v: _is_real(v) and v > 0, "a positive number"),
-    "seed": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer"),
     "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
@@ -157,12 +154,19 @@ def _report_envelope(cfg: dict, results: list[dict]) -> dict:
     return {"config": config, "version": __version__, "environment": _environment(), "results": results}
 
 
-def _write_json(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, out: str | None) -> None:
+    """text to the file at out, or to stdout without one; a file that cannot be written is a config error."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file: {exc}") from exc
+
+
+def _write_json(report: dict, out: str | None) -> None:
+    _write(json.dumps(report, indent=2) + "\n", out)
 
 
 def _row(name: str, value: float | FunctionalResult, **extra) -> dict:
@@ -203,11 +207,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results.append(_row("arc_length", length))
     closed = curves.is_closed(curve)
     results.append(_row("is_closed", float(closed)))
-    simple, witness = curves.is_simple(curve)
-    results.append(
-        _row("is_simple", float(simple), message=None if simple else f"witness pair t = {witness}")
-    )
-    if closed:
+    if closed:  # is_simple and M read the curve as a closed loop
+        simple, witness = curves.is_simple(curve)
+        results.append(
+            _row("is_simple", float(simple), message=None if simple else f"witness pair t = {witness}")
+        )
         m = functionals.curve_to_sphere_mean_M(curve, crule)
         results.append(_row("curve_to_sphere_mean_M", m))
     for theta0, phi0, p in points:
@@ -218,7 +222,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mt = functionals.sphere_to_curve_mean(curve)
     over_4pi = dataclasses.replace(mt, value=mt.value / (4 * math.pi), error_estimate=mt.error_estimate / (4 * math.pi))
     results += [_row("sphere_to_curve_mean", mt), _row("sphere_to_curve_mean_over_4pi", over_4pi)]
-    mm = functionals.mean_min_arc_distance(curve, n_points=10_000, seed=cfg.get("seed", EVAL_SEED))
+    mm = functionals.mean_min_arc_distance(curve, n_points=10_000)
     results.append(_row("mean_min_arc_distance", mm))
     _write_json(_report_envelope(cfg, results), cfg.get("out"))
     return 0
@@ -235,11 +239,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     lines = ["t,x,y,z"]
     for t, (x, y, z) in zip(ts, pts):
         lines.append(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}")
-    text = "\n".join(lines) + "\n"
-    if "out" in cfg:
-        Path(cfg["out"]).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", cfg.get("out"))
     return 0
 
 
@@ -265,14 +265,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _settings(args)
-    config = _validated(optimize.OptimizerConfig, **_given(cfg, "objective", "max_evals", "seed"))
+    config = _validated(optimize.OptimizerConfig, **_given(cfg, "objective", "max_evals"))
     family = _validated(optimize.seam_seeded_family, **_given(cfg, "J"))
     report = optimize.minimize_functional(family, config=config)
     results = [
         _row("best_value", report.best_value),
         _row("initial_value", report.initial_value),
         _row("best_scale", report.best_scale),
-        _row("constraint_residual", report.constraint_residual),
+        _row("constraint_residual", dataclasses.replace(report.length, value=report.constraint_residual)),
         _row("max_constraint_residual", report.max_constraint_residual),
         _row("evaluations", report.evaluations),
         _row("converged", float(report.converged), warning=report.warning),
@@ -294,9 +294,8 @@ def _add_common(
     out_help: str,
     n_help: str | None = None,
     tol_help: str = "absolute tolerance",
-    seed_help: str | None = None,
 ) -> None:
-    """--config, those of --curve, --n, --tol and --seed named in flags, and --out."""
+    """--config, those of --curve, --n and --tol named in flags, and --out."""
     p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
     if "curve" in flags:
         p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
@@ -304,8 +303,6 @@ def _add_common(
         p.add_argument("--n", type=int, help=n_help)
     if "tol" in flags:
         p.add_argument("--tol", type=float, help=tol_help)
-    if "seed" in flags:
-        p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--out", help=out_help)
 
 
@@ -324,11 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate all functionals on a curve")
     _add_common(
-        p, "curve", "n", "tol", "seed",
+        p, "curve", "n", "tol",
         out_help=_JSON_OUT,
         n_help=f"curve rule nodes (default {_default(default_curve_rule, 'n')})",
         tol_help=f"absolute tolerance of the curve rule (default {_default(default_curve_rule, 'tol'):g})",
-        seed_help=f"RNG seed of the mean minimum distance's 10,000 random points (default {EVAL_SEED})",
     )
     p.add_argument("--points", type=json.loads, help='sphere points for the mean-distance field, e.g. "[[0,1]]"')
     p.set_defaults(func=cmd_eval)
@@ -344,12 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize a functional over the trig-series family")
     opt = optimize.OptimizerConfig
-    _add_common(
-        p, "seed",
-        out_help=_JSON_OUT,
-        seed_help=f"RNG seed of the mean_min objective's 1024 Monte Carlo points (default {opt.seed}); "
-        "sup_dev_from_half_pi takes no random points, so it ignores the seed",
-    )
+    _add_common(p, out_help=_JSON_OUT)
     p.add_argument("--objective", choices=optimize.OBJECTIVES, help=f"default {opt.objective}")
     p.add_argument("--max-evals", dest="max_evals", type=int, help=f"evaluation budget (default {opt.max_evals})")
     p.add_argument("--J", type=int, help=f"search harmonics (default {_default(optimize.seam_seeded_family, 'J')})")

@@ -848,8 +848,11 @@ def _local_chord_minima(pts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def is_simple(curve: SphericalCurve) -> tuple[bool, tuple[float, float] | None]:
-    """Detect self-intersections by dense sampling plus local refinement.
+    """Detect self-intersections of a closed curve by dense sampling plus local refinement.
 
+    The samples are read as a closed polyline, so on an open curve the gap
+    between its ends counts as one more sample chord: it sets the capture
+    radius, and a wide gap makes the search slow.
     Flags the curve non-simple when it finds two parameters more than 3
     sample spacings apart around the curve within chordal distance
     eps = SIMPLE_EPS, on a grid of SIMPLE_SAMPLES equispaced samples.

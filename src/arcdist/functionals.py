@@ -462,7 +462,7 @@ def point_to_curve_min(curve: SphericalCurve, p, n_scan: int = 4096) -> tuple[fl
 def mean_min_arc_distance(
     curve: SphericalCurve,
     n_points: int = 100_000,
-    seed: int = 0,
+    seed: int = 42,
     n_scan: int = 4096,
 ) -> FunctionalResult:
     """Monte Carlo mean of the minimum distance from the sphere to the curve.

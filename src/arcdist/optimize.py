@@ -73,9 +73,10 @@ class CalibrationReport:
 class OptimizationReport:
     """Outcome of a constrained functional minimization over a curve family.
 
-    best_curve is the family's curve at best_shape and best_scale, the one
-    constraint_residual is measured on; it takes no part in comparisons or
-    the repr.
+    length is the arc length of best_curve under the default curve rule,
+    with its own error estimate, nodes and warning; constraint_residual =
+    |length.value - 4pi|. best_curve is the family's curve at best_shape
+    and best_scale; it takes no part in comparisons or the repr.
     """
 
     objective: str
@@ -84,6 +85,7 @@ class OptimizationReport:
     best_scale: float
     best_value: float
     initial_value: float
+    length: FunctionalResult
     constraint_residual: float
     max_constraint_residual: float
     evaluations: int
@@ -348,7 +350,6 @@ def seam_seeded_family(J: int = 3) -> SearchFamily:
 class OptimizerConfig:
     objective: str = "sup_dev_from_half_pi"
     max_evals: int = 2000
-    seed: int = 42
     #: Points of the sup-deviation objective's design (functionals.DESIGN_SIZE).
     design_size: ClassVar[int] = DESIGN_SIZE
 
@@ -356,7 +357,6 @@ class OptimizerConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         require_integer(self.max_evals, 1, "max_evals")
-        require_integer(self.seed, 0, "seed")
 
 
 def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
@@ -364,7 +364,7 @@ def _objective_value(curve: SphericalCurve, config: OptimizerConfig) -> float:
     if config.objective == "sup_dev_from_half_pi":
         sup, _ = sup_deviation_from_half_pi(curve, SEARCH_RULE)
         return sup
-    return mean_min_arc_distance(curve, n_points=1024, seed=config.seed, n_scan=1024).value
+    return mean_min_arc_distance(curve, n_points=1024, n_scan=1024).value
 
 
 def make_candidate_evaluator(
@@ -502,6 +502,7 @@ def minimize_functional(
     feasible = np.where(np.isfinite(objectives), objectives, math.inf)
     best = int(np.argmin(feasible))  # the first of equal minima
     best_curve = family.build(shapes[best], scales[best])
+    length = arc_length(best_curve, default_curve_rule())
     return OptimizationReport(
         objective=config.objective,
         family=family.tag,
@@ -509,7 +510,8 @@ def minimize_functional(
         best_scale=float(scales[best]),
         best_value=float(objectives[best]),
         initial_value=float(f0),
-        constraint_residual=float(abs(arc_length(best_curve, default_curve_rule()).value - FOUR_PI)),
+        length=length,
+        constraint_residual=abs(length.value - FOUR_PI),
         max_constraint_residual=float(residuals[feasible < math.inf].max(initial=0.0)),
         evaluations=len(log),
         converged=converged,

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -6,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from arcdist import cli, verify
+from arcdist import cli, optimize, verify
 from arcdist.cli import _SETTINGS, build_parser, main
-from arcdist.curves import arc_length, tennis_ball_seam, with_scale
+from arcdist.curves import arc_length, from_spec, tennis_ball_seam, with_scale
+from arcdist.functionals import mean_min_arc_distance
 from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
 from arcdist.verify import ClaimRow
 
@@ -90,10 +92,35 @@ class TestEval:
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
             code, _, _ = run(
-                ["eval", "--curve", '{"family":"tennis_ball"}', "--seed", "7", "--out", str(p)], capsys
+                ["eval", "--curve", '{"family":"tennis_ball"}', "--out", str(p)], capsys
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_mean_min_row_draws_at_the_library_default_seed(self, capsys):
+        spec = '{"family":"tennis_ball"}'
+        code, out, _ = run(["eval", "--curve", spec], capsys)
+        assert code == 0
+        (row,) = [r for r in json.loads(out)["results"] if r["name"] == "mean_min_arc_distance"]
+        expected = mean_min_arc_distance(from_spec(spec), 10_000)
+        assert (row["value"], row["error_estimate"], row["nodes_used"]) == (
+            expected.value, expected.error_estimate, expected.nodes_used
+        )
+
+    def test_open_curve_takes_no_simplicity_check(self, capsys, monkeypatch):
+        # is_simple reads its samples as a closed polyline: on an open curve the
+        # gap between the ends would set its capture radius
+        def must_not_run(*a, **k):
+            raise AssertionError("is_simple called on an open curve")
+
+        monkeypatch.setattr("arcdist.curves.is_simple", must_not_run)
+        curve = '{"family":"wavy_circle","params":{"b":0.2862413},"domain":[0,5]}'
+        code, out, _ = run(["eval", "--curve", curve], capsys)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert rows["is_closed"]["value"] == 0.0
+        assert "is_simple" not in rows and "curve_to_sphere_mean_M" not in rows
+        assert "mean_min_arc_distance" in rows
 
     def test_tol_leaves_the_surface_integral_at_its_default_rule(self, tmp_path, capsys):
         # --tol sets only the curve rule's tolerance; the surface integral takes the default sphere rule
@@ -262,13 +289,30 @@ class TestCalibrate:
 class TestOptimize:
     def test_budget_one_flagged(self, tmp_path, capsys):
         out_path = tmp_path / "opt.json"
-        code, _, _ = run(["optimize", "--max-evals", "1", "--seed", "42", "--out", str(out_path)], capsys)
+        code, _, _ = run(["optimize", "--max-evals", "1", "--out", str(out_path)], capsys)
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
         assert rows["evaluations"]["value"] == 1.0
         assert rows["converged"]["value"] == 0.0
         assert rows["converged"]["warning"] == "max_evaluations_reached"
         assert "message" not in rows["converged"]
+        nodes = rows["constraint_residual"]["nodes_used"]
+        assert type(nodes) is int and nodes >= 1
+
+    def test_constraint_residual_row_carries_its_arc_length(self, monkeypatch, capsys):
+        # the residual is |L - 4pi| of best_curve's default-rule arc length L: the row writes
+        # L's error estimate and node count, and its warning when L stopped at the node cap
+        real = optimize.minimize_functional(optimize.seam_seeded_family(3), config=optimize.OptimizerConfig(max_evals=1))
+        capped = FunctionalResult(real.length.value, 1e-8, 1048576, warning=TOLERANCE_NOT_REACHED)
+        for length in (real.length, capped):
+            report = dataclasses.replace(real, length=length)
+            monkeypatch.setattr("arcdist.optimize.minimize_functional", lambda family, config: report)
+            code, out, _ = run(["optimize", "--max-evals", "1"], capsys)
+            assert code == 0
+            (row,) = [r for r in json.loads(out)["results"] if r["name"] == "constraint_residual"]
+            expected = {"name": "constraint_residual", "value": real.constraint_residual}
+            expected.update(error_estimate=length.error_estimate, nodes_used=length.nodes_used)
+            assert row == (expected if length.warning is None else {**expected, "warning": TOLERANCE_NOT_REACHED})
 
 
 class TestConfigHandling:
@@ -314,7 +358,6 @@ class TestConfigHandling:
                     "curve": {"family": "great_circle", "domain": [0, 1]},
                     "n": 5,
                     "tol": 1e-8,
-                    "seed": 42,
                 }
             )
         )
@@ -342,7 +385,7 @@ class TestConfigHandling:
         "command, cfg",
         [
             ("verify", {"rule": {"n": 64}}),
-            ("optimize", {"optimizer": {"max_evals": 3, "seed": 1}}),
+            ("optimize", {"optimizer": {"max_evals": 3}}),
         ],
         ids=["rule_section", "optimizer_section"],
     )
@@ -357,14 +400,12 @@ class TestConfigHandling:
 
     def test_flags_win_over_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_evals": 3, "seed": 1}))
+        cfg.write_text(json.dumps({"max_evals": 3, "J": 3}))
         out_path = tmp_path / "opt.json"
-        code, _, _ = run(
-            ["optimize", "--config", str(cfg), "--max-evals", "12", "--seed", "7", "--out", str(out_path)], capsys
-        )
+        code, _, _ = run(["optimize", "--config", str(cfg), "--max-evals", "12", "--out", str(out_path)], capsys)
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert report["config"] == {"max_evals": 12, "seed": 7}
+        assert report["config"] == {"max_evals": 12, "J": 3}
         rows = {r["name"]: r for r in report["results"]}
         assert rows["evaluations"]["value"] == 12.0
 
@@ -383,12 +424,11 @@ class TestConfigHandling:
             ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
             ("optimize", {"max_evals": True}),
             ("optimize", {"max_evals": 2.5}),
-            ("optimize", {"seed": False}),
             ("optimize", {"J": 2.5}),
             ("eval", {"tol": True, "curve": {"family": "great_circle"}}),
             ("calibrate", {"bracket": [0.1, True], "curve": {"family": "tennis_ball"}}),
         ],
-        ids=["n_string", "tol_string", "point_string", "max_evals_string", "bracket_strings", "max_evals_bool", "max_evals_fraction", "seed_bool", "J_fraction", "tol_bool",
+        ids=["n_string", "tol_string", "point_string", "max_evals_string", "bracket_strings", "max_evals_bool", "max_evals_fraction", "J_fraction", "tol_bool",
              "bracket_bool"],
     )
     def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
@@ -416,6 +456,8 @@ class TestConfigHandling:
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--rule", "gauss"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--n", "64"],
         ["calibrate", "--curve", '{"family":"tennis_ball"}', "--seed", "1"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--seed", "1"],
+        ["optimize", "--seed", "1"],
         ["optimize", "--curve", '{"family":"tennis_ball"}'],
         ["optimize", "--rule", "gauss"],
         ["optimize", "--n", "64"],
@@ -439,6 +481,8 @@ class TestConfigHandling:
         "calibrate_rule",
         "calibrate_n",
         "calibrate_seed",
+        "eval_seed",
+        "optimize_seed",
         "optimize_curve",
         "optimize_rule",
         "optimize_n",
@@ -549,36 +593,38 @@ def test_bad_point_is_config_error_before_computation(points, error, capsys, mon
     assert err.startswith(f"config error: {error}")
 
 
-_EVAL = (["eval", "--curve", '{"family":"great_circle"}'], -1, "arcdist.curves.arc_length")
-_OPTIMIZE = (["optimize", "--objective", "mean_min"], -3, "arcdist.optimize.minimize_functional")
-
-
 @pytest.mark.parametrize(
-    "args, seed, stub, source",
+    "args, stub",
     [
-        (*_EVAL, "flag"),
-        (*_OPTIMIZE, "flag"),
-        (*_EVAL, "config"),
-        (*_OPTIMIZE, "config"),
-        # verify takes no seed, but a config file's seed is checked before it is dropped
-        (["verify"], -5000, "arcdist.cli.run_verification", "config"),
+        (["eval", "--curve", '{"family":"great_circle"}'], "arcdist.curves.arc_length"),
+        (["optimize", "--objective", "mean_min"], "arcdist.optimize.minimize_functional"),
+        (["verify"], "arcdist.cli.run_verification"),
     ],
-    ids=["eval-flag", "optimize-flag", "eval-config", "optimize-config", "verify-config"],
+    ids=["eval", "optimize", "verify"],
 )
-def test_negative_seed_is_config_error_before_computation(args, seed, stub, source, tmp_path, capsys, monkeypatch):
+def test_a_seed_in_the_config_file_is_an_unknown_key(args, stub, tmp_path, capsys, monkeypatch):
+    # the one Monte Carlo seed a command draws at is mean_min_arc_distance's default
     def must_not_run(*a, **k):
         raise AssertionError("computation started")
 
     monkeypatch.setattr(stub, must_not_run)
-    if source == "flag":
-        args = args + ["--seed", str(seed)]
-    else:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": seed}))
-        args = args + ["--config", str(path)]
-    code, _, err = run(args, capsys)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1}))
+    code, _, err = run(args + ["--config", str(path)], capsys)
     assert code == 2
-    assert err.startswith("config error: seed must be a non-negative integer")
+    assert err.startswith("config error: unknown config keys: ['seed']")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["eval", "--curve", '{"family":"great_circle"}'], ["sample", "--curve", '{"family":"great_circle"}', "--n", "4"]],
+    ids=["eval", "sample"],
+)
+def test_unwritable_out_is_config_error(args, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run(args + ["--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot write --out file") and str(out_path) in err
 
 
 @pytest.mark.parametrize(
@@ -659,11 +705,18 @@ class TestVerifyGlue:
     def test_config_settings_of_other_commands_are_dropped(self, fake_rows, tmp_path, capsys):
         # checked like any config key, then dropped: verify computes the one table
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "tol": 1e-3, "seed": 3, "max_evals": 3}))
+        cfg.write_text(json.dumps({"n": 64, "tol": 1e-3, "max_evals": 3}))
         out_path = tmp_path / "verify.json"
         code, _, _ = run(["verify", "--config", str(cfg), "--out", str(out_path)], capsys)
         assert code == 1
         assert json.loads(out_path.read_text())["config"] == {}
+
+    def test_unwritable_out_is_config_error_not_a_failed_row(self, fake_rows, tmp_path, capsys):
+        # exit 1 says a row failed; a report that cannot be written exits 2
+        out_path = tmp_path / "missing" / "verify.json"
+        code, out, err = run(["verify", "--out", str(out_path)], capsys)
+        assert code == 2 and "FAIL" in out
+        assert err.startswith("config error: cannot write --out file") and str(out_path) in err
 
     def test_exit_0_when_all_pass(self, monkeypatch, capsys):
         rows = [ClaimRow("a", 1.0, tolerance=0.1, passed=True)]
@@ -701,11 +754,3 @@ def test_out_help_says_what_the_command_writes(command, out_help, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"--out OUT {out_help}" in " ".join(capsys.readouterr().out.split())
-
-
-def test_optimize_seed_help_names_the_objective_it_reaches(capsys):
-    with pytest.raises(SystemExit):
-        main(["optimize", "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert "RNG seed of the mean_min objective's 1024 Monte Carlo points (default 42)" in text
-    assert "sup_dev_from_half_pi takes no random points, so it ignores the seed" in text

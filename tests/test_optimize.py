@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arcdist.curves import arc_length, great_circle, is_closed, is_simple, tennis_ball_seam, trig_series, wavy_circle
-from arcdist.functionals import DESIGN_SIZE, sphere_to_curve_mean, sup_deviation_from_half_pi
+from arcdist.functionals import DESIGN_SIZE, mean_min_arc_distance, sphere_to_curve_mean, sup_deviation_from_half_pi
 from arcdist import curves, optimize
 from arcdist.optimize import (
     CONSTRAINT_TOL,
@@ -469,7 +469,7 @@ def _reference_evaluator(family):
 class TestMinimizeFunctional:
     def test_short_run_properties(self):
         report = minimize_functional(
-            seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=42)
+            seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=40)
         )
         trace = np.array(report.trace)
         assert report.evaluations == len(trace) == 40
@@ -481,7 +481,7 @@ class TestMinimizeFunctional:
         assert report.max_constraint_residual <= CONSTRAINT_TOL == 1e-10
 
     def test_degenerate_family_single_evaluation(self):
-        report = minimize_functional(scale_family(wavy_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=1))
+        report = minimize_functional(scale_family(wavy_circle()), "sup_dev_from_half_pi", OptimizerConfig())
         assert report.evaluations == 1
         assert report.converged
         assert report.best_scale == pytest.approx(WAVY_ROOT, abs=1e-5)
@@ -492,7 +492,7 @@ class TestMinimizeFunctional:
 
     def test_budget_of_one_returns_initial_point_flagged(self):
         report = minimize_functional(
-            seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=1, seed=42)
+            seam_seeded_family(3), "sup_dev_from_half_pi", OptimizerConfig(max_evals=1)
         )
         assert report.evaluations == 1
         assert not report.converged
@@ -503,14 +503,14 @@ class TestMinimizeFunctional:
         # calibration of the doubled great circle succeeds but the curve is
         # never simple, so the start is rejected
         with pytest.raises(ValueError):
-            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig())
 
     def test_an_infeasible_start_is_calibrated_once_at_the_search_rule(self, monkeypatch):
         # the doubled great circle calibrates but is never simple: the
         # search's own calibration of the start is the only one
         rules = _record_calibration_rules(monkeypatch)
         with pytest.raises(ValueError, match="not closed and simple"):
-            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+            minimize_functional(scale_family(great_circle()), "sup_dev_from_half_pi", OptimizerConfig())
         assert len(rules) == 1 and rules[0] is SEARCH_RULE
 
     def test_a_failed_start_calibration_is_repeated_at_the_search_rule(self, monkeypatch):
@@ -518,17 +518,17 @@ class TestMinimizeFunctional:
         rules = _record_calibration_rules(monkeypatch)
         message = "initial point: .* no sign change on \\[0.01, 0.05\\]"
         with pytest.raises(CalibrationFailedError, match=message) as info:
-            minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+            minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig())
         assert isinstance(info.value.__cause__, NoBracketError)
         assert len(rules) == 2 and all(rule is SEARCH_RULE for rule in rules)
 
     def test_calibration_failure_at_start_raises(self):
         fam = dataclasses.replace(scale_family(wavy_circle()), scale_bracket=(0.01, 0.05))  # lengths stay below 4pi
         with pytest.raises(CalibrationFailedError):
-            minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig(seed=2))
+            minimize_functional(fam, "sup_dev_from_half_pi", OptimizerConfig())
 
     def test_doubled_great_circle_scores_infinity(self):
-        evaluator = make_candidate_evaluator(scale_family(great_circle()), OptimizerConfig(seed=3))
+        evaluator = make_candidate_evaluator(scale_family(great_circle()), OptimizerConfig())
         value, scale, _ = evaluator(np.array([]))
         assert math.isinf(value)
         assert scale == pytest.approx(1.0, abs=1e-6)
@@ -608,10 +608,10 @@ class TestMinimizeFunctional:
             return lambda shape: shapes.append(np.array(shape)) or evaluate(shape)
 
         monkeypatch.setattr("arcdist.optimize.make_candidate_evaluator", recording_factory)
-        minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=5))
+        minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40))
         monkeypatch.undo()
         assert len(shapes) == 40
-        config = OptimizerConfig(seed=5)
+        config = OptimizerConfig()
         evaluate, reference = make_candidate_evaluator(family, config), _reference_evaluator(family)
         got = [evaluate(shape) for shape in shapes]
         assert got == [reference(shape) for shape in shapes]
@@ -694,17 +694,24 @@ class TestMinimizeFunctional:
             assert _diameter(simplex) == pytest.approx(max(pairwise), rel=1e-14)
 
     def test_bit_reproducible_for_fixed_config(self):
-        cfg = OptimizerConfig(max_evals=25, seed=11)
+        cfg = OptimizerConfig(max_evals=25)
         a = minimize_functional(seam_seeded_family(2), "sup_dev_from_half_pi", cfg)
         b = minimize_functional(seam_seeded_family(2), "sup_dev_from_half_pi", cfg)
         assert a == b
 
     def test_mean_min_objective_runs(self):
         report = minimize_functional(
-            seam_seeded_family(2), "mean_min", OptimizerConfig(max_evals=10, seed=13)
+            seam_seeded_family(2), "mean_min", OptimizerConfig(max_evals=10)
         )
         assert report.evaluations == 10
         assert math.isfinite(report.best_value)
+
+    def test_mean_min_objective_draws_at_the_library_default_seed(self):
+        # the objective sets no seed: it is mean_min_arc_distance's own default
+        report = minimize_functional(seam_seeded_family(2), "mean_min", OptimizerConfig(max_evals=1))
+        curve = report.best_curve
+        assert report.best_value == mean_min_arc_distance(curve, n_points=1024, n_scan=1024).value
+        assert report.best_value == mean_min_arc_distance(curve, n_points=1024, seed=42, n_scan=1024).value
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
@@ -717,11 +724,6 @@ class TestMinimizeFunctional:
             {"max_evals": 2.5},
             {"max_evals": "40"},
             {"max_evals": True},
-            {"seed": -1},
-            {"seed": -1, "objective": "mean_min"},
-            {"seed": 1.0},
-            {"seed": None},
-            {"seed": False},
         ],
     )
     def test_bad_settings_rejected_at_construction(self, setting):
@@ -734,9 +736,14 @@ class TestMinimizeFunctional:
             OptimizerConfig(design_size=61)
 
     def test_the_simplex_scale_is_not_a_setting(self):
-        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["objective", "max_evals", "seed"]
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["objective", "max_evals"]
         with pytest.raises(TypeError):
             OptimizerConfig(simplex_scale=SIMPLEX_SCALE)
+
+    def test_the_seed_is_not_a_setting(self):
+        # the mean_min objective draws at mean_min_arc_distance's own default seed
+        with pytest.raises(TypeError):
+            OptimizerConfig(seed=1)
 
 
 class TestReportedCurves:
@@ -758,7 +765,7 @@ class TestReportedCurves:
         with pytest.MonkeyPatch.context() as mp:
             for name in ("calibrate_arc_length", "is_closed", "is_simple", "sup_deviation_from_half_pi"):
                 mp.setattr(optimize, name, recorder(name, getattr(optimize, name)))
-            report = minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40, seed=42))
+            report = minimize_functional(family, "sup_dev_from_half_pi", OptimizerConfig(max_evals=40))
         return family, events, report
 
     def test_every_candidate_reads_its_calibration_curve(self, search):
@@ -786,7 +793,8 @@ class TestReportedCurves:
         family, _, report = search
         rebuilt = family.build(np.array(report.best_shape), report.best_scale)
         assert np.array_equal(report.best_curve.sample(4096)[1], rebuilt.sample(4096)[1])
-        assert report.constraint_residual == abs(arc_length(report.best_curve, default_curve_rule()).value - FOUR_PI)
+        assert report.length == arc_length(report.best_curve, default_curve_rule())
+        assert report.constraint_residual == abs(report.length.value - FOUR_PI)
 
     def test_reports_at_one_root_are_equal_with_their_own_curves(self, search):
         family, _, report = search
