@@ -5,16 +5,16 @@ curve samples are CSV; identical settings give byte-identical output
 files. Exit codes: 0 success, 1 verification row failed, 2 config
 error, 3 numerical failure.
 
-A run's settings are one flat dict keyed by the flags' dests: the
---config file's values overlaid by the flags given, so a flag always
-wins. A key no command takes, or a value of the wrong type, exits 2
-before any computation; a key only another command takes is dropped. A
-command passes the settings it was given, and no others, to the library
-object that owns their defaults (OptimizerConfig, seam_seeded_family,
-default_curve_rule, SearchFamily.calibrate, mean_min_arc_distance), and a
-report's config echoes the settings given. Every surface integral takes
-its library default rule. verify takes no setting but --out: it computes
-the one table. An --out file that cannot be written is a config error.
+A run's settings are the flags given, keyed by dest. A value argparse
+cannot check (a --tol that is not positive, --points that are not
+[theta0, phi0] pairs, a --bracket whose lo is not below hi, an --out
+that names a directory or lies in none) exits 2 before any computation.
+A command passes the settings it was given, and no others, to the
+library object that owns their defaults (OptimizerConfig,
+seam_seeded_family, default_curve_rule, SearchFamily.calibrate,
+mean_min_arc_distance), and a report's config echoes them. Every
+surface integral takes its library default rule. verify takes no
+setting but --out: it computes the one table.
 """
 
 from __future__ import annotations
@@ -58,53 +58,24 @@ def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
 
 
-def _is_integer(value) -> bool:
-    """True for a JSON integer; booleans do not count."""
-    return _is_real(value) and isinstance(value, int)
-
-
-_INTEGER = (_is_integer, "an integer")
-
-#: Every setting, keyed by its flag's dest, with the test its value must pass and what that asks for.
-_SETTINGS = {
-    "curve": (lambda v: isinstance(v, (str, dict)), "a curve spec"),
-    "n": _INTEGER,
+#: The settings argparse cannot check, keyed by dest, with the test a value must pass and what that asks for.
+_CHECKS = {
     "tol": (lambda v: _is_real(v) and v > 0, "a positive number"),
     "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
-    "out": (lambda v: isinstance(v, str), "a path string"),
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
-    "max_evals": _INTEGER,
-    "objective": (lambda v: v in optimize.OBJECTIVES, f"one of {optimize.OBJECTIVES}"),
-    "J": _INTEGER,
 }
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - set(_SETTINGS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
 def _settings(args: argparse.Namespace) -> dict:
-    """The config file's settings overlaid by the flags given, each checked, less those the command does not take."""
-    settings = _load_config_file(args.config)
-    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
-    for key, value in settings.items():
-        check, expected = _SETTINGS[key]
-        if not check(value):
-            raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    return {k: v for k, v in settings.items() if k in vars(args)}
+    """The flags given, keyed by dest, each checked where argparse cannot check it."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "func") and v is not None}
+    for key, (check, expected) in _CHECKS.items():
+        if key in settings and not check(settings[key]):
+            raise ConfigError(f"{key} must be {expected}, got {settings[key]!r}")
+    out = settings.get("out")
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ConfigError(f"cannot write --out file: {out} names a directory or lies in none")
+    return settings
 
 
 def _given(cfg: dict, *keys: str) -> dict:
@@ -114,7 +85,7 @@ def _given(cfg: dict, *keys: str) -> dict:
 
 def _curve_from_config(cfg: dict) -> curves.SphericalCurve:
     if "curve" not in cfg:
-        raise ConfigError("a curve spec is required (--curve or config 'curve')")
+        raise ConfigError("a curve spec is required (--curve)")
     curve = from_spec(cfg["curve"])
     cfg["curve"] = curves.to_spec(curve)  # echo the normalized spec in reports
     return curve
@@ -295,8 +266,7 @@ def _add_common(
     n_help: str | None = None,
     tol_help: str = "absolute tolerance",
 ) -> None:
-    """--config, those of --curve, --n and --tol named in flags, and --out."""
-    p.add_argument("--config", help="JSON object of settings keyed by the long flag names; flags override it")
+    """Those of --curve, --n and --tol named in flags, and --out."""
     if "curve" in flags:
         p.add_argument("--curve", help="curve spec: inline JSON or a path to a JSON file")
     if "n" in flags:

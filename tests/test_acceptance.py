@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from arcdist import verify
-from arcdist.curves import TENNIS_BALL_A, WAVY_CIRCLE_B
+from arcdist.curves import TENNIS_BALL_A, WAVY_CIRCLE_B, arc_length
 from arcdist.quadrature import FunctionalResult
 from arcdist.verify import (
     ClaimRow,
@@ -190,3 +190,14 @@ def test_two_pi_squared_reference_constant():
 
     assert TWO_PI_SQ == pytest.approx(19.739208802178716, abs=1e-15)
     assert TWO_PI_SQ == 2.0 * math.pi**2
+
+
+def test_readme_library_example_holds_its_comments():
+    # the README's Library block runs as printed: its seam has arc length 4pi to 1e-6
+    # and its surface integral is 2pi^2
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert abs(arc_length(scope["seam"]).value - 4 * math.pi) <= 1e-6
+    assert abs(scope["surface_integral"].value - 2 * math.pi**2) <= 1e-12

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from arcdist import cli, optimize, verify
-from arcdist.cli import _SETTINGS, build_parser, main
-from arcdist.curves import arc_length, from_spec, tennis_ball_seam, with_scale
+from arcdist.cli import build_parser, main
+from arcdist.curves import arc_length, from_spec, tennis_ball_seam, to_spec, with_scale
 from arcdist.functionals import mean_min_arc_distance
 from arcdist.quadrature import TOLERANCE_NOT_REACHED, FunctionalResult, default_curve_rule
 from arcdist.verify import ClaimRow
@@ -316,134 +316,49 @@ class TestOptimize:
 
 
 class TestConfigHandling:
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"curve": {"family": "great_circle", "domain": [0, 1]}, "n": 3}))
-        code, out, _ = run(["sample", "--config", str(cfg), "--n", "4"], capsys)
-        assert code == 0
-        assert len(out.strip().splitlines()) == 5  # header + 4 rows (flag wins)
-
-    def test_unparseable_config_exits_2_without_computation(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{ this is not json")
-        code, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "content, error",
-        [(None, "cannot read config file"), ("[1, 2]", "config file must hold a JSON object")],
-        ids=["missing_file", "array"],
-    )
-    def test_unreadable_config_is_config_error(self, content, error, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("arcdist.cli.run_verification", None)
-        cfg = tmp_path / "cfg.json"
-        if content is not None:
-            cfg.write_text(content)
-        code, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert err.startswith(f"config error: {error}")
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"curve": {"family": "great_circle"}, "mode": "fast"}))
-        code, _, _ = run(["eval", "--config", str(cfg)], capsys)
-        assert code == 2
-
-    def test_rule_config_section(self, tmp_path, capsys):
-        # flat rule settings are accepted; sample takes curve and n and drops the settings of other commands
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "curve": {"family": "great_circle", "domain": [0, 1]},
-                    "n": 5,
-                    "tol": 1e-8,
-                }
-            )
-        )
-        code, out, _ = run(["sample", "--config", str(cfg)], capsys)
-        assert code == 0
-        assert len(out.strip().splitlines()) == 6
-
-    def test_unknown_rule_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "order": 7}))
-        code, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert "unknown config keys: ['order']" in err
-
-    def test_rule_key_is_unknown(self, tmp_path, capsys, monkeypatch):
-        # every surface integral takes the Gauss product rule; no setting chooses another
-        monkeypatch.setattr("arcdist.cli.run_verification", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rule": "monte_carlo"}))
-        code, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert "unknown config keys: ['rule']" in err
-
-    @pytest.mark.parametrize(
-        "command, cfg",
-        [
-            ("verify", {"rule": {"n": 64}}),
-            ("optimize", {"optimizer": {"max_evals": 3}}),
-        ],
-        ids=["rule_section", "optimizer_section"],
-    )
-    def test_nested_sections_rejected(self, command, cfg, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("arcdist.cli.run_verification", None)
-        monkeypatch.setattr("arcdist.optimize.minimize_functional", None)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, _, err = run([command, "--config", str(path)], capsys)
-        assert code == 2
-        assert err.startswith("config error:")
-
-    def test_flags_win_over_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_evals": 3, "J": 3}))
-        out_path = tmp_path / "opt.json"
-        code, _, _ = run(["optimize", "--config", str(cfg), "--max-evals", "12", "--out", str(out_path)], capsys)
-        assert code == 0
-        report = json.loads(out_path.read_text())
-        assert report["config"] == {"max_evals": 12, "J": 3}
-        rows = {r["name"]: r for r in report["results"]}
-        assert rows["evaluations"]["value"] == 12.0
-
-    def test_config_keys_are_the_flag_dests(self):
-        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for p in subparsers.choices.values() for a in p._actions} - {"help", "config"}
-        assert dests == set(_SETTINGS)
-
-    @pytest.mark.parametrize(
-        "command, cfg",
-        [
-            ("eval", {"n": "abc", "curve": {"family": "great_circle"}}),
-            ("eval", {"tol": "small", "curve": {"family": "great_circle"}}),
-            ("eval", {"points": [["north", 1]], "curve": {"family": "great_circle"}}),
-            ("optimize", {"max_evals": "30"}),
-            ("calibrate", {"bracket": ["lo", "hi"], "curve": {"family": "tennis_ball"}}),
-            ("optimize", {"max_evals": True}),
-            ("optimize", {"max_evals": 2.5}),
-            ("optimize", {"J": 2.5}),
-            ("eval", {"tol": True, "curve": {"family": "great_circle"}}),
-            ("calibrate", {"bracket": [0.1, True], "curve": {"family": "tennis_ball"}}),
-        ],
-        ids=["n_string", "tol_string", "point_string", "max_evals_string", "bracket_strings", "max_evals_bool", "max_evals_fraction", "J_fraction", "tol_bool",
-             "bracket_bool"],
-    )
-    def test_wrong_value_type_is_config_error(self, command, cfg, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, _, err = run([command, "--config", str(path)], capsys)
-        assert code == 2
-        assert err.startswith("config error:")
-
     @pytest.mark.parametrize("rule", ["simpson", "gauss"])
     def test_unknown_rule_rejected(self, rule):
         # eval takes no --rule: argparse rejects it whatever its value
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--curve", '{"family":"great_circle"}', "--rule", rule])
         assert exc.value.code == 2
+
+    def test_unknown_flag_rejected(self, monkeypatch):
+        monkeypatch.setattr("arcdist.curves.arc_length", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--curve", '{"family":"great_circle"}', "--mode", "fast"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args, stub",
+        [
+            (["eval", "--curve", '{"family":"great_circle"}', "--n", "abc"], "arcdist.curves.arc_length"),
+            (["eval", "--curve", '{"family":"great_circle"}', "--tol", "small"], "arcdist.curves.arc_length"),
+            (["eval", "--curve", '{"family":"great_circle"}', "--points", '[["north", 1]]'], "arcdist.curves.arc_length"),
+            (["eval", "--curve", '{"family":"great_circle"}', "--points", "{ this is not json"], "arcdist.curves.arc_length"),
+            (["optimize", "--max-evals", '"30"'], "arcdist.optimize.minimize_functional"),
+            (["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "lo", "hi"], "arcdist.optimize.scale_family"),
+            (["optimize", "--max-evals", "true"], "arcdist.optimize.minimize_functional"),
+            (["optimize", "--max-evals", "2.5"], "arcdist.optimize.minimize_functional"),
+            (["optimize", "--J", "2.5"], "arcdist.optimize.minimize_functional"),
+            (["eval", "--curve", '{"family":"great_circle"}', "--tol", "true"], "arcdist.curves.arc_length"),
+            (["calibrate", "--curve", '{"family":"tennis_ball"}', "--bracket", "0.1", "true"], "arcdist.optimize.scale_family"),
+        ],
+        ids=["n_string", "tol_string", "point_string", "points_not_json", "max_evals_string", "bracket_strings",
+             "max_evals_bool", "max_evals_fraction", "J_fraction", "tol_bool", "bracket_bool"],
+    )
+    def test_wrong_value_type_exits_2_before_computation(self, args, stub, capsys, monkeypatch):
+        # argparse's type or the settings check refuses the value; the first computation is stubbed to fail loudly
+        def must_not_run(*a, **k):
+            raise AssertionError("computation started")
+
+        monkeypatch.setattr(stub, must_not_run)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -472,6 +387,11 @@ class TestConfigHandling:
         ["verify", "--tol", "1e-3"],
         ["verify", "--seed", "3"],
         ["verify", "--max-evals", "3"],
+        ["verify", "--config", "x.json"],
+        ["eval", "--curve", '{"family":"great_circle"}', "--config", "x.json"],
+        ["sample", "--curve", '{"family":"great_circle"}', "--n", "4", "--config", "x.json"],
+        ["calibrate", "--curve", '{"family":"tennis_ball"}', "--config", "x.json"],
+        ["optimize", "--config", "x.json"],
     ],
     ids=[
         "verify_curve",
@@ -497,6 +417,11 @@ class TestConfigHandling:
         "verify_tol",
         "verify_seed",
         "verify_max_evals",
+        "verify_config",
+        "eval_config",
+        "sample_config",
+        "calibrate_config",
+        "optimize_config",
     ],
 )
 def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
@@ -507,21 +432,47 @@ def test_flag_a_command_does_not_read_exits_2(args, monkeypatch):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("given", ["flag", "config_key"])
-def test_the_simplex_scale_is_no_setting(given, tmp_path, monkeypatch, capsys):
-    # the initial simplex's size is the constant optimize.SIMPLEX_SCALE: neither
-    # the flag nor the config key exists, and both exit 2 before any search
+def test_the_simplex_scale_is_no_setting(monkeypatch, capsys):
+    # the initial simplex's size is the constant optimize.SIMPLEX_SCALE: no flag
+    # sets it, and one given exits 2 before any search
     monkeypatch.setattr("arcdist.optimize.minimize_functional", None)
-    if given == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--simplex-scale", "0.1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --simplex-scale 0.1" in capsys.readouterr().err
-    else:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"simplex_scale": 0.1}))
-        code, _, err = run(["optimize", "--config", str(path)], capsys)
-        assert code == 2 and "unknown config keys: ['simplex_scale']" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--simplex-scale", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --simplex-scale 0.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "eval", "calibrate", "optimize"])
+def test_the_report_config_is_every_flag_given_but_out(command, tmp_path, monkeypatch, capsys):
+    # a run's settings are its flags, keyed by dest; --out says where the report goes and is not echoed
+    monkeypatch.setattr("arcdist.cli.run_verification", lambda: ([ClaimRow("a", 1.0)], True))
+    out_path = tmp_path / "report.json"
+    argv = {
+        "curve": ["--curve", '{"family":"tennis_ball"}'],
+        "n": ["--n", "64"],
+        "tol": ["--tol", "1e-6"],
+        "points": ["--points", "[[0.3, 1.1]]"],
+        "bracket": ["--bracket", "0.1", "1.4"],
+        "objective": ["--objective", "mean_min"],
+        "max_evals": ["--max-evals", "2"],
+        "J": ["--J", "3"],
+        "out": ["--out", str(out_path)],
+    }
+    echo = {
+        "curve": to_spec(from_spec('{"family":"tennis_ball"}')),
+        "n": 64,
+        "tol": 1e-6,
+        "points": [[0.3, 1.1]],
+        "bracket": [0.1, 1.4],
+        "objective": "mean_min",
+        "max_evals": 2,
+        "J": 3,
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    code, _, _ = run([command] + [arg for dest in sorted(dests) for arg in argv[dest]], capsys)
+    assert code == 0
+    assert json.loads(out_path.read_text())["config"] == {k: echo[k] for k in dests - {"out"}}
 
 
 @pytest.mark.parametrize(
@@ -597,34 +548,34 @@ def test_bad_point_is_config_error_before_computation(points, error, capsys, mon
     "args, stub",
     [
         (["eval", "--curve", '{"family":"great_circle"}'], "arcdist.curves.arc_length"),
-        (["optimize", "--objective", "mean_min"], "arcdist.optimize.minimize_functional"),
+        (["sample", "--curve", '{"family":"great_circle"}', "--n", "4"], "arcdist.cli.from_spec"),
+        (["calibrate", "--curve", '{"family":"tennis_ball"}'], "arcdist.optimize.scale_family"),
+        (["optimize"], "arcdist.optimize.minimize_functional"),
         (["verify"], "arcdist.cli.run_verification"),
     ],
-    ids=["eval", "optimize", "verify"],
+    ids=["eval", "sample", "calibrate", "optimize", "verify"],
 )
-def test_a_seed_in_the_config_file_is_an_unknown_key(args, stub, tmp_path, capsys, monkeypatch):
-    # the one Monte Carlo seed a command draws at is mean_min_arc_distance's default
+def test_unwritable_out_is_config_error(args, stub, tmp_path, capsys, monkeypatch):
+    # refused before the command's first computation, which is stubbed to fail loudly
     def must_not_run(*a, **k):
         raise AssertionError("computation started")
 
     monkeypatch.setattr(stub, must_not_run)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1}))
-    code, _, err = run(args + ["--config", str(path)], capsys)
-    assert code == 2
-    assert err.startswith("config error: unknown config keys: ['seed']")
+    for out_path in (tmp_path / "missing" / "out", tmp_path):  # no such directory; a directory
+        code, out, err = run(args + ["--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: cannot write --out file") and str(out_path) in err
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["eval", "--curve", '{"family":"great_circle"}'], ["sample", "--curve", '{"family":"great_circle"}', "--n", "4"]],
-    ids=["eval", "sample"],
-)
-def test_unwritable_out_is_config_error(args, tmp_path, capsys):
-    out_path = tmp_path / "missing" / "out"
-    code, out, err = run(args + ["--out", str(out_path)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("config error: cannot write --out file") and str(out_path) in err
+def test_a_write_the_check_cannot_foresee_is_config_error(tmp_path):
+    # the --out check runs before the work; a write that still fails is a config error too
+    with pytest.raises(cli.ConfigError, match="cannot write --out file"):
+        cli._write("text", str(tmp_path / "missing" / "out"))
+
+
+def test_empty_out_writes_stdout(capsys):
+    code, out, _ = run(["sample", "--curve", '{"family":"great_circle"}', "--n", "4", "--out", ""], capsys)
+    assert code == 0 and out.startswith("t,x,y,z\n")
 
 
 @pytest.mark.parametrize(
@@ -702,20 +653,11 @@ class TestVerifyGlue:
         monkeypatch.setattr(cli, "Path", Unreadable)
         assert cli._blas_threads() is None
 
-    def test_config_settings_of_other_commands_are_dropped(self, fake_rows, tmp_path, capsys):
-        # checked like any config key, then dropped: verify computes the one table
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "tol": 1e-3, "max_evals": 3}))
-        out_path = tmp_path / "verify.json"
-        code, _, _ = run(["verify", "--config", str(cfg), "--out", str(out_path)], capsys)
-        assert code == 1
-        assert json.loads(out_path.read_text())["config"] == {}
-
     def test_unwritable_out_is_config_error_not_a_failed_row(self, fake_rows, tmp_path, capsys):
-        # exit 1 says a row failed; a report that cannot be written exits 2
+        # exit 1 says a row failed; a report that cannot be written exits 2, before the table is computed
         out_path = tmp_path / "missing" / "verify.json"
         code, out, err = run(["verify", "--out", str(out_path)], capsys)
-        assert code == 2 and "FAIL" in out
+        assert (code, out) == (2, "")
         assert err.startswith("config error: cannot write --out file") and str(out_path) in err
 
     def test_exit_0_when_all_pass(self, monkeypatch, capsys):

@@ -58,6 +58,18 @@ def test_flatter_curve_search_takes_no_seed():
     assert "unrecognized arguments: --seed 42" in proc.stderr
 
 
+def test_seam_amplitude_scan_takes_no_seed():
+    # its mean_min column draws at mean_min_arc_distance's default seed, so the script offers none
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scan_seam_amplitude.py"), "--seed", "42"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 42" in proc.stderr
+
+
 def test_seam_amplitude_scan_writes_one_row_per_step(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
