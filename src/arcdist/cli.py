@@ -60,7 +60,7 @@ def _is_pair(value) -> bool:
 
 #: The settings argparse cannot check, keyed by dest, with the test a value must pass and what that asks for.
 _CHECKS = {
-    "tol": (lambda v: _is_real(v) and v > 0, "a positive number"),
+    "tol": (lambda v: _is_real(v) and math.isfinite(v) and v > 0, "a finite positive number"),
     "points": (lambda v: isinstance(v, list) and all(map(_is_pair, v)), "a list of [theta0, phi0] pairs"),
     "bracket": (lambda v: _is_pair(v) and v[0] < v[1], "[lo, hi] with lo < hi"),
 }

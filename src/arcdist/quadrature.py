@@ -33,7 +33,17 @@ below the error of |q.x| at n_theta = 128 -> 256.
 
 The Gauss-Legendre nodes are found by Newton's method on the three-term
 Legendre recurrence from Tricomi's estimates (_leggauss), in numpy with
-O(n) memory, so importing the module loads no scipy.
+O(n) memory, so importing the module loads no scipy. A product level's
+other constants (the weights' sum, the step 2 pi / n_phi and the rounding
+factor of its estimate) are computed once per n_theta and cached beside
+them (_level_constants).
+
+An integrand value that is NaN or infinite raises NonFiniteIntegrandError.
+Each rule finds it through the sum it takes anyway, which such a value
+makes non-finite: a curve level's sum, a product level's weighted row sums,
+the Monte Carlo sample mean. Only a non-finite sum takes an elementwise
+test, which tells a non-finite value from finite values whose sum
+overflowed; those fail in FunctionalResult.
 
 Surface integrands are functions of an (N, 3) array of unit vectors. A
 product level builds its points as outer products of the trig values of
@@ -195,19 +205,39 @@ def refinement_levels(rule: QuadratureRule) -> list[int]:
 
 
 def sample_mean(values: np.ndarray, scale: float = 1.0) -> FunctionalResult:
-    """scale times the sample mean, with scale times the sample standard error."""
+    """scale times the sample mean, with scale times the sample standard
+    error; NonFiniteIntegrandError if a value is NaN or infinite (_checked_sum)."""
     n = values.size
-    return FunctionalResult(scale * float(np.mean(values)), scale * float(np.std(values, ddof=1)) / math.sqrt(n), n)
+    with np.errstate(invalid="ignore"):
+        mean = np.mean(values)
+    mean = _checked_sum(mean, values)
+    return FunctionalResult(scale * mean, scale * float(np.std(values, ddof=1)) / math.sqrt(n), n)
 
 
 def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """f(xs) as floats, one per node (per row of xs on the sphere), all finite."""
+    """f(xs) as floats, one per node (per row of xs on the sphere), whose
+    finiteness the rule checks through the sum it takes (_checked_sum)."""
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != xs.shape[:1]:
         raise ValueError("integrand must return one value per point")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrandError("integrand returned a non-finite value")
     return vals
+
+
+def _checked_sum(total, vals: np.ndarray) -> float:
+    """total, a sum the rule took over vals, as a float, or
+    NonFiniteIntegrandError if a value of vals is not finite.
+
+    A NaN or an infinity among the values makes their sum NaN or infinite,
+    so the elementwise test runs only when the sum is not finite. There it
+    tells a non-finite value from a sum of finite values that overflowed,
+    which is returned and fails in FunctionalResult. The rule takes the sum
+    with numpy's invalid-value warning off, as an infinity of each sign
+    makes it NaN.
+    """
+    total = float(total)
+    if not math.isfinite(total) and not np.all(np.isfinite(vals)):
+        raise NonFiniteIntegrandError("integrand returned a non-finite value")
+    return total
 
 
 def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> FunctionalResult:
@@ -223,7 +253,9 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     levels, which every refinement builds, take one call of f on the
     second level's nodes; each later level one call on its new nodes.
     Refines by doubling under the module's cap rule. A rule of a sphere
-    kind raises ValueError before f is called.
+    kind raises ValueError before f is called. A NaN or infinite value of
+    f raises NonFiniteIntegrandError once the sum of its level shows it
+    (see the module docstring).
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
@@ -237,7 +269,9 @@ def integrate_1d(f: Callable, a: float, b: float, rule: QuadratureRule) -> Funct
     total, used = 0.0, 0
     for k, n in enumerate(levels):
         new = first_two[k::2] if k < 2 else _eval(f, periodic_nodes(a, b, n)[1::2])
-        total += float(np.sum(new))
+        with np.errstate(invalid="ignore"):
+            level_sum = np.sum(new)
+        total += _checked_sum(level_sum, new)
         cur = (b - a) * total / n
         used += new.size
         if k:
@@ -281,14 +315,19 @@ def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float 
     the sum. nodes_used is 2 n_theta^2, and the warning is
     TOLERANCE_NOT_REACHED when the estimate exceeds rule.tol. The rule
     raises ValueError, before g is called, without antipodal_sum or when
-    its 2 n_theta^2 nodes pass NODE_CAP (n_theta > 724).
+    its 2 n_theta^2 nodes pass NODE_CAP (n_theta > 724). The level reads
+    g's values and never writes them, so g may return an array it keeps,
+    and it takes its weights' defect, h = 2 pi / n_phi and the rounding
+    factor from a cache kept per n_theta.
 
     monte_carlo returns 4pi times the sample mean over the area-uniform
     points sphere.uniform_unit_vectors(rule.seed, rule.n), with 4pi times
     the sample standard error as the estimate, with or without
     antipodal_sum; it takes an unbalanced g. A periodic_trapezoid rule, or
     an antipodal_sum that is not a finite real number (a bool is not),
-    raises ValueError before g is called.
+    raises ValueError before g is called. A NaN or infinite value of g
+    raises NonFiniteIntegrandError once the level's weighted row sums, or
+    the sample mean, show it (see the module docstring).
     """
     if rule.kind == "periodic_trapezoid":
         raise ValueError("sphere_integrate takes a gauss_legendre or monte_carlo rule, not periodic_trapezoid")
@@ -312,27 +351,44 @@ def sphere_integrate(g: Callable, rule: QuadratureRule, *, antipodal_sum: float 
 def _balanced_level(g: Callable, n_theta: int, c: float, tol: float) -> FunctionalResult:
     """The product level at n_theta of a g with g(x) + g(-x) = c, with the
     error bound of sphere_integrate's docstring."""
-    value, evals, vals = _product_level(g, n_theta)
-    w = _leggauss(n_theta)[1]
-    n_phi = vals.shape[1]
-    h = TWO_PI / n_phi
-    # The columns j < n_phi / 2 hold one node of each mirrored pair, whose
-    # mirror is in the reversed ring, n_phi / 2 columns on; both weigh w_i h,
-    # so half the sum over every node is the sum over these.
-    s = vals[:, : n_phi // 2] + vals[::-1, n_phi // 2 :]
+    value, evals, vals, rows = _product_level(g, n_theta)
+    w, h, weights_defect, rounding_step = _level_constants(n_theta)
+    # The columns j < n_phi / 2 = n_theta hold one node of each mirrored
+    # pair, whose mirror is in the reversed ring, n_phi / 2 columns on; both
+    # weigh w_i h, so half the sum over every node is the sum over these.
+    # Each pass writes only arrays it made: vals may be g's own array.
+    s = vals[:, :n_theta] + vals[::-1, n_theta:]
     s -= c
     np.abs(s, out=s)
     symmetry = h * float(np.dot(w, s.sum(axis=1)))
-    weights = 0.5 * abs(c) * abs(TWO_PI * math.fsum(w) - FOUR_PI)
+    weights = 0.5 * abs(c) * weights_defect
+    # |g| = g where no value is negative (arccos, the distance field), so the
+    # value's row sums serve; else |g| takes a pass of its own. Only c > 0
+    # is tested: with c <= 0, g(x) + g(-x) = c leaves a negative value
+    # unless g is 0 everywhere.
+    if not (c > 0 and vals.min() >= 0.0):
+        rows = np.abs(vals).sum(axis=1)
+    rounding = rounding_step * float(np.dot(w, rows))
+    err = weights + symmetry + rounding
+    return FunctionalResult(value, err, evals, None if err <= tol else TOLERANCE_NOT_REACHED)
+
+
+@lru_cache(maxsize=64)
+def _level_constants(n_theta: int) -> tuple[np.ndarray, float, float, float]:
+    """The product level's per-n_theta constants: its Gauss weights w, its
+    trapezoid step h = 2 pi / n_phi, the weights' defect |2 pi sum w - 4 pi|
+    and the rounding bound's factor depth eps h, each in the arithmetic order
+    of sphere_integrate's estimate."""
+    w = _leggauss(n_theta)[1]
+    n_phi = 2 * n_theta
+    h = TWO_PI / n_phi
     # Each rounding is off by at most eps / 2, so the count bounds twice the
     # roundings it names: n_theta in the dot product, two weight products and
     # ceil(log2 n_phi) in a row sum. numpy sums a row in blocks of up to 128
     # terms, eight running sums a block, a longer chain than a pairwise sum's
     # but one within that slack at every n_theta.
     depth = n_theta + (n_phi - 1).bit_length() + 2
-    rounding = depth * math.ulp(1.0) * h * float(np.dot(w, np.abs(vals).sum(axis=1)))
-    err = weights + symmetry + rounding
-    return FunctionalResult(value, err, evals, None if err <= tol else TOLERANCE_NOT_REACHED)
+    return w, h, abs(TWO_PI * math.fsum(w) - FOUR_PI), depth * math.ulp(1.0) * h
 
 
 def _build_grid(n_theta: int) -> np.ndarray:
@@ -371,10 +427,13 @@ def _build_grid(n_theta: int) -> np.ndarray:
 _product_grid = lru_cache(maxsize=1)(_build_grid)
 
 
-def _product_level(g: Callable, n_theta: int) -> tuple[float, int, np.ndarray]:
-    """The product rule's value at n_theta, its node count and g on its grid, (n_theta, n_phi)."""
-    w = _leggauss(n_theta)[1]
-    n_phi = 2 * n_theta
-    vals = _eval(g, _product_grid(n_theta)).reshape(n_theta, n_phi)
+def _product_level(g: Callable, n_theta: int) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """The product rule's value at n_theta, its node count, g on its grid,
+    (n_theta, n_phi), and that array's row sums."""
+    w, h = _level_constants(n_theta)[:2]
+    vals = _eval(g, _product_grid(n_theta)).reshape(n_theta, 2 * n_theta)
+    with np.errstate(invalid="ignore"):
+        rows = vals.sum(axis=1)
+        total = np.dot(w, rows)
     # dS = sin(theta) dtheta dphi = du dphi after the cos(theta) substitution
-    return float(np.dot(w, vals.sum(axis=1))) * (TWO_PI / n_phi), vals.size, vals
+    return _checked_sum(total, vals) * h, vals.size, vals, rows

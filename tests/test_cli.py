@@ -501,6 +501,25 @@ def test_invalid_setting_is_config_error(args, capsys):
     assert err.startswith("config error:")
 
 
+def test_an_infinite_tol_is_config_error_before_computation(capsys, monkeypatch):
+    # inf > 0, but a report's config could echo it only as Infinity, which strict JSON refuses
+    def must_not_run(*a, **k):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr("arcdist.curves.arc_length", must_not_run)
+    code, out, err = run(["eval", "--curve", '{"family":"great_circle"}', "--tol", "inf"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: tol must be a finite positive number, got inf\n"
+
+
+def test_a_tiny_finite_tol_still_runs(tmp_path, capsys):
+    out_path = tmp_path / "eval.json"
+    code, _, _ = run(["eval", "--curve", '{"family":"great_circle"}', "--tol", "1e-300", "--out", str(out_path)], capsys)
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    assert report["config"]["tol"] == 1e-300
+
+
 @pytest.mark.parametrize(
     "args, stub",
     [

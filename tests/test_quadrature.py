@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.special import i0, roots_legendre
 
 from arcdist import functionals
 from arcdist.curves import tennis_ball_seam
-from arcdist.functionals import mean_distance_field, point_to_curve_mean
+from arcdist.functionals import _angles, mean_distance_field, point_to_curve_mean
 from arcdist.optimize import SEARCH_RULE, calibrate_arc_length
 from arcdist.quadrature import (
     NODE_CAP,
@@ -29,6 +30,7 @@ from arcdist.quadrature import (
 from arcdist.sphere import angles_to_xyz, random_rotation_matrix, uniform_unit_vectors
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
 
 
 def _level_by_level(f, a, b, rule):
@@ -516,3 +518,112 @@ class TestSampleMean:
         assert res.error_estimate == pytest.approx(3.0 * np.std(values, ddof=1) / 2.0)
         assert res.nodes_used == 4
         assert res.warning is None
+
+
+def _with_values(values):
+    """A surface integrand returning values(N) on its N points."""
+    return lambda x: values(len(x))
+
+
+def _ones_but(bad):
+    """n ones with bad[k] at node k, for each k of bad."""
+
+    def values(n):
+        v = np.ones(n)
+        for k, b in bad.items():
+            v[k] = b
+        return v
+
+    return values
+
+
+# nodes 0, 1 and 5 lie in the first ring of the level at n_theta = 8 (16 nodes a ring)
+NON_FINITE = {
+    "nan_at_one_node": {5: np.nan},
+    "inf_at_one_node": {5: np.inf},
+    "inf_and_minus_inf_in_one_ring": {0: np.inf, 1: -np.inf},
+}
+
+
+class TestNonFiniteValues:
+    """A non-finite value fails as NonFiniteIntegrandError, and warns of
+    nothing on the way; a sum of finite values that overflows fails later,
+    in FunctionalResult."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize(
+        "rule", [QuadratureRule("gauss_legendre", 8, 1e-7), QuadratureRule("monte_carlo", 200, 1e-9, 3)],
+        ids=["gauss_legendre", "monte_carlo"],
+    )
+    def test_sphere_rules_raise_without_a_warning(self, rule, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrandError):
+                sphere_integrate(_with_values(_ones_but(bad)), rule, antipodal_sum=2.0)
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["first_level", "second_level"])
+    def test_integrate_1d_raises_on_an_infinity_of_each_sign_without_a_warning(self, k):
+        # the first call holds both first levels; node k of the second level
+        # is in the first level for even k, in the second's new nodes for odd k
+        def f(t):
+            v = np.ones_like(t)
+            v[k], v[k + 2] = np.inf, -np.inf
+            return v
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrandError):
+                integrate_1d(f, 0.0, 1.0, QuadratureRule("periodic_trapezoid", 4, 1e-6))
+
+    @pytest.mark.parametrize(
+        "rule", [QuadratureRule("gauss_legendre", 8, 1e-7), QuadratureRule("monte_carlo", 200, 1e-9, 3)],
+        ids=["gauss_legendre", "monte_carlo"],
+    )
+    def test_finite_values_whose_sum_overflows_fail_in_the_result(self, rule):
+        g = _with_values(lambda n: np.full(n, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="requires finite value") as exc:
+            sphere_integrate(g, rule, antipodal_sum=1e308)
+        assert not isinstance(exc.value, NonFiniteIntegrandError)
+
+
+def _level_step_by_step(g, n_theta, c):
+    """The product level's value and estimate by the formulas of sphere_integrate's
+    docstring, each pass into an array of its own and each constant computed anew."""
+    w = _leggauss(n_theta)[1]
+    n_phi = 2 * n_theta
+    h = TWO_PI / n_phi
+    vals = np.asarray(g(_product_grid(n_theta)), dtype=float).reshape(n_theta, n_phi)
+    value = float(np.dot(w, vals.sum(axis=1))) * h
+    s = vals[:, : n_phi // 2] + vals[::-1, n_phi // 2 :]
+    s -= c
+    np.abs(s, out=s)
+    symmetry = h * float(np.dot(w, s.sum(axis=1)))
+    weights = 0.5 * abs(c) * abs(TWO_PI * math.fsum(w) - FOUR_PI)
+    depth = n_theta + (n_phi - 1).bit_length() + 2
+    rounding = depth * math.ulp(1.0) * h * float(np.dot(w, np.abs(vals).sum(axis=1)))
+    return value, weights + symmetry + rounding
+
+
+class TestProductLevelBits:
+    # a grid node whose dot products with the grid round past +-1 somewhere,
+    # so that _angles takes its clip path; no node at n_theta = 3 does
+    NODE = {3: 4, 8: 7, 128: 6660}
+
+    @pytest.mark.parametrize("n_theta", [3, 8, 128])
+    @pytest.mark.parametrize("angle, c", [(np.arccos, math.pi), (np.arcsin, 0.0)], ids=["arccos", "arcsin"])
+    @pytest.mark.parametrize("q_kind", ["random", "grid_node"])
+    def test_value_and_estimate_are_the_level_arithmetic_bit_for_bit(self, n_theta, angle, c, q_kind):
+        if q_kind == "random":
+            q = uniform_unit_vectors(n_theta, 1)[0]
+        else:
+            q = _product_grid(n_theta)[self.NODE[n_theta]]
+        g = lambda x: _angles(lambda: x @ q, angle)
+        res = sphere_integrate(g, QuadratureRule("gauss_legendre", n_theta, 1e-7), antipodal_sum=c)
+        assert (res.value, res.error_estimate) == _level_step_by_step(g, n_theta, c)
+
+    def test_the_integrands_own_array_is_not_written(self):
+        # g may hand back an array it keeps; the level reads it only
+        kept = np.arcsin(_product_grid(8) @ np.array([0.36, 0.48, 0.8]))
+        before = kept.copy()
+        sphere_integrate(lambda x: kept, QuadratureRule("gauss_legendre", 8, 1e-7), antipodal_sum=0.0)
+        assert np.array_equal(kept, before)
